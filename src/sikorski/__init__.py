@@ -27,7 +27,6 @@ from .expr import (
 )
 from .space import (
     Carrier,
-    CloudPoint,
     DiffSpace,
     EmbeddedCloud,
     Generator,
@@ -80,6 +79,6 @@ from .completion import (
     order_compare,
 )
 from .compactify import BoundedGeneratorSet, Cube, boundize, bump, compactify, normalize
-from .tangent import TangentVector, apply, chain_rule_check, differential, leibniz_check, tangent_map
+from .tangent import TangentVector, apply, chain_rule_check, leibniz_check, tangent_map
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ from . import specfile, tangent
 from .compactify import boundize, compactify, normalize
 from .completion import CompletedSpace, IotaReport, complete, iota, maximal_family
 from .expr import ExprError, eval_expr, parse_expr
-from .filters import verify_filter_laws
+from .filters import _MAX_GROUND, verify_filter_laws
 from .space import (
     DiffSpace,
     Generator,
@@ -39,19 +39,6 @@ __all__ = ["main"]
 
 IOTA_TOL = 1e-9
 _RESIDUAL_SCALE = 1e-12
-
-_MODULE_OF = {
-    "embed": "space",
-    "complete": "completion",
-    "compactify": "compactify",
-    "boundize": "compactify",
-    "compare-uniform": "uniform",
-    "tangent": "tangent",
-    "check-map": "space",
-    "verify-filters": "filters",
-    "run": "cli",
-}
-
 
 class UsageError(Exception):
     pass
@@ -78,6 +65,15 @@ def _parse_point(flag: str, what: str) -> tuple[float, ...]:
     return tuple(values)
 
 
+def _family_names(space: DiffSpace, flag: str, what: str) -> list[str]:
+    """The generator names a flag lists, each one declared by the space."""
+    names = _split_names(flag)
+    for name in names:
+        if name not in space.family.names:
+            raise UsageError(f"{what}: no generator named {name!r}")
+    return names
+
+
 def _resolve_family(space: DiffSpace, flag: str | None) -> DiffSpace:
     if not flag:
         return space
@@ -87,10 +83,14 @@ def _resolve_family(space: DiffSpace, flag: str | None) -> DiffSpace:
         except ValueError:
             raise UsageError(f"--family {flag!r}: the degree must be an integer") from None
         return dataclasses.replace(space, family=maximal_family(space.family, degree))
-    try:
-        return space.with_generators(_split_names(flag))
-    except KeyError as err:
-        raise UsageError(f"--family: {err.args[0]}") from None
+    return space.with_generators(_family_names(space, flag, "--family"))
+
+
+def _check_probe_flags(args) -> None:
+    if not args.tol > 0.0:
+        raise UsageError(f"--tol must be positive, got {args.tol!r}")
+    if args.tail < 2:
+        raise UsageError(f"--tail must be at least 2, got {args.tail}")
 
 
 def _select_probes(spec: specfile.SpecFile, flag: str | None) -> list[Probe]:
@@ -124,8 +124,7 @@ def _write_points(path: str, cs: CompletedSpace) -> None:
     fh, writer = _open_csv(path)
     with fh:
         writer.writerow(["point_kind", "probe_name", *cs.names])
-        for p in cs.base.points:
-            writer.writerow(["base", "", *(_fmt(c) for c in p.coords)])
+        writer.writerows(["base", "", *(_fmt(c) for c in row)] for row in cs.base.coords.tolist())
         for a in cs.adjoined:
             writer.writerow(["adjoined", a.probe, *(_fmt(c) for c in a.coords)])
 
@@ -145,6 +144,9 @@ def _write_iota(path: str, rep: IotaReport) -> None:
     fh, writer = _open_csv(path)
     with fh:
         writer.writerow(["source", "target", *rep.sub_names])
+        writer.writerows(
+            [f"base:{i}", f"base:{i}", *(_fmt(c) for c in row)] for i, row in enumerate(rep.base.tolist())
+        )
         for entry in rep.entries:
             writer.writerow([entry.source, entry.target, *(_fmt(c) for c in entry.coords)])
 
@@ -157,13 +159,14 @@ def cmd_embed(args) -> int:
     fh, writer = _open_csv(path)
     with fh:
         writer.writerow(["point_index", *space.carrier.params, *cloud.names])
-        for i, p in enumerate(cloud.points):
-            writer.writerow([i, *(_fmt(v) for v in p.params), *(_fmt(c) for c in p.coords)])
-    print(f"embed: {len(cloud.points)} points, {len(cloud.names)} coordinates -> {path}")
+        for i, (params, coords) in enumerate(zip(cloud.params.tolist(), cloud.coords.tolist())):
+            writer.writerow([i, *(_fmt(v) for v in params), *(_fmt(c) for c in coords)])
+    print(f"embed: {len(cloud.coords)} points, {len(cloud.names)} coordinates -> {path}")
     return 0
 
 
 def cmd_complete(args) -> int:
+    _check_probe_flags(args)
     spec = specfile.load_spec(args.spec)
     space = _resolve_family(spec.space, args.family)
     probes = _select_probes(spec, args.probes)
@@ -172,7 +175,7 @@ def cmd_complete(args) -> int:
     lines = _completion_lines(cs)
     rc = 0
     if args.subfamily:
-        sub = space.with_generators(_split_names(args.subfamily))
+        sub = space.with_generators(_family_names(space, args.subfamily, "--subfamily"))
         cs_sub = complete(sub, probes, tol=args.tol, tail=args.tail)
         rep = iota(cs, cs_sub)
         _write_iota(_artifact(args, "iota.csv"), rep)
@@ -194,6 +197,7 @@ def cmd_complete(args) -> int:
 
 
 def cmd_compactify(args) -> int:
+    _check_probe_flags(args)
     spec = specfile.load_spec(args.spec)
     space = _resolve_family(spec.space, args.family)
     probes = _select_probes(spec, args.probes)
@@ -213,7 +217,7 @@ def cmd_compactify(args) -> int:
 
 def cmd_boundize(args) -> int:
     spec = specfile.load_spec(args.spec)
-    gen_names = _split_names(args.gens)
+    gen_names = _family_names(spec.space, args.gens, "--gens")
     omega_vars = tuple(f"u{i + 1}" for i in range(len(gen_names)))
     try:
         omega = parse_expr(args.omega, allowed_vars=omega_vars)
@@ -237,8 +241,8 @@ def cmd_boundize(args) -> int:
 
 def cmd_compare_uniform(args) -> int:
     spec = specfile.load_spec(args.spec)
-    g_names = _split_names(args.g_family)
-    h_names = _split_names(args.h_family)
+    g_names = _family_names(spec.space, args.g_family, "--g-family")
+    h_names = _family_names(spec.space, args.h_family, "--h-family")
     eps_grid = list(_parse_point(args.eps_grid, "--eps-grid"))
     rep = compare_uniformities(spec.space, g_names, h_names, eps_grid, args.target_eps)
     params = spec.space.carrier.params
@@ -271,11 +275,8 @@ def cmd_tangent(args) -> int:
     point = _parse_point(args.point, "--point")
     coeffs = _parse_point(args.vector, "--vector")
     v = TangentVector(point, coeffs)
-    names = _split_names(args.functions) if args.functions else list(space.family.names)
-    funcs = []
-    for n in names:
-        space.family.get(n)
-        funcs.append((n, SmoothFunction.of_generator(n)))
+    names = _family_names(space, args.functions, "--functions") if args.functions else space.family.names
+    funcs = [(n, SmoothFunction.of_generator(n)) for n in names]
 
     rows: list[tuple[str, str, float]] = []
     rc = 0
@@ -305,7 +306,7 @@ def cmd_tangent(args) -> int:
         for gen_name in target.family.names:
             beta = SmoothFunction.of_generator(gen_name)
             residual = tangent.chain_rule_check(space, loaded.witness, v, beta)
-            scale = 1.0 + abs(tangent.differential(target, beta, pushed))
+            scale = 1.0 + abs(tangent.apply(target, pushed, beta))
             rows.append(("chain", f"{args.map}:{gen_name}", residual))
             if residual > _RESIDUAL_SCALE * scale:
                 failures.append(f"chain rule residual {_fmt(residual)} for {gen_name}")
@@ -325,6 +326,8 @@ def cmd_tangent(args) -> int:
 
 
 def cmd_check_map(args) -> int:
+    if not args.tol >= 0.0:
+        raise UsageError(f"--tol must not be negative, got {args.tol!r}")
     spec = specfile.load_spec(args.spec)
     if args.map not in spec.maps:
         raise UsageError(f"--map: spec declares no map named {args.map!r}")
@@ -357,6 +360,8 @@ def cmd_check_map(args) -> int:
 
 
 def cmd_verify_filters(args) -> int:
+    if not 1 <= args.max_size <= _MAX_GROUND:
+        raise UsageError(f"--max-size must be between 1 and {_MAX_GROUND}, got {args.max_size}")
     rep = verify_filter_laws(args.max_size)
     path = _artifact(args, "models.csv")
     fh, writer = _open_csv(path)
@@ -395,6 +400,9 @@ def cmd_run(args) -> int:
         raise UsageError(f"spec declares no experiment(s) {unknown}")
     if not labels:
         raise UsageError("spec declares no experiments")
+    nested = [label for label in labels if by_label[label].argv[0] == "run"]
+    if nested:
+        raise UsageError(f"experiment {nested[0]} is itself a run; runs do not nest")
     for label in labels:
         exp = by_label[label]
         argv = [exp.argv[0]]
@@ -409,16 +417,17 @@ def cmd_run(args) -> int:
     return 0
 
 
-_HANDLERS: dict[str, Callable] = {
-    "embed": cmd_embed,
-    "complete": cmd_complete,
-    "compactify": cmd_compactify,
-    "boundize": cmd_boundize,
-    "compare-uniform": cmd_compare_uniform,
-    "tangent": cmd_tangent,
-    "check-map": cmd_check_map,
-    "verify-filters": cmd_verify_filters,
-    "run": cmd_run,
+# each command's handler, and the module a failed invariant is reported from
+_COMMANDS: dict[str, tuple[Callable, str]] = {
+    "embed": (cmd_embed, "space"),
+    "complete": (cmd_complete, "completion"),
+    "compactify": (cmd_compactify, "compactify"),
+    "boundize": (cmd_boundize, "compactify"),
+    "compare-uniform": (cmd_compare_uniform, "uniform"),
+    "tangent": (cmd_tangent, "tangent"),
+    "check-map": (cmd_check_map, "space"),
+    "verify-filters": (cmd_verify_filters, "filters"),
+    "run": (cmd_run, "cli"),
 }
 
 
@@ -493,24 +502,17 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
+    handler, module = _COMMANDS[args.command]
     try:
-        return _HANDLERS[args.command](args)
-    except SpecError as err:
+        return handler(args)
+    except (SpecError, UsageError) as err:
         print(f"sikorski {args.command}: {err}", file=sys.stderr)
         return 2
-    except UsageError as err:
-        print(f"sikorski {args.command}: {err}", file=sys.stderr)
-        return 2
-    except KeyError as err:
-        detail = err.args[0] if err.args else err
+    except (KeyError, ExprError, ValueError) as err:
+        # str() of a KeyError is the repr of its message; print the message
+        detail = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(
-            f"sikorski {args.command} ({_MODULE_OF[args.command]}): invariant violated: {detail}",
-            file=sys.stderr,
-        )
-        return 1
-    except (ExprError, ValueError) as err:
-        print(
-            f"sikorski {args.command} ({_MODULE_OF[args.command]}): invariant violated: {err}",
+            f"sikorski {args.command} ({module}): invariant violated: {detail}",
             file=sys.stderr,
         )
         return 1

@@ -13,8 +13,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import BinOp, Call, Const, Expr, Var, eval_expr, substitute
-from .space import DiffSpace, Generator, GeneratorFamily, SmoothFunction, sample
+import numpy as np
+
+from .expr import BinOp, Call, Const, Expr, Var, eval_array, eval_expr, substitute
+from .space import DiffSpace, Generator, GeneratorFamily, SmoothFunction, eval_columns, sample
 from .uniform import Probe
 from .completion import CompletedSpace, complete
 
@@ -41,14 +43,14 @@ class Cube:
         if not (self.half_width > 0.0):
             raise ValueError("degenerate cube: half-width must be positive")
 
-    def contains(self, point: Sequence[float], strict: bool = True) -> bool:
-        if len(point) != len(self.center):
+    def contains(self, point, strict: bool = True):
+        """Membership of a point, or row by row of a matrix of points."""
+        point = np.asarray(point, dtype=float)
+        if point.shape[-1] != len(self.center):
             raise ValueError("dimension mismatch")
-        for c, v in zip(self.center, point):
-            gap = abs(v - c)
-            if gap > self.half_width or (strict and gap == self.half_width):
-                return False
-        return True
+        gap = np.abs(point - self.center)
+        inside = gap < self.half_width if strict else gap <= self.half_width
+        return inside.all(axis=-1)
 
 
 def bump(inner: Cube, outer: Cube, var_names: Sequence[str]) -> Expr:
@@ -131,21 +133,14 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
         },
     )
 
-    max_abs = [0.0] * n
-    residual = 0.0
-    local_count = 0
-    for _, apoint in sample(space.carrier):
-        env = dict(zip(space.carrier.ambient, apoint))
-        gvals = [eval_expr(g, env) for g in gammas]
-        for i, v in enumerate(gvals):
-            if abs(v) > max_abs[i]:
-                max_abs[i] = abs(v)
-        alpha_vals = [eval_expr(a, env) for a in alpha_exprs]
-        if inner.contains(alpha_vals):
-            local_count += 1
-            original = eval_expr(f.omega, dict(zip(f.omega_vars, alpha_vals)))
-            rebuilt = eval_expr(omega1, dict(zip(fresh, gvals)))
-            residual = max(residual, abs(original - rebuilt))
+    _, ambient = sample(space.carrier)
+    values = eval_columns(gammas + tuple(alpha_exprs), space.carrier.ambient, ambient)
+    gvals, alpha_vals = values[:, :n], values[:, n:]
+    max_abs = np.abs(gvals).max(axis=0).tolist()
+    local = inner.contains(alpha_vals)
+    original = eval_array(f.omega, dict(zip(f.omega_vars, alpha_vals[local].T)))
+    rebuilt = eval_array(omega1, dict(zip(fresh, gvals[local].T)))
+    residual = float(np.max(np.abs(original - rebuilt), initial=0.0))
     for i, m in enumerate(max_abs):
         if m > 1.0:
             raise ValueError(f"bounded generator {f.gen_names[i]} exceeds 1: {m!r}")
@@ -162,7 +157,7 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
         fresh,
         tuple(max_abs),
         residual,
-        local_count,
+        int(local.sum()),
     )
 
 
@@ -175,27 +170,18 @@ class NormalizedGenerator:
     argmax_index: int
 
 
-def _axis_line(values: list[float], counts: Sequence[int], axis: int, at: Sequence[int]) -> list[float]:
-    """|g| along one grid axis through a fixed multi-index."""
-    strides = [1] * len(counts)
-    for k in range(len(counts) - 2, -1, -1):
-        strides[k] = strides[k + 1] * counts[k + 1]
-    base = sum(strides[k] * at[k] for k in range(len(counts)) if k != axis)
-    return [values[base + strides[axis] * i] for i in range(counts[axis])]
-
-
-def _monotone_divergent(line: Sequence[float], toward_end: bool) -> bool:
+def _monotone_divergent(line: np.ndarray, toward_end: bool) -> bool:
     """Divergence heuristic: |g| strictly grows into the boundary and the
     growth itself never slows.  A bounded generator flattens toward its
     sup, so its increments shrink; a genuinely unbounded one does not."""
     window = min(8, len(line))
     if window < 3:
         return False
-    tail = list(line[-window:]) if toward_end else list(line[:window][::-1])
-    increments = [b - a for a, b in zip(tail, tail[1:])]
-    if any(inc <= 0.0 for inc in increments):
+    tail = line[-window:] if toward_end else line[:window][::-1]
+    increments = np.diff(tail)
+    if np.any(increments <= 0.0):
         return False
-    return all(b >= a * (1.0 - 1e-9) for a, b in zip(increments, increments[1:]))
+    return bool(np.all(increments[1:] >= increments[:-1] * (1.0 - 1e-9)))
 
 
 def normalize(space: DiffSpace, name: str) -> NormalizedGenerator:
@@ -206,30 +192,21 @@ def normalize(space: DiffSpace, name: str) -> NormalizedGenerator:
     the sampled shadow of an unbounded generator.
     """
     gen = space.family.get(name)
-    values = []
-    params = []
-    for pvals, apoint in sample(space.carrier):
-        env = dict(zip(space.carrier.ambient, apoint))
-        values.append(abs(eval_expr(gen.expr, env)))
-        params.append(pvals)
-    sup = max(values)
-    index = values.index(sup)
+    params, ambient = sample(space.carrier)
+    values = np.abs(eval_columns([gen.expr], space.carrier.ambient, ambient)[:, 0])
+    index = int(np.argmax(values))
+    sup = float(values[index])
     if sup == 0.0:
         raise ValueError(f"generator {name} is identically zero on the samples")
-    counts = [len(axis) for axis in space.carrier.axis_samples()]
-    # decode the row-major argmax index into per-axis positions
-    multi = [0] * len(counts)
-    rem = index
-    for k in range(len(counts) - 1, -1, -1):
-        multi[k] = rem % counts[k]
-        rem //= counts[k]
+    grid = values.reshape(space.carrier.counts)
+    multi = np.unravel_index(index, grid.shape)
     # only an open end can hide an unattained sup; a closed end's boundary
     # sample belongs to the carrier, so the max found there is genuine
     for axis, interval in enumerate(space.carrier.box):
-        line = _axis_line(values, counts, axis, multi)
+        line = grid[multi[:axis] + (slice(None),) + multi[axis + 1:]]
         if (
             interval.hi_open
-            and multi[axis] == counts[axis] - 1
+            and multi[axis] == grid.shape[axis] - 1
             and _monotone_divergent(line, toward_end=True)
         ):
             raise ValueError(f"generator {name} diverges toward the upper end of axis {axis}")
@@ -240,7 +217,7 @@ def normalize(space: DiffSpace, name: str) -> NormalizedGenerator:
         ):
             raise ValueError(f"generator {name} diverges toward the lower end of axis {axis}")
     scaled = BinOp("/", gen.expr, Const(sup))
-    return NormalizedGenerator(name, scaled, sup, params[index], index)
+    return NormalizedGenerator(name, scaled, sup, tuple(params[index].tolist()), index)
 
 
 def compactify(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail: int = 50) -> CompletedSpace:
@@ -251,11 +228,12 @@ def compactify(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tai
             raise ValueError(f"generator {gen.name} carries no bound flag")
         if gen.bound > 1.0:
             raise ValueError(f"generator {gen.name} has bound {gen.bound!r} > 1")
-    for _, apoint in sample(space.carrier):
-        for name, value in zip(space.family.names, space.generator_values(apoint)):
-            if abs(value) > 1.0:
-                raise ValueError(f"generator {name} exceeds its unit bound at {apoint}: {value!r}")
     cs = complete(space, probes, tol=tol, tail=tail)
+    over = np.argwhere(np.abs(cs.base.coords) > 1.0)
+    if over.size:
+        i, k = over[0]
+        point, value = tuple(cs.base.ambient[i].tolist()), float(cs.base.coords[i, k])
+        raise ValueError(f"generator {cs.names[k]} exceeds its unit bound at {point}: {value!r}")
     for adj in cs.adjoined:
         for name, value in zip(cs.names, adj.coords):
             if abs(value) > 1.0:

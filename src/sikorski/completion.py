@@ -14,6 +14,8 @@ from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
 
+import numpy as np
+
 from .expr import BinOp, Expr, Pow
 from .space import DiffSpace, EmbeddedCloud, Generator, GeneratorFamily, embed
 from .uniform import CauchyVerdict, Probe, probe_cauchy
@@ -60,8 +62,15 @@ class CompletedSpace:
     def names(self) -> tuple[str, ...]:
         return self.base.names
 
-    def all_coords(self) -> list[tuple[float, ...]]:
-        return [p.coords for p in self.base.points] + [a.coords for a in self.adjoined]
+    def all_coords(self) -> np.ndarray:
+        """Base coordinates, then adjoined ones: one row per point."""
+        adjoined = np.array([a.coords for a in self.adjoined], dtype=float)
+        return np.vstack([self.base.coords, adjoined.reshape(-1, len(self.names))])
+
+
+def _near(rows: np.ndarray, point: Sequence[float]) -> np.ndarray:
+    """Which rows lie within DEDUP_TOL of `point` in every coordinate."""
+    return np.all(np.abs(rows - np.asarray(point, dtype=float)) <= DEDUP_TOL, axis=1)
 
 
 def _within(a: Sequence[float], b: Sequence[float], tol: float) -> bool:
@@ -84,7 +93,7 @@ def complete(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail:
         if verdict.status != "cauchy":
             continue
         assert verdict.limit is not None
-        known = any(_within(verdict.limit, p.coords, DEDUP_TOL) for p in base.points) or any(
+        known = _near(base.coords, verdict.limit).any() or any(
             _within(verdict.limit, a.coords, DEDUP_TOL) for a in adjoined
         )
         if known:
@@ -94,13 +103,13 @@ def complete(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail:
     return CompletedSpace(space, base, tuple(adjoined), tuple(verdicts), tuple(duplicates))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ExtensionTable:
     """Values of the continuous extension of one generator: its coordinate
-    at the base samples and at every adjoined point."""
+    at the base samples (one entry per sample) and at every adjoined point."""
 
     generator: str
-    base_values: tuple[float, ...]
+    base_values: np.ndarray
     adjoined_values: tuple[tuple[str, float], ...]
 
 
@@ -111,22 +120,25 @@ def extend_function(cs: CompletedSpace, name: str) -> ExtensionTable:
         raise KeyError(f"no generator named {name!r} in the completion") from None
     return ExtensionTable(
         name,
-        tuple(p.coords[column] for p in cs.base.points),
+        cs.base.coords[:, column],
         tuple((a.probe, a.coords[column]) for a in cs.adjoined),
     )
 
 
 @dataclass(frozen=True)
 class IotaEntry:
-    source: str  # "base:<index>" or "adjoined:<probe>"
-    target: str
+    """Where one adjoined point of the larger completion lands."""
+
+    source: str  # "adjoined:<probe>"
+    target: str  # "base:<index>" or "adjoined:<probe>"
     coords: tuple[float, ...]  # projected coordinates in the smaller family
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IotaReport:
     sub_names: tuple[str, ...]
     full_names: tuple[str, ...]
+    base: np.ndarray  # projected coordinates of base point i, which lands on base point i
     entries: tuple[IotaEntry, ...]
     residuals: tuple[tuple[str, float], ...]  # per sub-family generator
     uncovered: tuple[str, ...]  # sub-completion points outside the image
@@ -149,52 +161,40 @@ def iota(cs_full: CompletedSpace, cs_sub: CompletedSpace) -> IotaReport:
     missing = set(sub_names) - set(full_names)
     if missing:
         raise ValueError(f"subfamily is not contained in the full family: {sorted(missing)}")
-    if len(cs_full.base.points) != len(cs_sub.base.points):
+    if not np.array_equal(cs_full.base.ambient, cs_sub.base.ambient):
         raise ValueError("completions were built over different sample clouds")
     projection = [full_names.index(n) for n in sub_names]
 
+    base = cs_full.base.coords[:, projection]
+    gaps = np.max(np.abs(base - cs_sub.base.coords), axis=0, initial=0.0).tolist()
+    residual = dict(zip(sub_names, gaps))
     entries: list[IotaEntry] = []
-    residual = {n: 0.0 for n in sub_names}
     covered: set[str] = set()
-    for i, (p_full, p_sub) in enumerate(zip(cs_full.base.points, cs_sub.base.points)):
-        if p_full.ambient != p_sub.ambient:
-            raise ValueError("completions were built over different sample clouds")
-        projected = tuple(p_full.coords[k] for k in projection)
-        for n, a, b in zip(sub_names, projected, p_sub.coords):
-            residual[n] = max(residual[n], abs(a - b))
-        entries.append(IotaEntry(f"base:{i}", f"base:{i}", projected))
     sub_by_probe = {a.probe: a for a in cs_sub.adjoined}
     for adj in cs_full.adjoined:
         projected = tuple(adj.coords[k] for k in projection)
-        target = None
         if adj.probe in sub_by_probe:
-            target = sub_by_probe[adj.probe]
-            target_label = f"adjoined:{target.probe}"
-            target_coords = target.coords
-            covered.add(target.probe)
+            target_label, target_coords = f"adjoined:{adj.probe}", sub_by_probe[adj.probe].coords
         else:
             # the probe's limit was realized in the subfamily completion by
-            # an embedded sample (or an earlier probe); find it
-            candidates = [
-                (f"base:{i}", p.coords) for i, p in enumerate(cs_sub.base.points)
-            ] + [(f"adjoined:{a.probe}", a.coords) for a in cs_sub.adjoined]
-            match = next(
-                ((label, coords) for label, coords in candidates if _within(projected, coords, DEDUP_TOL)),
-                None,
-            )
-            if match is None:
+            # an embedded sample (or an earlier probe); the first one wins
+            hits = np.flatnonzero(_near(cs_sub.base.coords, projected))[:1]
+            near = [(f"base:{i}", tuple(cs_sub.base.coords[i].tolist())) for i in hits] + [
+                (f"adjoined:{a.probe}", a.coords) for a in cs_sub.adjoined if _within(projected, a.coords, DEDUP_TOL)
+            ]
+            if not near:
                 raise ValueError(
                     f"no target for probe {adj.probe}: run both completions with the same probes"
                 )
-            target_label, target_coords = match
-            if target_label.startswith("adjoined:"):
-                covered.add(target_label.split(":", 1)[1])
+            target_label, target_coords = near[0]
+        if target_label.startswith("adjoined:"):
+            covered.add(target_label.split(":", 1)[1])
         for n, a, b in zip(sub_names, projected, target_coords):
             residual[n] = max(residual[n], abs(a - b))
         entries.append(IotaEntry(f"adjoined:{adj.probe}", target_label, projected))
     uncovered = tuple(a.probe for a in cs_sub.adjoined if a.probe not in covered)
     residuals = tuple((n, residual[n]) for n in sub_names)
-    return IotaReport(sub_names, full_names, tuple(entries), residuals, uncovered)
+    return IotaReport(sub_names, full_names, base, tuple(entries), residuals, uncovered)
 
 
 class OrderVerdict(Enum):
@@ -260,9 +260,7 @@ def completeness_probe_test(
             rows.append(CompletenessRow(probe.name, verdict.status, None, True))
             continue
         assert verdict.limit is not None
-        distance = min(
-            max(abs(a - b) for a, b in zip(verdict.limit, p.coords)) for p in cloud.points
-        )
+        distance = float(np.abs(cloud.coords - np.array(verdict.limit)).max(axis=1).min())
         realized = distance <= tol
         passed = passed and realized
         rows.append(CompletenessRow(probe.name, verdict.status, distance, realized))

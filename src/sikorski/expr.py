@@ -5,15 +5,20 @@ set of unary primitives with field arithmetic and integer powers.  The
 module provides the tree type, a small recursive-descent parser, guarded
 evaluation (singular points raise, they never return NaN/inf), exact
 symbolic differentiation, substitution, and a printer whose output parses
-back to a structurally equal tree.
+back to a structurally equal tree.  `eval_array` evaluates a tree over
+whole sample arrays with the same guards; the scalar `eval_expr` is its
+oracle and decides every sample that trips a guard.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from typing import Iterable, Mapping
+
+import numpy as np
 
 __all__ = [
     "Expr",
@@ -29,6 +34,7 @@ __all__ = [
     "UNARY_PRIMITIVES",
     "parse_expr",
     "eval_expr",
+    "eval_array",
     "diff",
     "substitute",
     "variables",
@@ -94,13 +100,6 @@ class Call(Expr):
 
 CONSTANTS: Mapping[str, float] = {"pi": math.pi, "e": math.e}
 
-# The closed primitive set.  `bump1` and its derivative `bump1d` are the
-# splice used by the bounded-generator construction; they are primitives
-# here so that differentiation and printing stay total on trees that the
-# compactification code builds.
-CORE_PRIMITIVES = ("sin", "cos", "tan", "atan", "exp", "log", "sqrt", "abs")
-UNARY_PRIMITIVES = CORE_PRIMITIVES + ("bump1", "bump1d")
-
 # tan is treated as singular when cos falls below this; keeps tan(pi/2)
 # an error instead of a garbage 1e16.
 _TAN_COS_FLOOR = 1e-15
@@ -134,6 +133,53 @@ def _bump1d(t: float) -> float:
     hb = _splice_h(1.0 - a)
     g = (_splice_h_prime(a) * hb + ha * _splice_h_prime(1.0 - a)) / ((ha + hb) ** 2)
     return -math.copysign(1.0, t) * g
+
+
+def _splice_h_array(t: np.ndarray) -> np.ndarray:
+    """_splice_h over an array; exp(-1/t) is only ever taken at t > 0."""
+    positive = t > 0.0
+    return np.where(positive, np.exp(-1.0 / np.where(positive, t, 1.0)), 0.0)
+
+
+def _bump1_array(t: np.ndarray) -> np.ndarray:
+    a = 2.0 - np.abs(t)
+    num = _splice_h_array(a)
+    middle = num / (num + _splice_h_array(1.0 - a))
+    return np.where(a >= 1.0, 1.0, np.where(a <= 0.0, 0.0, middle))
+
+
+def _bump1d_array(t: np.ndarray) -> np.ndarray:
+    a = 2.0 - np.abs(t)
+    b = 1.0 - a
+    ha = _splice_h_array(a)
+    hb = _splice_h_array(b)
+    # h'(s) = h(s) / s^2, which is zero wherever h is
+    dha = ha / np.where(a > 0.0, a * a, 1.0)
+    dhb = hb / np.where(b > 0.0, b * b, 1.0)
+    g = (dha * hb + ha * dhb) / ((ha + hb) ** 2)
+    return np.where((a >= 1.0) | (a <= 0.0), 0.0, -np.copysign(1.0, t) * g)
+
+
+# The closed primitive set, each with its scalar and its array form.
+# `bump1` and its derivative `bump1d` are the splice used by the
+# bounded-generator construction; they are primitives here so that
+# differentiation and printing stay total on trees that the
+# compactification code builds.
+_PRIMITIVES = {
+    "sin": (math.sin, np.sin),
+    "cos": (math.cos, np.cos),
+    "tan": (math.tan, np.tan),
+    "atan": (math.atan, np.arctan),
+    "exp": (math.exp, np.exp),
+    "log": (math.log, np.log),
+    "sqrt": (math.sqrt, np.sqrt),
+    "abs": (abs, np.abs),
+    "bump1": (_bump1, _bump1_array),
+    "bump1d": (_bump1d, _bump1d_array),
+}
+UNARY_PRIMITIVES = tuple(_PRIMITIVES)
+
+_BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
 
 # ---------------------------------------------------------------------------
@@ -302,15 +348,9 @@ def eval_expr(node: Expr, env: Mapping[str, float]) -> float:
     if isinstance(node, BinOp):
         left = eval_expr(node.left, env)
         right = eval_expr(node.right, env)
-        if node.op == "+":
-            return _check_finite(left + right, node)
-        if node.op == "-":
-            return _check_finite(left - right, node)
-        if node.op == "*":
-            return _check_finite(left * right, node)
-        if right == 0.0:
+        if node.op == "/" and right == 0.0:
             raise DomainError("division by zero", node)
-        return _check_finite(left / right, node)
+        return _check_finite(_BINARY_OPS[node.op](left, right), node)
     if isinstance(node, Pow):
         base = eval_expr(node.base, env)
         if base == 0.0 and node.exponent < 0:
@@ -321,37 +361,87 @@ def eval_expr(node: Expr, env: Mapping[str, float]) -> float:
             raise DomainError("overflow in power", node) from None
     if isinstance(node, Call):
         arg = eval_expr(node.arg, env)
+        if node.func not in _PRIMITIVES:
+            raise ExprError(f"unknown primitive {node.func!r}")
+        if node.func == "tan" and abs(math.cos(arg)) < _TAN_COS_FLOOR:
+            raise DomainError(f"tan singular near {arg!r}", node)
+        if node.func == "log" and arg <= 0.0:
+            raise DomainError(f"log of non-positive value {arg!r}", node)
+        if node.func == "sqrt" and arg < 0.0:
+            raise DomainError(f"sqrt of negative value {arg!r}", node)
         try:
-            if node.func == "sin":
-                return math.sin(arg)
-            if node.func == "cos":
-                return math.cos(arg)
-            if node.func == "tan":
-                if abs(math.cos(arg)) < _TAN_COS_FLOOR:
-                    raise DomainError(f"tan singular near {arg!r}", node)
-                return _check_finite(math.tan(arg), node)
-            if node.func == "atan":
-                return math.atan(arg)
-            if node.func == "exp":
-                return math.exp(arg)
-            if node.func == "log":
-                if arg <= 0.0:
-                    raise DomainError(f"log of non-positive value {arg!r}", node)
-                return math.log(arg)
-            if node.func == "sqrt":
-                if arg < 0.0:
-                    raise DomainError(f"sqrt of negative value {arg!r}", node)
-                return math.sqrt(arg)
-            if node.func == "abs":
-                return abs(arg)
-            if node.func == "bump1":
-                return _bump1(arg)
-            if node.func == "bump1d":
-                return _bump1d(arg)
+            value = _PRIMITIVES[node.func][0](arg)
         except OverflowError:
             raise DomainError(f"overflow in {node.func}", node) from None
-        raise ExprError(f"unknown primitive {node.func!r}")
+        return _check_finite(value, node) if node.func == "tan" else value
     raise ExprError(f"unknown node {node!r}")
+
+
+class _Tripped(Exception):
+    """A guard fired somewhere in the batch; the scalar evaluator decides."""
+
+
+def _eval_node(node: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
+    """Elementwise `eval_expr`; raises _Tripped where that would raise."""
+    bad = False
+    if isinstance(node, Const):
+        value = np.float64(node.value)
+    elif isinstance(node, Var):
+        if node.name not in env:
+            raise _Tripped
+        value = env[node.name]
+    elif isinstance(node, BinOp):
+        left = _eval_node(node.left, env)
+        right = _eval_node(node.right, env)
+        if node.op == "/":
+            bad = right == 0.0
+        value = _BINARY_OPS[node.op](left, right)
+    elif isinstance(node, Pow):
+        base = _eval_node(node.base, env)
+        if node.exponent < 0:
+            bad = base == 0.0
+        value = base**node.exponent
+    elif isinstance(node, Call):
+        if node.func not in _PRIMITIVES:
+            raise ExprError(f"unknown primitive {node.func!r}")
+        arg = _eval_node(node.arg, env)
+        if node.func == "tan":
+            bad = np.abs(np.cos(arg)) < _TAN_COS_FLOOR
+        elif node.func == "log":
+            bad = arg <= 0.0
+        elif node.func == "sqrt":
+            bad = arg < 0.0
+        value = _PRIMITIVES[node.func][1](arg)
+    else:
+        raise ExprError(f"unknown node {node!r}")
+    if np.any(bad) or not np.all(np.isfinite(value)):
+        raise _Tripped
+    return value
+
+
+def eval_array(node: Expr, env: Mapping[str, np.ndarray | float]) -> np.ndarray:
+    """`eval_expr` over whole arrays of samples at once.
+
+    The arrays in `env` broadcast to the shape of the result; samples are
+    ordered as the flattened (row-major) result.  Every node checks the
+    guards of `eval_expr` on all samples.  When one fires, the scalar
+    evaluator walks the samples in order, so the DomainError raised is the
+    one a per-sample loop raises: first offending sample, same node, same
+    message.  Values may differ from `eval_expr` by a few ulps, because
+    numpy's ufuncs are not `math`'s.
+    """
+    names = tuple(env)
+    columns = np.broadcast_arrays(*(np.asarray(env[name], dtype=float) for name in names))
+    shape = columns[0].shape if columns else ()
+    try:
+        with np.errstate(all="ignore"):
+            value = _eval_node(node, dict(zip(names, columns)))
+    except _Tripped:
+        flat = [column.ravel().tolist() for column in columns]
+        rows = zip(*flat) if flat else [()]
+        value = np.array([eval_expr(node, dict(zip(names, row))) for row in rows], dtype=float)
+        return value.reshape(shape)
+    return np.array(np.broadcast_to(value, shape), dtype=float)
 
 
 # ---------------------------------------------------------------------------

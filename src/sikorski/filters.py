@@ -13,8 +13,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from ._parallel import parallel_map
-
 __all__ = [
     "FiniteFilter",
     "FiniteUniformity",
@@ -201,9 +199,6 @@ class FiniteUniformity:
 
     ground: tuple[Hashable, ...]
     entourages: tuple[frozenset, ...]  # canonically sorted
-
-    def entourages_sorted(self) -> tuple[frozenset, ...]:
-        return self.entourages
 
     @property
     def minimum(self) -> frozenset:
@@ -402,8 +397,7 @@ class FilterLawReport:
         return "\n".join(lines)
 
 
-def _check_model(args: tuple[int, int, FiniteUniformity, list[FiniteFilter]]) -> ModelReport:
-    size, index, u, fs = args
+def _check_model(size: int, index: int, u: FiniteUniformity, fs: list[FiniteFilter]) -> ModelReport:
     failures: list[str] = []
     counts: dict[str, int] = {}
 
@@ -499,12 +493,10 @@ def verify_filter_laws(max_size: int = 4) -> FilterLawReport:
     if not (1 <= max_size <= _MAX_GROUND):
         raise ValueError(f"max_size must be between 1 and {_MAX_GROUND}")
     filter_counts = []
-    jobs = []
+    models = []
     for size in range(1, max_size + 1):
         ground = tuple(range(size))
         fs = enumerate_filters(ground)
         filter_counts.append((size, len(fs), 2**size - 1))
-        for index, u in enumerate(catalog(ground)):
-            jobs.append((size, index, u, fs))
-    models = tuple(parallel_map(_check_model, jobs))
-    return FilterLawReport(max_size, models, tuple(filter_counts))
+        models.extend(_check_model(size, index, u, fs) for index, u in enumerate(catalog(ground)))
+    return FilterLawReport(max_size, tuple(models), tuple(filter_counts))

@@ -4,7 +4,8 @@ A space is a rectangular parameter box, a chart into ambient coordinates,
 and a finite ordered family of generator functions over those ambient
 coordinates.  Embedding a space evaluates every generator at every grid
 sample, giving the point cloud that the uniformity, completion, and
-compactification machinery works on.
+compactification machinery works on.  Sweeps over the samples are array
+evaluations: one matrix row per sample, row-major in parameter order.
 """
 
 from __future__ import annotations
@@ -12,9 +13,11 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
-from .expr import BinOp, DomainError, Expr, Var, diff, eval_expr, substitute, variables
+import numpy as np
+
+from .expr import BinOp, DomainError, Expr, Var, diff, eval_array, eval_expr, substitute, variables
 
 __all__ = [
     "Interval",
@@ -22,11 +25,11 @@ __all__ = [
     "Generator",
     "GeneratorFamily",
     "DiffSpace",
-    "CloudPoint",
     "EmbeddedCloud",
     "SmoothFunction",
     "SmoothMapWitness",
     "SmoothMapReport",
+    "eval_columns",
     "sample",
     "embed",
     "eval_smooth",
@@ -54,18 +57,11 @@ class Interval:
         if self.lo > self.hi or (self.lo == self.hi and (self.lo_open or self.hi_open)):
             raise ValueError(f"empty interval [{self.lo}, {self.hi}]")
 
-    def contains(self, v: float) -> bool:
-        if self.lo_open:
-            if v <= self.lo:
-                return False
-        elif v < self.lo:
-            return False
-        if self.hi_open:
-            if v >= self.hi:
-                return False
-        elif v > self.hi:
-            return False
-        return True
+    def contains(self, v):
+        """Membership of a value, or elementwise of an array of values."""
+        above = v > self.lo if self.lo_open else v >= self.lo
+        below = v < self.hi if self.hi_open else v <= self.hi
+        return above & below
 
     def contains_interval(self, other: "Interval") -> bool:
         if other.lo < self.lo or (other.lo == self.lo and self.lo_open and not other.lo_open):
@@ -78,15 +74,6 @@ class Interval:
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"
         return f"{left}{self.lo!r}, {self.hi!r}{right}"
-
-
-def _linspace(lo: float, hi: float, count: int) -> tuple[float, ...]:
-    if count == 1:
-        return (lo,)
-    step = (hi - lo) / (count - 1)
-    values = [lo + i * step for i in range(count)]
-    values[-1] = hi
-    return tuple(values)
 
 
 @dataclass(frozen=True)
@@ -132,7 +119,7 @@ class Carrier:
             hi = iv.hi - self.inset if iv.hi_open else iv.hi
             if lo > hi:
                 raise ValueError(f"inset {self.inset} empties axis {iv}")
-            axes.append(_linspace(lo, hi, count))
+            axes.append(tuple(np.linspace(lo, hi, count).tolist()))
         return tuple(axes)
 
     def chart_point(self, values: Sequence[float]) -> tuple[float, ...]:
@@ -210,47 +197,63 @@ class DiffSpace:
         return tuple(out)
 
 
-@dataclass(frozen=True)
-class CloudPoint:
-    params: tuple[float, ...]
-    ambient: tuple[float, ...]
-    coords: tuple[float, ...]
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EmbeddedCloud:
-    """The generator embedding of the sampled carrier: one coordinate per
-    generator, in family order."""
+    """The generator embedding of the sampled carrier, by columns.
+
+    Each matrix has one row per sample, in sample order: the parameter
+    values, the ambient point, and one coordinate per generator, in
+    family order.  The matrices are read-only.
+    """
 
     names: tuple[str, ...]
-    points: tuple[CloudPoint, ...]
+    params: np.ndarray
+    ambient: np.ndarray
+    coords: np.ndarray
+
+    def __post_init__(self):
+        for matrix in (self.params, self.ambient, self.coords):
+            matrix.flags.writeable = False
 
 
-def sample(carrier: Carrier) -> list[tuple[tuple[float, ...], tuple[float, ...]]]:
-    """Grid samples as (parameter values, ambient point), row-major in
-    parameter order (last axis fastest)."""
-    axes = carrier.axis_samples()
-    out = []
-    indices = [0] * len(axes)
-    total = 1
-    for axis in axes:
-        total *= len(axis)
-    for _ in range(total):
-        pvals = tuple(axes[k][indices[k]] for k in range(len(axes)))
-        out.append((pvals, carrier.chart_point(pvals)))
-        for k in range(len(axes) - 1, -1, -1):
-            indices[k] += 1
-            if indices[k] < len(axes[k]):
-                break
-            indices[k] = 0
+def eval_columns(
+    exprs: Sequence[Expr], names: Sequence[str], rows: np.ndarray, scalar_row: Callable | None = None
+) -> np.ndarray:
+    """Evaluate every expression on every row of `rows`, whose columns bind
+    `names`: one result column per expression, one row per sample.
+
+    On a domain error the rows are walked again in order through
+    `scalar_row` (by default, each expression in turn with `eval_expr`),
+    so the error raised names the first offending sample, and within it
+    the first offending expression, exactly as a per-sample loop would.
+    """
+    env = dict(zip(names, rows.T))
+    out = np.empty((rows.shape[0], len(exprs)))
+    try:
+        for k, expr in enumerate(exprs):
+            out[:, k] = eval_array(expr, env)
+    except DomainError:
+        scalar_row = scalar_row or (lambda row: [eval_expr(e, dict(zip(names, row))) for e in exprs])
+        for row in rows.tolist():
+            scalar_row(row)
+        raise
     return out
 
 
+def sample(carrier: Carrier) -> tuple[np.ndarray, np.ndarray]:
+    """Grid samples as a parameter matrix and an ambient matrix, one row
+    per sample, row-major in parameter order (last axis fastest)."""
+    axes = carrier.axis_samples()
+    mesh = np.meshgrid(*axes, indexing="ij")
+    params = np.stack([m.ravel() for m in mesh], axis=1)
+    return params, eval_columns(carrier.chart, carrier.params, params, carrier.chart_point)
+
+
 def embed(space: DiffSpace) -> EmbeddedCloud:
-    points = []
-    for pvals, apoint in sample(space.carrier):
-        points.append(CloudPoint(pvals, apoint, space.generator_values(apoint)))
-    return EmbeddedCloud(space.family.names, tuple(points))
+    params, ambient = sample(space.carrier)
+    exprs = [g.expr for g in space.family.generators]
+    coords = eval_columns(exprs, space.carrier.ambient, ambient, space.generator_values)
+    return EmbeddedCloud(space.family.names, params, ambient, coords)
 
 
 @dataclass(frozen=True)
@@ -285,11 +288,7 @@ def compose_ambient(space: DiffSpace, f: SmoothFunction) -> Expr:
 
 
 def eval_smooth(space: DiffSpace, f: SmoothFunction, ambient_point: Sequence[float]) -> float:
-    gen_env = {}
-    env = dict(zip(space.carrier.ambient, ambient_point))
-    for var, gen_name in zip(f.omega_vars, f.gen_names):
-        gen_env[var] = eval_expr(space.family.get(gen_name).expr, env)
-    return eval_expr(f.omega, gen_env)
+    return eval_expr(compose_ambient(space, f), dict(zip(space.carrier.ambient, ambient_point)))
 
 
 def product_witness(f: SmoothFunction, g: SmoothFunction) -> SmoothFunction:
@@ -302,16 +301,16 @@ def product_witness(f: SmoothFunction, g: SmoothFunction) -> SmoothFunction:
     return SmoothFunction(BinOp("*", left, right), fvars + gvars, f.gen_names + g.gen_names)
 
 
-def separates_points(space: DiffSpace) -> tuple[CloudPoint, CloudPoint] | None:
+def separates_points(space: DiffSpace) -> tuple[int, int] | None:
     """None when the embedding is injective on the sample grid; otherwise a
-    witness pair whose coordinate tuples agree after rounding to 1e-12."""
-    seen: dict[tuple[float, ...], CloudPoint] = {}
-    for point in embed(space).points:
-        key = tuple(round(c, 12) for c in point.coords)
-        if key in seen:
-            return (seen[key], point)
-        seen[key] = point
-    return None
+    witness pair of sample indices (rows of `embed(space)`) whose
+    coordinate tuples agree after rounding to 1e-12: the earliest sample
+    that repeats an earlier one, and the first sample it repeats."""
+    keys = np.round(embed(space).coords, 12) + 0.0  # + 0.0 folds -0.0 into 0.0
+    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
+    earlier = first[inverse.ravel()]
+    repeats = np.flatnonzero(earlier != np.arange(len(keys)))
+    return (int(earlier[repeats[0]]), int(repeats[0])) if repeats.size else None
 
 
 @dataclass(frozen=True)
@@ -349,24 +348,22 @@ class SmoothMapReport:
 
 def check_smooth_map(source: DiffSpace, witness: SmoothMapWitness, tol: float = 1e-6) -> SmoothMapReport:
     """Compare each pullback witness against the composite generator-after-map
-    on every sampled source point."""
-    worst = -1.0
-    worst_point = None
-    residuals = {name: 0.0 for name in witness.target.family.names}
-    for _, apoint in sample(source.carrier):
-        image = witness.image_point(source, apoint)
-        target_env = dict(zip(witness.target.carrier.ambient, image))
-        for gen in witness.target.family.generators:
-            lhs = eval_smooth(source, witness.witnesses[gen.name], apoint)
-            rhs = eval_expr(gen.expr, target_env)
-            r = abs(lhs - rhs)
-            if r > residuals[gen.name]:
-                residuals[gen.name] = r
-            if r > worst:
-                worst = r
-                worst_point = apoint
-    rows = tuple((name, residuals[name]) for name in witness.target.family.names)
-    return SmoothMapReport(tol, rows, worst_point, all(r <= tol for _, r in rows))
+    on every sampled source point.  The worst point is the first sample
+    attaining the largest residual."""
+    _, ambient = sample(source.carrier)
+    target = witness.target
+    image = dict(zip(target.carrier.ambient, witness.components))
+    # per generator: the witness over the source generators, then the
+    # target generator composed with the map components
+    exprs = list(witness.components)
+    for gen in target.family.generators:
+        exprs.append(compose_ambient(source, witness.witnesses[gen.name]))
+        exprs.append(substitute(gen.expr, image))
+    values = eval_columns(exprs, source.carrier.ambient, ambient)[:, len(witness.components):]
+    residual = np.abs(values[:, 0::2] - values[:, 1::2])
+    i, _ = np.unravel_index(np.argmax(residual), residual.shape)
+    rows = tuple(zip(target.family.names, residual.max(axis=0).tolist()))
+    return SmoothMapReport(tol, rows, tuple(ambient[i].tolist()), all(r <= tol for _, r in rows))
 
 
 def restrict(space: DiffSpace, sub_box: Sequence[Interval]) -> DiffSpace:
@@ -380,7 +377,8 @@ def restrict(space: DiffSpace, sub_box: Sequence[Interval]) -> DiffSpace:
             raise ValueError(f"sub-box {sub} is not contained in {iv}")
     new_axes = []
     for axis, sub in zip(carrier.axis_samples(), sub_box):
-        kept = tuple(v for v in axis if sub.contains(v))
+        values = np.array(axis)
+        kept = tuple(values[sub.contains(values)].tolist())
         if not kept:
             raise ValueError(f"restriction to {sub} keeps no samples")
         new_axes.append(kept)

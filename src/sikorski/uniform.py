@@ -94,13 +94,6 @@ class RefinementReport:
         return all(row.refines for row in self.rows)
 
 
-def _coordinate_matrix(space: DiffSpace, names: tuple[str, ...]) -> tuple[np.ndarray, list[tuple[float, ...]]]:
-    sub = space.with_generators(names)
-    cloud = embed(sub)
-    ambient = [p.ambient for p in cloud.points]
-    coords = np.array([p.coords for p in cloud.points], dtype=float)
-    return coords, ambient
-
 def compare_uniformities(
     space: DiffSpace,
     g_names: Sequence[str],
@@ -121,7 +114,8 @@ def compare_uniformities(
     if not (target_eps > 0.0) or any(not (e > 0.0) for e in eps_grid):
         raise ValueError("entourage widths must be positive")
     all_names = g_names + tuple(n for n in h_names if n not in g_names)
-    coords, ambient = _coordinate_matrix(space, all_names)
+    cloud = embed(space.with_generators(all_names))
+    coords = cloud.coords
     n_pts = coords.shape[0]
     g_idx = [all_names.index(n) for n in g_names]
     h_idx = [all_names.index(n) for n in h_names]
@@ -163,9 +157,8 @@ def compare_uniformities(
             violated = next(
                 n for n, k in zip(h_names, h_idx) if abs(coords[i, k] - coords[j, k]) >= target_eps
             )
-            rows.append(
-                RefinementRow(target.describe(), eps, False, tuple(ambient[i]), tuple(ambient[j]), d_g, violated)
-            )
+            x, y = (tuple(cloud.ambient[k].tolist()) for k in (i, j))
+            rows.append(RefinementRow(target.describe(), eps, False, x, y, d_g, violated))
     return RefinementReport(g_names, h_names, n_pts, tuple(rows))
 
 

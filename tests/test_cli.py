@@ -11,6 +11,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import sikorski
 
 SPECS = Path(sikorski.__file__).parent / "specs"
@@ -242,6 +244,39 @@ def test_unknown_family_exits_two(tmp_path):
     )
     assert proc.returncode == 2
     assert "no generator named 'zap'" in proc.stderr
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["complete", REAL_LINE, "--subfamily", "zap"], "--subfamily"),
+        (["compare-uniform", REAL_LINE, "--g-family", "zap", "--h-family", "g", "--eps-grid", "0.1"], "--g-family"),
+        (["compare-uniform", REAL_LINE, "--g-family", "g", "--h-family", "zap", "--eps-grid", "0.1"], "--h-family"),
+        (["boundize", REAL_LINE, "--omega", "u1", "--gens", "zap", "--point", "0"], "--gens"),
+        (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions", "f,zap"], "--functions"),
+        (["complete", REAL_LINE, "--family", "g", "--tail", "1"], "--tail"),
+        (["compactify", UNIT_INTERVAL, "--tail", "1"], "--tail"),
+        (["complete", REAL_LINE, "--family", "g", "--tol", "0"], "--tol"),
+        (["check-map", REAL_LINE, "--map", "squash", "--tol=-1e-9"], "--tol"),
+        (["verify-filters", "--max-size", "9"], "--max-size"),
+    ],
+)
+def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
+    proc = run_cli(*argv, "--out", str(tmp_path))
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stderr.startswith(f"sikorski {argv[0]}: {flag}")
+    assert "invariant violated" not in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_run_refuses_a_nested_run(tmp_path):
+    spec = tmp_path / "again.spec"
+    spec.write_text(Path(UNIT_INTERVAL).read_text(encoding="utf-8") + "again = run\n", encoding="utf-8")
+    proc = run_cli("run", str(spec), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"sikorski run: experiment again is itself a run; runs do not nest\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sikorski.completion import (
@@ -76,7 +77,7 @@ def test_duplicate_probe_names_rejected():
 def test_extension_reads_off_coordinates():
     cs = complete(SLAB.with_generators(["g"]), [PLUS, MINUS], tol=1e-3, tail=50)
     ext = extend_function(cs, "g")
-    assert ext.base_values == tuple(p.coords[0] for p in cs.base.points)
+    assert np.array_equal(ext.base_values, cs.base.coords[:, 0])
     assert ext.adjoined_values == (("pplus", 1.5698209998564814), ("pminus", -1.5698209998564814))
     with pytest.raises(KeyError, match="no generator named"):
         extend_function(cs, "h")
@@ -87,8 +88,8 @@ def test_iota_onto_itself_is_the_identity():
     rep = iota(cs, cs)
     assert rep.max_residual() == 0.0
     assert rep.uncovered == ()
-    adjoined_entries = [e for e in rep.entries if e.source.startswith("adjoined")]
-    assert [(e.source, e.target) for e in adjoined_entries] == [
+    assert np.array_equal(rep.base, cs.base.coords)
+    assert [(e.source, e.target) for e in rep.entries] == [
         ("adjoined:pplus", "adjoined:pplus"),
         ("adjoined:pminus", "adjoined:pminus"),
     ]
@@ -104,16 +105,29 @@ def test_iota_flags_points_outside_its_image():
     assert rep.sub_names == ("g",)
     assert rep.max_residual() == 0.0
     assert rep.uncovered == ("pplus", "pminus")
-    assert all(e.source.startswith("base") for e in rep.entries)
+    assert rep.entries == ()
 
 
 def test_iota_base_points_project_exactly():
     cs_full = complete(SLAB, [PLUS, MINUS], tol=1e-3, tail=50)
     cs_sub = complete(SLAB.with_generators(["g"]), [PLUS, MINUS], tol=1e-3, tail=50)
     rep = iota(cs_full, cs_sub)
-    for entry, full_point in zip(rep.entries, cs_full.base.points):
-        assert entry.source == entry.target
-        assert entry.coords == (full_point.coords[1],)
+    assert np.array_equal(rep.base, cs_full.base.coords[:, [1]])
+
+
+def test_iota_sends_a_limit_realized_by_a_sample_to_that_sample():
+    """-0.9 is sampled and 0.9 is not: over (f, g) the constant probe at 0.9
+    adjoins a point, while over g alone its limit 0.81 is the sample -0.9."""
+    space = line_space(-0.9, 1.0, 2, [("f", "x"), ("g", "x^2")])
+    probe = Probe("p", parse_expr("0.9 + 0*n", ["n"]), 1, 100)
+    cs_full = complete(space, [probe], tol=1e-3, tail=50)
+    cs_sub = complete(space.with_generators(["g"]), [probe], tol=1e-3, tail=50)
+    assert [a.probe for a in cs_full.adjoined] == ["p"]
+    assert cs_sub.duplicates == ("p",)
+    rep = iota(cs_full, cs_sub)
+    assert [(e.source, e.target, e.coords) for e in rep.entries] == [("adjoined:p", "base:0", (0.9 * 0.9,))]
+    assert rep.max_residual() == 0.0
+    assert rep.uncovered == ()
 
 
 def test_iota_requires_a_subfamily():
@@ -134,9 +148,14 @@ def test_iota_composes_transitively():
     cs_k = complete(space, probes, tol=1e-3, tail=50)
     cs_h = complete(space.with_generators(["g", "h"]), probes, tol=1e-3, tail=50)
     cs_g = complete(space.with_generators(["g"]), probes, tol=1e-3, tail=50)
-    via_h = {e.source: e for e in iota(cs_h, cs_g).entries}
+    second_step = iota(cs_h, cs_g)
+    via_h = {e.source: e for e in second_step.entries}
     direct = iota(cs_k, cs_g)
     step_one = iota(cs_k, cs_h)
+    # base points: projecting onto (g, h) and then onto g is projecting onto g
+    assert np.array_equal(step_one.base[:, [0]], direct.base)
+    assert np.array_equal(second_step.base, direct.base)
+    assert len(step_one.entries) == len(direct.entries)
     for first, straight in zip(step_one.entries, direct.entries):
         second = via_h[first.target]
         assert second.coords == straight.coords

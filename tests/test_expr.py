@@ -1,6 +1,7 @@
 import math
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -14,6 +15,7 @@ from sikorski.expr import (
     Pow,
     Var,
     diff,
+    eval_array,
     eval_expr,
     parse_expr,
     substitute,
@@ -199,3 +201,93 @@ def test_derivative_is_additive(seed, at):
     except DomainError:
         return
     assert lhs == d1 + d2
+
+
+def scalar_batch(expr, env):
+    """The per-sample loop that eval_array replaces."""
+    names = list(env)
+    return [eval_expr(expr, dict(zip(names, row))) for row in zip(*(env[n] for n in names))]
+
+
+@given(
+    st.integers(0, 10**9),
+    st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=30),
+)
+def test_eval_array_matches_the_scalar_oracle(seed, xs):
+    rng = random.Random(seed)
+    e = random_expr(rng, ("x", "y"), 4)
+    env = {"x": xs, "y": xs[::-1]}
+    try:
+        expected = scalar_batch(e, env)
+    except DomainError as err:
+        with pytest.raises(DomainError) as got:
+            eval_array(e, env)
+        assert str(got.value) == str(err)
+        assert got.value.node == err.node
+        return
+    got = eval_array(e, {k: np.array(v) for k, v in env.items()})
+    assert got.shape == (len(xs),)
+    for a, b in zip(got.tolist(), expected):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+
+
+def test_eval_array_splice_pieces_match_the_scalar_oracle():
+    edges = []
+    for t in (1.0, 2.0):
+        edges += [t, np.nextafter(t, 1.5), np.nextafter(t, 0.0 if t == 1.0 else 3.0)]
+    t = np.array(edges + [-v for v in edges] + [0.0, -0.0, 1.5, 1.9999, 3.0, -7.0])
+    for func in ("bump1", "bump1d"):
+        expr = Call(func, Var("t"))
+        got = eval_array(expr, {"t": t})
+        expected = scalar_batch(expr, {"t": t.tolist()})
+        for a, b in zip(got.tolist(), expected):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=0.0)
+    # the flat pieces are exact
+    flat = eval_array(Call("bump1", Var("t")), {"t": np.array([-1.0, 0.0, 1.0, 2.0, -2.0, 5.0])})
+    assert flat.tolist() == [1.0, 1.0, 1.0, 0.0, 0.0, 0.0]
+    assert not np.any(eval_array(Call("bump1d", Var("t")), {"t": np.array([-1.0, 1.0, 2.0, -3.0])}))
+
+
+def test_eval_array_respects_the_tan_floor():
+    e = Call("tan", Var("x"))
+    near = math.pi / 2 - 4e-15  # |cos| just above the floor: finite, huge
+    assert eval_array(e, {"x": np.array([0.5, near])}).tolist() == scalar_batch(e, {"x": [0.5, near]})
+    with pytest.raises(DomainError, match="tan singular near 1.5707963267948966"):
+        eval_array(e, {"x": np.array([0.5, math.pi / 2, near])})
+
+
+def test_eval_array_reports_the_first_offending_sample():
+    """log trips first in tree order, at sample 2; the scalar loop meets the
+    sqrt failure of sample 1 first, and so must eval_array."""
+    e = parse_expr("log(x) + sqrt(y)", ["x", "y"])
+    env = {"x": [1.0, 1.0, -1.0], "y": [1.0, -1.0, 1.0]}
+    with pytest.raises(DomainError) as err:
+        scalar_batch(e, env)
+    with pytest.raises(DomainError) as got:
+        eval_array(e, {k: np.array(v) for k, v in env.items()})
+    assert str(got.value) == str(err.value) == "sqrt of negative value -1.0"
+    assert got.value.node == err.value.node == Call("sqrt", Var("y"))
+
+
+def test_eval_array_reports_every_scalar_singularity():
+    cases = [
+        ("1 / (x - 1)", "division by zero"),
+        ("(x - 1)^-2", "zero raised to a negative power"),
+        ("log(x - 1)", "log of non-positive value"),
+        ("sqrt(1 - x)", "sqrt of negative value"),
+        ("exp(x * 1000)", "overflow in exp"),
+        ("(x * 1e200)^2", "overflow in power"),
+        ("x * 1e308 * 10", "non-finite value"),
+    ]
+    xs = np.array([0.5, 1.0, 2.0])
+    for text, message in cases:
+        e = parse_expr(text, ["x"])
+        with pytest.raises(DomainError, match=message):
+            eval_array(e, {"x": xs})
+
+
+def test_eval_array_broadcasts_constants_and_scalars():
+    assert eval_array(parse_expr("2 * pi"), {}).shape == ()
+    got = eval_array(parse_expr("x + y", ["x", "y"]), {"x": np.arange(3.0), "y": 0.5})
+    assert got.tolist() == [0.5, 1.5, 2.5]
+    assert eval_array(Const(3.0), {"x": np.zeros(4)}).tolist() == [3.0] * 4

@@ -1,5 +1,6 @@
 import math
 
+import numpy as np
 import pytest
 
 from sikorski.expr import DomainError, Var, parse_expr
@@ -83,6 +84,25 @@ def test_chart_singularity_is_reported():
         sample(carrier)
 
 
+def test_sweeps_report_the_first_offending_sample():
+    """Columns are evaluated one expression at a time, but the error named
+    is the one a per-sample loop meets first."""
+    carrier = Carrier(
+        params=("t",),
+        box=(Interval(0.0, 2.0),),
+        ambient=("x", "y"),
+        chart=(parse_expr("1 / (t - 1)", ["t"]), parse_expr("log(t)", ["t"])),
+        counts=(5,),
+    )
+    with pytest.raises(DomainError) as err:
+        sample(carrier)
+    assert str(err.value) == "chart component y at (0.0,): log of non-positive value 0.0"
+    s = line_space(-3.0, 3.0, 7, [("a", "1 / x"), ("b", "sqrt((x + 1)^2 - 0.5)")])
+    with pytest.raises(DomainError) as err:
+        embed(s)
+    assert str(err.value) == "generator b at (-1.0,): sqrt of negative value -0.5"
+
+
 def test_sampling_is_row_major_with_last_axis_fastest():
     carrier = Carrier(
         params=("s", "t"),
@@ -91,23 +111,24 @@ def test_sampling_is_row_major_with_last_axis_fastest():
         chart=(Var("s"), Var("t")),
         counts=(2, 2),
     )
-    params = [p for p, _ in sample(carrier)]
-    assert params == [(0.0, 0.0), (0.0, 1.0), (1.0, 0.0), (1.0, 1.0)]
+    params, ambient = sample(carrier)
+    assert params.tolist() == [[0.0, 0.0], [0.0, 1.0], [1.0, 0.0], [1.0, 1.0]]
+    assert np.array_equal(ambient, params)
 
 
 def test_embedding_tuples_follow_generator_order():
     s = line_space(-5.0, 5.0, 11, [("f", "x"), ("g", "x^2")])
     cloud = embed(s)
     assert cloud.names == ("f", "g")
-    by_param = {p.params[0]: p.coords for p in cloud.points}
-    assert by_param[2.0] == (2.0, 4.0)
-    assert by_param[-3.0] == (-3.0, 9.0)
+    by_param = dict(zip(cloud.params[:, 0].tolist(), cloud.coords.tolist()))
+    assert by_param[2.0] == [2.0, 4.0]
+    assert by_param[-3.0] == [-3.0, 9.0]
 
 
 def test_single_generator_embedding_is_its_graph():
     s = line_space(0.0, 2.0, 5, [("g", "x^2")])
-    for point in embed(s).points:
-        assert point.coords == (point.ambient[0] ** 2,)
+    cloud = embed(s)
+    assert np.array_equal(cloud.coords, cloud.ambient**2)
 
 
 def test_eval_smooth_composes_omega_with_generator_values():
@@ -141,9 +162,11 @@ def test_an_even_family_cannot_separate_a_symmetric_carrier():
     s = line_space(-1.0, 1.0, 21, [("g", "x^2")])
     witness = separates_points(s)
     assert witness is not None
-    a, b = witness
-    assert a.params[0] == pytest.approx(-b.params[0], abs=1e-9)
-    assert a.params[0] != b.params[0]
+    i, j = witness
+    params = embed(s).params[:, 0]
+    assert i < j
+    assert params[i] == pytest.approx(-params[j], abs=1e-9)
+    assert params[i] != params[j]
 
 
 def test_an_injective_family_separates():
@@ -229,9 +252,9 @@ def test_restrict_selects_parent_samples_exactly():
 def test_restrict_then_embed_commutes_with_embed_then_select():
     s = line_space(-1.0, 1.0, 21, [("f", "x"), ("g", "x^2")])
     sub = (Interval(-0.5, 0.5),)
-    restricted = embed(restrict(s, sub)).points
-    selected = [p for p in embed(s).points if sub[0].contains(p.params[0])]
-    assert [p.coords for p in restricted] == [p.coords for p in selected]
+    restricted = embed(restrict(s, sub))
+    cloud = embed(s)
+    assert np.array_equal(restricted.coords, cloud.coords[sub[0].contains(cloud.params[:, 0])])
 
 
 def test_restrict_rejects_escaping_and_empty_boxes():

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import functools
 import os
 import sys
 from typing import Callable, Sequence
@@ -66,11 +67,14 @@ def _parse_point(flag: str, what: str) -> tuple[float, ...]:
 
 
 def _family_names(space: DiffSpace, flag: str, what: str) -> list[str]:
-    """The generator names a flag lists, each one declared by the space."""
+    """The generator names a flag lists, each one declared by the space
+    and listed once."""
     names = _split_names(flag)
-    for name in names:
+    for i, name in enumerate(names):
         if name not in space.family.names:
             raise UsageError(f"{what}: no generator named {name!r}")
+        if name in names[:i]:
+            raise UsageError(f"{what}: generator {name!r} is listed twice")
     return names
 
 
@@ -82,6 +86,8 @@ def _resolve_family(space: DiffSpace, flag: str | None) -> DiffSpace:
             degree = int(flag.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"--family {flag!r}: the degree must be an integer") from None
+        if degree < 1:
+            raise UsageError(f"--family {flag!r}: the degree must be at least 1")
         return dataclasses.replace(space, family=maximal_family(space.family, degree))
     return space.with_generators(_family_names(space, flag, "--family"))
 
@@ -431,7 +437,10 @@ _COMMANDS: dict[str, tuple[Callable, str]] = {
 }
 
 
-def _build_parser() -> argparse.ArgumentParser:
+@functools.lru_cache(maxsize=None)
+def _parser() -> argparse.ArgumentParser:
+    """The argument parser, built on first use and shared by every
+    ``main`` call in the process (``run`` calls ``main`` per experiment)."""
     parser = argparse.ArgumentParser(
         prog="sikorski",
         description="generator embeddings, completions, and compactifications of "
@@ -501,7 +510,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     handler, module = _COMMANDS[args.command]
     try:
         return handler(args)

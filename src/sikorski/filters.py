@@ -4,13 +4,21 @@ Everything here is exhaustive: filters are enumerated, uniformity models
 are enumerated, and the convergence/Cauchy statements the completion
 construction leans on are checked literally, quantifier by quantifier.
 Ground sets are tiny (size <= 5), so the point is certainty, not scale.
+
+The public API works on frozensets.  The sweep behind
+``verify_filter_laws`` works on integer bitsets instead (subsets, filters
+and entourages as masks, see ``_BitsetModel``): it visits the same pairs
+and triples and checks the same laws, evaluating each predicate once per
+distinct family of a model.  The frozenset form of the sweep is kept in
+the tests as the reference it is compared against.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Hashable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -397,91 +405,286 @@ class FilterLawReport:
         return "\n".join(lines)
 
 
+def _bits(mask: int) -> list[int]:
+    """Positions of the set bits, lowest first."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+@lru_cache(maxsize=None)
+def _up_sets(n: int) -> tuple[int, ...]:
+    """For each subset s of an n-point ground set, the family of its supersets."""
+    subsets = range(1 << n)
+    return tuple(sum(1 << t for t in subsets if t & s == s) for s in subsets)
+
+
+class _Memo(dict):
+    """A per-model table that evaluates its function once per key."""
+
+    def __init__(self, fn):
+        super().__init__()
+        self.fn = fn
+
+    def __missing__(self, key):
+        value = self[key] = self.fn(key)
+        return value
+
+
+class _BitsetModel:
+    """One uniformity model, encoded for the exhaustive sweep.
+
+    A subset of the ground set is an int (bit i for ``ground[i]``); a family
+    of subsets, such as a filter, is an int over the 2^n subsets (bit s for
+    subset s), so intersecting filters is ``&`` and ``f <= g`` is
+    ``f & ~g == 0``.  A set of entourages is an int over their positions in
+    ``u.entourages``.  ``cover[a][b]`` is the set of entourages containing
+    a x b, the intersection over the pairs of a x b of the entourages
+    holding that pair; ``balls[x]`` is the family of entourage balls around
+    ``ground[x]``.  The predicates keep their quantifiers: "for every
+    entourage there is a member (pair) small of that order" is the union of
+    the members' cover sets compared with the set of all entourages.  Each
+    predicate is evaluated once per distinct family and then looked up.
+    """
+
+    def __init__(self, u: FiniteUniformity):
+        self.ground = u.ground
+        n = len(u.ground)
+        self.full = (1 << n) - 1
+        self.up = _up_sets(n)
+        self.every_entourage = (1 << len(u.entourages)) - 1
+        pos = {x: i for i, x in enumerate(u.ground)}
+        holding = [0] * (n * n)
+        balls = [0] * n
+        for e, v in enumerate(u.entourages):
+            ent = 1 << e
+            rows = [0] * n
+            for a, b in v:
+                i, j = pos[a], pos[b]
+                holding[i * n + j] |= ent
+                rows[i] |= 1 << j
+            for x in range(n):
+                balls[x] |= 1 << rows[x]
+        self.balls = balls
+        # row_cover[i][b]: entourages containing {ground[i]} x b
+        row_cover = []
+        for i in range(n):
+            row = [self.every_entourage] * (self.full + 1)
+            for b in range(1, self.full + 1):
+                low = b & -b
+                row[b] = row[b ^ low] & holding[i * n + low.bit_length() - 1]
+            row_cover.append(row)
+        cover = [[self.every_entourage] * (self.full + 1)]
+        for a in range(1, self.full + 1):
+            low = a & -a
+            cover.append([c & r for c, r in zip(cover[a ^ low], row_cover[low.bit_length() - 1])])
+        self.cover = cover
+        self.members = _Memo(_bits)
+        self.axioms = _Memo(self._axioms)
+        self.cauchy = _Memo(self._cauchy)
+        self._reach = _Memo(self._reach_of)
+        self._related: dict[tuple[int, int], bool] = {}
+
+    def family(self, sets: Iterable[frozenset]) -> int:
+        bit = {x: 1 << i for i, x in enumerate(self.ground)}
+        return sum(1 << sum(bit[x] for x in s) for s in sets)
+
+    def elements(self, s: int) -> list:
+        return sorted(self.ground[i] for i in _bits(s))
+
+    def core(self, f: int) -> int:
+        out = self.full
+        for s in self.members[f]:
+            out &= s
+        return out
+
+    def label(self, f: int) -> str:
+        return "^" + "".join(str(x) for x in self.elements(self.core(f)))
+
+    def _axioms(self, f: int) -> str | None:
+        """The first filter axiom the family breaks, worded as
+        ``_check_filter_axioms`` words it, or None."""
+        if not f >> self.full & 1:
+            return "filter axioms violated: ground set missing"
+        if f & 1:
+            return "filter axioms violated: empty set present"
+        members = self.members[f]
+        for a in members:
+            for b in members:
+                if not f >> (a & b) & 1:
+                    return f"filter axioms violated: {self.elements(a)} meet {self.elements(b)} missing"
+        for s in members:
+            missing = self.up[s] & ~f
+            if missing:
+                return f"filter axioms violated: superset {self.elements(_bits(missing)[0])} missing"
+        return None
+
+    def converges(self, f: int, x: int) -> bool:
+        """Every entourage ball around ``ground[x]`` is a member."""
+        return self.balls[x] & ~f == 0
+
+    def _cauchy(self, f: int) -> bool:
+        """For every entourage some member m has m x m inside it."""
+        small = 0
+        for m in self.members[f]:
+            small |= self.cover[m][m]
+        return small == self.every_entourage
+
+    def _reach_of(self, f: int) -> list[int]:
+        """For each subset a, the entourages containing a x b for some member b."""
+        reach = [0] * (self.full + 1)
+        for b in self.members[f]:
+            reach = [r | row[b] for r, row in zip(reach, self.cover)]
+        return reach
+
+    def related(self, f1: int, f2: int) -> bool:
+        """For every entourage there are members a of f1 and b of f2 with
+        a x b inside it."""
+        key = (f1, f2)
+        hit = self._related.get(key)
+        if hit is None:
+            reach = self._reach[f2]
+            small = 0
+            for a in self.members[f1]:
+                small |= reach[a]
+            hit = self._related[key] = small == self.every_entourage
+        return hit
+
+    def minimal_cauchy(self, f: int, families: Sequence[int]) -> int:
+        """``minimal_cauchy`` on bitsets, raising where it raises."""
+        if not self.cauchy[f]:
+            raise ValueError("minimal_cauchy needs a Cauchy filter")
+        cls = [g for g in families if self.cauchy[g] and self.related(g, f)]
+        if not cls:
+            raise ValueError("need at least one filter")
+        out = reduce(operator.and_, cls)
+        err = self.axioms[out]
+        if err:
+            raise ValueError(err)
+        if not self.cauchy[out]:
+            raise ValueError("intersection of the R-class failed to be Cauchy")
+        if any(out & ~g for g in cls):
+            raise ValueError("minimal Cauchy filter is not below a class member")
+        return out
+
+
 def _check_model(size: int, index: int, u: FiniteUniformity, fs: list[FiniteFilter]) -> ModelReport:
+    """Check every law on one model, visiting every pair and triple of
+    filters the laws quantify over.  A failed law, an intersection that
+    breaks the filter axioms and a ``minimal_cauchy`` that would raise are
+    all recorded as failures; the first eight are kept."""
+    bm = _BitsetModel(u)
+    masks = [bm.family(f.sets) for f in fs]
+    nf = len(masks)
     failures: list[str] = []
     counts: dict[str, int] = {}
+    label = bm.label
 
-    def bump(name: str) -> None:
-        counts[name] = counts.get(name, 0) + 1
+    def bump(name: str, n: int = 1) -> None:
+        if n:
+            counts[name] = counts.get(name, 0) + n
 
     def fail(msg: str) -> None:
         if len(failures) < 8:
             failures.append(msg)
 
-    def label(f: FiniteFilter) -> str:
-        return "^" + "".join(str(x) for x in sorted(f.core))
-
-    cauchy = [is_cauchy(f, u) for f in fs]
-    conv = {x: [converges_to(f, x, u) for f in fs] for x in u.ground}
-    r = [[relation_R(a, b, u) for b in fs] for a in fs]
+    def meet(families: Iterable[int]) -> int:
+        out = reduce(operator.and_, families)
+        err = bm.axioms[out]
+        if err:
+            fail(f"intersection axioms: {err}")
+        return out
 
     # intersections of filters are filters (pairs and triples)
-    for combo in itertools.chain(itertools.combinations(range(len(fs)), 2), itertools.combinations(range(len(fs)), 3)):
-        try:
-            intersect_filters([fs[i] for i in combo])
-        except ValueError as err:
+    meets = itertools.chain(
+        (f & g for f, g in itertools.combinations(masks, 2)),
+        (f & g & h for f, g, h in itertools.combinations(masks, 3)),
+    )
+    visited = 0
+    for m in meets:
+        err = bm.axioms[m]
+        if err:
             fail(f"intersection axioms: {err}")
-        bump("intersections_are_filters")
+        visited += 1
+    bump("intersections_are_filters", visited)
 
     # intersections of filters converging to x converge to x
-    for x in u.ground:
-        pointing = [f for f, ok in zip(fs, conv[x]) if ok]
+    conv = [[bm.converges(f, x) for f in masks] for x in range(len(u.ground))]
+    for x, point in enumerate(u.ground):
+        pointing = [f for f, ok in zip(masks, conv[x]) if ok]
         for pair in itertools.combinations(pointing, 2):
-            if not converges_to(intersect_filters(pair), x, u):
-                fail(f"convergence lost at {x} for {label(pair[0])},{label(pair[1])}")
+            if not bm.converges(meet(pair), x):
+                fail(f"convergence lost at {point} for {label(pair[0])},{label(pair[1])}")
             bump("convergent_intersections")
         if pointing:
-            if not converges_to(intersect_filters(pointing), x, u):
-                fail(f"convergence lost at {x} for the full convergent family")
+            if not bm.converges(meet(pointing), x):
+                fail(f"convergence lost at {point} for the full convergent family")
             bump("convergent_intersections")
 
     # convergence implies Cauchy
-    for i, f in enumerate(fs):
-        if any(conv[x][i] for x in u.ground) and not cauchy[i]:
+    cauchy = [bm.cauchy[f] for f in masks]
+    for i, f in enumerate(masks):
+        if any(c[i] for c in conv) and not cauchy[i]:
             fail(f"{label(f)} converges but is not Cauchy")
-        bump("convergent_implies_cauchy")
+    bump("convergent_implies_cauchy", nf)
 
     # R holds exactly when both filters and their intersection are Cauchy
-    for i, j in itertools.product(range(len(fs)), repeat=2):
-        both = cauchy[i] and cauchy[j] and is_cauchy(intersect_filters([fs[i], fs[j]]), u)
+    r = [[bm.related(f, g) for g in masks] for f in masks]
+    for i, j in itertools.product(range(nf), repeat=2):
+        both = cauchy[i] and cauchy[j] and bm.cauchy[meet((masks[i], masks[j]))]
         if r[i][j] != both:
-            fail(f"R mismatch for {label(fs[i])},{label(fs[j])}: R={r[i][j]} cauchy-criterion={both}")
-        bump("r_equivalence_criterion")
+            fail(f"R mismatch for {label(masks[i])},{label(masks[j])}: R={r[i][j]} cauchy-criterion={both}")
+    bump("r_equivalence_criterion", nf * nf)
 
-    # R is an equivalence on the Cauchy filters
-    for i in range(len(fs)):
+    # R is an equivalence on the Cauchy filters; transitivity compares rows:
+    # for Cauchy i R j, every Cauchy k with j R k must have i R k
+    for i in range(nf):
         if cauchy[i] and not r[i][i]:
-            fail(f"R not reflexive at {label(fs[i])}")
-        bump("r_reflexive")
-    for i, j in itertools.combinations(range(len(fs)), 2):
+            fail(f"R not reflexive at {label(masks[i])}")
+    bump("r_reflexive", nf)
+    for i, j in itertools.combinations(range(nf), 2):
         if r[i][j] != r[j][i]:
-            fail(f"R not symmetric at {label(fs[i])},{label(fs[j])}")
-        bump("r_symmetric")
-    for i, j, k in itertools.product(range(len(fs)), repeat=3):
-        if cauchy[i] and cauchy[j] and cauchy[k] and r[i][j] and r[j][k] and not r[i][k]:
-            fail(f"R not transitive at {label(fs[i])},{label(fs[j])},{label(fs[k])}")
-        bump("r_transitive")
+            fail(f"R not symmetric at {label(masks[i])},{label(masks[j])}")
+    bump("r_symmetric", nf * (nf - 1) // 2)
+    cauchy_set = sum(1 << i for i in range(nf) if cauchy[i])
+    rows = [sum(1 << j for j in range(nf) if r[i][j]) for i in range(nf)]
+    for i, j in itertools.product(range(nf), repeat=2):
+        if cauchy[i] and cauchy[j] and r[i][j]:
+            for k in _bits(cauchy_set & rows[j] & ~rows[i]):
+                fail(f"R not transitive at {label(masks[i])},{label(masks[j])},{label(masks[k])}")
+    bump("r_transitive", nf**3)
 
     # the class intersection is a minimal equivalent Cauchy filter
-    for i, f in enumerate(fs):
+    for i, f in enumerate(masks):
         if not cauchy[i]:
             continue
-        cls = [fs[j] for j in range(len(fs)) if cauchy[j] and r[i][j]]
-        minimal = intersect_filters(cls)
-        if not is_cauchy(minimal, u):
+        bump("minimal_cauchy")
+        cls = [masks[j] for j in _bits(cauchy_set & rows[i])]
+        if not cls:
+            fail(f"R-class of {label(f)} is empty")
+            continue
+        minimal = meet(cls)
+        if not bm.cauchy[minimal]:
             fail(f"class intersection of {label(f)} is not Cauchy")
-        if not relation_R(minimal, f, u):
+        if not bm.related(minimal, f):
             fail(f"class intersection of {label(f)} left its class")
         for g in cls:
-            if not minimal <= g:
+            if minimal & ~g:
                 fail(f"class intersection of {label(f)} not below {label(g)}")
-        if minimal != minimal_cauchy(f, u, fs):
-            fail(f"minimal_cauchy disagrees with the class intersection at {label(f)}")
+        try:
+            canonical = bm.minimal_cauchy(f, masks)
+        except ValueError as err:
+            fail(f"minimal_cauchy fails at {label(f)}: {err}")
+        else:
+            if minimal != canonical:
+                fail(f"minimal_cauchy disagrees with the class intersection at {label(f)}")
         # cross-check: the up-set of the union of class cores
-        union_core = frozenset().union(*(g.core for g in cls))
-        if minimal != principal_filter(u.ground, union_core):
+        union_core = reduce(operator.or_, (bm.core(g) for g in cls))
+        if minimal != bm.up[union_core]:
             fail(f"class intersection of {label(f)} is not the up-set of the union of cores")
-        bump("minimal_cauchy")
 
     checks = tuple(sorted(counts.items()))
     return ModelReport(size, index, len(u.entourages), len(fs), checks, tuple(failures))

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import sikorski
+from sikorski import cli
 
 SPECS = Path(sikorski.__file__).parent / "specs"
 REAL_LINE = str(SPECS / "real_line_atan.spec")
@@ -259,6 +260,14 @@ def test_unknown_family_exits_two(tmp_path):
         (["complete", REAL_LINE, "--family", "g", "--tol", "0"], "--tol"),
         (["check-map", REAL_LINE, "--map", "squash", "--tol=-1e-9"], "--tol"),
         (["verify-filters", "--max-size", "9"], "--max-size"),
+        (["complete", REAL_LINE, "--family", "maximal:0"], "--family"),
+        (["embed", REAL_LINE, "--family", "maximal:-2"], "--family"),
+        (["complete", REAL_LINE, "--family", "g,g"], "--family"),
+        (["complete", REAL_LINE, "--family", "f,g", "--subfamily", "g, g"], "--subfamily"),
+        (["compare-uniform", REAL_LINE, "--g-family", "f,g,f", "--h-family", "g", "--eps-grid", "0.1"], "--g-family"),
+        (["compare-uniform", REAL_LINE, "--g-family", "g", "--h-family", "g,g", "--eps-grid", "0.1"], "--h-family"),
+        (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f,f", "--point", "0"], "--gens"),
+        (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions", "g,f,g"], "--functions"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
@@ -267,6 +276,21 @@ def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
     assert proc.stderr.startswith(f"sikorski {argv[0]}: {flag}")
     assert "invariant violated" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_one_parser_serves_every_main_call():
+    assert cli._parser() is cli._parser()
+    argvs = [
+        ["complete", REAL_LINE, "--family", "g", "--tol", "1e-3", "--label", "a"],
+        ["complete", REAL_LINE],
+        ["verify-filters", "--max-size", "2", "--out", "x"],
+        ["run", REAL_LINE, "atan_complete", "id_complete"],
+        ["run", REAL_LINE],
+        ["tangent", REAL_LINE, "--point", "1", "--vector", "1"],
+    ]
+    for argv in argvs + argvs:
+        fresh = cli._parser.__wrapped__().parse_args(argv)
+        assert vars(cli._parser().parse_args(argv)) == vars(fresh)
 
 
 def test_run_refuses_a_nested_run(tmp_path):

@@ -2,8 +2,14 @@ import itertools
 
 import pytest
 
+from filter_oracle import check_model
 from sikorski.filters import (
     FiniteFilter,
+    FiniteUniformity,
+    _BitsetModel,
+    _check_model,
+    _sorted_sets,
+    _symmetric_supersets,
     catalog,
     converges_to,
     discrete_uniformity,
@@ -221,3 +227,62 @@ def test_sweep_size_bounds():
         verify_filter_laws(0)
     with pytest.raises(ValueError, match="between 1 and"):
         verify_filter_laws(6)
+
+
+def test_bitset_verifier_matches_the_frozenset_oracle():
+    for size in range(1, 5):
+        ground = tuple(range(size))
+        fs = enumerate_filters(ground)
+        for index, u in enumerate(catalog(ground)):
+            assert _check_model(size, index, u, fs) == check_model(size, index, u, fs)
+            bm = _BitsetModel(u)
+            masks = [bm.family(f.sets) for f in fs]
+            for f, m in zip(fs, masks):
+                assert bm.cauchy[m] == is_cauchy(f, u)
+                for i, x in enumerate(ground):
+                    assert bm.converges(m, i) == converges_to(f, x, u)
+                for g, mg in zip(fs, masks):
+                    assert bm.related(m, mg) == relation_R(f, g, u)
+                if is_cauchy(f, u):
+                    assert bm.minimal_cauchy(m, masks) == bm.family(minimal_cauchy(f, u, fs).sets)
+
+
+def test_size_five_totals_are_pinned():
+    report = verify_filter_laws(5)
+    assert report.passed
+    assert len(report.models) == 75
+    totals = report.totals()
+    assert totals == {
+        "convergent_implies_cauchy": 1879,
+        "convergent_intersections": 7156,
+        "intersections_are_filters": 266608,
+        "minimal_cauchy": 598,
+        "r_equivalence_criterion": 53611,
+        "r_reflexive": 1879,
+        "r_symmetric": 25866,
+        "r_transitive": 1601527,
+    }
+    assert sum(totals.values()) == 1_959_124
+
+
+def test_a_non_transitive_minimum_is_reported_not_raised():
+    # a minimum entourage 0~1, 1~2 that is not an equivalence relation,
+    # bypassing the checks of make_uniformity
+    ground = (0, 1, 2)
+    minimum = frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)})
+    u = FiniteUniformity(ground, _sorted_sets(_symmetric_supersets(ground, minimum)))
+    fs = enumerate_filters(ground)
+    with pytest.raises(ValueError, match="R-class failed to be Cauchy"):
+        check_model(3, 0, u, fs)
+    report = _check_model(3, 0, u, fs)
+    assert any(msg.startswith("R not transitive") for msg in report.failures)
+
+
+def test_a_family_that_is_not_a_filter_is_reported_not_raised():
+    ground = (0, 1)
+    u = discrete_uniformity(ground)
+    fs = enumerate_filters(ground) + [FiniteFilter(ground, frozenset({frozenset({0})}))]
+    with pytest.raises(ValueError, match="ground set missing"):
+        check_model(2, 0, u, fs)
+    report = _check_model(2, 0, u, fs)
+    assert "intersection axioms: filter axioms violated: ground set missing" in report.failures

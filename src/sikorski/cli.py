@@ -56,13 +56,17 @@ def _split_names(flag: str) -> list[str]:
     return names
 
 
-def _parse_point(flag: str, what: str) -> tuple[float, ...]:
+def _parse_point(flag: str, what: str, dim: int | None = None) -> tuple[float, ...]:
+    """The comma-separated constants of a flag; `dim`, when given, is the
+    number of coordinates the flag must list."""
     values = []
     for part in _split_names(flag):
         try:
             values.append(eval_expr(parse_expr(part), {}))
         except ExprError as err:
             raise UsageError(f"{what}: {err}") from err
+    if dim is not None and len(values) != dim:
+        raise UsageError(f"{what}: expected {dim} coordinate(s), got {len(values)}")
     return tuple(values)
 
 
@@ -112,6 +116,8 @@ def _select_probes(spec: specfile.SpecFile, flag: str | None) -> list[Probe]:
 
 def _artifact(args, suffix: str) -> str:
     label = args.label or args.command.replace("-", "_")
+    if os.sep in label or (os.altsep and os.altsep in label):
+        raise UsageError(f"--label {label!r}: a label names files in --out, not a path")
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, f"{label}_{suffix}")
 
@@ -230,7 +236,7 @@ def cmd_boundize(args) -> int:
     except ExprError as err:
         raise UsageError(f"--omega: {err}") from err
     fn = SmoothFunction(omega, omega_vars, tuple(gen_names))
-    point = _parse_point(args.point, "--point")
+    point = _parse_point(args.point, "--point", len(spec.space.carrier.ambient))
     bset = boundize(spec.space, fn, point)
     path = _artifact(args, "boundize.csv")
     fh, writer = _open_csv(path)
@@ -250,6 +256,10 @@ def cmd_compare_uniform(args) -> int:
     g_names = _family_names(spec.space, args.g_family, "--g-family")
     h_names = _family_names(spec.space, args.h_family, "--h-family")
     eps_grid = list(_parse_point(args.eps_grid, "--eps-grid"))
+    if not all(eps > 0.0 for eps in eps_grid):
+        raise UsageError(f"--eps-grid: widths must be positive, got {args.eps_grid!r}")
+    if not args.target_eps > 0.0:
+        raise UsageError(f"--target-eps must be positive, got {args.target_eps!r}")
     rep = compare_uniformities(spec.space, g_names, h_names, eps_grid, args.target_eps)
     params = spec.space.carrier.params
     path = _artifact(args, "refinement.csv")
@@ -271,15 +281,19 @@ def cmd_compare_uniform(args) -> int:
                     + [_fmt(v) for v in row.witness_y]
                 )
     found = sum(1 for row in rep.rows if not row.refines)
-    print(f"compare-uniform: {found} of {len(rep.rows)} widths produced a witness -> {path}")
+    print(
+        f"compare-uniform: {found} of {len(rep.rows)} widths produced a witness,"
+        f" {rep.pairs_examined} pairs examined -> {path}"
+    )
     return 0
 
 
 def cmd_tangent(args) -> int:
     spec = specfile.load_spec(args.spec)
     space = spec.space
-    point = _parse_point(args.point, "--point")
-    coeffs = _parse_point(args.vector, "--vector")
+    dim = len(space.carrier.ambient)
+    point = _parse_point(args.point, "--point", dim)
+    coeffs = _parse_point(args.vector, "--vector", dim)
     v = TangentVector(point, coeffs)
     names = _family_names(space, args.functions, "--functions") if args.functions else space.family.names
     funcs = [(n, SmoothFunction.of_generator(n)) for n in names]
@@ -510,11 +524,14 @@ def _parser() -> argparse.ArgumentParser:
 
 
 def main(argv: Sequence[str] | None = None) -> int:
-    args = _parser().parse_args(argv)
+    try:
+        args = _parser().parse_args(argv)
+    except SystemExit as exit_:  # argparse has printed the usage or the help
+        return exit_.code
     handler, module = _COMMANDS[args.command]
     try:
         return handler(args)
-    except (SpecError, UsageError) as err:
+    except (SpecError, UsageError, OSError) as err:  # OSError: --out cannot be written
         print(f"sikorski {args.command}: {err}", file=sys.stderr)
         return 2
     except (KeyError, ExprError, ValueError) as err:

@@ -79,7 +79,8 @@ def _within(a: Sequence[float], b: Sequence[float], tol: float) -> bool:
 
 def complete(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail: int = 50) -> CompletedSpace:
     """Adjoin the limit of every Cauchy probe, deduplicating against the
-    embedded samples and earlier probes in declaration order."""
+    embedded samples (for probes settled within DEDUP_TOL) and earlier
+    probes in declaration order."""
     names = [p.name for p in probes]
     if len(set(names)) != len(names):
         raise ValueError("duplicate probe names")
@@ -93,7 +94,11 @@ def complete(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail:
         if verdict.status != "cauchy":
             continue
         assert verdict.limit is not None
-        known = _near(base.coords, verdict.limit).any() or any(
+        # a sample realizes the limit only if the probe has settled: the tail
+        # mean of a probe still moving by more than DEDUP_TOL can pass within
+        # DEDUP_TOL of a sample it is not converging to
+        settled = verdict.max_oscillation() <= DEDUP_TOL
+        known = (settled and _near(base.coords, verdict.limit).any()) or any(
             _within(verdict.limit, a.coords, DEDUP_TOL) for a in adjoined
         )
         if known:

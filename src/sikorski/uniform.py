@@ -9,7 +9,6 @@ Cauchy data that completion consumes.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -89,6 +88,7 @@ class RefinementReport:
     h_names: tuple[str, ...]
     sample_count: int
     rows: tuple[RefinementRow, ...]
+    pairs_examined: int  # sample pairs the sweep compared on their lead G gap
 
     def all_refine(self) -> bool:
         return all(row.refines for row in self.rows)
@@ -105,12 +105,14 @@ def compare_uniformities(
     `target_eps` at each candidate width in `eps_grid`.
 
     Verdicts are relative to the sampled cloud: a witness is a genuine
-    counterexample pair, while "refines" only says no sampled pair within
-    the search window violates the target.  The first witness in
-    lexicographic sample order wins, which keeps reports reproducible.
+    counterexample pair, while "refines" says no sampled pair violates the
+    target.  The search is exhaustive over sampled pairs.  The first witness
+    in lexicographic sample order wins, which keeps reports reproducible.
     """
     g_names = tuple(g_names)
     h_names = tuple(h_names)
+    if not g_names:
+        raise ValueError("the G family needs at least one generator")
     if not (target_eps > 0.0) or any(not (e > 0.0) for e in eps_grid):
         raise ValueError("entourage widths must be positive")
     all_names = g_names + tuple(n for n in h_names if n not in g_names)
@@ -121,45 +123,40 @@ def compare_uniformities(
     h_idx = [all_names.index(n) for n in h_names]
     target = Entourage(h_names, target_eps)
 
-    # window heuristic: points far apart in grid order are usually far in
-    # d_G as well, so a witness with d_G < eps sits within eps divided by
-    # the smallest adjacent gap.  A full scan is used for small clouds.
-    if n_pts <= 2048:
-        max_window = n_pts - 1
-    else:
-        adjacent = np.abs(np.diff(coords[:, g_idx], axis=0)).max(axis=1)
-        positive = adjacent[adjacent > 0.0]
-        if positive.size == 0:
-            max_window = n_pts - 1
-        else:
-            width = max(max(eps_grid), target_eps)
-            max_window = int(min(n_pts - 1, math.ceil(width / float(positive.min())) + 1))
+    # fixed-radius near neighbours (Bentley, Stanat & Williams 1977): in rows
+    # sorted on the lead G coordinate, the lead gap between rows k apart
+    # never shrinks as k grows and d_G is at least that gap, so the sweep
+    # ends at the first offset k where no lead gap is below the widest width
+    order = np.argsort(coords[:, g_idx[0]], kind="stable")
+    g_rows, h_rows = coords[order][:, g_idx], coords[order][:, h_idx]
+    widest = max(eps_grid, default=0.0)
+    unset = n_pts * n_pts  # the witness (i, j) is kept as the key i * n_pts + j
+    best = [unset] * len(eps_grid)
+    examined = 0
+    for k in range(1, n_pts):
+        examined += n_pts - k
+        if not (g_rows[k:, 0] - g_rows[:-k, 0] < widest).any():
+            break
+        d_g = np.abs(g_rows[k:] - g_rows[:-k]).max(axis=1)
+        d_h = np.abs(h_rows[k:] - h_rows[:-k]).max(axis=1)
+        p = np.flatnonzero((d_g < widest) & (d_h >= target_eps))
+        i, j, d_g = order[p], order[p + k], d_g[p]
+        keys = np.minimum(i, j) * n_pts + np.maximum(i, j)
+        best = [int(keys[d_g < eps].min(initial=b)) for b, eps in zip(best, eps_grid)]
 
     rows = []
-    for eps in eps_grid:
-        best: tuple[int, int] | None = None
-        for w in range(1, max_window + 1):
-            a = coords[:-w]
-            b = coords[w:]
-            gaps = np.abs(a - b)
-            d_g = gaps[:, g_idx].max(axis=1)
-            d_h = gaps[:, h_idx].max(axis=1)
-            hits = np.flatnonzero((d_g < eps) & (d_h >= target_eps))
-            if hits.size:
-                i = int(hits[0])
-                if best is None or (i, i + w) < best:
-                    best = (i, i + w)
-        if best is None:
+    for eps, key in zip(eps_grid, best):
+        if key == unset:
             rows.append(RefinementRow(target.describe(), eps, True, None, None, None, None))
         else:
-            i, j = best
+            i, j = divmod(key, n_pts)
             d_g = max(abs(coords[i, k] - coords[j, k]) for k in g_idx)
             violated = next(
                 n for n, k in zip(h_names, h_idx) if abs(coords[i, k] - coords[j, k]) >= target_eps
             )
             x, y = (tuple(cloud.ambient[k].tolist()) for k in (i, j))
             rows.append(RefinementRow(target.describe(), eps, False, x, y, d_g, violated))
-    return RefinementReport(g_names, h_names, n_pts, tuple(rows))
+    return RefinementReport(g_names, h_names, n_pts, tuple(rows), examined)
 
 
 @dataclass(frozen=True)

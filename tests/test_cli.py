@@ -1,12 +1,18 @@
 """End-to-end checks of the command line interface.
 
-Every test shells out with ``python -m sikorski.cli`` so that argument
+Most tests shell out with ``python -m sikorski.cli`` so that argument
 parsing, exit codes, and artifact files are exercised exactly the way a
-user sees them.  Artifact contents are pinned to the digit where the
-values are deterministic.
+user sees them; the fuzz test and a few others call ``cli.main`` in
+process, which returns the exit status.  Artifact contents are pinned to
+the digit where the values are deterministic.
 """
 
+import argparse
+import contextlib
 import csv
+import io
+import random
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -14,7 +20,7 @@ from pathlib import Path
 import pytest
 
 import sikorski
-from sikorski import cli
+from sikorski import cli, specfile
 
 SPECS = Path(sikorski.__file__).parent / "specs"
 REAL_LINE = str(SPECS / "real_line_atan.spec")
@@ -268,6 +274,16 @@ def test_unknown_family_exits_two(tmp_path):
         (["compare-uniform", REAL_LINE, "--g-family", "g", "--h-family", "g,g", "--eps-grid", "0.1"], "--h-family"),
         (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f,f", "--point", "0"], "--gens"),
         (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions", "g,f,g"], "--functions"),
+        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "0"], "--eps-grid"),
+        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1,-0.5"], "--eps-grid"),
+        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1e-400"], "--eps-grid"),
+        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "0/0"], "--eps-grid"),
+        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps", "0"], "--target-eps"),
+        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps=-1"], "--target-eps"),
+        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps", "nan"], "--target-eps"),
+        (["tangent", REAL_LINE, "--point", "1,2", "--vector", "1"], "--point"),
+        (["tangent", REAL_LINE, "--point", "1", "--vector", "1,0"], "--vector"),
+        (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f", "--point", "1,2"], "--point"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
@@ -316,3 +332,125 @@ def test_repeated_runs_are_byte_identical(tmp_path):
         outs.append(out)
     for name in ("complete_points.csv", "complete_report.txt"):
         assert (outs[0] / name).read_bytes() == (outs[1] / name).read_bytes()
+
+
+def run_in_process(argv):
+    """`cli.main` in this process, with what it prints captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        rc = cli.main(argv)
+    return rc, out.getvalue(), err.getvalue()
+
+
+def test_compare_uniform_reports_pairs_examined(tmp_path):
+    rc, out, _ = run_in_process([
+        "compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2",
+        "--target-eps", "1", "--eps-grid", "1,0.1,0.01", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    # rows k apart are about 0.005 * k apart on f1, so the sweep reads
+    # offsets 1..201: some gaps at offset 200 round to just below the width 1
+    pairs = sum(22001 - k for k in range(1, 202))
+    assert out == (
+        f"compare-uniform: 3 of 3 widths produced a witness, {pairs} pairs examined"
+        f" -> {tmp_path / 'compare_uniform_refinement.csv'}\n"
+    )
+
+
+@pytest.mark.parametrize("samples", [10927, 10986, 11045])
+def test_atan_probes_adjoin_both_ends_at_every_count(tmp_path, samples):
+    """At these counts a sample's atan lies within DEDUP_TOL of the tail
+    mean of a probe still moving by ~4.7e-5; only a settled probe's limit
+    is realized by a sample, so both ends are still adjoined."""
+    text = Path(REAL_LINE).read_text(encoding="utf-8").replace("samples = 2201", f"samples = {samples}")
+    spec = tmp_path / "real_line_atan.spec"
+    spec.write_text(text, encoding="utf-8")
+    (tmp_path / "unit_interval_compact.spec").write_text(Path(UNIT_INTERVAL).read_text(encoding="utf-8"))
+    for command in ("complete", "compactify"):
+        argv = [command, str(spec), "--family", "g", "--tol", "1e-3", "--tail", "50", "--out", str(tmp_path)]
+        assert run_in_process(argv)[:2] == (0, f"{command}: 2 adjoined, 0 duplicate(s)\n")
+
+
+FUZZ_NUMBERS = ("0", "-1", "nan", "1e308")
+FUZZ_VALUES = FUZZ_NUMBERS + (
+    "1", "2", "3", "0.5", "1e-3", "-0", "inf", "1e-400", "", ",", "1,2", "0.1,0.01", "1,2,3",
+    "x", "u1", "u1*u2", "1/0", "sqrt(-1)", "pi/2", "maximal:2", "maximal:0", "maximal:x",
+    "squash", "pplus", "p0,c1", "zap", "f", "g", "f,g", "g,f,g", "a,b", "c", "f1", "f2", "id,dist",
+)
+_NUMBER = re.compile(r"(?<![\w.])\d+(?:\.\d*)?(?:[eE][+-]?\d+)?")
+
+
+def _mutate(text, rng):
+    """Drop or duplicate lines, or replace a number by a hostile one."""
+    lines = text.splitlines()
+    for _ in range(rng.randint(1, 3)):
+        i = rng.randrange(len(lines))
+        kind = rng.choice(("drop", "duplicate", "number"))
+        numbers = list(_NUMBER.finditer(lines[i]))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif numbers:
+            m = rng.choice(numbers)
+            lines[i] = lines[i][: m.start()] + rng.choice(FUZZ_NUMBERS) + lines[i][m.end():]
+    return "\n".join(lines) + "\n"
+
+
+def _flags():
+    """Each subcommand's flags, read off the parser."""
+    sub = next(a for a in cli._parser()._actions if isinstance(a, argparse._SubParsersAction))
+    return {
+        name: [a.option_strings[-1] for a in p._actions if a.option_strings[-1:] not in ([], ["--help"], ["--out"])]
+        for name, p in sub.choices.items()
+    }
+
+
+def fuzz_cases(tmp_path, rng, mutated=55, flagged=400):
+    """`run` on every bundled spec at 40 samples and on `mutated` mutated
+    copies, then `flagged` subcommands: half of them a declared experiment
+    with some flags set to random values, half random values for every
+    flag of a random subcommand."""
+    bundled = sorted(SPECS.glob("*.spec"))
+    (tmp_path / "unit_interval_compact.spec").write_text(Path(UNIT_INTERVAL).read_text(encoding="utf-8"))
+    (tmp_path / "out").mkdir()
+    (tmp_path / "out" / "f").write_text("a file where --out wants a directory")
+    specs = []
+    for n in range(len(bundled) + mutated):
+        source = bundled[n % len(bundled)]
+        text = re.sub(r"samples = \d+", "samples = 40", source.read_text(encoding="utf-8"))
+        spec = tmp_path / f"m{n}_{source.name}"
+        spec.write_text(text if n < len(bundled) else _mutate(text, rng), encoding="utf-8")
+        specs.append(str(spec))
+    declared = [
+        [e.argv[0]] + ([] if e.argv[0] == "verify-filters" else [spec]) + list(e.argv[1:])
+        for spec in specs[: len(bundled)]
+        for e in specfile.load_spec(spec).experiments
+    ]
+    cases = [["run", spec, "--out", str(tmp_path / "out")] for spec in specs]
+    flags = _flags()
+    for _ in range(flagged):
+        if rng.random() < 0.5:
+            argv = list(rng.choice(declared))
+            chosen = [flag for flag in flags[argv[0]] if rng.random() < 0.3]
+        else:
+            command = rng.choice(sorted(flags))
+            argv = [command] + ([] if command == "verify-filters" else [rng.choice(specs)])
+            chosen = [flag for flag in flags[command] if rng.random() < 0.7]
+        for flag in chosen:
+            argv += [flag, rng.choice(FUZZ_VALUES)]
+        cases.append(argv + ["--out", str(tmp_path / "out" / rng.choice(FUZZ_VALUES))])
+    return cases
+
+
+def test_fuzzed_flags_and_specs_never_raise(tmp_path):
+    """Random values for every flag, and bundled specs at 40 samples with
+    lines dropped or duplicated and numbers replaced: every case exits
+    0, 1 or 2 and none raises."""
+    for argv in fuzz_cases(tmp_path, random.Random(20261018)):
+        try:
+            rc, _, err = run_in_process(argv)
+        except (Exception, SystemExit) as exc:  # any escape is the failure under test
+            pytest.fail(f"{argv} raised {exc!r}")
+        assert rc in (0, 1, 2), (argv, rc, err)
+        assert "Traceback" not in err, (argv, err)

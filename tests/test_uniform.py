@@ -1,10 +1,10 @@
 import math
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sikorski.expr import DomainError, Var, parse_expr
-from sikorski.space import Carrier, DiffSpace, Generator, GeneratorFamily, Interval
+from sikorski.space import Carrier, DiffSpace, Generator, GeneratorFamily, Interval, embed
 from sikorski.uniform import (
     CauchyVerdict,
     Entourage,
@@ -220,3 +220,69 @@ def test_verdict_reports_per_generator_oscillation():
     assert set(osc) == {"f", "a"}
     assert osc["f"] == 49.0
     assert osc["a"] < 1e-4
+
+
+def test_nonmonotone_family_witness_far_apart_in_sample_order():
+    """|x| brings the two ends of the interval within 0.003 of each other;
+    the pair sits 2048 steps apart in sample order."""
+    space = line_space(-10.003, 10.0, 2049, [("g", "abs(x)"), ("h", "x/100")], inset=0.0)
+    report = compare_uniformities(space, ["g"], ["h"], [0.01], target_eps=0.05)
+    row = report.rows[0]
+    assert not row.refines
+    assert (row.witness_x, row.witness_y) == ((-10.003,), (10.0,))
+    assert row.d_g == pytest.approx(0.003, abs=1e-12)
+    assert row.violated == "h"
+
+
+def test_pairs_examined_counts_the_sweep():
+    """On the half-integer grid of [0, 10], rows k apart differ by k / 2 on
+    f: the sweep compares offset 1 (gap 0.5, below the width 1) and offset
+    2 (gap 1, not below it) and stops there."""
+    space = line_space(0.0, 10.0, 21, [("f", "x"), ("g", "x^2")])
+    report = compare_uniformities(space, ["f"], ["g"], [1.0, 0.25], target_eps=1.0)
+    assert report.pairs_examined == 20 + 19
+    assert [row.refines for row in report.rows] == [False, True]
+    assert compare_uniformities(space, ["f"], ["g"], [], target_eps=1.0).pairs_examined == 20
+
+
+def _brute_force_witness(space, g_names, h_names, eps, target_eps):
+    """The first sampled pair (i, j), i < j, in lexicographic order with
+    d_G < eps and d_H >= target_eps, by the scalar pseudometric."""
+    points = [tuple(row) for row in embed(space).ambient.tolist()]
+    for i, x in enumerate(points):
+        for y in points[i + 1:]:
+            if pseudometric(space, g_names, x, y) < eps and pseudometric(space, h_names, x, y) >= target_eps:
+                return x, y
+    return None
+
+
+_polynomial = st.tuples(*[st.integers(-2, 2)] * 3).map(lambda c: f"({c[0]})*x^2 + ({c[1]})*x + ({c[2]})")
+
+
+@given(
+    count=st.integers(1, 14),
+    lo=st.integers(-4, 2),
+    step=st.sampled_from([0.5, 1.0]),
+    exprs=st.lists(
+        st.one_of(_polynomial, st.sampled_from(["abs(x)", "x", "x^2", "1"])), min_size=3, max_size=3
+    ),
+    g_names=st.sampled_from([["a"], ["b"], ["a", "b"], ["b", "c"]]),
+    h_names=st.sampled_from([["c"], ["a"], ["b", "c"]]),
+    eps_grid=st.lists(st.sampled_from([0.25, 0.5, 1.0, 2.0, 3.0, 100.0]), min_size=1, max_size=4),
+    target_eps=st.sampled_from([0.5, 1.0, 2.0, 4.0]),
+)
+# a constant lead coordinate: no pair one step apart is G-close, but the
+# two ends of the grid are
+@example(3, -1, 1.0, ["1", "x^2", "x"], ["a", "b"], ["c"], [0.5], 2.0)
+def test_sweep_matches_a_brute_force_scan(count, lo, step, exprs, g_names, h_names, eps_grid, target_eps):
+    """Integer-valued generators on a half-integer grid repeat lead values
+    and put gaps exactly on the widths; the sweep must agree with a scan of
+    every pair on the verdict and the witness at each width."""
+    space = line_space(lo, lo + step * max(count - 1, 1), count, list(zip("abc", exprs)), inset=0.0)
+    report = compare_uniformities(space, g_names, h_names, eps_grid, target_eps)
+    assert report.sample_count == count
+    for eps, row in zip(eps_grid, report.rows):
+        expected = _brute_force_witness(space, g_names, h_names, eps, target_eps)
+        assert row.refines == (expected is None)
+        if expected is not None:
+            assert (row.witness_x, row.witness_y) == expected

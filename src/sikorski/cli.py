@@ -1,9 +1,11 @@
 """Command line front end.
 
 Each subcommand loads a spec file, runs one construction, and writes
-CSV artifacts plus a short text report under ``--out``.  Output is
-deterministic: floats are printed with 17 significant digits, rows
-follow declaration or sample order, and nothing timestamps itself.
+CSV artifacts plus a short text report under ``--out``.  Every CSV
+artifact goes through one writer, `_write_csv`, which owns the float
+format.  Output is deterministic: floats are printed with 17 significant
+digits, rows follow declaration or sample order, and nothing timestamps
+itself.
 Exit status is 0 on success, 1 when a library invariant fails, and 2
 for usage or spec-file problems.
 """
@@ -14,9 +16,12 @@ import argparse
 import csv
 import dataclasses
 import functools
+import itertools
 import os
 import sys
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
+
+import numpy as np
 
 from . import specfile, tangent
 from .compactify import boundize, compactify, normalize
@@ -40,13 +45,14 @@ __all__ = ["main"]
 
 IOTA_TOL = 1e-9
 _RESIDUAL_SCALE = 1e-12
+_FLOAT = "%.17g"  # every float the CLI prints, in artifacts and on stdout
 
 class UsageError(Exception):
     pass
 
 
 def _fmt(value: float) -> str:
-    return "%.17g" % float(value)
+    return _FLOAT % float(value)
 
 
 def _split_names(flag: str) -> list[str]:
@@ -90,9 +96,11 @@ def _resolve_family(space: DiffSpace, flag: str | None) -> DiffSpace:
             degree = int(flag.split(":", 1)[1])
         except ValueError:
             raise UsageError(f"--family {flag!r}: the degree must be an integer") from None
-        if degree < 1:
-            raise UsageError(f"--family {flag!r}: the degree must be at least 1")
-        return dataclasses.replace(space, family=maximal_family(space.family, degree))
+        try:
+            family = maximal_family(space.family, degree)
+        except ValueError as err:
+            raise UsageError(f"--family {flag!r}: {err}") from None
+        return dataclasses.replace(space, family=family)
     return space.with_generators(_family_names(space, flag, "--family"))
 
 
@@ -122,9 +130,14 @@ def _artifact(args, suffix: str) -> str:
     return os.path.join(args.out, f"{label}_{suffix}")
 
 
-def _open_csv(path: str):
-    fh = open(path, "w", newline="", encoding="utf-8")
-    return fh, csv.writer(fh, lineterminator="\n")
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one CSV artifact: the header, then the rows.  A float cell is
+    written with 17 significant digits; every other cell, None (an empty
+    cell) included, the way `csv.writer` writes it."""
+    with open(path, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([_FLOAT % c if isinstance(c, float) else c for c in row] for row in rows)
 
 
 def _write_report(path: str, lines: Sequence[str]) -> None:
@@ -133,12 +146,9 @@ def _write_report(path: str, lines: Sequence[str]) -> None:
 
 
 def _write_points(path: str, cs: CompletedSpace) -> None:
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(["point_kind", "probe_name", *cs.names])
-        writer.writerows(["base", "", *(_fmt(c) for c in row)] for row in cs.base.coords.tolist())
-        for a in cs.adjoined:
-            writer.writerow(["adjoined", a.probe, *(_fmt(c) for c in a.coords)])
+    base = (["base", "", *row] for row in cs.base.coords.tolist())
+    adjoined = (["adjoined", a.probe, *a.coords] for a in cs.adjoined)
+    _write_csv(path, ["point_kind", "probe_name", *cs.names], itertools.chain(base, adjoined))
 
 
 def _completion_lines(cs: CompletedSpace) -> list[str]:
@@ -153,14 +163,9 @@ def _completion_lines(cs: CompletedSpace) -> list[str]:
 
 
 def _write_iota(path: str, rep: IotaReport) -> None:
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(["source", "target", *rep.sub_names])
-        writer.writerows(
-            [f"base:{i}", f"base:{i}", *(_fmt(c) for c in row)] for i, row in enumerate(rep.base.tolist())
-        )
-        for entry in rep.entries:
-            writer.writerow([entry.source, entry.target, *(_fmt(c) for c in entry.coords)])
+    base = ([f"base:{i}", f"base:{i}", *row] for i, row in enumerate(rep.base.tolist()))
+    entries = ([e.source, e.target, *e.coords] for e in rep.entries)
+    _write_csv(path, ["source", "target", *rep.sub_names], itertools.chain(base, entries))
 
 
 def cmd_embed(args) -> int:
@@ -168,11 +173,9 @@ def cmd_embed(args) -> int:
     space = _resolve_family(spec.space, args.family)
     cloud = embed(space)
     path = _artifact(args, "points.csv")
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(["point_index", *space.carrier.params, *cloud.names])
-        for i, (params, coords) in enumerate(zip(cloud.params.tolist(), cloud.coords.tolist())):
-            writer.writerow([i, *(_fmt(v) for v in params), *(_fmt(c) for c in coords)])
+    header = ["point_index", *space.carrier.params, *cloud.names]
+    rows = enumerate(np.hstack([cloud.params, cloud.coords]).tolist())
+    _write_csv(path, header, ([i, *row] for i, row in rows))
     print(f"embed: {len(cloud.coords)} points, {len(cloud.names)} coordinates -> {path}")
     return 0
 
@@ -239,11 +242,12 @@ def cmd_boundize(args) -> int:
     point = _parse_point(args.point, "--point", len(spec.space.carrier.ambient))
     bset = boundize(spec.space, fn, point)
     path = _artifact(args, "boundize.csv")
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(["generator", "mu", "max_abs_gamma", "local_residual"])
-        for name, mu, mg in zip(bset.gen_names, bset.mus, bset.max_abs_gamma):
-            writer.writerow([name, _fmt(mu), _fmt(mg), _fmt(bset.local_residual)])
+    columns = zip(bset.gen_names, bset.mus, bset.max_abs_gamma)
+    _write_csv(
+        path,
+        ["generator", "mu", "max_abs_gamma", "local_residual"],
+        ([name, mu, mg, bset.local_residual] for name, mu, mg in columns),
+    )
     print(
         f"boundize: {len(bset.gen_names)} generator(s) at {args.point},"
         f" residual {_fmt(bset.local_residual)} on {bset.local_sample_count} local sample(s)"
@@ -263,23 +267,18 @@ def cmd_compare_uniform(args) -> int:
     rep = compare_uniformities(spec.space, g_names, h_names, eps_grid, args.target_eps)
     params = spec.space.carrier.params
     path = _artifact(args, "refinement.csv")
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(
-            ["candidate_eps", "refines", "target", "violated", "d_g"]
-            + [f"x_{p}" for p in params]
-            + [f"y_{p}" for p in params]
-        )
-        for row in rep.rows:
-            if row.refines:
-                writer.writerow([_fmt(row.candidate_eps), "true", row.target, "", ""]
-                                + [""] * (2 * len(params)))
-            else:
-                writer.writerow(
-                    [_fmt(row.candidate_eps), "false", row.target, row.violated, _fmt(row.d_g)]
-                    + [_fmt(v) for v in row.witness_x]
-                    + [_fmt(v) for v in row.witness_y]
-                )
+    blank = (None,) * len(params)  # a refines row has no witness
+    _write_csv(
+        path,
+        ["candidate_eps", "refines", "target", "violated", "d_g"]
+        + [f"x_{p}" for p in params]
+        + [f"y_{p}" for p in params],
+        (
+            [row.candidate_eps, "true" if row.refines else "false", row.target, row.violated, row.d_g,
+             *(row.witness_x or blank), *(row.witness_y or blank)]
+            for row in rep.rows
+        ),
+    )
     found = sum(1 for row in rep.rows if not row.refines)
     print(
         f"compare-uniform: {found} of {len(rep.rows)} widths produced a witness,"
@@ -331,12 +330,7 @@ def cmd_tangent(args) -> int:
             if residual > _RESIDUAL_SCALE * scale:
                 failures.append(f"chain rule residual {_fmt(residual)} for {gen_name}")
 
-    path = _artifact(args, "tangent.csv")
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(["kind", "name", "value"])
-        for kind, name, value in rows:
-            writer.writerow([kind, name, _fmt(value)])
+    _write_csv(_artifact(args, "tangent.csv"), ["kind", "name", "value"], rows)
     for kind, name, value in rows:
         print(f"{kind} {name} = {_fmt(value)}")
     for message in failures:
@@ -353,12 +347,7 @@ def cmd_check_map(args) -> int:
         raise UsageError(f"--map: spec declares no map named {args.map!r}")
     loaded = spec.maps[args.map]
     rep = check_smooth_map(spec.space, loaded.witness, tol=args.tol)
-    path = _artifact(args, "map.csv")
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(["generator", "max_residual"])
-        for name, r in rep.residuals:
-            writer.writerow([name, _fmt(r)])
+    _write_csv(_artifact(args, "map.csv"), ["generator", "max_residual"], rep.residuals)
     worst = "-" if rep.worst_point is None else "(" + ", ".join(_fmt(c) for c in rep.worst_point) + ")"
     _write_report(
         _artifact(args, "report.txt"),
@@ -383,23 +372,15 @@ def cmd_verify_filters(args) -> int:
     if not 1 <= args.max_size <= _MAX_GROUND:
         raise UsageError(f"--max-size must be between 1 and {_MAX_GROUND}, got {args.max_size}")
     rep = verify_filter_laws(args.max_size)
-    path = _artifact(args, "models.csv")
-    fh, writer = _open_csv(path)
-    with fh:
-        writer.writerow(
-            ["ground_size", "model_index", "entourages", "filters", "checks", "failures"]
-        )
-        for m in rep.models:
-            writer.writerow(
-                [
-                    m.ground_size,
-                    m.model_index,
-                    m.n_entourages,
-                    m.n_filters,
-                    sum(count for _, count in m.checks),
-                    len(m.failures),
-                ]
-            )
+    _write_csv(
+        _artifact(args, "models.csv"),
+        ["ground_size", "model_index", "entourages", "filters", "checks", "failures"],
+        (
+            [m.ground_size, m.model_index, m.n_entourages, m.n_filters,
+             sum(count for _, count in m.checks), len(m.failures)]
+            for m in rep.models
+        ),
+    )
     _write_report(_artifact(args, "report.txt"), rep.summary_text().splitlines())
     print(rep.summary_text())
     if not rep.passed:

@@ -134,7 +134,9 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
     )
 
     _, ambient = sample(space.carrier)
-    values = eval_columns(gammas + tuple(alpha_exprs), space.carrier.ambient, ambient)
+    labels = [f"bounded generator {name}" for name in f.gen_names]
+    labels += [f"generator {name}" for name in f.gen_names]
+    values = eval_columns(gammas + tuple(alpha_exprs), space.carrier.ambient, ambient, labels)
     gvals, alpha_vals = values[:, :n], values[:, n:]
     max_abs = np.abs(gvals).max(axis=0).tolist()
     local = inner.contains(alpha_vals)
@@ -193,7 +195,7 @@ def normalize(space: DiffSpace, name: str) -> NormalizedGenerator:
     """
     gen = space.family.get(name)
     params, ambient = sample(space.carrier)
-    values = np.abs(eval_columns([gen.expr], space.carrier.ambient, ambient)[:, 0])
+    values = np.abs(eval_columns([gen.expr], space.carrier.ambient, ambient, [f"generator {name}"])[:, 0])
     index = int(np.argmax(values))
     sup = float(values[index])
     if sup == 0.0:

@@ -10,6 +10,7 @@ canonical map between completions.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from enum import Enum
 from typing import Sequence
@@ -41,6 +42,7 @@ __all__ = [
 # two limit tuples (or a limit and a sample) closer than this in every
 # coordinate are the same completion point
 DEDUP_TOL = 1e-9
+MAX_MONOMIALS = 1000  # the largest family `maximal_family` builds
 
 
 @dataclass(frozen=True)
@@ -275,15 +277,25 @@ def completeness_probe_test(
 def maximal_family(family: GeneratorFamily, degree: int) -> GeneratorFamily:
     """All monomials in the base generators up to the given total degree,
     as a stand-in for the full structure: the richest family this package
-    can write down from a finite basis."""
+    can write down from a finite basis.  Its size, C(degree + k, k) - 1
+    for k base generators, is checked against MAX_MONOMIALS before any
+    monomial is built."""
     if degree < 1:
         raise ValueError("degree must be at least 1")
     base = family.generators
+    size = math.comb(degree + len(base), len(base)) - 1
+    if size > MAX_MONOMIALS:
+        raise ValueError(
+            f"degree {degree} over {len(base)} generator(s) gives {size} monomials,"
+            f" more than {MAX_MONOMIALS}"
+        )
     exponents = []
-    for combo in itertools.product(range(degree + 1), repeat=len(base)):
-        total = sum(combo)
-        if 1 <= total <= degree:
-            exponents.append(combo)
+    for total in range(1, degree + 1):
+        for picks in itertools.combinations_with_replacement(range(len(base)), total):
+            combo = [0] * len(base)
+            for i in picks:
+                combo[i] += 1
+            exponents.append(tuple(combo))
     exponents.sort(key=lambda c: (sum(c), tuple(-e for e in c)))
     out = []
     for combo in exponents:

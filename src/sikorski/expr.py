@@ -55,11 +55,14 @@ class ParseError(ExprError):
 
 
 class DomainError(ExprError):
-    """Evaluation hit a singular point.  Carries the offending node."""
+    """Evaluation hit a singular point.  Carries the offending node and,
+    from an array evaluation, the `index` of the offending sample in
+    flattened sample order (None from a plain `eval_expr` call)."""
 
-    def __init__(self, message: str, node: "Expr | None" = None):
+    def __init__(self, message: str, node: "Expr | None" = None, index: int | None = None):
         super().__init__(message)
         self.node = node
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -427,8 +430,9 @@ def eval_array(node: Expr, env: Mapping[str, np.ndarray | float]) -> np.ndarray:
     guards of `eval_expr` on all samples.  When one fires, the scalar
     evaluator walks the samples in order, so the DomainError raised is the
     one a per-sample loop raises: first offending sample, same node, same
-    message.  Values may differ from `eval_expr` by a few ulps, because
-    numpy's ufuncs are not `math`'s.
+    message, and that sample's flattened index as its `index`.  Values
+    may differ from `eval_expr` by a few ulps, because numpy's ufuncs are
+    not `math`'s.
     """
     names = tuple(env)
     columns = np.broadcast_arrays(*(np.asarray(env[name], dtype=float) for name in names))
@@ -438,9 +442,14 @@ def eval_array(node: Expr, env: Mapping[str, np.ndarray | float]) -> np.ndarray:
             value = _eval_node(node, dict(zip(names, columns)))
     except _Tripped:
         flat = [column.ravel().tolist() for column in columns]
-        rows = zip(*flat) if flat else [()]
-        value = np.array([eval_expr(node, dict(zip(names, row))) for row in rows], dtype=float)
-        return value.reshape(shape)
+        values = []
+        for index, row in enumerate(zip(*flat) if flat else [()]):
+            try:
+                values.append(eval_expr(node, dict(zip(names, row))))
+            except DomainError as err:
+                err.index = index
+                raise
+        return np.array(values, dtype=float).reshape(shape)
     return np.array(np.broadcast_to(value, shape), dtype=float)
 
 

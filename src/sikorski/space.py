@@ -13,7 +13,7 @@ from __future__ import annotations
 import dataclasses
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -103,24 +103,31 @@ class Carrier:
             raise ValueError("sample counts must be positive")
         if self.inset < 0:
             raise ValueError("inset must be non-negative")
+        if self.axis_values is None:
+            for iv, (lo, hi) in zip(self.box, self._axis_ends()):
+                if lo > hi:
+                    raise ValueError(f"inset {self.inset} empties axis {iv}")
         scope = set(self.params)
         for name, comp in zip(self.ambient, self.chart):
             extra = variables(comp) - scope
             if extra:
                 raise ValueError(f"chart component {name} uses unknown names {sorted(extra)}")
 
+    def _axis_ends(self) -> list[tuple[float, float]]:
+        """Per-axis first and last grid sample; open ends are pulled in by
+        the inset."""
+        return [
+            (iv.lo + self.inset if iv.lo_open else iv.lo, iv.hi - self.inset if iv.hi_open else iv.hi)
+            for iv in self.box
+        ]
+
     def axis_samples(self) -> tuple[tuple[float, ...], ...]:
-        """Per-axis sample values; open ends are pulled in by the inset."""
+        """Per-axis sample values: `axis_values` when set, otherwise the
+        uniform grid between the axis ends."""
         if self.axis_values is not None:
             return self.axis_values
-        axes = []
-        for iv, count in zip(self.box, self.counts):
-            lo = iv.lo + self.inset if iv.lo_open else iv.lo
-            hi = iv.hi - self.inset if iv.hi_open else iv.hi
-            if lo > hi:
-                raise ValueError(f"inset {self.inset} empties axis {iv}")
-            axes.append(tuple(np.linspace(lo, hi, count).tolist()))
-        return tuple(axes)
+        ends = zip(self._axis_ends(), self.counts)
+        return tuple(tuple(np.linspace(lo, hi, count).tolist()) for (lo, hi), count in ends)
 
     def chart_point(self, values: Sequence[float]) -> tuple[float, ...]:
         env = dict(zip(self.params, values))
@@ -217,26 +224,29 @@ class EmbeddedCloud:
 
 
 def eval_columns(
-    exprs: Sequence[Expr], names: Sequence[str], rows: np.ndarray, scalar_row: Callable | None = None
+    exprs: Sequence[Expr], names: Sequence[str], rows: np.ndarray, labels: Sequence[str]
 ) -> np.ndarray:
     """Evaluate every expression on every row of `rows`, whose columns bind
     `names`: one result column per expression, one row per sample.
 
-    On a domain error the rows are walked again in order through
-    `scalar_row` (by default, each expression in turn with `eval_expr`),
-    so the error raised names the first offending sample, and within it
-    the first offending expression, exactly as a per-sample loop would.
+    On a domain error every column is still evaluated, and the error
+    raised is the one a per-sample loop meets first: the smallest
+    (sample index, column).  Its message is prefixed with the column's
+    label and the row, as ``"{label} at {row}: ..."``, and its `index`
+    is the row's index.
     """
     env = dict(zip(names, rows.T))
     out = np.empty((rows.shape[0], len(exprs)))
-    try:
-        for k, expr in enumerate(exprs):
+    errors = []
+    for k, expr in enumerate(exprs):
+        try:
             out[:, k] = eval_array(expr, env)
-    except DomainError:
-        scalar_row = scalar_row or (lambda row: [eval_expr(e, dict(zip(names, row))) for e in exprs])
-        for row in rows.tolist():
-            scalar_row(row)
-        raise
+        except DomainError as err:
+            errors.append((err.index, k, err))
+    if errors:
+        index, k, err = min(errors, key=lambda e: e[:2])
+        row = tuple(rows[index].tolist())
+        raise DomainError(f"{labels[k]} at {row}: {err}", err.node, index) from err
     return out
 
 
@@ -246,13 +256,15 @@ def sample(carrier: Carrier) -> tuple[np.ndarray, np.ndarray]:
     axes = carrier.axis_samples()
     mesh = np.meshgrid(*axes, indexing="ij")
     params = np.stack([m.ravel() for m in mesh], axis=1)
-    return params, eval_columns(carrier.chart, carrier.params, params, carrier.chart_point)
+    labels = [f"chart component {name}" for name in carrier.ambient]
+    return params, eval_columns(carrier.chart, carrier.params, params, labels)
 
 
 def embed(space: DiffSpace) -> EmbeddedCloud:
     params, ambient = sample(space.carrier)
     exprs = [g.expr for g in space.family.generators]
-    coords = eval_columns(exprs, space.carrier.ambient, ambient, space.generator_values)
+    labels = [f"generator {name}" for name in space.family.names]
+    coords = eval_columns(exprs, space.carrier.ambient, ambient, labels)
     return EmbeddedCloud(space.family.names, params, ambient, coords)
 
 
@@ -356,10 +368,12 @@ def check_smooth_map(source: DiffSpace, witness: SmoothMapWitness, tol: float = 
     # per generator: the witness over the source generators, then the
     # target generator composed with the map components
     exprs = list(witness.components)
+    labels = [f"map component {name}" for name in target.carrier.ambient]
     for gen in target.family.generators:
         exprs.append(compose_ambient(source, witness.witnesses[gen.name]))
         exprs.append(substitute(gen.expr, image))
-    values = eval_columns(exprs, source.carrier.ambient, ambient)[:, len(witness.components):]
+        labels += [f"pullback witness of {gen.name}", f"generator {gen.name} after the map"]
+    values = eval_columns(exprs, source.carrier.ambient, ambient, labels)[:, len(witness.components):]
     residual = np.abs(values[:, 0::2] - values[:, 1::2])
     i, _ = np.unravel_index(np.argmax(residual), residual.shape)
     rows = tuple(zip(target.family.names, residual.max(axis=0).tolist()))

@@ -304,6 +304,8 @@ def _parse_probes(path: str, section: _Section) -> list[Probe]:
     probes: list[Probe] = []
     seen: set[str] = set()
     for lineno, key, value, column in section.entries:
+        if not _NAME_RE.match(key):
+            raise SpecError(path, lineno, f"probe name {key!r} is not an identifier")
         if key in seen:
             raise SpecError(path, lineno, f"duplicate probe name {key!r}")
         seen.add(key)

@@ -284,6 +284,7 @@ def test_unknown_family_exits_two(tmp_path):
         (["tangent", REAL_LINE, "--point", "1,2", "--vector", "1"], "--point"),
         (["tangent", REAL_LINE, "--point", "1", "--vector", "1,0"], "--vector"),
         (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f", "--point", "1,2"], "--point"),
+        (["embed", REAL_LINE, "--family", "maximal:100000"], "--family"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
@@ -355,6 +356,30 @@ def test_compare_uniform_reports_pairs_examined(tmp_path):
         f"compare-uniform: 3 of 3 widths produced a witness, {pairs} pairs examined"
         f" -> {tmp_path / 'compare_uniform_refinement.csv'}\n"
     )
+
+
+def test_compare_uniform_writes_refines_rows(tmp_path):
+    """A refines row keeps its quoted target and leaves the witness empty."""
+    rc, _, _ = run_in_process([
+        "compare-uniform", PARABOLA, "--g-family", "f1,f2", "--h-family", "f1,f2",
+        "--target-eps", "1", "--eps-grid", "1,0.5", "--out", str(tmp_path),
+    ])
+    assert rc == 0
+    assert (tmp_path / "compare_uniform_refinement.csv").read_text(encoding="utf-8") == (
+        "candidate_eps,refines,target,violated,d_g,x_t,y_t\n"
+        '1,true,"V(f1,f2;1.0)",,,,\n'
+        '0.5,true,"V(f1,f2;1.0)",,,,\n'
+    )
+
+
+def test_an_inset_that_empties_an_axis_exits_two(tmp_path):
+    spec = tmp_path / "inset.spec"
+    spec.write_text(
+        "[space]\nparams = t\ndomain = (0, 1)\nchart = x : t\nsamples = 11\ninset = 5\n\n[generators]\nf = x\n"
+    )
+    rc, _, err = run_in_process(["embed", str(spec), "--out", str(tmp_path)])
+    assert rc == 2
+    assert err == f"sikorski embed: {spec}:1: [space]: inset 5.0 empties axis (0.0, 1.0)\n"
 
 
 @pytest.mark.parametrize("samples", [10927, 10986, 11045])

@@ -9,7 +9,7 @@ from sikorski.compactify import (
     compactify,
     normalize,
 )
-from sikorski.expr import Call, Var, diff, eval_expr, parse_expr
+from sikorski.expr import Call, DomainError, Var, diff, eval_expr, parse_expr
 from sikorski.space import (
     Carrier,
     DiffSpace,
@@ -141,6 +141,18 @@ def test_boundize_through_a_two_generator_witness():
     assert max(out.max_abs_gamma) <= 1.0
     eta_at = eval_expr(out.eta, {"x": 1.0})
     assert eta_at == eval_expr(Call("bump1", Var("t")), {"t": 1.0}) ** 2
+
+
+def test_sweep_errors_name_the_expression_and_the_sample():
+    space = line_space(-3.0, 3.0, 7, [("f", "1 / (x - 1)", None)])
+    with pytest.raises(DomainError) as err:
+        boundize(space, SmoothFunction.of_generator("f"), (0.0,))
+    assert err.value.index == 4
+    assert str(err.value) == "bounded generator f at (1.0,): division by zero"
+    with pytest.raises(DomainError) as err:
+        normalize(space, "f")
+    assert err.value.index == 4
+    assert str(err.value) == "generator f at (1.0,): division by zero"
 
 
 def test_normalize_divides_by_the_sampled_sup():

@@ -226,3 +226,16 @@ def test_maximal_family_without_bounds_stays_unbounded():
     assert all(g.bound is None for g in big.generators)
     with pytest.raises(ValueError, match="degree"):
         maximal_family(fam, 0)
+
+
+def test_maximal_family_is_bounded_before_it_is_built():
+    pair = GeneratorFamily((Generator("f", Var("x")), Generator("g", Var("x"))))
+    with pytest.raises(ValueError, match="5000150000 monomials, more than 1000"):
+        maximal_family(pair, 100000)
+    # C(44 + 2, 2) - 1 = 1034 is over the bound, C(43 + 2, 2) - 1 = 989 is not
+    with pytest.raises(ValueError, match="1034 monomials"):
+        maximal_family(pair, 44)
+    assert len(maximal_family(pair, 43).generators) == 989
+    # forty generators at degree 1: forty monomials, not 2^40 exponent tuples
+    many = GeneratorFamily(tuple(Generator(f"g{i}", Var("x")) for i in range(40)))
+    assert maximal_family(many, 1).names == many.names

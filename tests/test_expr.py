@@ -286,6 +286,18 @@ def test_eval_array_reports_every_scalar_singularity():
             eval_array(e, {"x": xs})
 
 
+def test_domain_errors_carry_the_flattened_sample_index():
+    e = parse_expr("log(x + y)", ["x", "y"])
+    # x + y is [[3, 1.5], [2, 0.5], [1, -0.5]]: row-major, the sixth sample
+    with pytest.raises(DomainError) as err:
+        eval_array(e, {"x": np.array([[3.0], [2.0], [1.0]]), "y": np.array([0.0, -1.5])})
+    assert err.value.index == 5
+    assert str(err.value) == "log of non-positive value -0.5"
+    with pytest.raises(DomainError) as err:
+        eval_expr(e, {"x": 1.0, "y": -1.5})
+    assert err.value.index is None
+
+
 def test_eval_array_broadcasts_constants_and_scalars():
     assert eval_array(parse_expr("2 * pi"), {}).shape == ()
     got = eval_array(parse_expr("x + y", ["x", "y"]), {"x": np.arange(3.0), "y": 0.5})

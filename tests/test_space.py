@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -97,10 +98,32 @@ def test_sweeps_report_the_first_offending_sample():
     with pytest.raises(DomainError) as err:
         sample(carrier)
     assert str(err.value) == "chart component y at (0.0,): log of non-positive value 0.0"
+    assert err.value.index == 0
     s = line_space(-3.0, 3.0, 7, [("a", "1 / x"), ("b", "sqrt((x + 1)^2 - 0.5)")])
     with pytest.raises(DomainError) as err:
         embed(s)
     assert str(err.value) == "generator b at (-1.0,): sqrt of negative value -0.5"
+    assert err.value.index == 2
+    # the first column fails only at the last sample, the second at the third
+    carrier = dataclasses.replace(
+        carrier, chart=(parse_expr("sqrt(1.5 - t)", ["t"]), parse_expr("1 / (t - 1)", ["t"]))
+    )
+    with pytest.raises(DomainError) as err:
+        sample(carrier)
+    assert str(err.value) == "chart component y at (1.0,): division by zero"
+    assert err.value.index == 2
+
+
+def test_smooth_map_sweep_errors_name_the_expression_and_the_sample():
+    source = line_space(-1.0, 1.0, 5, [("f", "x")])
+    target = line_space(-1.0, 1.0, 5, [("g", "x")])
+    # the map component fails at the fourth sample, the witness at the second
+    pullback = SmoothFunction(parse_expr("1 / (u1 + 0.5)", ["u1"]), ("u1",), ("f",))
+    witness = SmoothMapWitness(target, (parse_expr("1 / (x - 0.5)", ["x"]),), {"g": pullback})
+    with pytest.raises(DomainError) as err:
+        check_smooth_map(source, witness)
+    assert str(err.value) == "pullback witness of g at (-0.5,): division by zero"
+    assert err.value.index == 1
 
 
 def test_sampling_is_row_major_with_last_axis_fastest():

@@ -157,6 +157,20 @@ def test_probe_defaults_without_schedule(tmp_path):
     assert (p.start, p.stop) == (1, 1000)
 
 
+def test_an_inset_that_empties_an_axis_is_a_spec_error(tmp_path):
+    text = MINIMAL.replace("domain = [0, 1]", "domain = (0, 1)").replace("samples = 11", "samples = 11\ninset = 5")
+    path = write_spec(tmp_path, text)
+    with pytest.raises(SpecError) as err:
+        load_spec(path)
+    assert str(err.value) == f"{path}:1: [space]: inset 5.0 empties axis (0.0, 1.0)"
+
+
+def test_probe_names_must_be_identifiers(tmp_path):
+    text = MINIMAL + '\n[probes]\n"p,q" = 1/n @ 1 .. 100\n'
+    with pytest.raises(SpecError, match="probe name '\"p,q\"' is not an identifier"):
+        load_spec(write_spec(tmp_path, text))
+
+
 def test_bound_for_unknown_generator(tmp_path):
     text = MINIMAL + "\n[bounded]\ng = 1\n"
     with pytest.raises(SpecError, match="unknown generator 'g'"):

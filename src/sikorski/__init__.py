@@ -38,7 +38,6 @@ from .space import (
     check_smooth_map,
     embed,
     eval_smooth,
-    restrict,
     sample,
     separates_points,
 )
@@ -70,13 +69,11 @@ from .filters import (
 from .completion import (
     AdjoinedPoint,
     CompletedSpace,
-    OrderVerdict,
     complete,
     completeness_probe_test,
     extend_function,
     iota,
     maximal_family,
-    order_compare,
 )
 from .compactify import BoundedGeneratorSet, Cube, boundize, bump, compactify, normalize
 from .tangent import TangentVector, apply, chain_rule_check, leibniz_check, tangent_map

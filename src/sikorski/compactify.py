@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import BinOp, Call, Const, Expr, Var, eval_array, eval_expr, substitute
+from .expr import BinOp, Call, Const, DomainError, Expr, Var, eval_expr, substitute, to_string
 from .space import DiffSpace, Generator, GeneratorFamily, SmoothFunction, eval_columns, sample
 from .uniform import Probe
 from .completion import CompletedSpace, complete
@@ -140,8 +140,18 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
     gvals, alpha_vals = values[:, :n], values[:, n:]
     max_abs = np.abs(gvals).max(axis=0).tolist()
     local = inner.contains(alpha_vals)
-    original = eval_array(f.omega, dict(zip(f.omega_vars, alpha_vals[local].T)))
-    rebuilt = eval_array(omega1, dict(zip(fresh, gvals[local].T)))
+    # the witness and its rescaled form, each composed down to the ambient
+    # coordinates, on the samples inside the inner cube
+    checks = [
+        substitute(f.omega, dict(zip(f.omega_vars, alpha_exprs))),
+        substitute(omega1, dict(zip(fresh, gammas))),
+    ]
+    labels = [f"witness {to_string(f.omega)}", f"rescaled witness {to_string(omega1)}"]
+    try:
+        original, rebuilt = eval_columns(checks, space.carrier.ambient, ambient[local], labels).T
+    except DomainError as err:
+        err.index = int(np.flatnonzero(local)[err.index])
+        raise
     residual = float(np.max(np.abs(original - rebuilt), initial=0.0))
     for i, m in enumerate(max_abs):
         if m > 1.0:

@@ -12,7 +12,6 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -27,14 +26,12 @@ __all__ = [
     "ExtensionTable",
     "IotaEntry",
     "IotaReport",
-    "OrderVerdict",
     "CompletenessRow",
     "CompletenessReport",
     "DEDUP_TOL",
     "complete",
     "extend_function",
     "iota",
-    "order_compare",
     "completeness_probe_test",
     "maximal_family",
 ]
@@ -75,10 +72,6 @@ def _near(rows: np.ndarray, point: Sequence[float]) -> np.ndarray:
     return np.all(np.abs(rows - np.asarray(point, dtype=float)) <= DEDUP_TOL, axis=1)
 
 
-def _within(a: Sequence[float], b: Sequence[float], tol: float) -> bool:
-    return all(abs(x - y) <= tol for x, y in zip(a, b))
-
-
 def complete(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail: int = 50) -> CompletedSpace:
     """Adjoin the limit of every Cauchy probe, deduplicating against the
     embedded samples (for probes settled within DEDUP_TOL) and earlier
@@ -100,9 +93,8 @@ def complete(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail:
         # mean of a probe still moving by more than DEDUP_TOL can pass within
         # DEDUP_TOL of a sample it is not converging to
         settled = verdict.max_oscillation() <= DEDUP_TOL
-        known = (settled and _near(base.coords, verdict.limit).any()) or any(
-            _within(verdict.limit, a.coords, DEDUP_TOL) for a in adjoined
-        )
+        earlier = np.array([a.coords for a in adjoined], dtype=float).reshape(-1, len(verdict.limit))
+        known = (settled and _near(base.coords, verdict.limit).any()) or _near(earlier, verdict.limit).any()
         if known:
             duplicates.append(probe.name)
         else:
@@ -178,6 +170,8 @@ def iota(cs_full: CompletedSpace, cs_sub: CompletedSpace) -> IotaReport:
     entries: list[IotaEntry] = []
     covered: set[str] = set()
     sub_by_probe = {a.probe: a for a in cs_sub.adjoined}
+    sub_rows = cs_sub.all_coords()
+    n_base = len(cs_sub.base.coords)
     for adj in cs_full.adjoined:
         projected = tuple(adj.coords[k] for k in projection)
         if adj.probe in sub_by_probe:
@@ -185,15 +179,17 @@ def iota(cs_full: CompletedSpace, cs_sub: CompletedSpace) -> IotaReport:
         else:
             # the probe's limit was realized in the subfamily completion by
             # an embedded sample (or an earlier probe); the first one wins
-            hits = np.flatnonzero(_near(cs_sub.base.coords, projected))[:1]
-            near = [(f"base:{i}", tuple(cs_sub.base.coords[i].tolist())) for i in hits] + [
-                (f"adjoined:{a.probe}", a.coords) for a in cs_sub.adjoined if _within(projected, a.coords, DEDUP_TOL)
-            ]
-            if not near:
+            hits = np.flatnonzero(_near(sub_rows, projected))
+            if not hits.size:
                 raise ValueError(
                     f"no target for probe {adj.probe}: run both completions with the same probes"
                 )
-            target_label, target_coords = near[0]
+            i = int(hits[0])
+            if i < n_base:
+                target_label, target_coords = f"base:{i}", tuple(sub_rows[i].tolist())
+            else:
+                target = cs_sub.adjoined[i - n_base]
+                target_label, target_coords = f"adjoined:{target.probe}", target.coords
         if target_label.startswith("adjoined:"):
             covered.add(target_label.split(":", 1)[1])
         for n, a, b in zip(sub_names, projected, target_coords):
@@ -202,27 +198,6 @@ def iota(cs_full: CompletedSpace, cs_sub: CompletedSpace) -> IotaReport:
     uncovered = tuple(a.probe for a in cs_sub.adjoined if a.probe not in covered)
     residuals = tuple((n, residual[n]) for n in sub_names)
     return IotaReport(sub_names, full_names, base, tuple(entries), residuals, uncovered)
-
-
-class OrderVerdict(Enum):
-    PRECEDES = "precedes"
-    SUCCEEDS = "succeeds"
-    EQUIVALENT = "equivalent"
-    INCOMPARABLE = "incomparable"
-
-
-def order_compare(g_names: Sequence[str], h_names: Sequence[str]) -> OrderVerdict:
-    """Completion order by family inclusion: the completion over G sits
-    below the completion over H exactly when G is a subfamily of H."""
-    g = set(g_names)
-    h = set(h_names)
-    if g == h:
-        return OrderVerdict.EQUIVALENT
-    if g <= h:
-        return OrderVerdict.PRECEDES
-    if h <= g:
-        return OrderVerdict.SUCCEEDS
-    return OrderVerdict.INCOMPARABLE
 
 
 @dataclass(frozen=True)

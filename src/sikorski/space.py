@@ -30,13 +30,14 @@ __all__ = [
     "SmoothMapWitness",
     "SmoothMapReport",
     "eval_columns",
+    "chart_columns",
+    "generator_columns",
     "sample",
     "embed",
     "eval_smooth",
     "compose_ambient",
     "separates_points",
     "check_smooth_map",
-    "restrict",
     "product_witness",
     "chart_jacobian",
 ]
@@ -63,13 +64,6 @@ class Interval:
         below = v < self.hi if self.hi_open else v <= self.hi
         return above & below
 
-    def contains_interval(self, other: "Interval") -> bool:
-        if other.lo < self.lo or (other.lo == self.lo and self.lo_open and not other.lo_open):
-            return False
-        if other.hi > self.hi or (other.hi == self.hi and self.hi_open and not other.hi_open):
-            return False
-        return True
-
     def __str__(self) -> str:
         left = "(" if self.lo_open else "["
         right = ")" if self.hi_open else "]"
@@ -86,9 +80,6 @@ class Carrier:
     chart: tuple[Expr, ...]
     counts: tuple[int, ...]
     inset: float = 1e-3
-    # set by restrict(): explicit per-axis sample values that replace the
-    # uniform grid, so restriction selects from the parent grid exactly
-    axis_values: tuple[tuple[float, ...], ...] | None = None
 
     def __post_init__(self):
         if len(set(self.params)) != len(self.params):
@@ -103,10 +94,9 @@ class Carrier:
             raise ValueError("sample counts must be positive")
         if self.inset < 0:
             raise ValueError("inset must be non-negative")
-        if self.axis_values is None:
-            for iv, (lo, hi) in zip(self.box, self._axis_ends()):
-                if lo > hi:
-                    raise ValueError(f"inset {self.inset} empties axis {iv}")
+        for iv, (lo, hi) in zip(self.box, self._axis_ends()):
+            if lo > hi:
+                raise ValueError(f"inset {self.inset} empties axis {iv}")
         scope = set(self.params)
         for name, comp in zip(self.ambient, self.chart):
             extra = variables(comp) - scope
@@ -122,10 +112,7 @@ class Carrier:
         ]
 
     def axis_samples(self) -> tuple[tuple[float, ...], ...]:
-        """Per-axis sample values: `axis_values` when set, otherwise the
-        uniform grid between the axis ends."""
-        if self.axis_values is not None:
-            return self.axis_values
+        """Per-axis sample values: the uniform grid between the axis ends."""
         ends = zip(self._axis_ends(), self.counts)
         return tuple(tuple(np.linspace(lo, hi, count).tolist()) for (lo, hi), count in ends)
 
@@ -193,16 +180,6 @@ class DiffSpace:
     def with_generators(self, names: Iterable[str]) -> "DiffSpace":
         return dataclasses.replace(self, family=self.family.subfamily(names))
 
-    def generator_values(self, ambient_point: Sequence[float]) -> tuple[float, ...]:
-        env = dict(zip(self.carrier.ambient, ambient_point))
-        out = []
-        for g in self.family.generators:
-            try:
-                out.append(eval_expr(g.expr, env))
-            except DomainError as err:
-                raise DomainError(f"generator {g.name} at {tuple(ambient_point)}: {err}", err.node) from err
-        return tuple(out)
-
 
 @dataclass(frozen=True, eq=False)
 class EmbeddedCloud:
@@ -250,22 +227,32 @@ def eval_columns(
     return out
 
 
+def chart_columns(carrier: Carrier, params: np.ndarray) -> np.ndarray:
+    """The ambient matrix of a parameter matrix: one row per sample."""
+    labels = [f"chart component {name}" for name in carrier.ambient]
+    return eval_columns(carrier.chart, carrier.params, params, labels)
+
+
+def generator_columns(space: DiffSpace, ambient: np.ndarray) -> np.ndarray:
+    """The generator coordinates of an ambient matrix: one row per sample,
+    one column per generator in family order."""
+    exprs = [g.expr for g in space.family.generators]
+    labels = [f"generator {name}" for name in space.family.names]
+    return eval_columns(exprs, space.carrier.ambient, ambient, labels)
+
+
 def sample(carrier: Carrier) -> tuple[np.ndarray, np.ndarray]:
     """Grid samples as a parameter matrix and an ambient matrix, one row
     per sample, row-major in parameter order (last axis fastest)."""
     axes = carrier.axis_samples()
     mesh = np.meshgrid(*axes, indexing="ij")
     params = np.stack([m.ravel() for m in mesh], axis=1)
-    labels = [f"chart component {name}" for name in carrier.ambient]
-    return params, eval_columns(carrier.chart, carrier.params, params, labels)
+    return params, chart_columns(carrier, params)
 
 
 def embed(space: DiffSpace) -> EmbeddedCloud:
     params, ambient = sample(space.carrier)
-    exprs = [g.expr for g in space.family.generators]
-    labels = [f"generator {name}" for name in space.family.names]
-    coords = eval_columns(exprs, space.carrier.ambient, ambient, labels)
-    return EmbeddedCloud(space.family.names, params, ambient, coords)
+    return EmbeddedCloud(space.family.names, params, ambient, generator_columns(space, ambient))
 
 
 @dataclass(frozen=True)
@@ -378,31 +365,6 @@ def check_smooth_map(source: DiffSpace, witness: SmoothMapWitness, tol: float = 
     i, _ = np.unravel_index(np.argmax(residual), residual.shape)
     rows = tuple(zip(target.family.names, residual.max(axis=0).tolist()))
     return SmoothMapReport(tol, rows, tuple(ambient[i].tolist()), all(r <= tol for _, r in rows))
-
-
-def restrict(space: DiffSpace, sub_box: Sequence[Interval]) -> DiffSpace:
-    """Restrict to a sub-box.  Samples of the result are exactly the parent
-    samples that fall inside, so restriction and embedding commute."""
-    carrier = space.carrier
-    if len(sub_box) != len(carrier.box):
-        raise ValueError("sub-box arity does not match the carrier")
-    for iv, sub in zip(carrier.box, sub_box):
-        if not iv.contains_interval(sub):
-            raise ValueError(f"sub-box {sub} is not contained in {iv}")
-    new_axes = []
-    for axis, sub in zip(carrier.axis_samples(), sub_box):
-        values = np.array(axis)
-        kept = tuple(values[sub.contains(values)].tolist())
-        if not kept:
-            raise ValueError(f"restriction to {sub} keeps no samples")
-        new_axes.append(kept)
-    new_carrier = dataclasses.replace(
-        carrier,
-        box=tuple(sub_box),
-        counts=tuple(len(a) for a in new_axes),
-        axis_values=tuple(new_axes),
-    )
-    return dataclasses.replace(space, carrier=new_carrier)
 
 
 def chart_jacobian(carrier: Carrier, param_values: Sequence[float]) -> tuple[tuple[float, ...], ...]:

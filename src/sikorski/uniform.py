@@ -14,8 +14,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import DomainError, Expr, eval_expr, variables
-from .space import DiffSpace, embed
+from .expr import DomainError, Expr, eval_array, eval_expr, variables
+from .space import DiffSpace, chart_columns, embed, generator_columns
 
 __all__ = [
     "Entourage",
@@ -188,26 +188,41 @@ class CauchyVerdict:
         return max(o for _, o in self.oscillation)
 
 
-def probe_points(space: DiffSpace, probe: Probe, tail: int) -> list[tuple[int, float, tuple[float, ...]]]:
-    """Evaluate the last `tail` schedule indices to (n, parameter, ambient).
+def probe_points(space: DiffSpace, probe: Probe, tail: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Evaluate the last `tail` schedule indices: the indices n, the
+    parameter values, and the ambient matrix (one row per index).
 
     Only single-parameter carriers take probes; the index must land inside
-    the parameter box, openness included.
+    the parameter box, openness included.  A domain error carries the
+    position in the tail as its `index`.  When several indices fail, the
+    smallest wins, and at one index the probe expression fails before the
+    box, and the box before the chart, as in a walk through the tail.
     """
     carrier = space.carrier
     if len(carrier.params) != 1:
         raise ValueError("probes require a single-parameter carrier")
     if tail < 2:
         raise ValueError("tail must be at least 2")
-    first = max(probe.start, probe.stop - tail + 1)
+    ns = np.arange(max(probe.start, probe.stop - tail + 1), probe.stop + 1)
     box = carrier.box[0]
-    out = []
-    for n in range(first, probe.stop + 1):
-        value = eval_expr(probe.expr, {"n": float(n)})
-        if not box.contains(value):
-            raise DomainError(f"probe {probe.name} leaves the box at n={n}: {value!r} not in {box}", probe.expr)
-        out.append((n, value, carrier.chart_point((value,))))
-    return out
+    # each stage runs on the indices before the earliest failure so far, so
+    # a later stage can only raise at a smaller index
+    failure = None
+    try:
+        values = eval_array(probe.expr, {"n": ns})
+    except DomainError as err:
+        failure = err
+        values = eval_array(probe.expr, {"n": ns[: err.index]})
+    outside = np.flatnonzero(~box.contains(values))
+    if outside.size:
+        k = int(outside[0])
+        message = f"probe {probe.name} leaves the box at n={ns[k]}: {values[k].item()!r} not in {box}"
+        failure = DomainError(message, probe.expr, k)
+        values = values[:k]
+    ambient = chart_columns(carrier, values[:, None])
+    if failure is not None:
+        raise failure
+    return ns, values, ambient
 
 
 def probe_cauchy(space: DiffSpace, probe: Probe, tol: float = 1e-6, tail: int = 50) -> CauchyVerdict:
@@ -221,30 +236,21 @@ def probe_cauchy(space: DiffSpace, probe: Probe, tol: float = 1e-6, tail: int = 
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")
-    values: list[tuple[float, ...]] = []
-    for _, _, apoint in probe_points(space, probe, tail):
-        values.append(space.generator_values(apoint))
-    names = space.family.names
-    columns = list(zip(*values))
-    oscillation = tuple((name, max(col) - min(col)) for name, col in zip(names, columns))
-    if all(o <= tol for _, o in oscillation):
-        limit = []
-        for col in columns:
-            mean = sum(col) / len(col)
-            limit.append(min(max(mean, min(col)), max(col)))
-        return CauchyVerdict(probe.name, "cauchy", oscillation, tuple(limit))
-    for (_, osc), col in zip(oscillation, columns):
-        if osc > 10.0 * tol and _grows_strictly(col):
-            return CauchyVerdict(probe.name, "escaping", oscillation, None)
+    _, _, ambient = probe_points(space, probe, tail)
+    coords = generator_columns(space, ambient)
+    lo, hi = coords.min(axis=0), coords.max(axis=0)
+    spread = hi - lo
+    oscillation = tuple(zip(space.family.names, spread.tolist()))
+    if (spread <= tol).all():
+        # summed in tail order, as a running sum does; np.mean sums pairwise
+        mean = np.cumsum(coords, axis=0)[-1] / len(coords)
+        limit = np.minimum(np.maximum(mean, lo), hi)
+        return CauchyVerdict(probe.name, "cauchy", oscillation, tuple(limit.tolist()))
+    # a coordinate grows strictly when each new value lies outside the
+    # range of the values before it
+    lo_before = np.minimum.accumulate(coords, axis=0)[:-1]
+    hi_before = np.maximum.accumulate(coords, axis=0)[:-1]
+    grows = ((coords[1:] < lo_before) | (coords[1:] > hi_before)).all(axis=0)
+    if (grows & (spread > 10.0 * tol)).any():
+        return CauchyVerdict(probe.name, "escaping", oscillation, None)
     return CauchyVerdict(probe.name, "undecided", oscillation, None)
-
-
-def _grows_strictly(col: Sequence[float]) -> bool:
-    """True when each new point extends the running range of the sequence."""
-    lo = hi = col[0]
-    for v in col[1:]:
-        if not (v < lo or v > hi):
-            return False
-        lo = min(lo, v)
-        hi = max(hi, v)
-    return True

@@ -143,6 +143,19 @@ def test_boundize_artifact(tmp_path):
     assert rows[1] == ["f", "2", "0.49999954545455694", "0"]
 
 
+def test_boundize_singular_witness_exits_one(tmp_path):
+    proc = run_cli(
+        "boundize", REAL_LINE,
+        "--omega", "log(u1)", "--gens", "f", "--point", "0.5",
+        "--out", str(tmp_path),
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "sikorski boundize (compactify): invariant violated:"
+        " witness log(u1) at (0.0,): log of non-positive value 0.0\n"
+    )
+
+
 def test_compare_uniform_finds_witness_pairs(tmp_path):
     proc = run_cli(
         "compare-uniform", PARABOLA,

@@ -1,7 +1,10 @@
 import math
+from pathlib import Path
 
 import pytest
 
+import sikorski
+from sikorski import specfile
 from sikorski.compactify import (
     Cube,
     boundize,
@@ -153,6 +156,13 @@ def test_sweep_errors_name_the_expression_and_the_sample():
         normalize(space, "f")
     assert err.value.index == 4
     assert str(err.value) == "generator f at (1.0,): division by zero"
+    # the witness is checked on the local samples 1100 and 1101 only; the
+    # index still counts every sample
+    real_line = specfile.load_spec(str(Path(sikorski.__file__).parent / "specs" / "real_line_atan.spec")).space
+    with pytest.raises(DomainError) as err:
+        boundize(real_line, SmoothFunction(parse_expr("log(u1)", ["u1"]), ("u1",), ("f",)), (0.5,))
+    assert err.value.index == 1100
+    assert str(err.value) == "witness log(u1) at (0.0,): log of non-positive value 0.0"
 
 
 def test_normalize_divides_by_the_sampled_sup():

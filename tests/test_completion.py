@@ -4,13 +4,11 @@ import numpy as np
 import pytest
 
 from sikorski.completion import (
-    OrderVerdict,
     complete,
     completeness_probe_test,
     extend_function,
     iota,
     maximal_family,
-    order_compare,
 )
 from sikorski.expr import Var, parse_expr
 from sikorski.space import Carrier, DiffSpace, Generator, GeneratorFamily, Interval
@@ -160,13 +158,6 @@ def test_iota_composes_transitively():
         second = via_h[first.target]
         assert second.coords == straight.coords
         assert second.target == straight.target
-
-
-def test_order_compare_is_inclusion():
-    assert order_compare(["f"], ["f", "g"]) is OrderVerdict.PRECEDES
-    assert order_compare(["f", "g"], ["g"]) is OrderVerdict.SUCCEEDS
-    assert order_compare(["g", "f"], ["f", "g"]) is OrderVerdict.EQUIVALENT
-    assert order_compare(["f"], ["g"]) is OrderVerdict.INCOMPARABLE
 
 
 def test_open_end_defeats_the_completeness_hypothesis():

@@ -18,7 +18,6 @@ from sikorski.space import (
     embed,
     eval_smooth,
     product_witness,
-    restrict,
     sample,
     separates_points,
 )
@@ -51,12 +50,6 @@ def test_empty_interval_rejected():
         Interval(2.0, 1.0)
     with pytest.raises(ValueError, match="empty interval"):
         Interval(1.0, 1.0, lo_open=True)
-
-
-def test_interval_containment_checks_end_openness():
-    outer = Interval(0.0, 1.0, lo_open=True)
-    assert outer.contains_interval(Interval(0.2, 1.0))
-    assert not outer.contains_interval(Interval(0.0, 0.5))
 
 
 def test_open_ends_are_pulled_in_by_the_inset():
@@ -257,35 +250,6 @@ def test_map_witness_requires_full_coverage():
     s = line_space(-2.0, 2.0, 9, [("f", "x"), ("g", "x^2")])
     with pytest.raises(ValueError, match="missing pullback witnesses"):
         SmoothMapWitness(target=s, components=(Var("x"),), witnesses={"f": SmoothFunction.of_generator("f")})
-
-
-def test_restrict_to_the_full_box_changes_nothing():
-    s = line_space(0.0, 1.0, 11, [("f", "x")])
-    r = restrict(s, (Interval(0.0, 1.0),))
-    assert r.carrier.axis_samples() == s.carrier.axis_samples()
-
-
-def test_restrict_selects_parent_samples_exactly():
-    s = line_space(0.0, 1.0, 11, [("f", "x")])
-    r = restrict(s, (Interval(0.0, 0.5),))
-    parent = s.carrier.axis_samples()[0]
-    assert r.carrier.axis_samples()[0] == parent[:6]
-
-
-def test_restrict_then_embed_commutes_with_embed_then_select():
-    s = line_space(-1.0, 1.0, 21, [("f", "x"), ("g", "x^2")])
-    sub = (Interval(-0.5, 0.5),)
-    restricted = embed(restrict(s, sub))
-    cloud = embed(s)
-    assert np.array_equal(restricted.coords, cloud.coords[sub[0].contains(cloud.params[:, 0])])
-
-
-def test_restrict_rejects_escaping_and_empty_boxes():
-    s = line_space(0.0, 1.0, 11, [("f", "x")])
-    with pytest.raises(ValueError, match="not contained"):
-        restrict(s, (Interval(0.5, 2.0),))
-    with pytest.raises(ValueError, match="keeps no samples"):
-        restrict(s, (Interval(0.51, 0.59),))
 
 
 def test_chart_jacobian_of_a_circle_chart():

@@ -3,6 +3,7 @@ import math
 import pytest
 from hypothesis import example, given, strategies as st
 
+import probe_oracle
 from sikorski.expr import DomainError, Var, parse_expr
 from sikorski.space import Carrier, DiffSpace, Generator, GeneratorFamily, Interval, embed
 from sikorski.uniform import (
@@ -150,16 +151,47 @@ def test_probe_rejects_stray_variables_and_empty_schedules():
 
 def test_probe_points_walk_the_tail():
     probe = Probe("p", Var("n"), start=1, stop=1000)
-    pts = probe_points(SLAB, probe, tail=50)
-    assert len(pts) == 50
-    assert pts[0][0] == 951
-    assert pts[-1] == (1000, 1000.0, (1000.0,))
+    ns, values, ambient = probe_points(SLAB, probe, tail=50)
+    assert len(ns) == len(values) == len(ambient) == 50
+    assert ns[0] == 951
+    assert (ns[-1], values[-1], tuple(ambient[-1].tolist())) == (1000, 1000.0, (1000.0,))
 
 
 def test_probe_that_leaves_the_box_is_a_domain_error():
     probe = Probe("p", parse_expr("2000 * n", ["n"]), start=1, stop=10)
     with pytest.raises(DomainError, match="leaves the box"):
         probe_points(SLAB, probe, tail=5)
+
+
+def test_probe_errors_follow_the_tail_order():
+    """Among the probe, the box and the chart, the smallest failing n wins:
+    at n=6 the probe leaves the box, which a walk through the tail meets
+    before the division by zero at n=10.  Generators are evaluated only
+    after the whole tail, so 1/x failing at n=6 loses to the box at n=10."""
+    probe = Probe("p", parse_expr("2000*n + 1/(n-10)", ["n"]), start=1, stop=10)
+    with pytest.raises(DomainError, match=r"^probe p leaves the box at n=6: 11999.75 not in \[") as err:
+        probe_cauchy(SLAB, probe, tail=5)
+    assert err.value.index == 0
+    slab = line_space(-1100.0, 3.0, 5, [("r", "1/x")])
+    with pytest.raises(DomainError, match=r"^probe p leaves the box at n=10: 4.0 not in") as err:
+        probe_cauchy(slab, Probe("p", parse_expr("n - 6", ["n"]), stop=10), tail=5)
+    assert err.value.index == 4
+    with pytest.raises(DomainError, match=r"^division by zero$") as err:
+        probe_cauchy(SLAB, Probe("p", parse_expr("1/(n-8)", ["n"]), stop=10), tail=5)
+    assert err.value.index == 2
+
+
+def test_probe_chart_and_generator_errors_carry_their_index():
+    space = DiffSpace(
+        Carrier(("t",), (Interval(0.0, 20.0),), ("x",), (parse_expr("1/(t-7)", ["t"]),), (3,)),
+        GeneratorFamily((Generator("r", parse_expr("1/(x-1/4)", ["x"])),)),
+    )
+    with pytest.raises(DomainError, match=r"^chart component x at \(7\.0,\): division by zero$") as err:
+        probe_points(space, Probe("p", Var("n"), stop=10), tail=5)
+    assert err.value.index == 1
+    with pytest.raises(DomainError, match=r"^generator r at \(0\.25,\): division by zero$") as err:
+        probe_cauchy(space, Probe("p", Var("n"), stop=12), tail=5)
+    assert err.value.index == 3
 
 
 def test_probes_need_a_one_parameter_carrier():
@@ -286,3 +318,52 @@ def test_sweep_matches_a_brute_force_scan(count, lo, step, exprs, g_names, h_nam
         assert row.refines == (expected is None)
         if expected is not None:
             assert (row.witness_x, row.witness_y) == expected
+
+
+_GENERATORS = [("f", "x"), ("a", "atan(x)"), ("s", "sin(x)"), ("q", "x^2/1000"), ("r", "1/x")]
+_PROBES = st.one_of(
+    st.builds("({}) + ({})/n".format, st.integers(-50, 50), st.integers(-3, 3)),  # settles or creeps
+    st.builds("({})*n".format, st.integers(-3, 3)),  # flies off under f
+    st.just("sin(n)"),  # oscillates
+    st.builds("({})".format, st.integers(-50, 50)),  # constant
+    st.builds("abs(n - {})".format, st.integers(1, 400)),  # repeats values around its turn
+    # leaves the box (the large slope) or divides by zero
+    st.builds("({})*n + 1/(n - {})".format, st.sampled_from([0, 1, -2, 2000]), st.integers(1, 400)),
+)
+
+
+@given(
+    gens=st.lists(st.sampled_from(_GENERATORS), min_size=1, max_size=3, unique=True),
+    text=_PROBES,
+    schedule=st.lists(st.integers(1, 400), min_size=2, max_size=2).map(sorted),
+    tail=st.integers(2, 60),
+    tol=st.sampled_from([1e-9, 1e-6, 1e-3, 0.5]),
+)
+@example([("f", "x")], "(2000)*n + 1/(n - 10)", [1, 10], 5, 1e-3)
+@example([("f", "x"), ("a", "atan(x)")], "(3)*n", [1, 400], 50, 1e-3)
+# 1, 0, 1, 2, ..., 48: the repeated 1 stops the flight from counting as escape
+@example([("f", "x")], "abs(n - 352)", [1, 400], 50, 1e-3)
+def test_probe_cauchy_matches_the_per_index_loop(gens, text, schedule, tail, tol):
+    """The array sweep and the per-index loop agree on the status, on the
+    oscillations and limit up to the last bits that numpy's ufuncs may
+    change, and on the message of the domain error they raise."""
+    space = line_space(-1100.0, 1100.0, 5, gens)
+    probe = Probe("p", parse_expr(text, ["n"]), start=schedule[0], stop=schedule[1])
+    try:
+        expected = probe_oracle.probe_cauchy(space, probe, tol, tail)
+    except DomainError as err:
+        with pytest.raises(DomainError) as got:
+            probe_cauchy(space, probe, tol=tol, tail=tail)
+        assert str(got.value) == str(err)
+        assert 0 <= got.value.index < min(tail, probe.stop - probe.start + 1)
+        return
+    verdict = probe_cauchy(space, probe, tol=tol, tail=tail)
+    assert verdict.status == expected.status
+    assert [name for name, _ in verdict.oscillation] == [name for name, _ in expected.oscillation]
+    assert [o for _, o in verdict.oscillation] == pytest.approx(
+        [o for _, o in expected.oscillation], rel=1e-12, abs=1e-12
+    )
+    if expected.limit is None:
+        assert verdict.limit is None
+    else:
+        assert verdict.limit == pytest.approx(expected.limit, rel=1e-12, abs=1e-12)

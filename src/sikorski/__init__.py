@@ -19,6 +19,7 @@ from .expr import (
     Pow,
     Var,
     diff,
+    eval_constant,
     eval_expr,
     parse_expr,
     substitute,
@@ -75,7 +76,7 @@ from .completion import (
     iota,
     maximal_family,
 )
-from .compactify import BoundedGeneratorSet, Cube, boundize, bump, compactify, normalize
+from .compactify import BoundedGeneratorSet, boundize, bump, compactify, normalize
 from .tangent import TangentVector, apply, chain_rule_check, leibniz_check, tangent_map
 
 __version__ = "0.1.0"

@@ -7,7 +7,9 @@ format.  Output is deterministic: floats are printed with 17 significant
 digits, rows follow declaration or sample order, and nothing timestamps
 itself.
 Exit status is 0 on success, 1 when a library invariant fails, and 2
-for usage or spec-file problems.
+for usage or spec-file problems.  `main` alone turns a command's outcome
+into that status and its one stderr line: a handler writes its artifacts
+and summary, then raises ``ValueError`` if an invariant failed.
 """
 
 from __future__ import annotations
@@ -17,6 +19,7 @@ import csv
 import dataclasses
 import functools
 import itertools
+import math
 import os
 import sys
 from typing import Callable, Iterable, Sequence
@@ -26,7 +29,7 @@ import numpy as np
 from . import specfile, tangent
 from .compactify import boundize, compactify, normalize
 from .completion import CompletedSpace, IotaReport, complete, iota, maximal_family
-from .expr import ExprError, eval_expr, parse_expr
+from .expr import ExprError, eval_constant, parse_expr
 from .filters import _MAX_GROUND, verify_filter_laws
 from .space import (
     DiffSpace,
@@ -63,12 +66,12 @@ def _split_names(flag: str) -> list[str]:
 
 
 def _parse_point(flag: str, what: str, dim: int | None = None) -> tuple[float, ...]:
-    """The comma-separated constants of a flag; `dim`, when given, is the
+    """The comma-separated finite constants of a flag; `dim`, when given, is the
     number of coordinates the flag must list."""
     values = []
     for part in _split_names(flag):
         try:
-            values.append(eval_expr(parse_expr(part), {}))
+            values.append(eval_constant(part))
         except ExprError as err:
             raise UsageError(f"{what}: {err}") from err
     if dim is not None and len(values) != dim:
@@ -105,8 +108,8 @@ def _resolve_family(space: DiffSpace, flag: str | None) -> DiffSpace:
 
 
 def _check_probe_flags(args) -> None:
-    if not args.tol > 0.0:
-        raise UsageError(f"--tol must be positive, got {args.tol!r}")
+    if not 0.0 < args.tol < math.inf:
+        raise UsageError(f"--tol must be positive and finite, got {args.tol!r}")
     if args.tail < 2:
         raise UsageError(f"--tail must be at least 2, got {args.tail}")
 
@@ -168,7 +171,7 @@ def _write_iota(path: str, rep: IotaReport) -> None:
     _write_csv(path, ["source", "target", *rep.sub_names], itertools.chain(base, entries))
 
 
-def cmd_embed(args) -> int:
+def cmd_embed(args) -> None:
     spec = specfile.load_spec(args.spec)
     space = _resolve_family(spec.space, args.family)
     cloud = embed(space)
@@ -177,10 +180,9 @@ def cmd_embed(args) -> int:
     rows = enumerate(np.hstack([cloud.params, cloud.coords]).tolist())
     _write_csv(path, header, ([i, *row] for i, row in rows))
     print(f"embed: {len(cloud.coords)} points, {len(cloud.names)} coordinates -> {path}")
-    return 0
 
 
-def cmd_complete(args) -> int:
+def cmd_complete(args) -> None:
     _check_probe_flags(args)
     spec = specfile.load_spec(args.spec)
     space = _resolve_family(spec.space, args.family)
@@ -188,7 +190,6 @@ def cmd_complete(args) -> int:
     cs = complete(space, probes, tol=args.tol, tail=args.tail)
     _write_points(_artifact(args, "points.csv"), cs)
     lines = _completion_lines(cs)
-    rc = 0
     if args.subfamily:
         sub = space.with_generators(_family_names(space, args.subfamily, "--subfamily"))
         cs_sub = complete(sub, probes, tol=args.tol, tail=args.tail)
@@ -199,19 +200,15 @@ def cmd_complete(args) -> int:
         lines.append(
             "iota uncovered: " + (", ".join(rep.uncovered) if rep.uncovered else "none")
         )
-        if rep.max_residual() > IOTA_TOL:
-            print(
-                f"sikorski complete (completion): invariant violated: extension"
-                f" compatibility residual {_fmt(rep.max_residual())} exceeds {_fmt(IOTA_TOL)}",
-                file=sys.stderr,
-            )
-            rc = 1
     _write_report(_artifact(args, "report.txt"), lines)
     print(f"complete: {len(cs.adjoined)} adjoined, {len(cs.duplicates)} duplicate(s)")
-    return rc
+    if args.subfamily and rep.max_residual() > IOTA_TOL:
+        raise ValueError(
+            f"extension compatibility residual {_fmt(rep.max_residual())} exceeds {_fmt(IOTA_TOL)}"
+        )
 
 
-def cmd_compactify(args) -> int:
+def cmd_compactify(args) -> None:
     _check_probe_flags(args)
     spec = specfile.load_spec(args.spec)
     space = _resolve_family(spec.space, args.family)
@@ -227,10 +224,9 @@ def cmd_compactify(args) -> int:
     _write_points(_artifact(args, "points.csv"), cs)
     _write_report(_artifact(args, "report.txt"), lines + _completion_lines(cs))
     print(f"compactify: {len(cs.adjoined)} adjoined, {len(cs.duplicates)} duplicate(s)")
-    return 0
 
 
-def cmd_boundize(args) -> int:
+def cmd_boundize(args) -> None:
     spec = specfile.load_spec(args.spec)
     gen_names = _family_names(spec.space, args.gens, "--gens")
     omega_vars = tuple(f"u{i + 1}" for i in range(len(gen_names)))
@@ -252,18 +248,17 @@ def cmd_boundize(args) -> int:
         f"boundize: {len(bset.gen_names)} generator(s) at {args.point},"
         f" residual {_fmt(bset.local_residual)} on {bset.local_sample_count} local sample(s)"
     )
-    return 0
 
 
-def cmd_compare_uniform(args) -> int:
+def cmd_compare_uniform(args) -> None:
     spec = specfile.load_spec(args.spec)
     g_names = _family_names(spec.space, args.g_family, "--g-family")
     h_names = _family_names(spec.space, args.h_family, "--h-family")
     eps_grid = list(_parse_point(args.eps_grid, "--eps-grid"))
     if not all(eps > 0.0 for eps in eps_grid):
         raise UsageError(f"--eps-grid: widths must be positive, got {args.eps_grid!r}")
-    if not args.target_eps > 0.0:
-        raise UsageError(f"--target-eps must be positive, got {args.target_eps!r}")
+    if not 0.0 < args.target_eps < math.inf:
+        raise UsageError(f"--target-eps must be positive and finite, got {args.target_eps!r}")
     rep = compare_uniformities(spec.space, g_names, h_names, eps_grid, args.target_eps)
     params = spec.space.carrier.params
     path = _artifact(args, "refinement.csv")
@@ -284,10 +279,9 @@ def cmd_compare_uniform(args) -> int:
         f"compare-uniform: {found} of {len(rep.rows)} widths produced a witness,"
         f" {rep.pairs_examined} pairs examined -> {path}"
     )
-    return 0
 
 
-def cmd_tangent(args) -> int:
+def cmd_tangent(args) -> None:
     spec = specfile.load_spec(args.spec)
     space = spec.space
     dim = len(space.carrier.ambient)
@@ -298,7 +292,6 @@ def cmd_tangent(args) -> int:
     funcs = [(n, SmoothFunction.of_generator(n)) for n in names]
 
     rows: list[tuple[str, str, float]] = []
-    rc = 0
     failures: list[str] = []
     for n, fn in funcs:
         rows.append(("apply", n, tangent.apply(space, v, fn)))
@@ -333,15 +326,13 @@ def cmd_tangent(args) -> int:
     _write_csv(_artifact(args, "tangent.csv"), ["kind", "name", "value"], rows)
     for kind, name, value in rows:
         print(f"{kind} {name} = {_fmt(value)}")
-    for message in failures:
-        print(f"sikorski tangent (tangent): invariant violated: {message}", file=sys.stderr)
-        rc = 1
-    return rc
+    if failures:
+        raise ValueError("; ".join(failures))
 
 
-def cmd_check_map(args) -> int:
-    if not args.tol >= 0.0:
-        raise UsageError(f"--tol must not be negative, got {args.tol!r}")
+def cmd_check_map(args) -> None:
+    if not 0.0 <= args.tol < math.inf:
+        raise UsageError(f"--tol must be finite and not negative, got {args.tol!r}")
     spec = specfile.load_spec(args.spec)
     if args.map not in spec.maps:
         raise UsageError(f"--map: spec declares no map named {args.map!r}")
@@ -359,16 +350,10 @@ def cmd_check_map(args) -> int:
     )
     print(f"check-map: max residual {_fmt(rep.max_residual())} (tol {_fmt(rep.tol)})")
     if not rep.smooth:
-        print(
-            f"sikorski check-map (space): invariant violated: pullback witness residual"
-            f" {_fmt(rep.max_residual())} exceeds {_fmt(rep.tol)}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        raise ValueError(f"pullback witness residual {_fmt(rep.max_residual())} exceeds {_fmt(rep.tol)}")
 
 
-def cmd_verify_filters(args) -> int:
+def cmd_verify_filters(args) -> None:
     if not 1 <= args.max_size <= _MAX_GROUND:
         raise UsageError(f"--max-size must be between 1 and {_MAX_GROUND}, got {args.max_size}")
     rep = verify_filter_laws(args.max_size)
@@ -384,15 +369,12 @@ def cmd_verify_filters(args) -> int:
     _write_report(_artifact(args, "report.txt"), rep.summary_text().splitlines())
     print(rep.summary_text())
     if not rep.passed:
-        print(
-            f"sikorski verify-filters (filters): invariant violated: {rep.first_counterexample}",
-            file=sys.stderr,
-        )
-        return 1
-    return 0
+        raise ValueError(rep.first_counterexample)
 
 
-def cmd_run(args) -> int:
+def cmd_run(args) -> int | None:
+    """Each experiment through `main`, stopping at the first that exits
+    non-zero; that exit status is the run's."""
     spec = specfile.load_spec(args.spec)
     by_label = {e.label: e for e in spec.experiments}
     labels = args.labels or [e.label for e in spec.experiments]
@@ -415,7 +397,6 @@ def cmd_run(args) -> int:
         rc = main(argv)
         if rc != 0:
             return rc
-    return 0
 
 
 # each command's handler, and the module a failed invariant is reported from
@@ -511,7 +492,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return exit_.code
     handler, module = _COMMANDS[args.command]
     try:
-        return handler(args)
+        return handler(args) or 0
     except (SpecError, UsageError, OSError) as err:  # OSError: --out cannot be written
         print(f"sikorski {args.command}: {err}", file=sys.stderr)
         return 2

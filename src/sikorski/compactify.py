@@ -21,7 +21,6 @@ from .uniform import Probe
 from .completion import CompletedSpace, complete
 
 __all__ = [
-    "Cube",
     "BoundedGeneratorSet",
     "NormalizedGenerator",
     "bump",
@@ -34,37 +33,14 @@ INNER_HALF_WIDTH = 1.0
 OUTER_HALF_WIDTH = 2.0
 
 
-@dataclass(frozen=True)
-class Cube:
-    center: tuple[float, ...]
-    half_width: float
-
-    def __post_init__(self):
-        if not (self.half_width > 0.0):
-            raise ValueError("degenerate cube: half-width must be positive")
-
-    def contains(self, point, strict: bool = True):
-        """Membership of a point, or row by row of a matrix of points."""
-        point = np.asarray(point, dtype=float)
-        if point.shape[-1] != len(self.center):
-            raise ValueError("dimension mismatch")
-        gap = np.abs(point - self.center)
-        inside = gap < self.half_width if strict else gap <= self.half_width
-        return inside.all(axis=-1)
-
-
-def bump(inner: Cube, outer: Cube, var_names: Sequence[str]) -> Expr:
-    """Product splice: exactly 1 on the inner cube, exactly 0 outside the
-    outer one.  The construction is pinned to half-widths 1 and 2 around a
-    shared center, which is what the splice primitive encodes."""
-    if inner.center != outer.center:
-        raise ValueError("cubes must share a center")
-    if len(inner.center) != len(var_names):
+def bump(center: Sequence[float], var_names: Sequence[str]) -> Expr:
+    """Product splice around `center`: exactly 1 on the cube of half-width
+    `INNER_HALF_WIDTH` (1), exactly 0 outside the cube of half-width
+    `OUTER_HALF_WIDTH` (2), the widths the splice primitive encodes."""
+    if len(center) != len(var_names):
         raise ValueError("one variable per cube axis is required")
-    if inner.half_width != INNER_HALF_WIDTH or outer.half_width != OUTER_HALF_WIDTH:
-        raise ValueError("the splice is defined for half-widths 1 (inner) and 2 (outer)")
     expr: Expr | None = None
-    for name, c in zip(var_names, inner.center):
+    for name, c in zip(var_names, center):
         arg: Expr = Var(name) if c == 0.0 else BinOp("-", Var(name), Const(c))
         factor = Call("bump1", arg)
         expr = factor if expr is None else BinOp("*", expr, factor)
@@ -116,10 +92,8 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
         eval_expr(a, dict(zip(space.carrier.ambient, point))) for a in alpha_exprs
     )
     n = len(alpha_exprs)
-    inner = Cube(center, INNER_HALF_WIDTH)
-    outer = Cube(center, OUTER_HALF_WIDTH)
     fresh = tuple(f"u{i + 1}" for i in range(n))
-    eta_fresh = bump(inner, outer, fresh)
+    eta_fresh = bump(center, fresh)
     eta = substitute(eta_fresh, dict(zip(fresh, alpha_exprs)))
     mus = tuple(max(abs(c + OUTER_HALF_WIDTH), abs(c - OUTER_HALF_WIDTH)) for c in center)
     gammas = tuple(
@@ -139,7 +113,7 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
     values = eval_columns(gammas + tuple(alpha_exprs), space.carrier.ambient, ambient, labels)
     gvals, alpha_vals = values[:, :n], values[:, n:]
     max_abs = np.abs(gvals).max(axis=0).tolist()
-    local = inner.contains(alpha_vals)
+    local = (np.abs(alpha_vals - center) < INNER_HALF_WIDTH).all(axis=1)
     # the witness and its rescaled form, each composed down to the ambient
     # coordinates, on the samples inside the inner cube
     checks = [

@@ -34,6 +34,7 @@ __all__ = [
     "UNARY_PRIMITIVES",
     "parse_expr",
     "eval_expr",
+    "eval_constant",
     "eval_array",
     "diff",
     "substitute",
@@ -378,6 +379,16 @@ def eval_expr(node: Expr, env: Mapping[str, float]) -> float:
             raise DomainError(f"overflow in {node.func}", node) from None
         return _check_finite(value, node) if node.func == "tan" else value
     raise ExprError(f"unknown node {node!r}")
+
+
+def eval_constant(text: str) -> float:
+    """The value of a constant expression such as ``pi/2``, which must be
+    finite.  A ParseError carries the offset of the bad token; every other
+    failure is an ExprError."""
+    value = eval_expr(parse_expr(text), {})
+    if not math.isfinite(value):
+        raise ExprError(f"value {value!r} is not finite")
+    return value
 
 
 class _Tripped(Exception):

@@ -293,7 +293,9 @@ def catalog(ground: Sequence[Hashable]) -> list[FiniteUniformity]:
     """
     ground = tuple(ground)
     models = [uniformity_from_partition(ground, p) for p in partitions(ground)]
-    models.sort(key=lambda u: (len(u.entourages), [sorted(v) for v in u.entourages]))
+    # the minimum entourage is the partition's relation, so it tells the
+    # models apart and no later entourage need be compared
+    models.sort(key=lambda u: (len(u.entourages), sorted(u.minimum)))
     return models
 
 

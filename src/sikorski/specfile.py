@@ -25,14 +25,13 @@ Every reported problem carries the file and line it came from.
 
 from __future__ import annotations
 
-import math
 import os
 import re
 import shlex
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
-from .expr import Expr, ExprError, ParseError, eval_expr, parse_expr
+from .expr import Expr, ExprError, ParseError, eval_constant, parse_expr
 from .space import (
     Carrier,
     DiffSpace,
@@ -140,14 +139,12 @@ def _parse_scoped(
 
 
 def _const(path: str, lineno: int, column: int, text: str, what: str) -> float:
-    node = _parse_scoped(path, lineno, column, text, (), what)
     try:
-        value = eval_expr(node, {})
+        return eval_constant(text)
+    except ParseError as err:
+        raise SpecError(path, lineno, f"{what}: {err}, column {column + err.offset}") from err
     except ExprError as err:
         raise SpecError(path, lineno, f"{what}: {err}") from err
-    if not math.isfinite(value):
-        raise SpecError(path, lineno, f"{what}: value {value!r} is not finite")
-    return value
 
 
 def _split_csv(text: str) -> list[str]:

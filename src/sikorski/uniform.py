@@ -231,8 +231,11 @@ def probe_cauchy(space: DiffSpace, probe: Probe, tol: float = 1e-6, tail: int = 
     cauchy: every generator coordinate stays within tol across the tail;
     the limit is the clamped coordinate-wise tail mean.  escaping: some
     coordinate's running oscillation grows strictly with every new tail
-    point and ends beyond 10*tol (monotone flight, not slow convergence).
-    Anything else is undecided.
+    point and ends beyond 10*tol.  That is monotone flight within the
+    tail, not divergence: a probe converging slowly and monotonically
+    escapes at an early stop (``3/n`` under ``f = x`` with tol 1e-6 and
+    tail 50 escapes at stop 400, is undecided at 10^4 and cauchy at
+    10^6).  Anything else is undecided.
     """
     if not (tol > 0.0):
         raise ValueError("tol must be positive")

@@ -10,6 +10,7 @@ the digit where the values are deterministic.
 import argparse
 import contextlib
 import csv
+import dataclasses
 import io
 import random
 import re
@@ -20,7 +21,7 @@ from pathlib import Path
 import pytest
 
 import sikorski
-from sikorski import cli, specfile
+from sikorski import cli, specfile, tangent
 
 SPECS = Path(sikorski.__file__).parent / "specs"
 REAL_LINE = str(SPECS / "real_line_atan.spec")
@@ -298,6 +299,14 @@ def test_unknown_family_exits_two(tmp_path):
         (["tangent", REAL_LINE, "--point", "1", "--vector", "1,0"], "--vector"),
         (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f", "--point", "1,2"], "--point"),
         (["embed", REAL_LINE, "--family", "maximal:100000"], "--family"),
+        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1e999"], "--eps-grid"),
+        (["tangent", REAL_LINE, "--point", "1e999", "--vector", "1"], "--point"),
+        (["tangent", REAL_LINE, "--point", "1", "--vector", "1e999"], "--vector"),
+        (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f", "--point", "1e999"], "--point"),
+        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps", "inf"], "--target-eps"),
+        (["complete", REAL_LINE, "--family", "g", "--tol", "inf"], "--tol"),
+        (["compactify", UNIT_INTERVAL, "--tol", "inf"], "--tol"),
+        (["check-map", REAL_LINE, "--map", "squash", "--tol", "inf"], "--tol"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
@@ -356,6 +365,76 @@ def run_in_process(argv):
     return rc, out.getvalue(), err.getvalue()
 
 
+def test_an_iota_residual_above_tolerance_exits_one(tmp_path, monkeypatch):
+    iota = cli.iota
+
+    def inflated(cs_full, cs_sub):
+        rep = iota(cs_full, cs_sub)
+        return dataclasses.replace(rep, residuals=tuple((n, 1e-3) for n, _ in rep.residuals))
+
+    monkeypatch.setattr(cli, "iota", inflated)
+    rc, out, err = run_in_process([
+        "complete", REAL_LINE, "--subfamily", "g", "--tol", "1e-3", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert err == (
+        "sikorski complete (completion): invariant violated:"
+        " extension compatibility residual 0.001 exceeds 1.0000000000000001e-09\n"
+    )
+    assert out == "complete: 0 adjoined, 0 duplicate(s)\n"
+    assert "iota residual g: 0.001" in read_report(tmp_path / "complete_report.txt")
+    assert len(read_rows(tmp_path / "complete_iota.csv")) == 1 + 2201
+
+
+def test_failed_tangent_residuals_share_one_line(tmp_path, monkeypatch):
+    monkeypatch.setattr(tangent, "leibniz_check", lambda space, v, f1, f2: 1.0)
+    rc, out, err = run_in_process([
+        "tangent", REAL_LINE, "--point", "1", "--vector", "1", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert err == (
+        "sikorski tangent (tangent): invariant violated: leibniz residual 1 for f*f;"
+        " leibniz residual 1 for f*g; leibniz residual 1 for g*g\n"
+    )
+    assert "leibniz f*g = 1" in out.splitlines()
+    rows = read_rows(tmp_path / "tangent_tangent.csv")
+    assert [row for row in rows if row[0] == "leibniz"] == [
+        ["leibniz", "f*f", "1"], ["leibniz", "f*g", "1"], ["leibniz", "g*g", "1"],
+    ]
+
+
+def test_a_filter_counterexample_exits_one(tmp_path, monkeypatch):
+    verify_filter_laws = cli.verify_filter_laws
+
+    def injected(max_size):
+        rep = verify_filter_laws(max_size)
+        bad = dataclasses.replace(rep.models[-1], failures=("injected counterexample",))
+        return dataclasses.replace(rep, models=rep.models[:-1] + (bad,))
+
+    monkeypatch.setattr(cli, "verify_filter_laws", injected)
+    rc, _, err = run_in_process(["verify-filters", "--max-size", "2", "--out", str(tmp_path)])
+    assert rc == 1
+    assert err == "sikorski verify-filters (filters): invariant violated: size 2 model 1: injected counterexample\n"
+    assert read_rows(tmp_path / "verify_filters_models.csv")[-1][-1] == "1"
+    assert (tmp_path / "verify_filters_report.txt").exists()
+
+
+def test_a_wrong_map_witness_exits_one(tmp_path):
+    text = Path(REAL_LINE).read_text(encoding="utf-8")
+    spec = tmp_path / "real_line_atan.spec"
+    spec.write_text(text.replace("witness g = 1 / (1 + u1^2) : f", "witness g = 2 / (1 + u1^2) : f"), encoding="utf-8")
+    (tmp_path / "unit_interval_compact.spec").write_text(Path(UNIT_INTERVAL).read_text(encoding="utf-8"))
+    rc, out, err = run_in_process(["check-map", str(spec), "--map", "squash", "--out", str(tmp_path)])
+    assert rc == 1
+    assert err == (
+        "sikorski check-map (space): invariant violated:"
+        " pullback witness residual 1 exceeds 9.9999999999999995e-07\n"
+    )
+    assert out == "check-map: max residual 1 (tol 9.9999999999999995e-07)\n"
+    assert read_rows(tmp_path / "check_map_map.csv") == [["generator", "max_residual"], ["g", "1"]]
+    assert "smooth within 9.9999999999999995e-07: no" in read_report(tmp_path / "check_map_report.txt")
+
+
 def test_compare_uniform_reports_pairs_examined(tmp_path):
     rc, out, _ = run_in_process([
         "compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2",
@@ -409,7 +488,7 @@ def test_atan_probes_adjoin_both_ends_at_every_count(tmp_path, samples):
         assert run_in_process(argv)[:2] == (0, f"{command}: 2 adjoined, 0 duplicate(s)\n")
 
 
-FUZZ_NUMBERS = ("0", "-1", "nan", "1e308")
+FUZZ_NUMBERS = ("0", "-1", "nan", "1e308", "1e999")
 FUZZ_VALUES = FUZZ_NUMBERS + (
     "1", "2", "3", "0.5", "1e-3", "-0", "inf", "1e-400", "", ",", "1,2", "0.1,0.01", "1,2,3",
     "x", "u1", "u1*u2", "1/0", "sqrt(-1)", "pi/2", "maximal:2", "maximal:0", "maximal:x",

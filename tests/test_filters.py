@@ -202,6 +202,16 @@ def test_catalog_has_one_model_per_partition(size, expected):
     assert len({u.entourages for u in models}) == expected
 
 
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_catalog_keeps_the_full_entourage_order(size):
+    """The catalog orders models by entourage count, then by the sorted
+    minimum entourage: the order the full sorted entourage list gives."""
+    ground = tuple(range(size))
+    models = [uniformity_from_partition(ground, p) for p in partitions(ground)]
+    full = sorted(models, key=lambda u: (len(u.entourages), [sorted(v) for v in u.entourages]))
+    assert catalog(ground) == full
+
+
 def test_convergent_filters_are_cauchy_across_the_catalog():
     ground = ("a", "b", "c")
     for u in catalog(ground):

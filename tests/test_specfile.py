@@ -106,6 +106,22 @@ def test_expression_errors_name_the_column(tmp_path):
         load_spec(write_spec(tmp_path, text))
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("domain = [0, 1]", "domain = [0, 1e999]", "3: domain endpoint: value inf is not finite"),
+        ("domain = [0, 1]", "domain = [0, 2 +]", "3: domain endpoint: unexpected end of input (offset 3), column 13"),
+        ("samples = 11", "samples = 11\ninset = 1e999", "6: inset: value inf is not finite"),
+        ("f = x", "f = x\n\n[bounded]\nf = x", "11: bound for f: unknown variable 'x' (offset 0), column 5"),
+    ],
+)
+def test_constants_are_finite_expressions(tmp_path, old, new, message):
+    path = write_spec(tmp_path, MINIMAL.replace(old, new))
+    with pytest.raises(SpecError) as info:
+        load_spec(path)
+    assert str(info.value) == f"{path}:{message}"
+
+
 def test_domain_arity_must_match_params(tmp_path):
     text = MINIMAL.replace("domain = [0, 1]", "domain = [0, 1] x [0, 2]")
     with pytest.raises(SpecError, match="interval"):

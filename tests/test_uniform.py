@@ -236,6 +236,16 @@ def test_oscillation_without_flight_is_undecided():
     assert verdict.status == "undecided"
 
 
+@pytest.mark.parametrize("stop, status", [(400, "escaping"), (10**4, "undecided"), (10**6, "cauchy")])
+def test_slow_monotone_convergence_escapes_at_an_early_stop(stop, status):
+    """`escaping` reports flight within the tail, not divergence: 3/n
+    converges to 0, yet its tail at stop 400 spans 1.05e-3 > 10 tol and
+    every step leaves the range of the steps before it."""
+    space = line_space(-1.0, 4.0, 11, [("f", "x")])
+    verdict = probe_cauchy(space, Probe("p", parse_expr("3/n", ["n"]), stop=stop), tol=1e-6, tail=50)
+    assert verdict.status == status
+
+
 def test_larger_families_dominate_smaller_ones():
     """Adding a generator can only raise the pseudometric, so a verdict of
     cauchy over the larger family carries down to the smaller one."""

@@ -3,9 +3,12 @@
 Each subcommand loads a spec file, runs one construction, and writes
 CSV artifacts plus a short text report under ``--out``.  Every CSV
 artifact goes through one writer, `_write_csv`, which owns the float
-format.  Output is deterministic: floats are printed with 17 significant
-digits, rows follow declaration or sample order, and nothing timestamps
-itself.
+format and the quoting.  Handlers hand it blocks of rows: a block's
+text cells are the same in every row and are quoted once, the way
+`csv.writer` quotes them, and its numbers come as one matrix, which is
+formatted a fixed-size slice of rows at a time.  Output is
+deterministic: floats are printed with 17 significant digits, rows
+follow declaration or sample order, and nothing timestamps itself.
 Exit status is 0 on success, 1 when a library invariant fails, and 2
 for usage or spec-file problems.  `main` alone turns a command's outcome
 into that status and its one stderr line: a handler writes its artifacts
@@ -18,11 +21,12 @@ import argparse
 import csv
 import dataclasses
 import functools
+import io
 import itertools
 import math
 import os
 import sys
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -133,14 +137,57 @@ def _artifact(args, suffix: str) -> str:
     return os.path.join(args.out, f"{label}_{suffix}")
 
 
-def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
-    """Write one CSV artifact: the header, then the rows.  A float cell is
-    written with 17 significant digits; every other cell, None (an empty
-    cell) included, the way `csv.writer` writes it."""
+class _Slot(str):
+    """A block cell that differs from row to row: a printf conversion,
+    filled from the next column of the block's values."""
+
+
+_FLOAT_SLOT = _Slot(_FLOAT)
+_INDEX_SLOT = _Slot("%d")  # an integer stored as a float, exact below 2**53
+_SLICE_ROWS = 4096  # rows formatted per write, so a block is never one whole-file string
+
+
+class _Block(NamedTuple):
+    """Rows of a CSV artifact that share their constant cells.
+
+    `cells` is the row: each `_Slot` takes the next column of `values`,
+    every other cell is written the same in every row.  `values` has one
+    row per CSV row; the default is one row with no slots."""
+
+    cells: Sequence
+    values: np.ndarray = np.empty((1, 0))
+
+
+def _cell_text(cell) -> str:
+    """A constant cell's text: None is an empty cell, a float has 17
+    significant digits, anything else is what `csv.writer` makes of it."""
+    if cell is None:
+        return ""
+    return _FLOAT % cell if isinstance(cell, float) else str(cell)
+
+
+def _row_format(cells: Sequence) -> str:
+    """One CSV row as a `%` format: the row written by `csv.writer`, with
+    every ``%`` of a constant cell doubled and each slot a bare conversion."""
+    text = [c if isinstance(c, _Slot) else _cell_text(c).replace("%", "%%") for c in cells]
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(text)
+    return buf.getvalue()
+
+
+def _write_csv(path: str, header: Sequence[str], blocks: Iterable[_Block]) -> None:
+    """Write one CSV artifact: the header, then each block's rows.
+
+    A block's row format is built once, so its text cells are quoted once
+    per block, exactly as `csv.writer` quotes them.  Its values are then
+    written `_SLICE_ROWS` rows at a time, one `%` over each slice's flat
+    values, which keeps memory flat however many rows the block has."""
     with open(path, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        writer.writerows([_FLOAT % c if isinstance(c, float) else c for c in row] for row in rows)
+        for cells, values in itertools.chain([_Block(header)], blocks):
+            row = _row_format(cells)
+            for start in range(0, len(values), _SLICE_ROWS):
+                chunk = values[start : start + _SLICE_ROWS]
+                fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
 
 
 def _write_report(path: str, lines: Sequence[str]) -> None:
@@ -149,9 +196,9 @@ def _write_report(path: str, lines: Sequence[str]) -> None:
 
 
 def _write_points(path: str, cs: CompletedSpace) -> None:
-    base = (["base", "", *row] for row in cs.base.coords.tolist())
-    adjoined = (["adjoined", a.probe, *a.coords] for a in cs.adjoined)
-    _write_csv(path, ["point_kind", "probe_name", *cs.names], itertools.chain(base, adjoined))
+    base = _Block(("base", "", *[_FLOAT_SLOT] * len(cs.names)), cs.base.coords)
+    adjoined = (_Block(("adjoined", a.probe, *a.coords)) for a in cs.adjoined)
+    _write_csv(path, ["point_kind", "probe_name", *cs.names], itertools.chain([base], adjoined))
 
 
 def _completion_lines(cs: CompletedSpace) -> list[str]:
@@ -166,9 +213,11 @@ def _completion_lines(cs: CompletedSpace) -> list[str]:
 
 
 def _write_iota(path: str, rep: IotaReport) -> None:
-    base = ([f"base:{i}", f"base:{i}", *row] for i, row in enumerate(rep.base.tolist()))
-    entries = ([e.source, e.target, *e.coords] for e in rep.entries)
-    _write_csv(path, ["source", "target", *rep.sub_names], itertools.chain(base, entries))
+    label = _Slot("base:%d")  # base point i lands on base point i
+    index = np.arange(len(rep.base), dtype=float)[:, None]
+    base = _Block((label, label, *[_FLOAT_SLOT] * len(rep.sub_names)), np.hstack([index, index, rep.base]))
+    entries = (_Block((e.source, e.target, *e.coords)) for e in rep.entries)
+    _write_csv(path, ["source", "target", *rep.sub_names], itertools.chain([base], entries))
 
 
 def cmd_embed(args) -> None:
@@ -177,8 +226,9 @@ def cmd_embed(args) -> None:
     cloud = embed(space)
     path = _artifact(args, "points.csv")
     header = ["point_index", *space.carrier.params, *cloud.names]
-    rows = enumerate(np.hstack([cloud.params, cloud.coords]).tolist())
-    _write_csv(path, header, ([i, *row] for i, row in rows))
+    index = np.arange(len(cloud.coords), dtype=float)[:, None]
+    values = np.hstack([index, cloud.params, cloud.coords])
+    _write_csv(path, header, [_Block((_INDEX_SLOT, *[_FLOAT_SLOT] * (values.shape[1] - 1)), values)])
     print(f"embed: {len(cloud.coords)} points, {len(cloud.names)} coordinates -> {path}")
 
 
@@ -242,7 +292,7 @@ def cmd_boundize(args) -> None:
     _write_csv(
         path,
         ["generator", "mu", "max_abs_gamma", "local_residual"],
-        ([name, mu, mg, bset.local_residual] for name, mu, mg in columns),
+        (_Block((name, mu, mg, bset.local_residual)) for name, mu, mg in columns),
     )
     print(
         f"boundize: {len(bset.gen_names)} generator(s) at {args.point},"
@@ -269,8 +319,8 @@ def cmd_compare_uniform(args) -> None:
         + [f"x_{p}" for p in params]
         + [f"y_{p}" for p in params],
         (
-            [row.candidate_eps, "true" if row.refines else "false", row.target, row.violated, row.d_g,
-             *(row.witness_x or blank), *(row.witness_y or blank)]
+            _Block((row.candidate_eps, "true" if row.refines else "false", row.target, row.violated, row.d_g,
+                    *(row.witness_x or blank), *(row.witness_y or blank)))
             for row in rep.rows
         ),
     )
@@ -323,7 +373,7 @@ def cmd_tangent(args) -> None:
             if residual > _RESIDUAL_SCALE * scale:
                 failures.append(f"chain rule residual {_fmt(residual)} for {gen_name}")
 
-    _write_csv(_artifact(args, "tangent.csv"), ["kind", "name", "value"], rows)
+    _write_csv(_artifact(args, "tangent.csv"), ["kind", "name", "value"], map(_Block, rows))
     for kind, name, value in rows:
         print(f"{kind} {name} = {_fmt(value)}")
     if failures:
@@ -338,7 +388,7 @@ def cmd_check_map(args) -> None:
         raise UsageError(f"--map: spec declares no map named {args.map!r}")
     loaded = spec.maps[args.map]
     rep = check_smooth_map(spec.space, loaded.witness, tol=args.tol)
-    _write_csv(_artifact(args, "map.csv"), ["generator", "max_residual"], rep.residuals)
+    _write_csv(_artifact(args, "map.csv"), ["generator", "max_residual"], map(_Block, rep.residuals))
     worst = "-" if rep.worst_point is None else "(" + ", ".join(_fmt(c) for c in rep.worst_point) + ")"
     _write_report(
         _artifact(args, "report.txt"),
@@ -361,8 +411,8 @@ def cmd_verify_filters(args) -> None:
         _artifact(args, "models.csv"),
         ["ground_size", "model_index", "entourages", "filters", "checks", "failures"],
         (
-            [m.ground_size, m.model_index, m.n_entourages, m.n_filters,
-             sum(count for _, count in m.checks), len(m.failures)]
+            _Block((m.ground_size, m.model_index, m.n_entourages, m.n_filters,
+                    sum(count for _, count in m.checks), len(m.failures)))
             for m in rep.models
         ),
     )

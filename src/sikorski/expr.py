@@ -221,10 +221,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, allowed_vars: frozenset[str]):
+    def __init__(self, text: str, allowed_vars: frozenset[str], finite_literals: bool = True):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.allowed = allowed_vars
+        self.finite_literals = finite_literals
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -297,7 +298,10 @@ class _Parser:
     def base(self) -> Expr:
         kind, value, offset = self.advance()
         if kind == "num":
-            return Const(float(value))
+            number = float(value)
+            if self.finite_literals and not math.isfinite(number):
+                raise ParseError(f"number {value} is not finite", offset)
+            return Const(number)
         if kind == "sym" and value == "(":
             node = self.expr()
             self.expect_sym(")")
@@ -321,7 +325,9 @@ class _Parser:
 
 def parse_expr(text: str, allowed_vars: Iterable[str] = ()) -> Expr:
     """Parse `text` into a tree.  Identifiers must be declared variables,
-    the constants pi/e, or a primitive applied to one argument."""
+    the constants pi/e, or a primitive applied to one argument.  A number
+    must be finite: evaluation returns a constant unchecked, so ``1e999``
+    would otherwise surface only as a non-finite value at sweep time."""
     return _Parser(text, frozenset(allowed_vars)).parse()
 
 
@@ -384,8 +390,9 @@ def eval_expr(node: Expr, env: Mapping[str, float]) -> float:
 def eval_constant(text: str) -> float:
     """The value of a constant expression such as ``pi/2``, which must be
     finite.  A ParseError carries the offset of the bad token; every other
-    failure is an ExprError."""
-    value = eval_expr(parse_expr(text), {})
+    failure is an ExprError, a non-finite number included, since the
+    value itself is checked."""
+    value = eval_expr(_Parser(text, frozenset(), finite_literals=False).parse(), {})
     if not math.isfinite(value):
         raise ExprError(f"value {value!r} is not finite")
     return value

@@ -243,16 +243,18 @@ def _parse_space(path: str, section: _Section, default_name: str) -> tuple[str, 
     lineno, value, column = values["chart"]
     ambient: list[str] = []
     chart: list[Expr] = []
-    for piece in _split_csv(value):
-        amb, colon, expr_text = piece.partition(":")
+    for match in re.finditer(r"[^,]*[^,\s][^,]*", value):  # the non-blank pieces
+        amb_text, colon, expr_text = match.group().partition(":")
         if not colon:
-            raise SpecError(path, lineno, f"chart component {piece!r} needs 'name : expression'")
-        amb = amb.strip()
+            raise SpecError(path, lineno, f"chart component {match.group().strip()!r} needs 'name : expression'")
+        amb = amb_text.strip()
         if not _NAME_RE.match(amb):
             raise SpecError(path, lineno, f"ambient name {amb!r} is not an identifier")
         ambient.append(amb)
+        # the column of this component's expression, not of the whole chart
+        expr_column = column + match.start() + len(amb_text) + 1 + len(expr_text) - len(expr_text.lstrip())
         chart.append(
-            _parse_scoped(path, lineno, column, expr_text.strip(), params, f"chart component {amb}")
+            _parse_scoped(path, lineno, expr_column, expr_text.strip(), params, f"chart component {amb}")
         )
     if not ambient:
         raise SpecError(path, lineno, "chart declares no ambient coordinates")

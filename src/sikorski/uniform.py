@@ -145,12 +145,12 @@ def compare_uniformities(
         best = [int(keys[d_g < eps].min(initial=b)) for b, eps in zip(best, eps_grid)]
 
     rows = []
-    for eps, key in zip(eps_grid, best):
+    for eps, key in zip(map(float, eps_grid), best):
         if key == unset:
             rows.append(RefinementRow(target.describe(), eps, True, None, None, None, None))
         else:
             i, j = divmod(key, n_pts)
-            d_g = max(abs(coords[i, k] - coords[j, k]) for k in g_idx)
+            d_g = float(max(abs(coords[i, k] - coords[j, k]) for k in g_idx))
             violated = next(
                 n for n, k in zip(h_names, h_idx) if abs(coords[i, k] - coords[j, k]) >= target_eps
             )

@@ -307,6 +307,7 @@ def test_unknown_family_exits_two(tmp_path):
         (["complete", REAL_LINE, "--family", "g", "--tol", "inf"], "--tol"),
         (["compactify", UNIT_INTERVAL, "--tol", "inf"], "--tol"),
         (["check-map", REAL_LINE, "--map", "squash", "--tol", "inf"], "--tol"),
+        (["boundize", REAL_LINE, "--omega", "u1 + 1e999", "--gens", "f", "--point", "0"], "--omega"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):

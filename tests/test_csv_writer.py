@@ -1,0 +1,116 @@
+"""The block CSV writer, `sikorski.cli._write_csv`, against the
+row-at-a-time reference in ``tests/csv_oracle.py``: the same rows must
+give the same bytes, for generated blocks and for the three artifacts
+whose size grows with the sample count."""
+
+import os
+import tempfile
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings, strategies as st
+
+import csv_oracle
+import sikorski
+from sikorski import cli
+from sikorski.completion import complete, iota
+from sikorski.space import embed
+from sikorski.specfile import load_spec
+
+SPECS = Path(sikorski.__file__).parent / "specs"
+LABEL = cli._Slot("base:%d")
+SLOTS = (cli._FLOAT_SLOT, cli._INDEX_SLOT, LABEL)
+
+FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308]), st.floats())
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "%", " ", "a", "é"]), max_size=5)
+CONSTANT = st.one_of(TEXT, st.none(), st.integers(), FLOATS, FLOATS.map(np.float64))
+HEADER = st.lists(TEXT, max_size=3)
+
+
+def slot_value(slot):
+    return FLOATS if slot is cli._FLOAT_SLOT else st.integers(0, 2**53).map(float)
+
+
+@st.composite
+def blocks(draw):
+    """A block as the writer takes it: cells with slots among the
+    constants, and one column of values per slot."""
+    cells = draw(st.lists(st.one_of(CONSTANT, st.sampled_from(SLOTS)), max_size=5))
+    rows = draw(st.sampled_from([0, 1, 2, 7]))
+    slots = [c for c in cells if isinstance(c, cli._Slot)]
+    columns = [draw(st.lists(slot_value(s), min_size=rows, max_size=rows)) for s in slots]
+    return cells, np.array(columns, dtype=float).T.reshape(rows, len(slots))
+
+
+def oracle_rows(cells, values):
+    """The rows of a block, one list of cells each, as the reference takes them."""
+    for row in values.tolist():
+        it = iter(row)
+        yield [
+            (next(it) if c is cli._FLOAT_SLOT else c % next(it)) if isinstance(c, cli._Slot) else c
+            for c in cells
+        ]
+
+
+def assert_same_bytes(header, block_list):
+    with tempfile.TemporaryDirectory() as tmp:
+        got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
+        cli._write_csv(got, header, [cli._Block(cells, values) for cells, values in block_list])
+        csv_oracle.write_csv(want, header, [row for block in block_list for row in oracle_rows(*block)])
+        assert Path(got).read_bytes() == Path(want).read_bytes()
+
+
+@settings(max_examples=300, deadline=None)
+@given(HEADER, st.lists(blocks(), max_size=4), st.sampled_from([1, 2, 3]))
+@example([""], [([None], np.empty((1, 0))), ([""], np.empty((2, 0)))], 1)  # a lone empty cell is quoted
+@example(["a"], [([cli._FLOAT_SLOT], np.empty((0, 1)))], 1)  # a block with no rows
+def test_block_writer_matches_the_row_writer(header, block_list, slice_rows):
+    with mock.patch.object(cli, "_SLICE_ROWS", slice_rows):  # every block of 2 or more rows spans slices
+        assert_same_bytes(header, block_list)
+
+
+def test_a_block_spans_full_size_slices():
+    rows = 2 * cli._SLICE_ROWS + 3
+    values = np.column_stack([np.arange(rows), np.linspace(-1.0, 1.0, rows) ** 3])
+    assert_same_bytes(["i", "x"], [((cli._INDEX_SLOT, "x,y", cli._FLOAT_SLOT), values)])
+
+
+def run_main(*argv):
+    assert cli.main(list(argv)) == 0
+
+
+def test_embed_writes_the_row_writers_bytes(tmp_path):
+    spec = str(SPECS / "parabola_refinement.spec")  # 22,001 samples, several slices
+    run_main("embed", spec, "--out", str(tmp_path), "--label", "e")
+    space = load_spec(spec).space
+    cloud = embed(space)
+    header = ["point_index", *space.carrier.params, *cloud.names]
+    rows = enumerate(np.hstack([cloud.params, cloud.coords]).tolist())
+    csv_oracle.write_csv(str(tmp_path / "want.csv"), header, ([i, *row] for i, row in rows))
+    assert (tmp_path / "e_points.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_points_write_the_row_writers_bytes(tmp_path):
+    spec = load_spec(str(SPECS / "real_line_atan.spec"))
+    run_main("complete", spec.path, "--family", "g", "--tol", "1e-3", "--out", str(tmp_path), "--label", "c")
+    cs = complete(spec.space.with_generators(["g"]), spec.probes, tol=1e-3, tail=50)
+    assert cs.adjoined  # both kinds of row are written
+    base = (["base", "", *row] for row in cs.base.coords.tolist())
+    adjoined = (["adjoined", a.probe, *a.coords] for a in cs.adjoined)
+    rows = [*base, *adjoined]
+    csv_oracle.write_csv(str(tmp_path / "want.csv"), ["point_kind", "probe_name", *cs.names], rows)
+    assert (tmp_path / "c_points.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+def test_iota_writes_the_row_writers_bytes(tmp_path):
+    spec = load_spec(str(SPECS / "spiral.spec"))
+    run_main("complete", spec.path, "--subfamily", "a,b", "--tol", "1e-3", "--out", str(tmp_path), "--label", "p")
+    cs = complete(spec.space, spec.probes, tol=1e-3, tail=50)
+    rep = iota(cs, complete(spec.space.with_generators(["a", "b"]), spec.probes, tol=1e-3, tail=50))
+    assert rep.entries
+    base = ([f"base:{i}", f"base:{i}", *row] for i, row in enumerate(rep.base.tolist()))
+    entries = ([e.source, e.target, *e.coords] for e in rep.entries)
+    rows = [*base, *entries]
+    csv_oracle.write_csv(str(tmp_path / "want.csv"), ["source", "target", *rep.sub_names], rows)
+    assert (tmp_path / "p_iota.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()

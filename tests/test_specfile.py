@@ -122,6 +122,35 @@ def test_constants_are_finite_expressions(tmp_path, old, new, message):
     assert str(info.value) == f"{path}:{message}"
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("f = x", "f = x + 1e999", "8: generator f: number 1e999 is not finite (offset 4), column 9"),
+        ("chart = x : t", "chart = x : t, y : 1e999 * t",
+         "4: chart component y: number 1e999 is not finite (offset 0), column 20"),
+        ("f = x", "f = x\n\n[probes]\np = 1/n + 1e999 @ 1 .. 10",
+         "11: probe p: number 1e999 is not finite (offset 6), column 11"),
+        ("f = x", "f = x\n\n[map m]\ntarget = target.spec\ncomponent x = x\nwitness f = u1 + 1e999 : f",
+         "13: witness for f: number 1e999 is not finite (offset 5), column 18"),
+    ],
+)
+def test_expression_numbers_are_finite(tmp_path, old, new, message):
+    """A number that overflows is a spec error at its line and column,
+    not a non-finite value at sweep time."""
+    write_spec(tmp_path, MINIMAL, name="target.spec")
+    path = write_spec(tmp_path, MINIMAL.replace(old, new))
+    with pytest.raises(SpecError) as info:
+        load_spec(path)
+    assert str(info.value) == f"{path}:{message}"
+
+
+def test_chart_errors_name_the_component_column(tmp_path):
+    path = write_spec(tmp_path, MINIMAL.replace("chart = x : t", "chart =  x :t ,,  y:  t +"))
+    with pytest.raises(SpecError) as info:
+        load_spec(path)
+    assert str(info.value) == f"{path}:4: chart component y: unexpected end of input (offset 3), column 26"
+
+
 def test_domain_arity_must_match_params(tmp_path):
     text = MINIMAL.replace("domain = [0, 1]", "domain = [0, 1] x [0, 2]")
     with pytest.raises(SpecError, match="interval"):

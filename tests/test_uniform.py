@@ -1,11 +1,14 @@
 import math
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, strategies as st
 
 import probe_oracle
+import sikorski
 from sikorski.expr import DomainError, Var, parse_expr
 from sikorski.space import Carrier, DiffSpace, Generator, GeneratorFamily, Interval, embed
+from sikorski.specfile import load_spec
 from sikorski.uniform import (
     CauchyVerdict,
     Entourage,
@@ -31,6 +34,7 @@ def line_space(lo, hi, count, gens, **kwargs):
     return DiffSpace(carrier, family)
 
 
+SPECS = Path(sikorski.__file__).parent / "specs"
 PARABOLA = line_space(0.0, 20.0, 401, [("f", "x"), ("g", "x^2")])
 SLAB = line_space(-1100.0, 1100.0, 221, [("f", "x"), ("a", "atan(x)")])
 
@@ -107,6 +111,16 @@ def test_witnesses_exist_for_every_scale():
         x, y = row.witness_x[0], row.witness_y[0]
         assert abs(x - y) < row.candidate_eps
         assert abs(x * x - y * y) >= 1.0
+
+
+def test_refinement_rows_carry_python_floats():
+    """An int width and a numpy gap come back as the floats the row declares."""
+    space = load_spec(str(SPECS / "parabola_refinement.spec")).space
+    report = compare_uniformities(space, ["f1"], ["f2"], [1, 0.1], 1.0)
+    assert [row.candidate_eps for row in report.rows] == [1.0, 0.1]
+    for row in report.rows:
+        assert type(row.candidate_eps) is float
+        assert type(row.d_g) is float
 
 
 def test_finer_grids_find_witnesses_at_smaller_widths():

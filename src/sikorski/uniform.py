@@ -88,7 +88,9 @@ class RefinementReport:
     h_names: tuple[str, ...]
     sample_count: int
     rows: tuple[RefinementRow, ...]
-    pairs_examined: int  # sample pairs the sweep compared on their lead G gap
+    # sample pairs whose d_G and d_H the search computed: the scan of each
+    # width's first flagged row, plus every pair of the offset sweep
+    pairs_examined: int
 
     def all_refine(self) -> bool:
         return all(row.refines for row in self.rows)
@@ -106,8 +108,9 @@ def compare_uniformities(
 
     Verdicts are relative to the sampled cloud: a witness is a genuine
     counterexample pair, while "refines" says no sampled pair violates the
-    target.  The search is exhaustive over sampled pairs.  The first witness
-    in lexicographic sample order wins, which keeps reports reproducible.
+    target.  The search is exhaustive over sampled pairs: every pair it
+    does not compute is excluded by an exact bound.  The first witness in
+    lexicographic sample order wins, which keeps reports reproducible.
     """
     g_names = tuple(g_names)
     h_names = tuple(h_names)
@@ -123,33 +126,38 @@ def compare_uniformities(
     h_idx = [all_names.index(n) for n in h_names]
     target = Entourage(h_names, target_eps)
 
-    # fixed-radius near neighbours (Bentley, Stanat & Williams 1977): in rows
-    # sorted on the lead G coordinate, the lead gap between rows k apart
-    # never shrinks as k grows and d_G is at least that gap, so the sweep
-    # ends at the first offset k where no lead gap is below the widest width
+    # fixed-radius near neighbours (Bentley, Stanat & Williams 1977) in rows
+    # sorted on the lead G coordinate: a row's partners whose lead gap is
+    # below eps form one contiguous range, and d_G is at least that gap.
+    # Step 1 flags each row whose range holds a partner at d_H >= target,
+    # from range maxima and minima of each H column; every row with a
+    # witness is flagged, and with one G coordinate only those are.  Step 2
+    # scans the range of the flagged row with the smallest sample index.
+    # The witness relation is symmetric, so a hit there is the first
+    # witness in lexicographic order.  A miss (possible only when G has
+    # more coordinates) leaves the width to the offset sweep.
     order = np.argsort(coords[:, g_idx[0]], kind="stable")
-    g_rows, h_rows = coords[order][:, g_idx], coords[order][:, h_idx]
-    widest = max(eps_grid, default=0.0)
-    unset = n_pts * n_pts  # the witness (i, j) is kept as the key i * n_pts + j
-    best = [unset] * len(eps_grid)
-    examined = 0
-    for k in range(1, n_pts):
-        examined += n_pts - k
-        if not (g_rows[k:, 0] - g_rows[:-k, 0] < widest).any():
-            break
-        d_g = np.abs(g_rows[k:] - g_rows[:-k]).max(axis=1)
-        d_h = np.abs(h_rows[k:] - h_rows[:-k]).max(axis=1)
-        p = np.flatnonzero((d_g < widest) & (d_h >= target_eps))
-        i, j, d_g = order[p], order[p + k], d_g[p]
-        keys = np.minimum(i, j) * n_pts + np.maximum(i, j)
-        best = [int(keys[d_g < eps].min(initial=b)) for b, eps in zip(best, eps_grid)]
+    g_cols = [coords[order, k] for k in g_idx]
+    h_cols = [coords[order, k] for k in h_idx]
+    witnesses, examined, unconfirmed = [], 0, []
+    for w, eps in enumerate(eps_grid):
+        flagged, witness, scanned = _range_search(order, g_cols, h_cols, eps, target_eps)
+        witnesses.append(witness)
+        examined += scanned
+        if flagged and witness is None:
+            unconfirmed.append(w)
+    if unconfirmed:
+        swept, scanned = _offset_sweep(order, g_cols, h_cols, [eps_grid[w] for w in unconfirmed], target_eps)
+        for w, witness in zip(unconfirmed, swept):
+            witnesses[w] = witness
+        examined += scanned
 
     rows = []
-    for eps, key in zip(map(float, eps_grid), best):
-        if key == unset:
+    for eps, witness in zip(map(float, eps_grid), witnesses):
+        if witness is None:
             rows.append(RefinementRow(target.describe(), eps, True, None, None, None, None))
         else:
-            i, j = divmod(key, n_pts)
+            i, j = witness
             d_g = float(max(abs(coords[i, k] - coords[j, k]) for k in g_idx))
             violated = next(
                 n for n, k in zip(h_names, h_idx) if abs(coords[i, k] - coords[j, k]) >= target_eps
@@ -157,6 +165,116 @@ def compare_uniformities(
             x, y = (tuple(cloud.ambient[k].tolist()) for k in (i, j))
             rows.append(RefinementRow(target.describe(), eps, False, x, y, d_g, violated))
     return RefinementReport(g_names, h_names, n_pts, tuple(rows), examined)
+
+
+def _upper_edges(lead: np.ndarray, eps: float) -> np.ndarray:
+    """For each row r of the ascending `lead`, one past the last row j with
+    fl(lead[j] - lead[r]) < eps.  Rounding is monotone, so the test holds
+    on a prefix of the rows."""
+    n_pts = lead.size
+    hi = np.searchsorted(lead, lead + eps, side="left")
+    # lead + eps is rounded, so the edge can sit a few values off: move it
+    # over a whole run of equal values per round, up and then down
+    rows = np.flatnonzero(hi < n_pts)
+    while rows.size:
+        rows = rows[lead[hi[rows]] - lead[rows] < eps]
+        hi[rows] = np.searchsorted(lead, lead[hi[rows]], side="right")
+        rows = rows[hi[rows] < n_pts]
+    rows = np.flatnonzero(lead[hi - 1] - lead >= eps)
+    while rows.size:
+        hi[rows] = np.searchsorted(lead, lead[hi[rows] - 1], side="left")
+        rows = rows[lead[hi[rows] - 1] - lead[rows] >= eps]
+    return hi
+
+
+def _flag_rows(lo: np.ndarray, length: np.ndarray, h_cols: list[np.ndarray], target_eps: float) -> np.ndarray:
+    """flag[r]: some row of the range lo[r] .. lo[r] + length[r] - 1 is at
+    least `target_eps` from row r in some H column.
+
+    fl(h_j - h_r) is monotone in h_j, so the range maximum m gives
+    fl(m - h_r) >= target exactly when some partner does; the minimum is
+    the maximum of -h.  The maxima are a sparse table (Bender &
+    Farach-Colton 2000) built one doubling level at a time: at level k,
+    ext[i] = max(h[i:i + 2^k]), and the rows whose range length lies in
+    [2^k, 2^(k+1)) read it at both ends of their range.
+    """
+    flag = np.zeros(lo.size, dtype=bool)
+    levels = int(length.max(initial=0)).bit_length()
+    for col in h_cols:
+        for sign in (1.0, -1.0):
+            ext = sign * col
+            for k in range(1, levels):  # a range of length 1 holds only its own row
+                half = 1 << (k - 1)
+                np.maximum(ext[:-half], ext[half:], out=ext[:-half])
+                rows = np.flatnonzero((length >> k) == 1)
+                own = sign * col[rows]
+                at = lo[rows]
+                hit = ext[at] - own >= target_eps
+                at += length[rows] - 2 * half
+                hit |= ext[at] - own >= target_eps
+                flag[rows] |= hit
+    return flag
+
+
+def _range_search(
+    order: np.ndarray,
+    g_cols: list[np.ndarray],
+    h_cols: list[np.ndarray],
+    eps: float,
+    target_eps: float,
+) -> tuple[bool, tuple[int, int] | None, int]:
+    """Steps 1 and 2 at one width: whether any row is flagged, the first
+    witness (i, j) if the first flagged row has one, and the pairs scanned."""
+    # the rows j with |fl(lead[j] - lead[r])| < eps: fl(-a - -b) is
+    # fl(b - a), so the lower edges are the upper edges of -lead reversed
+    lead = g_cols[0]
+    lo = lead.size - _upper_edges(-lead[::-1], eps)[::-1]
+    length = _upper_edges(lead, eps)
+    length -= lo
+    flagged = np.flatnonzero(_flag_rows(lo, length, h_cols, target_eps))
+    if not flagged.size:
+        return False, None, 0
+    p = flagged[np.argmin(order[flagged])]
+    partners = np.r_[lo[p]:p, p + 1 : lo[p] + length[p]]
+    d_g = np.max([np.abs(col[partners] - col[p]) for col in g_cols], axis=0)
+    d_h = np.max([np.abs(col[partners] - col[p]) for col in h_cols], axis=0)
+    hits = order[partners[(d_g < eps) & (d_h >= target_eps)]]
+    witness = (int(order[p]), int(hits.min())) if hits.size else None
+    return True, witness, partners.size
+
+
+def _offset_sweep(
+    order: np.ndarray,
+    g_cols: list[np.ndarray],
+    h_cols: list[np.ndarray],
+    widths: list[float],
+    target_eps: float,
+) -> tuple[list[tuple[int, int] | None], int]:
+    """The first witness at each width by comparing rows k apart in lead
+    order, k = 1, 2, ...; and the pairs whose gaps it computed.  The lead
+    gap between rows k apart never shrinks as k grows, so the sweep ends
+    at the first offset where no lead gap is below the widest width."""
+    n_pts = order.size
+    lead = g_cols[0]
+    widest = max(widths)
+    unset = n_pts * n_pts  # the witness (i, j) is kept as the key i * n_pts + j
+    best = [unset] * len(widths)
+    examined = 0
+    for k in range(1, n_pts):
+        d_g = lead[k:] - lead[:-k]  # never negative: the rows are sorted on it
+        if not (d_g < widest).any():
+            break
+        examined += n_pts - k
+        for col in g_cols[1:]:
+            np.maximum(d_g, np.abs(col[k:] - col[:-k]), out=d_g)
+        d_h = np.abs(h_cols[0][k:] - h_cols[0][:-k])
+        for col in h_cols[1:]:
+            np.maximum(d_h, np.abs(col[k:] - col[:-k]), out=d_h)
+        p = np.flatnonzero((d_g < widest) & (d_h >= target_eps))
+        i, j, d_g = order[p], order[p + k], d_g[p]
+        keys = np.minimum(i, j) * n_pts + np.maximum(i, j)
+        best = [int(keys[d_g < eps].min(initial=b)) for b, eps in zip(best, widths)]
+    return [None if key == unset else divmod(key, n_pts) for key in best], examined
 
 
 @dataclass(frozen=True)

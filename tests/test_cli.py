@@ -442,9 +442,12 @@ def test_compare_uniform_reports_pairs_examined(tmp_path):
         "--target-eps", "1", "--eps-grid", "1,0.1,0.01", "--out", str(tmp_path),
     ])
     assert rc == 0
-    # rows k apart are about 0.005 * k apart on f1, so the sweep reads
-    # offsets 1..201: some gaps at offset 200 round to just below the width 1
-    pairs = sum(22001 - k for k in range(1, 202))
+    # samples are 0.005 apart on f1, and only each width's first flagged
+    # row is scanned: width 1, row 2 (x = 0.01) with rows 0..201 (x = 1.01
+    # is a gap of 1.0); width 0.1, row 991 with the 20 rows on either side
+    # (gaps of 0.09999999999999964); width 0.01, row 9999 with rows 9998,
+    # 10000 and 10001 (49.995 - 49.985 rounds to 0.010000000000005116)
+    pairs = 201 + 40 + 3
     assert out == (
         f"compare-uniform: 3 of 3 widths produced a witness, {pairs} pairs examined"
         f" -> {tmp_path / 'compare_uniform_refinement.csv'}\n"

@@ -1,6 +1,7 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -291,14 +292,64 @@ def test_nonmonotone_family_witness_far_apart_in_sample_order():
 
 
 def test_pairs_examined_counts_the_sweep():
-    """On the half-integer grid of [0, 10], rows k apart differ by k / 2 on
-    f: the sweep compares offset 1 (gap 0.5, below the width 1) and offset
-    2 (gap 1, not below it) and stops there."""
+    """On the half-integer grid of [0, 10], a row's partners within lead
+    gap 1 are its two neighbours, at gap 0.5.  Width 1: x^2 grows by
+    0.5 * (x + y) between neighbours x and y, which first reaches 1 from
+    the row at 1.0 (index 2) to 1.5, so row 2 is the first flagged row and
+    its scan computes its 2 partners.  Width 0.25 holds no partner, so no
+    row is flagged and nothing is computed; neither is an empty grid."""
     space = line_space(0.0, 10.0, 21, [("f", "x"), ("g", "x^2")])
     report = compare_uniformities(space, ["f"], ["g"], [1.0, 0.25], target_eps=1.0)
-    assert report.pairs_examined == 20 + 19
+    assert report.pairs_examined == 2
     assert [row.refines for row in report.rows] == [False, True]
-    assert compare_uniformities(space, ["f"], ["g"], [], target_eps=1.0).pairs_examined == 20
+    assert (report.rows[0].witness_x, report.rows[0].witness_y) == ((1.0,), (1.5,))
+    assert compare_uniformities(space, ["f"], ["g"], [], target_eps=1.0).pairs_examined == 0
+
+
+def plane_space(s_count, t_count, gens):
+    """The integer grid 0..s_count-1 by 0..t_count-1 as (x, y), row-major:
+    sample s * t_count + t is the point (s, t)."""
+    carrier = Carrier(
+        params=("s", "t"),
+        box=(Interval(0.0, s_count - 1.0), Interval(0.0, t_count - 1.0)),
+        ambient=("x", "y"),
+        chart=(Var("s"), Var("t")),
+        counts=(s_count, t_count),
+        inset=0.0,
+    )
+    family = GeneratorFamily(tuple(Generator(n, parse_expr(e, ["x", "y"])) for n, e in gens))
+    return DiffSpace(carrier, family)
+
+
+def test_a_loose_flag_falls_back_to_the_sweep():
+    """With G = (x/4, y*(x-3)) and H = y at width 0.5, the lead range of
+    (0, 0) holds (0, 1), whose H gap 1 flags it, but there b differs by 3:
+    the first flagged row is no witness.  Its scan computes the 3 other
+    rows with x in {0, 1}.  The offset sweep then finds (2, 0)-(3, 1), where
+    b is 0 at both ends, and compares rows 1, 2 and 3 apart (9 + 8 + 7
+    pairs); rows 4 apart are 2 apart in x, a lead gap of 0.5, so it stops."""
+    space = plane_space(5, 2, [("a", "x/4"), ("b", "y*(x-3)"), ("c", "y")])
+    report = compare_uniformities(space, ["a", "b"], ["c"], [0.5], target_eps=1.0)
+    row = report.rows[0]
+    assert (row.witness_x, row.witness_y) == ((2.0, 0.0), (3.0, 1.0))
+    assert (row.d_g, row.violated) == (0.25, "c")
+    assert report.pairs_examined == 3 + 9 + 8 + 7
+
+
+def test_scaled_parabola_never_reaches_the_sweep():
+    """At 220,001 samples of [0, 110] (spacing 0.0005) each width's first
+    flagged row is a witness, so only its range is scanned: about
+    1 / 0.0005 partners at width 1 (row 2 has none below it), and
+    2 * 0.1 / 0.0005 and 2 * 0.01 / 0.0005 at the others, some 2,400 pairs
+    where the offset sweep computed 4.4e8."""
+    space = line_space(0.0, 110.0, 220001, [("f", "x"), ("g", "x^2")])
+    ambient = embed(space).ambient
+    report = compare_uniformities(space, ["f"], ["g"], [1, 0.1, 0.01], target_eps=1.0)
+    expected = [(2, 2001), (9902, 10102), (99990, 100010)]
+    assert [(row.witness_x, row.witness_y) for row in report.rows] == [
+        (tuple(ambient[i]), tuple(ambient[j])) for i, j in expected
+    ]
+    assert report.pairs_examined < 10_000
 
 
 def _brute_force_witness(space, g_names, h_names, eps, target_eps):
@@ -342,6 +393,69 @@ def test_sweep_matches_a_brute_force_scan(count, lo, step, exprs, g_names, h_nam
         assert row.refines == (expected is None)
         if expected is not None:
             assert (row.witness_x, row.witness_y) == expected
+
+
+def _all_pairs_witness(space, g_names, h_names, eps, target_eps):
+    """The first pair (i, j), i < j, in lexicographic order with d_G < eps
+    and d_H >= target_eps, from the gaps of every pair at once, with the
+    count of other samples whose d_G from i is below eps."""
+    names = space.family.names
+    coords = embed(space).coords
+    gaps = np.abs(coords[None, :, :] - coords[:, None, :])
+    d_g = gaps[:, :, [names.index(n) for n in g_names]].max(axis=2)
+    d_h = gaps[:, :, [names.index(n) for n in h_names]].max(axis=2)
+    i, j = np.nonzero(np.triu((d_g < eps) & (d_h >= target_eps), 1))
+    if not i.size:
+        return None
+    return int(i[0]), int(j[0]), int(np.count_nonzero(d_g[i[0]] < eps)) - 1
+
+
+# on integer grids, x/10 puts lead gaps such as 0.30000000000000004 and
+# 0.29999999999999993 next to the width 0.3; generators free of y repeat
+# each lead value t_count times, so runs of equal lead values sit at the
+# range edges
+_PLANE_GENERATORS = st.sampled_from(
+    ["x/10", "(x + y)/10", "y/10", "x", "y", "x*y/10", "abs(x - 3)/10", "x^2/10", "y*(x - 3)", "(x - y)^2/10", "1"]
+)
+
+
+@given(
+    s_count=st.integers(1, 60),
+    t_count=st.integers(1, 5),
+    exprs=st.lists(_PLANE_GENERATORS, min_size=3, max_size=3),
+    g_names=st.sampled_from([["a"], ["b"], ["a", "b"], ["b", "a"], ["a", "c"]]),
+    h_names=st.sampled_from([["c"], ["b"], ["b", "c"]]),
+    eps_grid=st.lists(
+        st.sampled_from([0.1, 0.2, 0.3, 0.30000000000000004, 0.5, 1.0, 2.5]), min_size=1, max_size=4
+    ),
+    target_eps=st.sampled_from([0.1, 0.2, 0.3, 0.5, 1.0, 3.0]),
+)
+@example(5, 2, ["x/4", "y*(x-3)", "y"], ["a", "b"], ["c"], [0.5, 0.3], 1.0)  # the sweep decides
+@example(5, 2, ["x/4", "y*(x-3)", "y"], ["a", "b"], ["b", "c"], [0.5], 1.0)  # on the second H column
+@example(40, 3, ["x/10", "x^2/10", "y"], ["a"], ["b"], [0.3, 0.2, 0.30000000000000004], 0.5)
+@example(60, 5, ["x/10", "y*(x - 3)", "y"], ["a", "b"], ["c"], [0.2, 0.1], 1.0)  # 300 samples
+@example(3, 2, ["x/10", "x", "y"], ["a"], ["c"], [0.2], 1.0)  # every witness sits exactly at the target
+# 0.6 - 0.5 rounds to 0.09999999999999998, so a lead range found from
+# lead - eps alone would put 0.1 in the range of 0.6, a G gap of 0.5
+@example(8, 1, ["x/10", "x/10", "y"], ["a"], ["b"], [0.5], 0.5)
+def test_range_search_matches_all_pairs(s_count, t_count, exprs, g_names, h_names, eps_grid, target_eps):
+    """On clouds of up to 300 samples the search agrees with a comparison
+    of every pair on each width's verdict and witness.  With one G
+    coordinate the flags are exact, so the search computes only the pairs
+    of each witness row i with the samples within the width of it."""
+    space = plane_space(s_count, t_count, list(zip("abc", exprs)))
+    ambient = embed(space).ambient
+    report = compare_uniformities(space, g_names, h_names, eps_grid, target_eps)
+    scanned = 0
+    for eps, row in zip(eps_grid, report.rows):
+        expected = _all_pairs_witness(space, g_names, h_names, eps, target_eps)
+        assert row.refines == (expected is None)
+        if expected is not None:
+            i, j, close = expected
+            assert (row.witness_x, row.witness_y) == (tuple(ambient[i]), tuple(ambient[j]))
+            scanned += close
+    if len(g_names) == 1:
+        assert report.pairs_examined == scanned
 
 
 _GENERATORS = [("f", "x"), ("a", "atan(x)"), ("s", "sin(x)"), ("q", "x^2/1000"), ("r", "1/x")]

@@ -8,9 +8,8 @@ Ground sets are tiny (size <= 5), so the point is certainty, not scale.
 The public API works on frozensets.  The sweep behind
 ``verify_filter_laws`` works on integer bitsets instead (subsets, filters
 and entourages as masks, see ``_BitsetModel``): it visits the same pairs
-and triples and checks the same laws, evaluating each predicate once per
-distinct family of a model.  The frozenset form of the sweep is kept in
-the tests as the reference it is compared against.
+and triples and checks the same laws, each law once.  The frozenset form
+of the sweep is kept in the tests as the reference it is compared against.
 """
 
 from __future__ import annotations
@@ -448,8 +447,10 @@ class _BitsetModel:
     holding that pair; ``balls[x]`` is the family of entourage balls around
     ``ground[x]``.  The predicates keep their quantifiers: "for every
     entourage there is a member (pair) small of that order" is the union of
-    the members' cover sets compared with the set of all entourages.  Each
-    predicate is evaluated once per distinct family and then looked up.
+    the members' cover sets compared with the set of all entourages.  The
+    filter axioms, the Cauchy predicate and a filter's reach table are
+    evaluated once per distinct family and then looked up; ``related`` reads
+    the second filter's reach table.
     """
 
     def __init__(self, u: FiniteUniformity):
@@ -488,7 +489,6 @@ class _BitsetModel:
         self.axioms = _Memo(self._axioms)
         self.cauchy = _Memo(self._cauchy)
         self._reach = _Memo(self._reach_of)
-        self._related: dict[tuple[int, int], bool] = {}
 
     def family(self, sets: Iterable[frozenset]) -> int:
         bit = {x: 1 << i for i, x in enumerate(self.ground)}
@@ -545,39 +545,18 @@ class _BitsetModel:
     def related(self, f1: int, f2: int) -> bool:
         """For every entourage there are members a of f1 and b of f2 with
         a x b inside it."""
-        key = (f1, f2)
-        hit = self._related.get(key)
-        if hit is None:
-            reach = self._reach[f2]
-            small = 0
-            for a in self.members[f1]:
-                small |= reach[a]
-            hit = self._related[key] = small == self.every_entourage
-        return hit
-
-    def minimal_cauchy(self, f: int, families: Sequence[int]) -> int:
-        """``minimal_cauchy`` on bitsets, raising where it raises."""
-        if not self.cauchy[f]:
-            raise ValueError("minimal_cauchy needs a Cauchy filter")
-        cls = [g for g in families if self.cauchy[g] and self.related(g, f)]
-        if not cls:
-            raise ValueError("need at least one filter")
-        out = reduce(operator.and_, cls)
-        err = self.axioms[out]
-        if err:
-            raise ValueError(err)
-        if not self.cauchy[out]:
-            raise ValueError("intersection of the R-class failed to be Cauchy")
-        if any(out & ~g for g in cls):
-            raise ValueError("minimal Cauchy filter is not below a class member")
-        return out
+        reach = self._reach[f2]
+        small = 0
+        for a in self.members[f1]:
+            small |= reach[a]
+        return small == self.every_entourage
 
 
 def _check_model(size: int, index: int, u: FiniteUniformity, fs: list[FiniteFilter]) -> ModelReport:
     """Check every law on one model, visiting every pair and triple of
-    filters the laws quantify over.  A failed law, an intersection that
-    breaks the filter axioms and a ``minimal_cauchy`` that would raise are
-    all recorded as failures; the first eight are kept."""
+    filters the laws quantify over.  A failed law and an intersection that
+    breaks the filter axioms are both recorded as failures; the first eight
+    are kept."""
     bm = _BitsetModel(u)
     masks = [bm.family(f.sets) for f in fs]
     nf = len(masks)
@@ -676,13 +655,6 @@ def _check_model(size: int, index: int, u: FiniteUniformity, fs: list[FiniteFilt
         for g in cls:
             if minimal & ~g:
                 fail(f"class intersection of {label(f)} not below {label(g)}")
-        try:
-            canonical = bm.minimal_cauchy(f, masks)
-        except ValueError as err:
-            fail(f"minimal_cauchy fails at {label(f)}: {err}")
-        else:
-            if minimal != canonical:
-                fail(f"minimal_cauchy disagrees with the class intersection at {label(f)}")
         # cross-check: the up-set of the union of class cores
         union_core = reduce(operator.or_, (bm.core(g) for g in cls))
         if minimal != bm.up[union_core]:

@@ -58,14 +58,17 @@ def apply(space: DiffSpace, v: TangentVector, f: SmoothFunction) -> float:
     return _directional(compose_ambient(space, f), space.carrier.ambient, v)
 
 
-def leibniz_check(space: DiffSpace, v: TangentVector, f: SmoothFunction, g: SmoothFunction) -> float:
-    """|v(fg) - f(m) v(g) - g(m) v(f)|; zero up to float summation order."""
+def leibniz_check(
+    space: DiffSpace, v: TangentVector, f: SmoothFunction, g: SmoothFunction
+) -> tuple[float, float]:
+    """The residual |v(fg) - f(m) v(g) - g(m) v(f)|, zero up to float
+    summation order, and the scale 1 + |f(m) v(g)| + |g(m) v(f)| it is
+    judged against."""
     fg = product_witness(f, g)
     lhs = apply(space, v, fg)
-    fm = eval_smooth(space, f, v.point)
-    gm = eval_smooth(space, g, v.point)
-    rhs = fm * apply(space, v, g) + gm * apply(space, v, f)
-    return abs(lhs - rhs)
+    fvg = eval_smooth(space, f, v.point) * apply(space, v, g)
+    gvf = eval_smooth(space, g, v.point) * apply(space, v, f)
+    return abs(lhs - (fvg + gvf)), 1.0 + abs(fvg) + abs(gvf)
 
 
 def tangent_map(source: DiffSpace, witness: SmoothMapWitness, v: TangentVector) -> TangentVector:
@@ -80,8 +83,9 @@ def tangent_map(source: DiffSpace, witness: SmoothMapWitness, v: TangentVector) 
 
 def chain_rule_check(
     source: DiffSpace, witness: SmoothMapWitness, v: TangentVector, beta: SmoothFunction
-) -> float:
-    """|d beta(TF(v)) - d(beta o F)(v)| for a target function beta.
+) -> tuple[float, float]:
+    """The residual |d beta(TF(v)) - d(beta o F)(v)| for a target function
+    beta, and the scale 1 + |d beta(TF(v))| it is judged against.
 
     The composite side substitutes the map components into beta's ambient
     expression, so both sides are symbolic derivatives of the same data.
@@ -93,4 +97,4 @@ def chain_rule_check(
         beta_ambient, dict(zip(witness.target.carrier.ambient, witness.components))
     )
     rhs = _directional(composed, source.carrier.ambient, v)
-    return abs(lhs - rhs)
+    return abs(lhs - rhs), 1.0 + abs(lhs)

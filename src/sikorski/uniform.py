@@ -76,6 +76,7 @@ class RefinementRow:
     target: str
     candidate_eps: float
     refines: bool
+    # the witness samples' parameter values, as the refinement.csv header names them
     witness_x: tuple[float, ...] | None
     witness_y: tuple[float, ...] | None
     d_g: float | None
@@ -162,7 +163,7 @@ def compare_uniformities(
             violated = next(
                 n for n, k in zip(h_names, h_idx) if abs(coords[i, k] - coords[j, k]) >= target_eps
             )
-            x, y = (tuple(cloud.ambient[k].tolist()) for k in (i, j))
+            x, y = (tuple(cloud.params[k].tolist()) for k in (i, j))
             rows.append(RefinementRow(target.describe(), eps, False, x, y, d_g, violated))
     return RefinementReport(g_names, h_names, n_pts, tuple(rows), examined)
 
@@ -293,6 +294,9 @@ class Probe:
             raise ValueError(f"probe {self.name} may only use n, found {sorted(extra)}")
         if self.start > self.stop:
             raise ValueError(f"probe {self.name} has an empty schedule")
+        # one index is a single point, which no tail can judge Cauchy
+        if self.start == self.stop:
+            raise ValueError(f"probe {self.name} needs at least two schedule indices, got {self.start} .. {self.stop}")
 
 
 @dataclass(frozen=True)

@@ -12,6 +12,7 @@ import contextlib
 import csv
 import dataclasses
 import io
+import math
 import random
 import re
 import subprocess
@@ -22,6 +23,7 @@ import pytest
 
 import sikorski
 from sikorski import cli, specfile, tangent
+from sikorski.space import embed
 
 SPECS = Path(sikorski.__file__).parent / "specs"
 REAL_LINE = str(SPECS / "real_line_atan.spec")
@@ -308,6 +310,8 @@ def test_unknown_family_exits_two(tmp_path):
         (["compactify", UNIT_INTERVAL, "--tol", "inf"], "--tol"),
         (["check-map", REAL_LINE, "--map", "squash", "--tol", "inf"], "--tol"),
         (["boundize", REAL_LINE, "--omega", "u1 + 1e999", "--gens", "f", "--point", "0"], "--omega"),
+        (["complete", REAL_LINE, "--family", "g", "--probes", "pplus,pplus"], "--probes"),
+        (["compactify", REAL_LINE, "--family", "g", "--probes", "pplus,pminus,pplus"], "--probes"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
@@ -388,7 +392,7 @@ def test_an_iota_residual_above_tolerance_exits_one(tmp_path, monkeypatch):
 
 
 def test_failed_tangent_residuals_share_one_line(tmp_path, monkeypatch):
-    monkeypatch.setattr(tangent, "leibniz_check", lambda space, v, f1, f2: 1.0)
+    monkeypatch.setattr(tangent, "leibniz_check", lambda space, v, f1, f2: (1.0, 1.0))
     rc, out, err = run_in_process([
         "tangent", REAL_LINE, "--point", "1", "--vector", "1", "--out", str(tmp_path),
     ])
@@ -466,6 +470,31 @@ def test_compare_uniform_writes_refines_rows(tmp_path):
         '1,true,"V(f1,f2;1.0)",,,,\n'
         '0.5,true,"V(f1,f2;1.0)",,,,\n'
     )
+
+
+def test_compare_uniform_witness_cells_are_parameter_values(tmp_path):
+    """On the unit circle the ambient point has two coordinates and the
+    parameter one: every row has the header's width, and the witness cells
+    are the sampled t of a pair that is G-close and H-far."""
+    spec = tmp_path / "circle.spec"
+    spec.write_text(
+        "[space]\nparams = t\ndomain = (0, 6)\nchart = x : cos(t), y : sin(t)\nsamples = 61\n\n"
+        "[generators]\nf = x\ng = y\nh = 5*x*y\n"
+    )
+    rc, _, err = run_in_process([
+        "compare-uniform", str(spec), "--g-family", "f,g", "--h-family", "h",
+        "--eps-grid", "1,0.01", "--out", str(tmp_path),
+    ])
+    assert rc == 0, err
+    header, witness, refines = read_rows(tmp_path / "compare_uniform_refinement.csv")
+    assert header == ["candidate_eps", "refines", "target", "violated", "d_g", "x_t", "y_t"]
+    assert len(witness) == len(refines) == len(header)
+    assert witness[1] == "false" and refines[1] == "true"
+    s, t = map(float, witness[5:])
+    assert max(abs(math.cos(s) - math.cos(t)), abs(math.sin(s) - math.sin(t))) < 1.0
+    assert abs(5 * math.cos(s) * math.sin(s) - 5 * math.cos(t) * math.sin(t)) >= 1.0
+    sampled = embed(specfile.load_spec(spec).space).params[:, 0].tolist()
+    assert s in sampled and t in sampled
 
 
 def test_an_inset_that_empties_an_axis_exits_two(tmp_path):

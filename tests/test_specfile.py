@@ -195,6 +195,13 @@ def test_bad_probe_schedule(tmp_path):
         load_spec(write_spec(tmp_path, text))
 
 
+def test_a_one_index_probe_schedule_is_a_spec_error(tmp_path):
+    path = write_spec(tmp_path, MINIMAL + "\n[probes]\nq = 1/n @ 1 .. 100\np = 1/n @ 5 .. 5\n")
+    with pytest.raises(SpecError) as err:
+        load_spec(path)
+    assert str(err.value) == f"{path}:12: probe p: probe p needs at least two schedule indices, got 5 .. 5"
+
+
 def test_probe_defaults_without_schedule(tmp_path):
     text = MINIMAL + "\n[probes]\np = 1/n\n"
     spec = load_spec(write_spec(tmp_path, text))

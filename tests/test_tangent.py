@@ -106,7 +106,7 @@ def test_differential_of_constants_and_coordinates():
 def test_product_rule_on_the_square():
     v = TangentVector((2.0,), (1.0,))
     ident = SmoothFunction.of_generator("f")
-    assert leibniz_check(LINE, v, ident, ident) == 0.0
+    assert leibniz_check(LINE, v, ident, ident)[0] == 0.0
     # v(x * x) = 4 decomposes as 2 + 2
     assert apply(LINE, v, SmoothFunction(parse_expr("u1 * u2", ["u1", "u2"]), ("u1", "u2"), ("f", "f"))) == 4.0
 
@@ -115,7 +115,7 @@ def test_product_rule_with_a_constant_factor():
     v = TangentVector((1.5,), (1.0,))
     const = SmoothFunction(parse_expr("3.0"), (), ())
     ident = SmoothFunction.of_generator("f")
-    assert leibniz_check(LINE, v, const, ident) == 0.0
+    assert leibniz_check(LINE, v, const, ident)[0] == 0.0
 
 
 def test_product_rule_residuals_stay_at_rounding_scale():
@@ -130,7 +130,7 @@ def test_product_rule_residuals_stay_at_rounding_scale():
             gm = eval_smooth(PLANE, g, v.point)
             vf = apply(PLANE, v, f)
             vg = apply(PLANE, v, g)
-            residual = leibniz_check(PLANE, v, f, g)
+            residual, _ = leibniz_check(PLANE, v, f, g)
         except Exception:
             continue
         if not finite_small(fm, gm, vf, vg):
@@ -198,21 +198,30 @@ def test_chain_rule_on_the_first_projection():
     v = TangentVector((3.0, 4.0), (1.0, 0.0))
     beta = SmoothFunction.of_generator("p")
     assert apply(w.target, tangent_map(PLANE, w, v), beta) == 6.0
-    assert chain_rule_check(PLANE, w, v, beta) == 0.0
+    assert chain_rule_check(PLANE, w, v, beta)[0] == 0.0
 
 
 def test_chain_rule_degenerate_cases():
     w = square_first_map()
     v = TangentVector((3.0, 4.0), (1.0, 2.0))
     const = SmoothFunction(parse_expr("7.0"), (), ())
-    assert chain_rule_check(PLANE, w, v, const) == 0.0
+    assert chain_rule_check(PLANE, w, v, const)[0] == 0.0
     ident = SmoothMapWitness(
         target=PLANE,
         components=(Var("x"), Var("y")),
         witnesses={n: SmoothFunction.of_generator(n) for n in PLANE.family.names},
     )
     beta = SmoothFunction.of_generator("h")
-    assert chain_rule_check(PLANE, ident, v, beta) == 0.0
+    assert chain_rule_check(PLANE, ident, v, beta)[0] == 0.0
+
+
+def test_checks_return_the_scale_they_are_judged_by():
+    p, q, h = (SmoothFunction.of_generator(n) for n in ("p", "q", "h"))
+    # 1 + |p(m) v(q)| + |q(m) v(p)| = 1 + |3 * -2| + |4 * 1|
+    assert leibniz_check(PLANE, TangentVector((3.0, 4.0), (1.0, -2.0)), p, q) == (0.0, 11.0)
+    # TF(v) has coefficients (-6, 2) at (9, 4), so d h(TF(v)) = 4 * -6 + 9 * 2
+    v = TangentVector((3.0, 4.0), (-1.0, 2.0))
+    assert chain_rule_check(PLANE, square_first_map(), v, h) == (0.0, 7.0)
 
 
 @given(st.integers(-6, 6), st.integers(-6, 6))

@@ -162,6 +162,9 @@ def test_probe_rejects_stray_variables_and_empty_schedules():
         Probe("p", parse_expr("n + m", ["n", "m"]))
     with pytest.raises(ValueError, match="empty schedule"):
         Probe("p", Var("n"), start=10, stop=5)
+    with pytest.raises(ValueError, match=r"probe p needs at least two schedule indices, got 5 \.\. 5"):
+        Probe("p", Var("n"), start=5, stop=5)
+    assert Probe("p", Var("n"), start=5, stop=6).stop == 6
 
 
 def test_probe_points_walk_the_tail():
@@ -473,7 +476,7 @@ _PROBES = st.one_of(
 @given(
     gens=st.lists(st.sampled_from(_GENERATORS), min_size=1, max_size=3, unique=True),
     text=_PROBES,
-    schedule=st.lists(st.integers(1, 400), min_size=2, max_size=2).map(sorted),
+    schedule=st.lists(st.integers(1, 400), min_size=2, max_size=2, unique=True).map(sorted),
     tail=st.integers(2, 60),
     tol=st.sampled_from([1e-9, 1e-6, 1e-3, 0.5]),
 )

@@ -48,9 +48,7 @@ from .uniform import (
     Probe,
     RefinementReport,
     compare_uniformities,
-    entourage_contains,
     probe_cauchy,
-    pseudometric,
 )
 from .filters import (
     FilterLawReport,

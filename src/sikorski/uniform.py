@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import DomainError, Expr, eval_array, eval_expr, variables
+from .expr import DomainError, Expr, eval_array, variables
 from .space import DiffSpace, chart_columns, embed, generator_columns
 
 __all__ = [
@@ -23,8 +23,6 @@ __all__ = [
     "CauchyVerdict",
     "RefinementRow",
     "RefinementReport",
-    "entourage_contains",
-    "pseudometric",
     "compare_uniformities",
     "probe_points",
     "probe_cauchy",
@@ -49,28 +47,6 @@ class Entourage:
         return f"V({','.join(self.names)};{self.eps!r})"
 
 
-def _family_values(space: DiffSpace, names: Sequence[str], point: Sequence[float]) -> list[float]:
-    env = dict(zip(space.carrier.ambient, point))
-    return [eval_expr(space.family.get(n).expr, env) for n in names]
-
-
-def entourage_contains(space: DiffSpace, v: Entourage, x: Sequence[float], y: Sequence[float]) -> bool:
-    fx = _family_values(space, v.names, x)
-    fy = _family_values(space, v.names, y)
-    return all(abs(a - b) < v.eps for a, b in zip(fx, fy))
-
-
-def pseudometric(space: DiffSpace, names: Sequence[str], x: Sequence[float], y: Sequence[float]) -> float:
-    """Largest generator gap over the listed family; the finite-family
-    pseudometric whose balls are the basic entourages."""
-    names = tuple(names)
-    if not names:
-        raise ValueError("pseudometric needs at least one generator")
-    fx = _family_values(space, names, x)
-    fy = _family_values(space, names, y)
-    return max(abs(a - b) for a, b in zip(fx, fy))
-
-
 @dataclass(frozen=True)
 class RefinementRow:
     target: str
@@ -89,8 +65,11 @@ class RefinementReport:
     h_names: tuple[str, ...]
     sample_count: int
     rows: tuple[RefinementRow, ...]
-    # sample pairs whose d_G and d_H the search computed: the scan of each
-    # width's first flagged row, plus every pair of the offset sweep
+    # sample pairs the search compared, a row with itself not counted: with
+    # one G coordinate, the lead range of each width's first flagged row;
+    # with several, the cells of each flagged row's 3x3 neighbourhood that
+    # can hold a witness partner, in the chunks scanned up to the first
+    # that holds a witness
     pairs_examined: int
 
     def all_refine(self) -> bool:
@@ -110,8 +89,11 @@ def compare_uniformities(
     Verdicts are relative to the sampled cloud: a witness is a genuine
     counterexample pair, while "refines" says no sampled pair violates the
     target.  The search is exhaustive over sampled pairs: every pair it
-    does not compute is excluded by an exact bound.  The first witness in
-    lexicographic sample order wins, which keeps reports reproducible.
+    does not compute is excluded by an exact bound, a lead range when G
+    has one coordinate and a 3x3 neighbourhood of cells of side at least
+    the width over its first two coordinates when G has more.  The first
+    witness in lexicographic sample order wins, which keeps reports
+    reproducible.
     """
     g_names = tuple(g_names)
     h_names = tuple(h_names)
@@ -127,34 +109,27 @@ def compare_uniformities(
     h_idx = [all_names.index(n) for n in h_names]
     target = Entourage(h_names, target_eps)
 
-    # fixed-radius near neighbours (Bentley, Stanat & Williams 1977) in rows
-    # sorted on the lead G coordinate: a row's partners whose lead gap is
-    # below eps form one contiguous range, and d_G is at least that gap.
-    # Step 1 flags each row whose range holds a partner at d_H >= target,
-    # from range maxima and minima of each H column; every row with a
-    # witness is flagged, and with one G coordinate only those are.  Step 2
-    # scans the range of the flagged row with the smallest sample index.
-    # The witness relation is symmetric, so a hit there is the first
-    # witness in lexicographic order.  A miss (possible only when G has
-    # more coordinates) leaves the width to the offset sweep.
-    order = np.argsort(coords[:, g_idx[0]], kind="stable")
-    g_cols = [coords[order, k] for k in g_idx]
-    h_cols = [coords[order, k] for k in h_idx]
-    witnesses, examined, unconfirmed = [], 0, []
-    for w, eps in enumerate(eps_grid):
-        flagged, witness, scanned = _range_search(order, g_cols, h_cols, eps, target_eps)
-        witnesses.append(witness)
-        examined += scanned
-        if flagged and witness is None:
-            unconfirmed.append(w)
-    if unconfirmed:
-        swept, scanned = _offset_sweep(order, g_cols, h_cols, [eps_grid[w] for w in unconfirmed], target_eps)
-        for w, witness in zip(unconfirmed, swept):
-            witnesses[w] = witness
-        examined += scanned
+    # fixed-radius near neighbours (Bentley, Stanat & Williams 1977), one
+    # exact path per G arity.  Step 1 flags every row that has a witness,
+    # from range maxima and minima of each H column over a set of rows that
+    # holds all of the row's G-close partners: its lead range in rows sorted
+    # on the one G coordinate, or its 3x3 cell neighbourhood over the first
+    # two.  Step 2 computes d_G and d_H between flagged rows and those
+    # partners, in ascending sample index of the flagged row, and stops at
+    # the first row (or chunk of rows) with a witness.  The witness relation
+    # is symmetric, so that holds the first witness in lexicographic order.
+    if len(g_idx) == 1:
+        order = np.argsort(coords[:, g_idx[0]], kind="stable")
+        lead = coords[order, g_idx[0]]
+        h_cols = [coords[order, k] for k in h_idx]
+        found = [_range_search(order, lead, h_cols, eps, target_eps) for eps in eps_grid]
+    else:
+        g_cols = [coords[:, k] for k in g_idx]
+        h_cols = [coords[:, k] for k in h_idx]
+        found = [_cell_search(g_cols, h_cols, eps, target_eps) for eps in eps_grid]
 
     rows = []
-    for eps, witness in zip(map(float, eps_grid), witnesses):
+    for eps, (witness, _) in zip(map(float, eps_grid), found):
         if witness is None:
             rows.append(RefinementRow(target.describe(), eps, True, None, None, None, None))
         else:
@@ -165,7 +140,7 @@ def compare_uniformities(
             )
             x, y = (tuple(cloud.params[k].tolist()) for k in (i, j))
             rows.append(RefinementRow(target.describe(), eps, False, x, y, d_g, violated))
-    return RefinementReport(g_names, h_names, n_pts, tuple(rows), examined)
+    return RefinementReport(g_names, h_names, n_pts, tuple(rows), sum(scanned for _, scanned in found))
 
 
 def _upper_edges(lead: np.ndarray, eps: float) -> np.ndarray:
@@ -219,63 +194,131 @@ def _flag_rows(lo: np.ndarray, length: np.ndarray, h_cols: list[np.ndarray], tar
 
 def _range_search(
     order: np.ndarray,
-    g_cols: list[np.ndarray],
+    lead: np.ndarray,
     h_cols: list[np.ndarray],
     eps: float,
     target_eps: float,
-) -> tuple[bool, tuple[int, int] | None, int]:
-    """Steps 1 and 2 at one width: whether any row is flagged, the first
-    witness (i, j) if the first flagged row has one, and the pairs scanned."""
+) -> tuple[tuple[int, int] | None, int]:
+    """Steps 1 and 2 at one width for a one-coordinate G, over rows sorted
+    on it: the first witness (i, j), and the pairs scanned.  The flag is
+    exact here, so the first flagged row always has a witness."""
     # the rows j with |fl(lead[j] - lead[r])| < eps: fl(-a - -b) is
     # fl(b - a), so the lower edges are the upper edges of -lead reversed
-    lead = g_cols[0]
     lo = lead.size - _upper_edges(-lead[::-1], eps)[::-1]
     length = _upper_edges(lead, eps)
     length -= lo
     flagged = np.flatnonzero(_flag_rows(lo, length, h_cols, target_eps))
     if not flagged.size:
-        return False, None, 0
+        return None, 0
     p = flagged[np.argmin(order[flagged])]
     partners = np.r_[lo[p]:p, p + 1 : lo[p] + length[p]]
-    d_g = np.max([np.abs(col[partners] - col[p]) for col in g_cols], axis=0)
     d_h = np.max([np.abs(col[partners] - col[p]) for col in h_cols], axis=0)
-    hits = order[partners[(d_g < eps) & (d_h >= target_eps)]]
-    witness = (int(order[p]), int(hits.min())) if hits.size else None
-    return True, witness, partners.size
+    return (int(order[p]), int(order[partners[d_h >= target_eps]].min())), partners.size
 
 
-def _offset_sweep(
-    order: np.ndarray,
+# a chunk of the cell scan computes at most this many pairs (more only when
+# one row's neighbourhood is larger), so its memory stays flat
+_CHUNK_PAIRS = 1 << 12
+
+
+def _cell_side(key_cols: list[np.ndarray], eps: float) -> float:
+    """A cell side s >= eps such that two rows with fl(|g_j - g_r|) < eps
+    in a key column have keys floor(fl(g / s)) at most 1 apart.
+
+    Such a pair's exact gap is below eps, and each quotient is off by at
+    most max|g| / s * 2^-53, or 2^-1075 below the normal range, so the
+    quotients differ by less than (eps + max|g| * 2^-52) / s + 2^-1074.
+    The side is s = fl(b * (1 + 2^-40)), with b the largest of
+    eps + max|g| * 2^-50, 2^-960 and range / 2^30.  The rounded sums give
+    eps + max|g| * 2^-52 <= b * (1 + 2^-51), and s >= b * (1 + 2^-41), so
+    that difference is below 1 at any magnitude (s = inf puts every row in
+    one cell).  The term max|g| * 2^-50 also keeps |g / s| <= 2^50, and
+    range / 2^30 keeps each column's keys within 2^30 + 2 values, so the
+    packed cell key fits in int64.
+    """
+    top = max(float(np.abs(col).max()) for col in key_cols)
+    spread = max(float(col.max() * 2.0**-30 - col.min() * 2.0**-30) for col in key_cols)
+    return max(eps + top * 2.0**-50, spread, 2.0**-960) * (1.0 + 2.0**-40)
+
+
+def _cell_search(
     g_cols: list[np.ndarray],
     h_cols: list[np.ndarray],
-    widths: list[float],
+    eps: float,
     target_eps: float,
-) -> tuple[list[tuple[int, int] | None], int]:
-    """The first witness at each width by comparing rows k apart in lead
-    order, k = 1, 2, ...; and the pairs whose gaps it computed.  The lead
-    gap between rows k apart never shrinks as k grows, so the sweep ends
-    at the first offset where no lead gap is below the widest width."""
-    n_pts = order.size
-    lead = g_cols[0]
-    widest = max(widths)
-    unset = n_pts * n_pts  # the witness (i, j) is kept as the key i * n_pts + j
-    best = [unset] * len(widths)
-    examined = 0
-    for k in range(1, n_pts):
-        d_g = lead[k:] - lead[:-k]  # never negative: the rows are sorted on it
-        if not (d_g < widest).any():
-            break
-        examined += n_pts - k
-        for col in g_cols[1:]:
-            np.maximum(d_g, np.abs(col[k:] - col[:-k]), out=d_g)
-        d_h = np.abs(h_cols[0][k:] - h_cols[0][:-k])
-        for col in h_cols[1:]:
-            np.maximum(d_h, np.abs(col[k:] - col[:-k]), out=d_h)
-        p = np.flatnonzero((d_g < widest) & (d_h >= target_eps))
-        i, j, d_g = order[p], order[p + k], d_g[p]
-        keys = np.minimum(i, j) * n_pts + np.maximum(i, j)
-        best = [int(keys[d_g < eps].min(initial=b)) for b, eps in zip(best, widths)]
-    return [None if key == unset else divmod(key, n_pts) for key in best], examined
+) -> tuple[tuple[int, int] | None, int]:
+    """Steps 1 and 2 at one width for a G family of several coordinates,
+    given in sample order: the first witness (i, j), and the pairs scanned.
+
+    Rows are keyed by their cell over the first two G coordinates and
+    sorted on the key, so each cell is a run of rows and a row's G-close
+    partners lie in the runs of its 3x3 cell neighbourhood (`_cell_side`).
+    Per-cell maxima and minima of each H column decide, as in `_flag_rows`,
+    which of those cells can hold a witness partner: a row is flagged when
+    one of its nine can, and its scan reads only those that can.
+    """
+    n_pts = g_cols[0].size
+    side = _cell_side(g_cols[:2], eps)
+    kx, ky = (np.floor(col / side).astype(np.int64) for col in g_cols[:2])
+    kx -= kx.min()
+    ky -= ky.min()
+    width = int(ky.max()) + 2  # so a ky one past either end of a column names no cell
+    key = kx * width + ky
+    order = np.argsort(key, kind="stable")
+    key = key[order]
+    g_cols = [col[order] for col in g_cols]
+    h_cols = [col[order] for col in h_cols]
+    new_cell = np.r_[True, key[1:] != key[:-1]]
+    first = np.flatnonzero(new_cell)
+    cell_of = np.cumsum(new_cell) - 1
+    cells = key[first]
+    # nbr[:, c]: the nine cells around cell c, -1 where a cell holds no row,
+    # which reads the last entry of each array padded for it
+    nbr = np.empty((9, cells.size), dtype=np.intp)
+    for k, (dx, dy) in enumerate((dx, dy) for dx in (-1, 0, 1) for dy in (-1, 0, 1)):
+        want = cells + (dx * width + dy)
+        at = np.minimum(np.searchsorted(cells, want), cells.size - 1)
+        nbr[k] = np.where(cells[at] == want, at, -1)
+    # per H column and sign, each row's own value and each cell's maximum
+    exts = [
+        (sign * col, np.r_[np.maximum.reduceat(sign * col, first), -np.inf])
+        for col in h_cols
+        for sign in (1.0, -1.0)
+    ]
+    flag = np.zeros(n_pts, dtype=bool)
+    for own, ext in exts:
+        flag |= ext[nbr].max(axis=0)[cell_of] - own >= target_eps
+    rows = np.flatnonzero(flag)
+    if not rows.size:
+        return None, 0
+
+    rows = rows[np.argsort(order[rows])]
+    around = nbr[:, cell_of[rows]].T  # one row of nine cells per flagged row
+    # the cells that can hold a witness partner of the row, the only ones read
+    reach = np.zeros(around.shape, dtype=bool)
+    for own, ext in exts:
+        reach |= ext[around] - own[rows, None] >= target_eps
+    starts = np.r_[first, 0][around]
+    counts = np.where(reach, np.r_[np.diff(np.r_[first, n_pts]), 0][around], 0)
+    per_row = counts.sum(axis=1)
+    sizes = np.cumsum(per_row)
+    scanned = done = lo = 0
+    while lo < rows.size:
+        hi = max(lo + 1, int(np.searchsorted(sizes, done + _CHUNK_PAIRS, side="right")))
+        count = counts[lo:hi].ravel()
+        # the rows of each cell's run, all runs one after another
+        shift = np.repeat(starts[lo:hi].ravel() - (np.cumsum(count) - count), count)
+        partners = np.arange(shift.size) + shift
+        owners = np.repeat(rows[lo:hi], per_row[lo:hi])
+        d_g = np.max([np.abs(col[partners] - col[owners]) for col in g_cols], axis=0)
+        d_h = np.max([np.abs(col[partners] - col[owners]) for col in h_cols], axis=0)
+        scanned += int(np.count_nonzero(partners != owners))
+        hit = (d_g < eps) & (d_h >= target_eps)
+        if hit.any():
+            i, j = order[owners[hit]], order[partners[hit]]
+            return divmod(int((np.minimum(i, j) * n_pts + np.maximum(i, j)).min()), n_pts), scanned
+        done, lo = int(sizes[hi - 1]), hi
+    return None, scanned
 
 
 @dataclass(frozen=True)

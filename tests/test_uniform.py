@@ -1,5 +1,6 @@
 import math
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import probe_oracle
 import sikorski
+from sikorski import uniform
 from sikorski.expr import DomainError, Var, parse_expr
 from sikorski.space import Carrier, DiffSpace, Generator, GeneratorFamily, Interval, embed
 from sikorski.specfile import load_spec
@@ -15,11 +17,10 @@ from sikorski.uniform import (
     Entourage,
     Probe,
     compare_uniformities,
-    entourage_contains,
     probe_cauchy,
     probe_points,
-    pseudometric,
 )
+from uniform_oracle import entourage_contains, pseudometric
 
 
 def line_space(lo, hi, count, gens, **kwargs):
@@ -324,19 +325,48 @@ def plane_space(s_count, t_count, gens):
     return DiffSpace(carrier, family)
 
 
-def test_a_loose_flag_falls_back_to_the_sweep():
-    """With G = (x/4, y*(x-3)) and H = y at width 0.5, the lead range of
-    (0, 0) holds (0, 1), whose H gap 1 flags it, but there b differs by 3:
-    the first flagged row is no witness.  Its scan computes the 3 other
-    rows with x in {0, 1}.  The offset sweep then finds (2, 0)-(3, 1), where
-    b is 0 at both ends, and compares rows 1, 2 and 3 apart (9 + 8 + 7
-    pairs); rows 4 apart are 2 apart in x, a lead gap of 0.5, so it stops."""
+def test_the_cell_scan_on_a_5x2_grid():
+    """G = (x/4, y*(x-3)) and H = y at width 0.5 on the 5x2 grid.  The cell
+    side is 0.5 widened by a few ulps, so the cells over (a, b) are
+    A = {(0, 0), (1, 0), (2, 0)}, B = {(3, 0), (4, 0), (3, 1)}, F = {(4, 1)}
+    and one cell each for (0, 1), (1, 1) and (2, 1).  A, B and F neighbour
+    one another; the other three stand alone, and none of their rows is
+    flagged.  A row with y = 0 can find an H gap of 1 only in B and F, a row
+    with y = 1 only in A and B, so those are the cells scanned: 4 partners
+    for each of the 3 rows of A, 3 for (3, 0) and for (4, 0), 5 for (3, 1)
+    and 6 for (4, 1).  The 7 flagged rows fit in one chunk.  Row (0, 0),
+    the first in sample order, has no witness: its partners with y = 1 are
+    0.75 or more away in a.  The chunk's first witness is (2, 0)-(3, 1),
+    where b is 0 at both ends.  With one row per chunk, the scan stops after
+    the third flagged row, (2, 0)."""
     space = plane_space(5, 2, [("a", "x/4"), ("b", "y*(x-3)"), ("c", "y")])
     report = compare_uniformities(space, ["a", "b"], ["c"], [0.5], target_eps=1.0)
     row = report.rows[0]
     assert (row.witness_x, row.witness_y) == ((2.0, 0.0), (3.0, 1.0))
     assert (row.d_g, row.violated) == (0.25, "c")
-    assert report.pairs_examined == 3 + 9 + 8 + 7
+    assert report.pairs_examined == 3 * 4 + 2 * 3 + 5 + 6
+    with mock.patch.object(uniform, "_CHUNK_PAIRS", 1):
+        report = compare_uniformities(space, ["a", "b"], ["c"], [0.5], target_eps=1.0)
+    assert (report.rows[0].witness_x, report.rows[0].witness_y) == ((2.0, 0.0), (3.0, 1.0))
+    assert report.pairs_examined == 3 * 4
+
+
+def test_scaled_spiral_scans_only_flagged_neighbourhoods(tmp_path):
+    """The bundled spiral at 8,001 samples with G = a,b, H = c: every row's
+    lead range holds a c gap of 1, but few rows' 3x3 cell neighbourhoods
+    do, so the search computes a small share of the 15,459,348 pairs that
+    a sweep over every pair within the lead width computed, and finds the
+    same witnesses."""
+    path = tmp_path / "spiral.spec"
+    path.write_text((SPECS / "spiral.spec").read_text().replace("samples = 2000", "samples = 8001"))
+    space = load_spec(str(path)).space
+    params = embed(space).params
+    report = compare_uniformities(space, ["a", "b"], ["c"], [0.1, 0.01], target_eps=1.0)
+    assert report.sample_count == 8001
+    assert [(row.witness_x, row.witness_y) for row in report.rows] == [
+        (tuple(params[i]), tuple(params[j])) for i, j in [(7004, 7592), (7825, 7874)]
+    ]
+    assert report.pairs_examined <= 200_000
 
 
 def test_scaled_parabola_never_reaches_the_sweep():
@@ -426,7 +456,7 @@ _PLANE_GENERATORS = st.sampled_from(
     s_count=st.integers(1, 60),
     t_count=st.integers(1, 5),
     exprs=st.lists(_PLANE_GENERATORS, min_size=3, max_size=3),
-    g_names=st.sampled_from([["a"], ["b"], ["a", "b"], ["b", "a"], ["a", "c"]]),
+    g_names=st.sampled_from([["a"], ["b"], ["a", "b"], ["b", "a"], ["a", "c"], ["a", "b", "c"]]),
     h_names=st.sampled_from([["c"], ["b"], ["b", "c"]]),
     eps_grid=st.lists(
         st.sampled_from([0.1, 0.2, 0.3, 0.30000000000000004, 0.5, 1.0, 2.5]), min_size=1, max_size=4
@@ -441,14 +471,36 @@ _PLANE_GENERATORS = st.sampled_from(
 # 0.6 - 0.5 rounds to 0.09999999999999998, so a lead range found from
 # lead - eps alone would put 0.1 in the range of 0.6, a G gap of 0.5
 @example(8, 1, ["x/10", "x/10", "y"], ["a"], ["b"], [0.5], 0.5)
+# d_H = |dx + dy| reaches 6 only at dx = dy = +-3, where both G gaps sit one
+# ulp either side of 0.3 (0.7 - 0.4 is 0.29999999999999993)
+@example(40, 8, ["x/10", "y/10", "x + y"], ["a", "b"], ["c"], [0.3, 0.30000000000000004, 0.29999999999999993], 6.0)
+# |g| / eps >= 2^12 (13,653, and 4.1e6 at width 1e-3): a quotient g / side
+# can be off by 2^-40 or more, all a fixed eps * 2^-40 widening would allow
+@example(40, 8, ["x/10 + 4096", "y/10 - 4096", "x + y"], ["a", "b"], ["c"], [0.3, 0.30000000000000004, 1e-3], 6.0)
+# max|g| / range > 2^37: without the max|g| term in the side, g / side leaves int64
+@example(40, 8, ["x/10 + 1e12", "y/10 - 1e12", "x + y"], ["a", "b"], ["c"], [5e-324, 0.30000000000000004], 6.0)
+# extreme widths: g / eps overflows at 5e-324, and 1e300 puts every row in one cell
+@example(6, 3, ["abs(x - 3)/10", "(y - 1)^2", "x + y"], ["a", "b"], ["c"], [5e-324, 1e-300, 1e300], 1.0)
+@example(5, 4, ["x*1e300", "y*1e300", "x - y"], ["a", "b"], ["c"], [1e-300, 1e300, 2e300], 2.0)
+# row 0's partners come in cell order, (1, 1) in a cell before (1, 0), and
+# both are witnesses
+@example(2, 2, ["x/10", "y*(x - 3)", "x/10"], ["a", "b"], ["c"], [2.5], 0.1)
+# subnormal generator values, gaps and widths
+@example(5, 4, ["x*1e-320", "y*1e-320", "x + y"], ["a", "b"], ["c"], [5e-324, 1e-320, 3e-320], 2.0)
+# a cell key cast from an infinite or out-of-range quotient warns
+@pytest.mark.filterwarnings("error::RuntimeWarning")
 def test_range_search_matches_all_pairs(s_count, t_count, exprs, g_names, h_names, eps_grid, target_eps):
-    """On clouds of up to 300 samples the search agrees with a comparison
+    """On clouds of up to 320 samples the search agrees with a comparison
     of every pair on each width's verdict and witness.  With one G
     coordinate the flags are exact, so the search computes only the pairs
-    of each witness row i with the samples within the width of it."""
+    of each witness row i with the samples within the width of it.  With
+    several, the cell scan gives the same rows when each chunk holds a
+    single flagged row."""
     space = plane_space(s_count, t_count, list(zip("abc", exprs)))
     ambient = embed(space).ambient
     report = compare_uniformities(space, g_names, h_names, eps_grid, target_eps)
+    with mock.patch.object(uniform, "_CHUNK_PAIRS", 1):
+        assert compare_uniformities(space, g_names, h_names, eps_grid, target_eps).rows == report.rows
     scanned = 0
     for eps, row in zip(eps_grid, report.rows):
         expected = _all_pairs_witness(space, g_names, h_names, eps, target_eps)

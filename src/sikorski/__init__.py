@@ -40,7 +40,6 @@ from .space import (
     embed,
     eval_smooth,
     sample,
-    separates_points,
 )
 from .uniform import (
     CauchyVerdict,
@@ -69,8 +68,6 @@ from .completion import (
     AdjoinedPoint,
     CompletedSpace,
     complete,
-    completeness_probe_test,
-    extend_function,
     iota,
     maximal_family,
 )

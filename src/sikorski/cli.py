@@ -214,6 +214,19 @@ def _completion_lines(cs: CompletedSpace) -> list[str]:
     return lines
 
 
+def _completeness_line(cs: CompletedSpace) -> str:
+    """The paper's completeness condition, read off the completion: `no`
+    names the first adjoined probe and its max-norm distance to the
+    nearest sample, `undecided` the first undecided probe."""
+    head = f"complete over {','.join(cs.names)}: "
+    if cs.adjoined:
+        first = cs.adjoined[0]
+        distance = np.abs(cs.base.coords - first.coords).max(axis=1).min()
+        return head + f"no (probe {first.probe}, {_fmt(distance)} from the nearest sample)"
+    undecided = [v.probe for v in cs.verdicts if v.status == "undecided"]
+    return head + (f"undecided (probe {undecided[0]})" if undecided else "yes")
+
+
 def _write_iota(path: str, rep: IotaReport) -> None:
     label = _Slot("base:%d")  # base point i lands on base point i
     index = np.arange(len(rep.base), dtype=float)[:, None]
@@ -241,7 +254,7 @@ def cmd_complete(args) -> None:
     probes = _select_probes(spec, args.probes)
     cs = complete(space, probes, tol=args.tol, tail=args.tail)
     _write_points(_artifact(args, "points.csv"), cs)
-    lines = _completion_lines(cs)
+    lines = _completion_lines(cs) + [_completeness_line(cs)]
     if args.subfamily:
         sub = space.with_generators(_family_names(space, args.subfamily, "--subfamily"))
         cs_sub = complete(sub, probes, tol=args.tol, tail=args.tail)

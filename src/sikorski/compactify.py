@@ -88,9 +88,14 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
     """
     point = tuple(point)
     alpha_exprs = [space.family.get(n).expr for n in f.gen_names]
-    center = tuple(
-        eval_expr(a, dict(zip(space.carrier.ambient, point))) for a in alpha_exprs
-    )
+    env = dict(zip(space.carrier.ambient, point))
+    center = []
+    for name, a in zip(f.gen_names, alpha_exprs):
+        try:
+            center.append(eval_expr(a, env))
+        except DomainError as err:
+            raise DomainError(f"generator {name} at {point}: {err}", err.node) from err
+    center = tuple(center)
     n = len(alpha_exprs)
     fresh = tuple(f"u{i + 1}" for i in range(n))
     eta_fresh = bump(center, fresh)

@@ -23,16 +23,11 @@ from .uniform import CauchyVerdict, Probe, probe_cauchy
 __all__ = [
     "AdjoinedPoint",
     "CompletedSpace",
-    "ExtensionTable",
     "IotaEntry",
     "IotaReport",
-    "CompletenessRow",
-    "CompletenessReport",
     "DEDUP_TOL",
     "complete",
-    "extend_function",
     "iota",
-    "completeness_probe_test",
     "maximal_family",
 ]
 
@@ -100,28 +95,6 @@ def complete(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail:
         else:
             adjoined.append(AdjoinedPoint(probe.name, verdict.limit, verdict.max_oscillation()))
     return CompletedSpace(space, base, tuple(adjoined), tuple(verdicts), tuple(duplicates))
-
-
-@dataclass(frozen=True, eq=False)
-class ExtensionTable:
-    """Values of the continuous extension of one generator: its coordinate
-    at the base samples (one entry per sample) and at every adjoined point."""
-
-    generator: str
-    base_values: np.ndarray
-    adjoined_values: tuple[tuple[str, float], ...]
-
-
-def extend_function(cs: CompletedSpace, name: str) -> ExtensionTable:
-    try:
-        column = cs.names.index(name)
-    except ValueError:
-        raise KeyError(f"no generator named {name!r} in the completion") from None
-    return ExtensionTable(
-        name,
-        cs.base.coords[:, column],
-        tuple((a.probe, a.coords[column]) for a in cs.adjoined),
-    )
 
 
 @dataclass(frozen=True)
@@ -198,55 +171,6 @@ def iota(cs_full: CompletedSpace, cs_sub: CompletedSpace) -> IotaReport:
     uncovered = tuple(a.probe for a in cs_sub.adjoined if a.probe not in covered)
     residuals = tuple((n, residual[n]) for n in sub_names)
     return IotaReport(sub_names, full_names, base, tuple(entries), residuals, uncovered)
-
-
-@dataclass(frozen=True)
-class CompletenessRow:
-    probe: str
-    status: str
-    distance: float | None
-    realized: bool
-
-
-@dataclass(frozen=True)
-class CompletenessReport:
-    sub_names: tuple[str, ...]
-    full_names: tuple[str, ...]
-    rows: tuple[CompletenessRow, ...]
-    passed: bool
-
-
-def completeness_probe_test(
-    space: DiffSpace,
-    g_names: Sequence[str],
-    h_names: Sequence[str],
-    probes: Sequence[Probe],
-    tol: float = 1e-6,
-    tail: int = 50,
-) -> CompletenessReport:
-    """Probe the hypothesis that the space is already complete over the
-    larger family: every H-Cauchy probe must land within tol of an
-    embedded sample.  A Cauchy probe with a genuinely new limit is a
-    counterexample and fails the report."""
-    g = set(g_names)
-    h = set(h_names)
-    if not g <= h:
-        raise ValueError("the first family must be a subfamily of the second")
-    space_h = space.with_generators(h_names)
-    cloud = embed(space_h)
-    rows = []
-    passed = True
-    for probe in probes:
-        verdict = probe_cauchy(space_h, probe, tol=tol, tail=tail)
-        if verdict.status != "cauchy":
-            rows.append(CompletenessRow(probe.name, verdict.status, None, True))
-            continue
-        assert verdict.limit is not None
-        distance = float(np.abs(cloud.coords - np.array(verdict.limit)).max(axis=1).min())
-        realized = distance <= tol
-        passed = passed and realized
-        rows.append(CompletenessRow(probe.name, verdict.status, distance, realized))
-    return CompletenessReport(tuple(g_names), tuple(h_names), tuple(rows), passed)
 
 
 def maximal_family(family: GeneratorFamily, degree: int) -> GeneratorFamily:

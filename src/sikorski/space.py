@@ -36,7 +36,6 @@ __all__ = [
     "embed",
     "eval_smooth",
     "compose_ambient",
-    "separates_points",
     "check_smooth_map",
     "product_witness",
     "chart_jacobian",
@@ -298,18 +297,6 @@ def product_witness(f: SmoothFunction, g: SmoothFunction) -> SmoothFunction:
     left = substitute(f.omega, {old: Var(new) for old, new in zip(f.omega_vars, fvars)})
     right = substitute(g.omega, {old: Var(new) for old, new in zip(g.omega_vars, gvars)})
     return SmoothFunction(BinOp("*", left, right), fvars + gvars, f.gen_names + g.gen_names)
-
-
-def separates_points(space: DiffSpace) -> tuple[int, int] | None:
-    """None when the embedding is injective on the sample grid; otherwise a
-    witness pair of sample indices (rows of `embed(space)`) whose
-    coordinate tuples agree after rounding to 1e-12: the earliest sample
-    that repeats an earlier one, and the first sample it repeats."""
-    keys = np.round(embed(space).coords, 12) + 0.0  # + 0.0 folds -0.0 into 0.0
-    _, first, inverse = np.unique(keys, axis=0, return_index=True, return_inverse=True)
-    earlier = first[inverse.ravel()]
-    repeats = np.flatnonzero(earlier != np.arange(len(keys)))
-    return (int(earlier[repeats[0]]), int(repeats[0])) if repeats.size else None
 
 
 @dataclass(frozen=True)

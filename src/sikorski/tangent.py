@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import Expr, diff, eval_expr, substitute
+from .expr import DomainError, Expr, diff, eval_expr, substitute, to_string
 from .space import (
     DiffSpace,
     SmoothFunction,
@@ -45,7 +45,10 @@ def _directional(expr: Expr, ambient: Sequence[str], v: TangentVector) -> float:
     total = 0.0
     for name, coeff in zip(ambient, v.coeffs):
         if coeff != 0.0:
-            total += coeff * eval_expr(diff(expr, name), env)
+            try:
+                total += coeff * eval_expr(diff(expr, name), env)
+            except DomainError as err:
+                raise DomainError(f"derivative of {to_string(expr)} along {name} at {v.point}: {err}", err.node) from err
     return total
 
 

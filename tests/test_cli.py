@@ -73,8 +73,12 @@ def test_complete_adjoins_arctan_endpoints(tmp_path):
     report = read_report(tmp_path / "arc_report.txt")
     assert report[0].startswith("probe pplus: cauchy")
     assert "limit (1.5698209998564814)" in report[0]
-    assert "adjoined: 2" in report
-    assert "duplicates: none" in report
+    # the completeness line follows the duplicates line and agrees with the count
+    assert report[-3:] == [
+        "adjoined: 2",
+        "duplicates: none",
+        "complete over g: no (probe pplus, 2.8339506719099461e-07 from the nearest sample)",
+    ]
 
 
 def test_complete_identity_family_adjoins_nothing(tmp_path):
@@ -88,6 +92,7 @@ def test_complete_identity_family_adjoins_nothing(tmp_path):
     # default label is the command name
     report = read_report(tmp_path / "complete_report.txt")
     assert report[0] == "probe pplus: escaping  oscillation[f=49]  limit -"
+    assert report[-1] == "complete over f: yes"
 
 
 def test_complete_subfamily_writes_iota(tmp_path):
@@ -118,7 +123,7 @@ def test_compactify_compact_interval(tmp_path):
     report = read_report(tmp_path / "compact_report.txt")
     assert report[0] == "normalized g: sup 1 at sample 100"
     assert "adjoined: 0" in report
-    assert "duplicates: plow, phigh" in report
+    assert report[-1] == "duplicates: plow, phigh"  # no completeness line
 
 
 def test_compactify_divergent_generator_exits_one(tmp_path):
@@ -156,6 +161,37 @@ def test_boundize_singular_witness_exits_one(tmp_path):
     assert proc.stderr == (
         "sikorski boundize (compactify): invariant violated:"
         " witness log(u1) at (0.0,): log of non-positive value 0.0\n"
+    )
+
+
+def log_spec(tmp_path) -> str:
+    """The real-line spec with a generator h = log(x), singular at 0."""
+    text = Path(REAL_LINE).read_text(encoding="utf-8").replace("g = atan(x)\n", "g = atan(x)\nh = log(x)\n")
+    (tmp_path / "unit_interval_compact.spec").write_text(Path(UNIT_INTERVAL).read_text(encoding="utf-8"))
+    spec = tmp_path / "log.spec"
+    spec.write_text(text, encoding="utf-8")
+    return str(spec)
+
+
+def test_boundize_names_a_generator_singular_at_the_point(tmp_path):
+    rc, _, err = run_in_process([
+        "boundize", log_spec(tmp_path), "--omega", "u1", "--gens", "h", "--point", "0", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert err == (
+        "sikorski boundize (compactify): invariant violated:"
+        " generator h at (0.0,): log of non-positive value 0.0\n"
+    )
+
+
+def test_tangent_names_a_derivative_singular_at_the_point(tmp_path):
+    rc, _, err = run_in_process([
+        "tangent", log_spec(tmp_path), "--point", "0", "--vector", "1", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert err == (
+        "sikorski tangent (tangent): invariant violated:"
+        " derivative of log(x) along x at (0.0,): division by zero\n"
     )
 
 

@@ -3,13 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sikorski.completion import (
-    complete,
-    completeness_probe_test,
-    extend_function,
-    iota,
-    maximal_family,
-)
+from sikorski.cli import _completeness_line
+from sikorski.completion import DEDUP_TOL, complete, iota, maximal_family
 from sikorski.expr import Var, parse_expr
 from sikorski.space import Carrier, DiffSpace, Generator, GeneratorFamily, Interval
 from sikorski.uniform import Probe
@@ -70,15 +65,6 @@ def test_two_probes_with_one_limit_adjoin_once():
 def test_duplicate_probe_names_rejected():
     with pytest.raises(ValueError, match="duplicate probe names"):
         complete(SLAB, [PLUS, Probe("pplus", Var("n"))], tol=1e-3)
-
-
-def test_extension_reads_off_coordinates():
-    cs = complete(SLAB.with_generators(["g"]), [PLUS, MINUS], tol=1e-3, tail=50)
-    ext = extend_function(cs, "g")
-    assert np.array_equal(ext.base_values, cs.base.coords[:, 0])
-    assert ext.adjoined_values == (("pplus", 1.5698209998564814), ("pminus", -1.5698209998564814))
-    with pytest.raises(KeyError, match="no generator named"):
-        extend_function(cs, "h")
 
 
 def test_iota_onto_itself_is_the_identity():
@@ -163,33 +149,61 @@ def test_iota_composes_transitively():
 def test_open_end_defeats_the_completeness_hypothesis():
     space = line_space(0.0, 1.0, 101, [("f", "x")], lo_open=True, hi_open=True, inset=0.01)
     low = Probe("low", parse_expr("1/n", ["n"]), 1, 100000)
-    report = completeness_probe_test(space, ["f"], ["f"], [low], tol=1e-3, tail=50)
-    assert not report.passed
-    row = report.rows[0]
-    assert row.status == "cauchy"
-    assert not row.realized
-    assert row.distance > 1e-3
+    cs = complete(space, [low], tol=1e-3, tail=50)
+    assert [v.status for v in cs.verdicts] == ["cauchy"]
+    # the limit, about 1e-5, is a whole inset short of the first sample, 0.01
+    assert _completeness_line(cs) == (
+        "complete over f: no (probe low, 0.0099899975491911999 from the nearest sample)"
+    )
 
 
 def test_closed_carrier_realizes_boundary_limits():
+    """The probes still move by 4.9e-9 and 9.8e-9 over their tails, more
+    than DEDUP_TOL, so both adjoin a point, and the line says so: the
+    tail mean of `1/n` lies 1.0002e-05 from sample 0.  Probes that have
+    settled land on samples 0 and 1, and the carrier reads complete."""
     space = line_space(0.0, 1.0, 101, [("f", "x"), ("g", "x^2")])
     low = Probe("low", parse_expr("1/n", ["n"]), 1, 100000)
     high = Probe("high", parse_expr("1 - 1/n", ["n"]), 1, 100000)
-    report = completeness_probe_test(space, ["f"], ["f", "g"], [low, high], tol=1e-3, tail=50)
-    assert report.passed
-    assert all(row.realized for row in report.rows)
+    cs = complete(space, [low, high], tol=1e-3, tail=50)
+    assert [a.probe for a in cs.adjoined] == ["low", "high"]
+    assert cs.adjoined[0].oscillation > DEDUP_TOL
+    assert _completeness_line(cs) == (
+        "complete over f,g: no (probe low, 1.0002450808800246e-05 from the nearest sample)"
+    )
+    fast_low = Probe("low", parse_expr("exp(-n)", ["n"]), 1, 100)
+    fast_high = Probe("high", parse_expr("1 - exp(-n)", ["n"]), 1, 100)
+    cs = complete(space, [fast_low, fast_high], tol=1e-3, tail=50)
+    assert cs.adjoined == ()
+    assert cs.duplicates == ("low", "high")
+    assert _completeness_line(cs) == "complete over f,g: yes"
 
 
 def test_escaping_probes_never_contradict_completeness():
-    report = completeness_probe_test(SLAB, ["f"], ["f", "g"], [PLUS], tol=1e-3, tail=50)
-    assert report.passed
-    assert report.rows[0].status == "escaping"
-    assert report.rows[0].distance is None
+    cs = complete(SLAB, [PLUS], tol=1e-3, tail=50)
+    assert [v.status for v in cs.verdicts] == ["escaping"]
+    assert _completeness_line(cs) == "complete over f,g: yes"
 
 
-def test_completeness_requires_nested_families():
-    with pytest.raises(ValueError, match="subfamily"):
-        completeness_probe_test(SLAB, ["f", "g"], ["g"], [PLUS])
+def test_the_arc_family_is_not_complete():
+    """Both horizon limits lie 2.8e-7 from the outermost samples, well
+    inside tol 1e-3, yet neither probe has settled within DEDUP_TOL, so
+    each adjoins a point and the space over atan is not complete."""
+    cs = complete(SLAB.with_generators(["g"]), [PLUS, MINUS], tol=1e-3, tail=50)
+    assert len(cs.adjoined) == 2
+    assert _completeness_line(cs) == (
+        "complete over g: no (probe pplus, 2.8250814931851664e-07 from the nearest sample)"
+    )
+
+
+def test_an_undecided_probe_leaves_completeness_undecided():
+    space = line_space(-2.0, 2.0, 41, [("f", "x")])
+    still = Probe("p", parse_expr("0*n", ["n"]), 1, 100)
+    wander = Probe("q", parse_expr("sin(n)", ["n"]), 1, 1000)
+    cs = complete(space, [still, wander], tol=1e-3, tail=50)
+    assert [v.status for v in cs.verdicts] == ["cauchy", "undecided"]
+    assert cs.adjoined == ()
+    assert _completeness_line(cs) == "complete over f: undecided (probe q)"
 
 
 def test_maximal_family_lists_monomials_by_degree():

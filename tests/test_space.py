@@ -19,7 +19,6 @@ from sikorski.space import (
     eval_smooth,
     product_witness,
     sample,
-    separates_points,
 )
 
 
@@ -172,39 +171,6 @@ def test_product_witness_multiplies_values():
     fg = product_witness(f, g)
     assert eval_smooth(s, fg, (2.0,)) == 8.0
     assert eval_smooth(s, fg, (-1.5,)) == -1.5 * 2.25
-
-
-def test_an_even_family_cannot_separate_a_symmetric_carrier():
-    s = line_space(-1.0, 1.0, 21, [("g", "x^2")])
-    witness = separates_points(s)
-    assert witness is not None
-    i, j = witness
-    params = embed(s).params[:, 0]
-    assert i < j
-    assert params[i] == pytest.approx(-params[j], abs=1e-9)
-    assert params[i] != params[j]
-
-
-def test_an_injective_family_separates():
-    s = line_space(-1.0, 1.0, 21, [("f", "x")])
-    assert separates_points(s) is None
-    spiral = DiffSpace(
-        Carrier(
-            params=("t",),
-            box=(Interval(0.0, math.pi / 2, lo_open=True, hi_open=True),),
-            ambient=("x",),
-            chart=(Var("t"),),
-            counts=(500,),
-            inset=0.01,
-        ),
-        GeneratorFamily(
-            (
-                Generator("a", parse_expr("x * cos(tan(x))", ["x"])),
-                Generator("b", parse_expr("x * sin(tan(x))", ["x"])),
-            )
-        ),
-    )
-    assert separates_points(spiral) is None
 
 
 def test_identity_map_witness_has_zero_residual():

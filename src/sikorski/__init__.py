@@ -49,21 +49,7 @@ from .uniform import (
     compare_uniformities,
     probe_cauchy,
 )
-from .filters import (
-    FilterLawReport,
-    FiniteFilter,
-    FiniteUniformity,
-    catalog,
-    converges_to,
-    enumerate_filters,
-    filter_from_base,
-    intersect_filters,
-    is_cauchy,
-    make_uniformity,
-    minimal_cauchy,
-    relation_R,
-    verify_filter_laws,
-)
+from .filters import FilterLawReport, verify_filter_laws
 from .completion import (
     AdjoinedPoint,
     CompletedSpace,

@@ -444,9 +444,16 @@ def cmd_run(args) -> int | None:
         raise UsageError(f"spec declares no experiment(s) {unknown}")
     if not labels:
         raise UsageError("spec declares no experiments")
-    nested = [label for label in labels if by_label[label].argv[0] == "run"]
-    if nested:
-        raise UsageError(f"experiment {nested[0]} is itself a run; runs do not nest")
+    # every experiment is checked before the first one runs
+    for label in labels:
+        argv = by_label[label].argv
+        if argv[0] == "run":
+            raise UsageError(f"experiment {label} is itself a run; runs do not nest")
+        if argv[0] not in _COMMANDS:
+            raise UsageError(f"experiment {label}: {argv[0]!r} is not a command")
+        for word in argv:
+            if word in ("-h", "--help"):
+                raise UsageError(f"experiment {label}: {word!r} prints help instead of running")
     for label in labels:
         exp = by_label[label]
         argv = [exp.argv[0]]

@@ -1,15 +1,24 @@
-"""Filters and uniformities on small finite sets.
+"""The finite-model verifier of the filter laws.
 
-Everything here is exhaustive: filters are enumerated, uniformity models
-are enumerated, and the convergence/Cauchy statements the completion
-construction leans on are checked literally, quantifier by quantifier.
-Ground sets are tiny (size <= 5), so the point is certainty, not scale.
+The completion is built from Cauchy filters, the relation R between them,
+and minimal Cauchy filters.  ``verify_filter_laws`` checks the statements
+it leans on, quantifier by quantifier, on every uniformity of every ground
+set {0, .., n-1} with n <= 5: every filter, every pair and triple of
+filters, every entourage.  Ground sets are tiny, so the point is
+certainty, not scale.
 
-The public API works on frozensets.  The sweep behind
-``verify_filter_laws`` works on integer bitsets instead (subsets, filters
-and entourages as masks, see ``_BitsetModel``): it visits the same pairs
-and triples and checks the same laws, each law once.  The frozenset form
-of the sweep is kept in the tests as the reference it is compared against.
+Both enumerations are exhaustive.  Every filter on a finite set is the
+up-set of its core, so there are 2^n - 1.  A uniformity's minimum
+entourage V0 is an equivalence relation (its composition witness W
+contains V0, so V0 o V0 is inside W o W inside V0), and the uniformity is
+exactly the symmetric supersets of V0; so there is one model per set
+partition.  Each model is built straight from its partition as integer
+bitsets (see ``_BitsetModel``).
+
+``tests/filter_oracle.py`` keeps the definitions written with Python sets
+(filters, uniformities, the catalog, convergence, Cauchy filters, R and
+minimal Cauchy filters) and a verifier written with them: the reference
+this one is tested against.
 """
 
 from __future__ import annotations
@@ -20,341 +29,23 @@ from dataclasses import dataclass
 from functools import lru_cache, reduce
 from typing import Hashable, Iterable, Iterator, Sequence
 
-__all__ = [
-    "FiniteFilter",
-    "FiniteUniformity",
-    "FilterLawReport",
-    "ModelReport",
-    "principal_filter",
-    "enumerate_filters",
-    "filter_from_base",
-    "intersect_filters",
-    "make_uniformity",
-    "discrete_uniformity",
-    "indiscrete_uniformity",
-    "uniformity_from_partition",
-    "partitions",
-    "catalog",
-    "ball",
-    "converges_to",
-    "is_cauchy",
-    "relation_R",
-    "minimal_cauchy",
-    "verify_filter_laws",
-]
+__all__ = ["FilterLawReport", "ModelReport", "partitions", "verify_filter_laws"]
 
 _MAX_GROUND = 5
 
 
-def _sorted_sets(sets: Iterable[frozenset]) -> tuple[frozenset, ...]:
-    return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
-
-
-@dataclass(frozen=True)
-class FiniteFilter:
-    """An upward-closed, intersection-closed family of nonempty subsets."""
-
-    ground: tuple[Hashable, ...]
-    sets: frozenset[frozenset]
-
-    @property
-    def core(self) -> frozenset:
-        """Smallest member; every filter on a finite set is its up-set."""
-        out = frozenset(self.ground)
-        for s in self.sets:
-            out &= s
-        return out
-
-    def members_sorted(self) -> tuple[frozenset, ...]:
-        return _sorted_sets(self.sets)
-
-    def __le__(self, other: "FiniteFilter") -> bool:
-        return self.sets <= other.sets
-
-
-def _upward_closure(ground: Sequence[Hashable], seeds: Iterable[frozenset]) -> frozenset:
-    universe = tuple(ground)
-    out = set()
-    for seed in seeds:
-        rest = [x for x in universe if x not in seed]
-        for k in range(len(rest) + 1):
-            for extra in itertools.combinations(rest, k):
-                out.add(seed | frozenset(extra))
-    return frozenset(out)
-
-
-def principal_filter(ground: Sequence[Hashable], core: Iterable[Hashable]) -> FiniteFilter:
-    core = frozenset(core)
-    if not core:
-        raise ValueError("a filter cannot be generated by the empty set")
-    if not core <= frozenset(ground):
-        raise ValueError("core must be a subset of the ground set")
-    return FiniteFilter(tuple(ground), _upward_closure(ground, [core]))
-
-
-def enumerate_filters(ground: Sequence[Hashable]) -> list[FiniteFilter]:
-    """All filters on the ground set, ordered by (core size, core).
-
-    On a finite set every filter is principal (its members' intersection is
-    itself a member), so the count is 2^|ground| - 1.
-    """
-    ground = tuple(ground)
-    if len(ground) > _MAX_GROUND:
-        raise ValueError(f"ground sets larger than {_MAX_GROUND} are out of scope")
-    cores = []
-    for k in range(1, len(ground) + 1):
-        for combo in itertools.combinations(sorted(ground), k):
-            cores.append(frozenset(combo))
-    cores.sort(key=lambda s: (len(s), sorted(s)))
-    return [principal_filter(ground, core) for core in cores]
-
-
-def filter_from_base(ground: Sequence[Hashable], base: Iterable[Iterable[Hashable]]) -> FiniteFilter:
-    """Upward closure of a base.  The base must be nonempty, free of the
-    empty set, and downward directed; violations name the offending pair."""
-    sets = [frozenset(b) for b in base]
-    if not sets:
-        raise ValueError("a filter base must be nonempty")
-    universe = frozenset(ground)
-    for s in sets:
-        if not s:
-            raise ValueError("a filter base may not contain the empty set")
-        if not s <= universe:
-            raise ValueError(f"base member {sorted(s)} is not a subset of the ground set")
-    for a, b in itertools.combinations(sets, 2):
-        meet = a & b
-        if not any(c <= meet for c in sets):
-            raise ValueError(f"base is not directed: {sorted(a)} and {sorted(b)} admit no member below their intersection")
-    return FiniteFilter(tuple(ground), _upward_closure(ground, sets))
-
-
-def intersect_filters(filters: Sequence[FiniteFilter]) -> FiniteFilter:
-    if not filters:
-        raise ValueError("need at least one filter")
-    ground = filters[0].ground
-    if any(f.ground != ground for f in filters):
-        raise ValueError("filters live on different ground sets")
-    sets = frozenset.intersection(*(f.sets for f in filters))
-    out = FiniteFilter(ground, sets)
-    _check_filter_axioms(out)
-    return out
-
-
-def _check_filter_axioms(f: FiniteFilter) -> None:
-    universe = frozenset(f.ground)
-    if universe not in f.sets:
-        raise ValueError("filter axioms violated: ground set missing")
-    for s in f.sets:
-        if not s:
-            raise ValueError("filter axioms violated: empty set present")
-    for a in f.sets:
-        for b in f.sets:
-            if a & b not in f.sets:
-                raise ValueError(f"filter axioms violated: {sorted(a)} meet {sorted(b)} missing")
-    for s in f.sets:
-        for t in _upward_closure(f.ground, [s]):
-            if t not in f.sets:
-                raise ValueError(f"filter axioms violated: superset {sorted(t)} missing")
-
-
-# ---------------------------------------------------------------------------
-# Uniformities
-
-
-def _diagonal(ground: Sequence[Hashable]) -> frozenset:
-    return frozenset((x, x) for x in ground)
-
-
-def _is_symmetric(rel: frozenset) -> bool:
-    return all((b, a) in rel for (a, b) in rel)
-
-
-def _compose(rel: frozenset) -> frozenset:
-    by_left: dict[Hashable, set] = {}
-    for a, b in rel:
-        by_left.setdefault(a, set()).add(b)
-    out = set()
-    for a, b in rel:
-        for c in by_left.get(b, ()):
-            out.add((a, c))
-    return frozenset(out)
-
-
-def _symmetric_supersets(ground: tuple, rel: frozenset) -> Iterator[frozenset]:
-    pool = [
-        (a, b)
-        for a, b in itertools.combinations(sorted(ground), 2)
-        if (a, b) not in rel
-    ]
-    for k in range(len(pool) + 1):
-        for extra in itertools.combinations(pool, k):
-            add = set()
-            for a, b in extra:
-                add.add((a, b))
-                add.add((b, a))
-            yield rel | frozenset(add)
-
-
-@dataclass(frozen=True)
-class FiniteUniformity:
-    """A uniform structure presented by its symmetric entourages.
-
-    The family must contain the diagonal in every member, be closed under
-    symmetric supersets and pairwise intersections, and provide a
-    composition witness W with W o W inside each member.
-    """
-
-    ground: tuple[Hashable, ...]
-    entourages: tuple[frozenset, ...]  # canonically sorted
-
-    @property
-    def minimum(self) -> frozenset:
-        return self.entourages[0]
-
-
-def make_uniformity(ground: Sequence[Hashable], relations: Iterable[Iterable[tuple]]) -> FiniteUniformity:
-    ground = tuple(ground)
-    if len(ground) > _MAX_GROUND:
-        raise ValueError(f"ground sets larger than {_MAX_GROUND} are out of scope")
-    rels = {frozenset(r) for r in relations}
-    if not rels:
-        raise ValueError("a uniformity needs at least one entourage")
-    diag = _diagonal(ground)
-    pairs = frozenset(itertools.product(ground, repeat=2))
-    for rel in rels:
-        if not rel <= pairs:
-            raise ValueError("entourage contains pairs outside the ground set")
-        if not diag <= rel:
-            raise ValueError("every entourage must contain the diagonal")
-        if not _is_symmetric(rel):
-            raise ValueError("every entourage must be symmetric")
-    for rel in rels:
-        for sup in _symmetric_supersets(ground, rel):
-            if sup not in rels:
-                raise ValueError("family is not closed under symmetric supersets")
-    for a in rels:
-        for b in rels:
-            if a & b not in rels:
-                raise ValueError("family is not closed under pairwise intersections")
-    for v in rels:
-        if not any(_compose(w) <= v for w in rels):
-            raise ValueError("no composition witness W with W o W inside some entourage")
-    return FiniteUniformity(ground, _sorted_sets(rels))
-
-
-def uniformity_from_partition(ground: Sequence[Hashable], blocks: Iterable[Iterable[Hashable]]) -> FiniteUniformity:
-    """The uniformity whose minimum entourage is the equivalence relation
-    of the partition: all symmetric supersets of it."""
-    ground = tuple(ground)
-    blocks = [frozenset(b) for b in blocks]
-    seen: set = set()
-    for b in blocks:
-        if not b:
-            raise ValueError("partition blocks must be nonempty")
-        if b & seen:
-            raise ValueError("partition blocks overlap")
-        seen |= b
-    if seen != frozenset(ground):
-        raise ValueError("partition blocks must cover the ground set")
-    equiv = frozenset((x, y) for b in blocks for x in b for y in b)
-    return FiniteUniformity(ground, _sorted_sets(_symmetric_supersets(ground, equiv)))
-
-
-def discrete_uniformity(ground: Sequence[Hashable]) -> FiniteUniformity:
-    return uniformity_from_partition(ground, [[x] for x in ground])
-
-
-def indiscrete_uniformity(ground: Sequence[Hashable]) -> FiniteUniformity:
-    return uniformity_from_partition(ground, [list(ground)])
-
-
-def partitions(ground: Sequence[Hashable]) -> Iterator[tuple[frozenset, ...]]:
-    """All set partitions, in a deterministic refinement-friendly order."""
+def partitions(ground: Sequence[Hashable]) -> Iterator[tuple[tuple, ...]]:
+    """All set partitions, each block a sorted tuple, in a deterministic
+    refinement-friendly order."""
     items = sorted(ground)
     if not items:
         yield ()
         return
     first, rest = items[0], items[1:]
     for sub in partitions(rest):
-        yield (frozenset((first,)),) + sub
+        yield ((first,),) + sub
         for i, block in enumerate(sub):
-            yield sub[:i] + (block | {first},) + sub[i + 1 :]
-
-
-def catalog(ground: Sequence[Hashable]) -> list[FiniteUniformity]:
-    """Every uniformity on the ground set, one per partition.
-
-    In this finite symmetric model the minimum entourage V0 is forced to
-    be transitive (its composition witness W contains V0, so V0 o V0 is
-    inside W o W inside V0), hence an equivalence relation; the family is
-    exactly the symmetric supersets of V0.  Enumerating partitions is
-    therefore exhaustive, not a sampling strategy.
-    """
-    ground = tuple(ground)
-    models = [uniformity_from_partition(ground, p) for p in partitions(ground)]
-    # the minimum entourage is the partition's relation, so it tells the
-    # models apart and no later entourage need be compared
-    models.sort(key=lambda u: (len(u.entourages), sorted(u.minimum)))
-    return models
-
-
-# ---------------------------------------------------------------------------
-# Convergence, Cauchy filters, and the equivalence relation between them
-
-
-def ball(v: frozenset, x: Hashable) -> frozenset:
-    return frozenset(b for (a, b) in v if a == x)
-
-
-def converges_to(f: FiniteFilter, x: Hashable, u: FiniteUniformity) -> bool:
-    """Every entourage ball around x is a member of the filter."""
-    return all(ball(v, x) in f.sets for v in u.entourages)
-
-
-@lru_cache(maxsize=65536)
-def _product_pairs(a: frozenset, b: frozenset) -> frozenset:
-    return frozenset(itertools.product(a, b))
-
-
-def is_cauchy(f: FiniteFilter, u: FiniteUniformity) -> bool:
-    """For every entourage, some member is small of that order."""
-    members = f.members_sorted()
-    for v in u.entourages:
-        if not any(_product_pairs(m, m) <= v for m in members):
-            return False
-    return True
-
-
-def relation_R(f1: FiniteFilter, f2: FiniteFilter, u: FiniteUniformity) -> bool:
-    """For every entourage there are members A of f1 and B of f2 with
-    A x B inside it."""
-    m1 = f1.members_sorted()
-    m2 = f2.members_sorted()
-    for v in u.entourages:
-        if not any(_product_pairs(a, b) <= v for a in m1 for b in m2):
-            return False
-    return True
-
-
-def minimal_cauchy(f: FiniteFilter, u: FiniteUniformity, all_filters: Sequence[FiniteFilter] | None = None) -> FiniteFilter:
-    """Intersection of the R-class of a Cauchy filter: the completion's
-    canonical representative below every equivalent Cauchy filter."""
-    if not is_cauchy(f, u):
-        raise ValueError("minimal_cauchy needs a Cauchy filter")
-    if all_filters is None:
-        all_filters = enumerate_filters(f.ground)
-    cls = [g for g in all_filters if is_cauchy(g, u) and relation_R(g, f, u)]
-    out = intersect_filters(cls)
-    if not is_cauchy(out, u):
-        raise ValueError("intersection of the R-class failed to be Cauchy")
-    for g in cls:
-        if not out <= g:
-            raise ValueError("minimal Cauchy filter is not below a class member")
-    return out
-
-
-# ---------------------------------------------------------------------------
-# The exhaustive sweep
+            yield sub[:i] + ((first,) + block,) + sub[i + 1 :]
 
 
 @dataclass(frozen=True)
@@ -436,16 +127,25 @@ class _Memo(dict):
 
 
 class _BitsetModel:
-    """One uniformity model, encoded for the exhaustive sweep.
+    """One uniformity model on the ground set {0, .., n-1}, encoded for the
+    exhaustive sweep.
 
-    A subset of the ground set is an int (bit i for ``ground[i]``); a family
-    of subsets, such as a filter, is an int over the 2^n subsets (bit s for
+    The model is given by its minimum entourage V0 as row masks: bit y of
+    ``rows[x]`` is set when x V0 y (``rows`` is reflexive and symmetric).
+    With p_0, .., p_{k-1} the unordered pairs outside V0 (``pairs``),
+    entourage number s is V0 plus the pairs p_t whose bit t is set in s:
+    the 2^k symmetric supersets of V0, which are every entourage of the
+    model, enumerated literally.
+
+    A subset of the ground set is an int (bit x for point x); a family of
+    subsets, such as a filter, is an int over the 2^n subsets (bit s for
     subset s), so intersecting filters is ``&`` and ``f <= g`` is
-    ``f & ~g == 0``.  A set of entourages is an int over their positions in
-    ``u.entourages``.  ``cover[a][b]`` is the set of entourages containing
-    a x b, the intersection over the pairs of a x b of the entourages
-    holding that pair; ``balls[x]`` is the family of entourage balls around
-    ``ground[x]``.  The predicates keep their quantifiers: "for every
+    ``f & ~g == 0``.  A set of entourages is an int over their numbers: a
+    pair of V0 is held by every entourage, and p_t by the entourages whose
+    number has bit t set.  ``cover[a][b]`` is the set of entourages
+    containing a x b, the intersection over the pairs of a x b of the
+    entourages holding that pair; ``balls[x]`` is the family of entourage
+    balls around x.  The predicates keep their quantifiers: "for every
     entourage there is a member (pair) small of that order" is the union of
     the members' cover sets compared with the set of all entourages.  The
     filter axioms, the Cauchy predicate and a filter's reach table are
@@ -453,26 +153,30 @@ class _BitsetModel:
     the second filter's reach table.
     """
 
-    def __init__(self, u: FiniteUniformity):
-        self.ground = u.ground
-        n = len(u.ground)
+    def __init__(self, rows: Sequence[int]):
+        n = len(rows)
+        self.rows = tuple(rows)
         self.full = (1 << n) - 1
         self.up = _up_sets(n)
-        self.every_entourage = (1 << len(u.entourages)) - 1
-        pos = {x: i for i, x in enumerate(u.ground)}
-        holding = [0] * (n * n)
+        self.pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if not rows[a] >> b & 1]
+        self.n_entourages = 1 << len(self.pairs)
+        self.every_entourage = (1 << self.n_entourages) - 1
+        held = [0] * len(self.pairs)  # held[t]: the entourages holding p_t
         balls = [0] * n
-        for e, v in enumerate(u.entourages):
-            ent = 1 << e
-            rows = [0] * n
-            for a, b in v:
-                i, j = pos[a], pos[b]
-                holding[i * n + j] |= ent
-                rows[i] |= 1 << j
+        for s in range(self.n_entourages):
+            ball = list(rows)
+            for t in _bits(s):
+                a, b = self.pairs[t]
+                ball[a] |= 1 << b
+                ball[b] |= 1 << a
+                held[t] |= 1 << s
             for x in range(n):
-                balls[x] |= 1 << rows[x]
+                balls[x] |= 1 << ball[x]
         self.balls = balls
-        # row_cover[i][b]: entourages containing {ground[i]} x b
+        holding = [self.every_entourage if rows[i] >> j & 1 else 0 for i in range(n) for j in range(n)]
+        for (a, b), h in zip(self.pairs, held):
+            holding[a * n + b] = holding[b * n + a] = h
+        # row_cover[i][b]: entourages containing {i} x b
         row_cover = []
         for i in range(n):
             row = [self.every_entourage] * (self.full + 1)
@@ -490,13 +194,6 @@ class _BitsetModel:
         self.cauchy = _Memo(self._cauchy)
         self._reach = _Memo(self._reach_of)
 
-    def family(self, sets: Iterable[frozenset]) -> int:
-        bit = {x: 1 << i for i, x in enumerate(self.ground)}
-        return sum(1 << sum(bit[x] for x in s) for s in sets)
-
-    def elements(self, s: int) -> list:
-        return sorted(self.ground[i] for i in _bits(s))
-
     def core(self, f: int) -> int:
         out = self.full
         for s in self.members[f]:
@@ -504,11 +201,11 @@ class _BitsetModel:
         return out
 
     def label(self, f: int) -> str:
-        return "^" + "".join(str(x) for x in self.elements(self.core(f)))
+        return "^" + "".join(str(x) for x in _bits(self.core(f)))
 
     def _axioms(self, f: int) -> str | None:
-        """The first filter axiom the family breaks, worded as
-        ``_check_filter_axioms`` words it, or None."""
+        """The first filter axiom the family breaks, worded as the
+        reference's ``_check_filter_axioms`` words it, or None."""
         if not f >> self.full & 1:
             return "filter axioms violated: ground set missing"
         if f & 1:
@@ -517,15 +214,15 @@ class _BitsetModel:
         for a in members:
             for b in members:
                 if not f >> (a & b) & 1:
-                    return f"filter axioms violated: {self.elements(a)} meet {self.elements(b)} missing"
+                    return f"filter axioms violated: {_bits(a)} meet {_bits(b)} missing"
         for s in members:
             missing = self.up[s] & ~f
             if missing:
-                return f"filter axioms violated: superset {self.elements(_bits(missing)[0])} missing"
+                return f"filter axioms violated: superset {_bits(_bits(missing)[0])} missing"
         return None
 
     def converges(self, f: int, x: int) -> bool:
-        """Every entourage ball around ``ground[x]`` is a member."""
+        """Every entourage ball around x is a member."""
         return self.balls[x] & ~f == 0
 
     def _cauchy(self, f: int) -> bool:
@@ -552,13 +249,34 @@ class _BitsetModel:
         return small == self.every_entourage
 
 
-def _check_model(size: int, index: int, u: FiniteUniformity, fs: list[FiniteFilter]) -> ModelReport:
+def _models(size: int) -> list[_BitsetModel]:
+    """Every uniformity on {0, .., size-1}, one per partition, ordered by
+    entourage count and then by the sorted pairs of the minimum entourage
+    (the partition's relation, which tells the models apart)."""
+    models = []
+    for blocks in partitions(range(size)):
+        rows = [0] * size
+        for block in blocks:
+            mask = sum(1 << x for x in block)
+            for x in block:
+                rows[x] = mask
+        models.append(_BitsetModel(rows))
+    models.sort(key=lambda m: (m.n_entourages, [(x, y) for x in range(size) for y in _bits(m.rows[x])]))
+    return models
+
+
+def _filters(size: int) -> list[int]:
+    """Every filter on {0, .., size-1}: the up-set of each nonempty core,
+    ordered by (core size, core)."""
+    cores = sorted(range(1, 1 << size), key=lambda c: (len(_bits(c)), _bits(c)))
+    return [_up_sets(size)[c] for c in cores]
+
+
+def _check_model(size: int, index: int, bm: _BitsetModel, masks: list[int]) -> ModelReport:
     """Check every law on one model, visiting every pair and triple of
     filters the laws quantify over.  A failed law and an intersection that
     breaks the filter axioms are both recorded as failures; the first eight
     are kept."""
-    bm = _BitsetModel(u)
-    masks = [bm.family(f.sets) for f in fs]
     nf = len(masks)
     failures: list[str] = []
     counts: dict[str, int] = {}
@@ -593,16 +311,17 @@ def _check_model(size: int, index: int, u: FiniteUniformity, fs: list[FiniteFilt
     bump("intersections_are_filters", visited)
 
     # intersections of filters converging to x converge to x
-    conv = [[bm.converges(f, x) for f in masks] for x in range(len(u.ground))]
-    for x, point in enumerate(u.ground):
+    points = range(len(bm.rows))
+    conv = [[bm.converges(f, x) for f in masks] for x in points]
+    for x in points:
         pointing = [f for f, ok in zip(masks, conv[x]) if ok]
         for pair in itertools.combinations(pointing, 2):
             if not bm.converges(meet(pair), x):
-                fail(f"convergence lost at {point} for {label(pair[0])},{label(pair[1])}")
+                fail(f"convergence lost at {x} for {label(pair[0])},{label(pair[1])}")
             bump("convergent_intersections")
         if pointing:
             if not bm.converges(meet(pointing), x):
-                fail(f"convergence lost at {point} for the full convergent family")
+                fail(f"convergence lost at {x} for the full convergent family")
             bump("convergent_intersections")
 
     # convergence implies Cauchy
@@ -661,7 +380,7 @@ def _check_model(size: int, index: int, u: FiniteUniformity, fs: list[FiniteFilt
             fail(f"class intersection of {label(f)} is not the up-set of the union of cores")
 
     checks = tuple(sorted(counts.items()))
-    return ModelReport(size, index, len(u.entourages), len(fs), checks, tuple(failures))
+    return ModelReport(size, index, bm.n_entourages, nf, checks, tuple(failures))
 
 
 def verify_filter_laws(max_size: int = 4) -> FilterLawReport:
@@ -672,8 +391,7 @@ def verify_filter_laws(max_size: int = 4) -> FilterLawReport:
     filter_counts = []
     models = []
     for size in range(1, max_size + 1):
-        ground = tuple(range(size))
-        fs = enumerate_filters(ground)
-        filter_counts.append((size, len(fs), 2**size - 1))
-        models.extend(_check_model(size, index, u, fs) for index, u in enumerate(catalog(ground)))
+        masks = _filters(size)
+        filter_counts.append((size, len(masks), 2**size - 1))
+        models.extend(_check_model(size, index, bm, masks) for index, bm in enumerate(_models(size)))
     return FilterLawReport(max_size, tuple(models), tuple(filter_counts))

@@ -497,6 +497,8 @@ def load_spec(path: str, _stack: tuple[str, ...] = ()) -> SpecFile:
         raise SpecError(path, by_name["generators"].line, str(err)) from err
 
     probes = _parse_probes(path, by_name["probes"]) if "probes" in by_name else []
+    if probes and len(carrier.params) != 1:
+        raise SpecError(path, by_name["probes"].line, "probes require a single-parameter carrier")
 
     stack = _stack + (resolved,)
     maps: dict[str, LoadedMap] = {}

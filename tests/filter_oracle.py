@@ -1,27 +1,298 @@
-"""The frozenset finite-model verifier, kept as the reference the bitset
-verifier in ``sikorski.filters`` is compared against.
+"""The frozenset definitions of filters and uniformities on small finite
+sets, and a verifier written with them: the reference the bitset verifier
+in ``sikorski.filters`` is tested against.
 
-``check_model`` evaluates every law through the public frozenset API
-(``intersect_filters``, ``is_cauchy``, ``converges_to``, ``relation_R``,
-``minimal_cauchy``) on every pair and triple of filters, one frozenset
-comparison at a time.  It raises where an intersection or
+Everything here is literal.  A filter is a frozenset of frozensets, an
+entourage a frozenset of ordered pairs, and a uniformity the sorted tuple
+of its entourages.  Convergence, the Cauchy property, the relation R and
+the minimal Cauchy filter are checked quantifier by quantifier, one
+frozenset comparison at a time.
+
+``check_model`` evaluates every law through these definitions on every
+pair and triple of filters.  It raises where an intersection or
 ``minimal_cauchy`` raises; ``sikorski.filters._check_model`` records those
 as failures instead.
 """
 
-import itertools
+from __future__ import annotations
 
-from sikorski.filters import (
-    FiniteFilter,
-    FiniteUniformity,
-    ModelReport,
-    converges_to,
-    intersect_filters,
-    is_cauchy,
-    minimal_cauchy,
-    principal_filter,
-    relation_R,
-)
+import itertools
+from dataclasses import dataclass
+from functools import lru_cache
+from typing import Hashable, Iterable, Iterator, Sequence
+
+from sikorski.filters import _MAX_GROUND, ModelReport, partitions
+
+
+def _sorted_sets(sets: Iterable[frozenset]) -> tuple[frozenset, ...]:
+    return tuple(sorted(sets, key=lambda s: (len(s), sorted(s))))
+
+
+@dataclass(frozen=True)
+class FiniteFilter:
+    """An upward-closed, intersection-closed family of nonempty subsets."""
+
+    ground: tuple[Hashable, ...]
+    sets: frozenset[frozenset]
+
+    @property
+    def core(self) -> frozenset:
+        """Smallest member; every filter on a finite set is its up-set."""
+        out = frozenset(self.ground)
+        for s in self.sets:
+            out &= s
+        return out
+
+    def members_sorted(self) -> tuple[frozenset, ...]:
+        return _sorted_sets(self.sets)
+
+    def __le__(self, other: "FiniteFilter") -> bool:
+        return self.sets <= other.sets
+
+
+def _upward_closure(ground: Sequence[Hashable], seeds: Iterable[frozenset]) -> frozenset:
+    universe = tuple(ground)
+    out = set()
+    for seed in seeds:
+        rest = [x for x in universe if x not in seed]
+        for k in range(len(rest) + 1):
+            for extra in itertools.combinations(rest, k):
+                out.add(seed | frozenset(extra))
+    return frozenset(out)
+
+
+def principal_filter(ground: Sequence[Hashable], core: Iterable[Hashable]) -> FiniteFilter:
+    core = frozenset(core)
+    if not core:
+        raise ValueError("a filter cannot be generated by the empty set")
+    if not core <= frozenset(ground):
+        raise ValueError("core must be a subset of the ground set")
+    return FiniteFilter(tuple(ground), _upward_closure(ground, [core]))
+
+
+def enumerate_filters(ground: Sequence[Hashable]) -> list[FiniteFilter]:
+    """All filters on the ground set, ordered by (core size, core).
+
+    On a finite set every filter is principal (its members' intersection is
+    itself a member), so the count is 2^|ground| - 1.
+    """
+    ground = tuple(ground)
+    if len(ground) > _MAX_GROUND:
+        raise ValueError(f"ground sets larger than {_MAX_GROUND} are out of scope")
+    cores = []
+    for k in range(1, len(ground) + 1):
+        for combo in itertools.combinations(sorted(ground), k):
+            cores.append(frozenset(combo))
+    cores.sort(key=lambda s: (len(s), sorted(s)))
+    return [principal_filter(ground, core) for core in cores]
+
+
+def intersect_filters(filters: Sequence[FiniteFilter]) -> FiniteFilter:
+    if not filters:
+        raise ValueError("need at least one filter")
+    ground = filters[0].ground
+    if any(f.ground != ground for f in filters):
+        raise ValueError("filters live on different ground sets")
+    sets = frozenset.intersection(*(f.sets for f in filters))
+    out = FiniteFilter(ground, sets)
+    _check_filter_axioms(out)
+    return out
+
+
+def _check_filter_axioms(f: FiniteFilter) -> None:
+    universe = frozenset(f.ground)
+    if universe not in f.sets:
+        raise ValueError("filter axioms violated: ground set missing")
+    for s in f.sets:
+        if not s:
+            raise ValueError("filter axioms violated: empty set present")
+    for a in f.sets:
+        for b in f.sets:
+            if a & b not in f.sets:
+                raise ValueError(f"filter axioms violated: {sorted(a)} meet {sorted(b)} missing")
+    for s in f.sets:
+        for t in _upward_closure(f.ground, [s]):
+            if t not in f.sets:
+                raise ValueError(f"filter axioms violated: superset {sorted(t)} missing")
+
+
+# ---------------------------------------------------------------------------
+# Uniformities
+
+
+def _diagonal(ground: Sequence[Hashable]) -> frozenset:
+    return frozenset((x, x) for x in ground)
+
+
+def _is_symmetric(rel: frozenset) -> bool:
+    return all((b, a) in rel for (a, b) in rel)
+
+
+def _compose(rel: frozenset) -> frozenset:
+    by_left: dict[Hashable, set] = {}
+    for a, b in rel:
+        by_left.setdefault(a, set()).add(b)
+    out = set()
+    for a, b in rel:
+        for c in by_left.get(b, ()):
+            out.add((a, c))
+    return frozenset(out)
+
+
+def _symmetric_supersets(ground: tuple, rel: frozenset) -> Iterator[frozenset]:
+    pool = [
+        (a, b)
+        for a, b in itertools.combinations(sorted(ground), 2)
+        if (a, b) not in rel
+    ]
+    for k in range(len(pool) + 1):
+        for extra in itertools.combinations(pool, k):
+            add = set()
+            for a, b in extra:
+                add.add((a, b))
+                add.add((b, a))
+            yield rel | frozenset(add)
+
+
+@dataclass(frozen=True)
+class FiniteUniformity:
+    """A uniform structure presented by its symmetric entourages.
+
+    The family must contain the diagonal in every member, be closed under
+    symmetric supersets and pairwise intersections, and provide a
+    composition witness W with W o W inside each member.
+    """
+
+    ground: tuple[Hashable, ...]
+    entourages: tuple[frozenset, ...]  # canonically sorted
+
+    @property
+    def minimum(self) -> frozenset:
+        return self.entourages[0]
+
+
+def make_uniformity(ground: Sequence[Hashable], relations: Iterable[Iterable[tuple]]) -> FiniteUniformity:
+    ground = tuple(ground)
+    if len(ground) > _MAX_GROUND:
+        raise ValueError(f"ground sets larger than {_MAX_GROUND} are out of scope")
+    rels = {frozenset(r) for r in relations}
+    if not rels:
+        raise ValueError("a uniformity needs at least one entourage")
+    diag = _diagonal(ground)
+    pairs = frozenset(itertools.product(ground, repeat=2))
+    for rel in rels:
+        if not rel <= pairs:
+            raise ValueError("entourage contains pairs outside the ground set")
+        if not diag <= rel:
+            raise ValueError("every entourage must contain the diagonal")
+        if not _is_symmetric(rel):
+            raise ValueError("every entourage must be symmetric")
+    for rel in rels:
+        for sup in _symmetric_supersets(ground, rel):
+            if sup not in rels:
+                raise ValueError("family is not closed under symmetric supersets")
+    for a in rels:
+        for b in rels:
+            if a & b not in rels:
+                raise ValueError("family is not closed under pairwise intersections")
+    for v in rels:
+        if not any(_compose(w) <= v for w in rels):
+            raise ValueError("no composition witness W with W o W inside some entourage")
+    return FiniteUniformity(ground, _sorted_sets(rels))
+
+
+def uniformity_from_partition(ground: Sequence[Hashable], blocks: Iterable[Iterable[Hashable]]) -> FiniteUniformity:
+    """The uniformity whose minimum entourage is the equivalence relation
+    of the partition: all symmetric supersets of it."""
+    ground = tuple(ground)
+    blocks = [frozenset(b) for b in blocks]
+    seen: set = set()
+    for b in blocks:
+        if not b:
+            raise ValueError("partition blocks must be nonempty")
+        if b & seen:
+            raise ValueError("partition blocks overlap")
+        seen |= b
+    if seen != frozenset(ground):
+        raise ValueError("partition blocks must cover the ground set")
+    equiv = frozenset((x, y) for b in blocks for x in b for y in b)
+    return FiniteUniformity(ground, _sorted_sets(_symmetric_supersets(ground, equiv)))
+
+
+def catalog(ground: Sequence[Hashable]) -> list[FiniteUniformity]:
+    """Every uniformity on the ground set, one per partition.
+
+    In this finite symmetric model the minimum entourage V0 is forced to
+    be transitive (its composition witness W contains V0, so V0 o V0 is
+    inside W o W inside V0), hence an equivalence relation; the family is
+    exactly the symmetric supersets of V0.  Enumerating partitions is
+    therefore exhaustive, not a sampling strategy;
+    ``test_the_catalog_is_every_uniformity`` checks that by raw search.
+    """
+    ground = tuple(ground)
+    models = [uniformity_from_partition(ground, p) for p in partitions(ground)]
+    # the minimum entourage is the partition's relation, so it tells the
+    # models apart and no later entourage need be compared
+    models.sort(key=lambda u: (len(u.entourages), sorted(u.minimum)))
+    return models
+
+
+# ---------------------------------------------------------------------------
+# Convergence, Cauchy filters, and the equivalence relation between them
+
+
+def ball(v: frozenset, x: Hashable) -> frozenset:
+    return frozenset(b for (a, b) in v if a == x)
+
+
+def converges_to(f: FiniteFilter, x: Hashable, u: FiniteUniformity) -> bool:
+    """Every entourage ball around x is a member of the filter."""
+    return all(ball(v, x) in f.sets for v in u.entourages)
+
+
+@lru_cache(maxsize=65536)
+def _product_pairs(a: frozenset, b: frozenset) -> frozenset:
+    return frozenset(itertools.product(a, b))
+
+
+def is_cauchy(f: FiniteFilter, u: FiniteUniformity) -> bool:
+    """For every entourage, some member is small of that order."""
+    members = f.members_sorted()
+    for v in u.entourages:
+        if not any(_product_pairs(m, m) <= v for m in members):
+            return False
+    return True
+
+
+def relation_R(f1: FiniteFilter, f2: FiniteFilter, u: FiniteUniformity) -> bool:
+    """For every entourage there are members A of f1 and B of f2 with
+    A x B inside it."""
+    m1 = f1.members_sorted()
+    m2 = f2.members_sorted()
+    for v in u.entourages:
+        if not any(_product_pairs(a, b) <= v for a in m1 for b in m2):
+            return False
+    return True
+
+
+def minimal_cauchy(f: FiniteFilter, u: FiniteUniformity, all_filters: Sequence[FiniteFilter] | None = None) -> FiniteFilter:
+    """Intersection of the R-class of a Cauchy filter: the completion's
+    canonical representative below every equivalent Cauchy filter."""
+    if not is_cauchy(f, u):
+        raise ValueError("minimal_cauchy needs a Cauchy filter")
+    if all_filters is None:
+        all_filters = enumerate_filters(f.ground)
+    cls = [g for g in all_filters if is_cauchy(g, u) and relation_R(g, f, u)]
+    out = intersect_filters(cls)
+    if not is_cauchy(out, u):
+        raise ValueError("intersection of the R-class failed to be Cauchy")
+    for g in cls:
+        if not out <= g:
+            raise ValueError("minimal Cauchy filter is not below a class member")
+    return out
+
+# ---------------------------------------------------------------------------
+# The reference verifier
 
 
 def check_model(size: int, index: int, u: FiniteUniformity, fs: list[FiniteFilter]) -> ModelReport:

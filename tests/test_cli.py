@@ -383,6 +383,28 @@ def test_run_refuses_a_nested_run(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "first,message",
+    [
+        ("-h", "experiment a: '-h' is not a command"),
+        ("embd", "experiment a: 'embd' is not a command"),
+        ("embed --help", "experiment a: '--help' prints help instead of running"),
+    ],
+)
+def test_run_refuses_an_experiment_that_is_not_a_command_run(tmp_path, first, message):
+    spec = tmp_path / "t.spec"
+    spec.write_text(
+        "[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 5\n\n[generators]\nf = x\n\n"
+        f"[experiments]\na = {first}\nb = embed\n",
+        encoding="utf-8",
+    )
+    proc = run_cli("run", str(spec), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"sikorski run: {message}\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "out" / "b_points.csv").exists()
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     outs = []
     for sub in ("one", "two"):
@@ -541,6 +563,17 @@ def test_an_inset_that_empties_an_axis_exits_two(tmp_path):
     rc, _, err = run_in_process(["embed", str(spec), "--out", str(tmp_path)])
     assert rc == 2
     assert err == f"sikorski embed: {spec}:1: [space]: inset 5.0 empties axis (0.0, 1.0)\n"
+
+
+def test_probes_on_a_two_parameter_carrier_exit_two(tmp_path):
+    spec = tmp_path / "t.spec"
+    spec.write_text(
+        "[space]\nparams = s, t\ndomain = [0, 1] x [0, 1]\nchart = x : s, y : t\nsamples = 5, 5\n\n"
+        "[generators]\nf = x\n\n[probes]\np = 1/n @ 1 .. 50\n"
+    )
+    rc, _, err = run_in_process(["complete", str(spec), "--out", str(tmp_path)])
+    assert rc == 2
+    assert err == f"sikorski complete: {spec}:10: probes require a single-parameter carrier\n"
 
 
 @pytest.mark.parametrize("samples", [10927, 10986, 11045])

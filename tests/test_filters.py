@@ -1,33 +1,42 @@
+import hashlib
 import itertools
 import operator
 from functools import reduce
 
 import pytest
 
-from filter_oracle import check_model
-from sikorski.filters import (
+from filter_oracle import (
     FiniteFilter,
     FiniteUniformity,
-    _BitsetModel,
-    _check_model,
     _sorted_sets,
     _symmetric_supersets,
+    ball,
     catalog,
+    check_model,
     converges_to,
-    discrete_uniformity,
     enumerate_filters,
-    filter_from_base,
-    indiscrete_uniformity,
     intersect_filters,
     is_cauchy,
     make_uniformity,
     minimal_cauchy,
-    partitions,
     principal_filter,
     relation_R,
     uniformity_from_partition,
-    verify_filter_laws,
 )
+from sikorski import cli
+from sikorski.filters import _BitsetModel, _bits, _check_model, _filters, _models, partitions, verify_filter_laws
+
+
+def mask_of(sets):
+    """A family of subsets of {0, .., n-1}, encoded as the sweep encodes it."""
+    return sum(1 << sum(1 << x for x in s) for s in sets)
+
+
+def entourage(bm, s):
+    """Entourage number s of a bitset model, decoded to its ordered pairs."""
+    extra = [bm.pairs[t] for t in _bits(s)]
+    minimum = {(x, y) for x, row in enumerate(bm.rows) for y in _bits(row)}
+    return frozenset(minimum | set(extra) | {(b, a) for a, b in extra})
 
 
 def brute_force_filters(ground):
@@ -75,26 +84,6 @@ def test_oversized_ground_sets_are_rejected():
         enumerate_filters(tuple(range(6)))
 
 
-def test_filter_from_base_examples():
-    up_a = filter_from_base(("a", "b"), [["a"]])
-    assert up_a.sets == principal_filter(("a", "b"), ["a"]).sets
-    up_all = filter_from_base(("a", "b"), [["a", "b"]])
-    assert up_all.core == frozenset({"a", "b"})
-
-
-def test_undirected_base_is_rejected_with_the_pair():
-    with pytest.raises(ValueError, match="not directed"):
-        filter_from_base(("a", "b", "c"), [["a", "b"], ["b", "c"]])
-    # adding a member below the intersection repairs it
-    fixed = filter_from_base(("a", "b", "c"), [["a", "b"], ["b", "c"], ["b"]])
-    assert fixed.core == frozenset({"b"})
-
-
-def test_base_may_not_contain_the_empty_set():
-    with pytest.raises(ValueError, match="empty set"):
-        filter_from_base(("a", "b"), [[]])
-
-
 def test_intersection_of_opposing_principals():
     ground = ("a", "b")
     up_a = principal_filter(ground, ["a"])
@@ -121,18 +110,18 @@ def test_principal_ultrafilter_converges_everywhere_it_points():
 def test_convergence_under_the_extreme_uniformities():
     ground = ("a", "b")
     whole = principal_filter(ground, ground)
-    indiscrete = indiscrete_uniformity(ground)
+    indiscrete = uniformity_from_partition(ground, [ground])
     assert converges_to(whole, "a", indiscrete)
     assert converges_to(whole, "b", indiscrete)
-    discrete = discrete_uniformity(ground)
+    discrete = uniformity_from_partition(ground, [[x] for x in ground])
     assert not converges_to(principal_filter(ground, ["a"]), "b", discrete)
 
 
 def test_cauchy_examples():
     ground = ("a", "b")
     whole = principal_filter(ground, ground)
-    assert is_cauchy(whole, indiscrete_uniformity(ground))
-    assert not is_cauchy(whole, discrete_uniformity(ground))
+    assert is_cauchy(whole, uniformity_from_partition(ground, [ground]))
+    assert not is_cauchy(whole, uniformity_from_partition(ground, [[x] for x in ground]))
     for u in catalog(ground):
         assert is_cauchy(principal_filter(ground, ["a"]), u)
 
@@ -141,8 +130,8 @@ def test_relation_examples():
     ground = ("a", "b")
     up_a = principal_filter(ground, ["a"])
     up_b = principal_filter(ground, ["b"])
-    assert relation_R(up_a, up_b, indiscrete_uniformity(ground))
-    assert not relation_R(up_a, up_b, discrete_uniformity(ground))
+    assert relation_R(up_a, up_b, uniformity_from_partition(ground, [ground]))
+    assert not relation_R(up_a, up_b, uniformity_from_partition(ground, [[x] for x in ground]))
     for u in catalog(ground):
         for f in enumerate_filters(ground):
             if is_cauchy(f, u):
@@ -152,9 +141,9 @@ def test_relation_examples():
 def test_minimal_cauchy_under_both_extremes():
     ground = ("a", "b")
     up_a = principal_filter(ground, ["a"])
-    indiscrete = indiscrete_uniformity(ground)
+    indiscrete = uniformity_from_partition(ground, [ground])
     assert minimal_cauchy(up_a, indiscrete).sets == principal_filter(ground, ground).sets
-    discrete = discrete_uniformity(ground)
+    discrete = uniformity_from_partition(ground, [[x] for x in ground])
     assert minimal_cauchy(up_a, discrete).sets == up_a.sets
 
 
@@ -172,7 +161,7 @@ def test_minimal_cauchy_requires_a_cauchy_input():
     ground = ("a", "b")
     whole = principal_filter(ground, ground)
     with pytest.raises(ValueError, match="needs a Cauchy filter"):
-        minimal_cauchy(whole, discrete_uniformity(ground))
+        minimal_cauchy(whole, uniformity_from_partition(ground, [[x] for x in ground]))
 
 
 def test_make_uniformity_rejects_broken_families():
@@ -214,6 +203,32 @@ def test_catalog_keeps_the_full_entourage_order(size):
     assert catalog(ground) == full
 
 
+@pytest.mark.parametrize("size,expected", [(1, 1), (2, 2), (3, 5)])
+def test_the_catalog_is_every_uniformity(size, expected):
+    """Raw search: of every nonempty family of reflexive symmetric
+    relations, the ones make_uniformity accepts are exactly the catalog's
+    models.  Independent of the partition argument, so it can contradict it."""
+    ground = tuple(range(size))
+    diagonal = {(x, x) for x in ground}
+    pairs = list(itertools.combinations(ground, 2))
+    relations = [
+        frozenset(diagonal | set(extra) | {(b, a) for a, b in extra})
+        for k in range(len(pairs) + 1)
+        for extra in itertools.combinations(pairs, k)
+    ]
+    found = set()
+    for picks in itertools.product((False, True), repeat=len(relations)):
+        family = [rel for rel, keep in zip(relations, picks) if keep]
+        if not family:
+            continue
+        try:
+            found.add(make_uniformity(ground, family).entourages)
+        except ValueError:
+            continue
+    assert len(found) == expected
+    assert found == {u.entourages for u in catalog(ground)}
+
+
 def test_convergent_filters_are_cauchy_across_the_catalog():
     ground = ("a", "b", "c")
     for u in catalog(ground):
@@ -245,19 +260,35 @@ def test_bitset_verifier_matches_the_frozenset_oracle():
     for size in range(1, 5):
         ground = tuple(range(size))
         fs = enumerate_filters(ground)
-        for index, u in enumerate(catalog(ground)):
-            assert _check_model(size, index, u, fs) == check_model(size, index, u, fs)
-            bm = _BitsetModel(u)
-            masks = [bm.family(f.sets) for f in fs]
+        masks = _filters(size)
+        for index, (u, bm) in enumerate(zip(catalog(ground), _models(size), strict=True)):
+            assert _check_model(size, index, bm, masks) == check_model(size, index, u, fs)
             for f, m in zip(fs, masks):
                 assert bm.cauchy[m] == is_cauchy(f, u)
-                for i, x in enumerate(ground):
-                    assert bm.converges(m, i) == converges_to(f, x, u)
+                for x in ground:
+                    assert bm.converges(m, x) == converges_to(f, x, u)
                 for g, mg in zip(fs, masks):
                     assert bm.related(m, mg) == relation_R(f, g, u)
                 if is_cauchy(f, u):
                     cls = [mg for mg in masks if bm.cauchy[mg] and bm.related(mg, m)]
-                    assert bm.family(minimal_cauchy(f, u, fs).sets) == reduce(operator.and_, cls)
+                    assert mask_of(minimal_cauchy(f, u, fs).sets) == reduce(operator.and_, cls)
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 4, 5])
+def test_the_sweep_enumerates_the_catalog_and_every_filter(size):
+    """Model i of the sweep holds exactly the entourages of the catalog's
+    model i, and the sweep's filters are the enumerated filters, in order."""
+    ground = tuple(range(size))
+    models = _models(size)
+    us = catalog(ground)
+    assert len(models) == len(us)
+    for bm, u in zip(models, us):
+        decoded = [entourage(bm, s) for s in range(bm.n_entourages)]
+        assert len(set(decoded)) == bm.n_entourages
+        assert set(decoded) == set(u.entourages)
+        for x in ground:
+            assert bm.balls[x] == mask_of({ball(v, x) for v in u.entourages})
+    assert _filters(size) == [mask_of(f.sets) for f in enumerate_filters(ground)]
 
 
 def test_size_five_totals_are_pinned():
@@ -278,24 +309,38 @@ def test_size_five_totals_are_pinned():
     assert sum(totals.values()) == 1_959_124
 
 
+def test_size_five_artifacts_are_pinned(tmp_path):
+    """The digests pin each model's place and counts, not only the totals."""
+    assert cli.main(["verify-filters", "--max-size", "5", "--out", str(tmp_path)]) == 0
+    digests = {
+        name: hashlib.sha256((tmp_path / f"verify_filters_{name}").read_bytes()).hexdigest()
+        for name in ("models.csv", "report.txt")
+    }
+    assert digests == {
+        "models.csv": "274881b2f43e600fbac3ced2d493e4e6aea9443abb435a7dc5239f4b35a241cb",
+        "report.txt": "8998591b88fb4e8464915efd353c57f41e58683b2adf659ed432086f9807d2a9",
+    }
+
+
 def test_a_non_transitive_minimum_is_reported_not_raised():
     # a minimum entourage 0~1, 1~2 that is not an equivalence relation,
     # bypassing the checks of make_uniformity
     ground = (0, 1, 2)
     minimum = frozenset({(0, 0), (1, 1), (2, 2), (0, 1), (1, 0), (1, 2), (2, 1)})
     u = FiniteUniformity(ground, _sorted_sets(_symmetric_supersets(ground, minimum)))
-    fs = enumerate_filters(ground)
     with pytest.raises(ValueError, match="R-class failed to be Cauchy"):
-        check_model(3, 0, u, fs)
-    report = _check_model(3, 0, u, fs)
+        check_model(3, 0, u, enumerate_filters(ground))
+    bm = _BitsetModel([0b011, 0b111, 0b110])
+    assert {entourage(bm, s) for s in range(bm.n_entourages)} == set(u.entourages)
+    report = _check_model(3, 0, bm, _filters(3))
     assert any(msg.startswith("R not transitive") for msg in report.failures)
 
 
 def test_a_family_that_is_not_a_filter_is_reported_not_raised():
     ground = (0, 1)
-    u = discrete_uniformity(ground)
+    u = uniformity_from_partition(ground, [[x] for x in ground])
     fs = enumerate_filters(ground) + [FiniteFilter(ground, frozenset({frozenset({0})}))]
     with pytest.raises(ValueError, match="ground set missing"):
         check_model(2, 0, u, fs)
-    report = _check_model(2, 0, u, fs)
+    report = _check_model(2, 0, _BitsetModel([0b01, 0b10]), _filters(2) + [1 << 0b01])
     assert "intersection axioms: filter axioms violated: ground set missing" in report.failures

@@ -202,6 +202,15 @@ def test_a_one_index_probe_schedule_is_a_spec_error(tmp_path):
     assert str(err.value) == f"{path}:12: probe p: probe p needs at least two schedule indices, got 5 .. 5"
 
 
+def test_probes_need_a_single_parameter_carrier(tmp_path):
+    text = MINIMAL.replace("params = t", "params = s, t").replace("domain = [0, 1]", "domain = [0, 1] x [0, 1]")
+    text = text.replace("chart = x : t", "chart = x : s, y : t").replace("samples = 11", "samples = 5, 5")
+    path = write_spec(tmp_path, text + "\n[probes]\np = 1/n @ 1 .. 50\n")
+    with pytest.raises(SpecError) as err:
+        load_spec(path)
+    assert str(err.value) == f"{path}:10: probes require a single-parameter carrier"
+
+
 def test_probe_defaults_without_schedule(tmp_path):
     text = MINIMAL + "\n[probes]\np = 1/n\n"
     spec = load_spec(write_spec(tmp_path, text))

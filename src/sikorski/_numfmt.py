@@ -1,0 +1,229 @@
+"""Exact ``%.17g`` and ``%d`` text of whole float64 arrays, as byte fields.
+
+`fields(conversion, x)` returns one fixed-width row of bytes per value:
+the text Python's ``conversion % value`` gives, with NUL bytes around and
+inside it.  Dropping every NUL of a row gives the text exactly.
+
+A float is formatted from its 17 significant digits D and its decimal
+exponent k.  k = floor(log10 |x|), corrected by at most one step, and
+|x| * 10**(16 - k) is computed in long double, where 10**p is exact for
+|p| <= 27 (5**27 < 2**63), so the product or quotient is rounded once,
+by at most half an ulp.  D is that result truncated and then rounded
+half-up from its fraction.  Every value this cannot prove exact takes
+Python's own scalar conversion instead, ``%.16e``, which gives the same
+correctly rounded 17 digits and exponent as ``%.17g``: a fraction within
+half an ulp of .5 (``%`` rounds an exact decimal tie half-even), zero, a
+non-finite value (its text is taken whole), and |16 - k| > 27, which
+takes in the subnormals and the extremes.  Where long double is plain
+double, every value takes the scalar path.
+
+The text is assembled eight bytes at a time, from D, k and the sign.  A
+table holds, for each %g layout (fixed notation with k in -4..16, or
+exponent notation) and count of significant digits, every piece the
+layout may need: the sign, the "0.000" of a small fixed-notation value,
+the digits each followed by a slot that holds the point or NUL, and a
+last word for the exponent.  The digits are ANDed into it from a table
+of 4-digit words, each digit followed by 0xFF.  An integer is simpler:
+its digits are read four at a time and its leading zeros cleared.
+"""
+
+from __future__ import annotations
+
+import numpy as np
+
+__all__ = ["fields"]
+
+_EXACT = np.longdouble(2) ** 63 + 1 != np.longdouble(2) ** 63  # a 64-bit mantissa, which holds 10**27
+_MAX_SCALE = 27
+_POW10 = np.concatenate([[1], np.cumprod(np.full(_MAX_SCALE, 10, dtype=np.longdouble))])
+_INT_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
+
+# The ASCII digits of 0..9999 as one native word each, so that a row of
+# words viewed as bytes reads in order: plain for an integer, and for a
+# float with each digit followed by 0xFF, which keeps its point slot.
+_FOUR = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
+_QUADS = _FOUR.view(np.uint32).ravel()
+# A float's mask words: the 10,000 spread words, then its first word, at
+# 10,000 + 10 * negative + digit: a byte that keeps the sign when negative,
+# five that keep the lead, the digit and its slot.
+_MASKS = np.full((10_000 + 20, 8), 0xFF, dtype=np.uint8)
+_MASKS[:10_000, ::2] = _FOUR
+_MASKS[10_000:10_010, 0] = 0
+_MASKS[10_000:10_020, 6] = 48 + np.arange(20) % 10
+_MASKS = _MASKS.view(np.uint64).ravel()
+_FIRST_MASK = 10_000
+# trailing zero digits of each 4-digit word, 4 for 0000
+_TRAILING = sum(np.arange(10_000) % 10**j == 0 for j in (1, 2, 3, 4)).astype(np.int8)
+del _FOUR
+
+_DIGITS = 17
+_LEAD = 6  # the sign and the "0.000" before the first digit
+_WIDTH = _LEAD + 2 * _DIGITS + 8  # then the digits and their slots, then one word
+_INT_WIDTH = 24  # three NUL, a sign and 20 digits, enough below 2**63
+
+# %g writes exponents -4..16 in fixed notation, one layout each, then one
+# layout for exponent notation and a blank one for a non-finite value.
+_FIXED_LO, _FIXED_HI = -4, _DIGITS - 1
+_SCI = _FIXED_HI - _FIXED_LO + 1
+_BLANK = _SCI + 1
+
+
+def _layouts() -> np.ndarray:
+    """The field of each layout and count s of significant digits, at row
+    layout * _DIGITS + s - 1, as words: a minus sign for the mask to keep
+    or clear, 0xFF where a digit is kept, and the last word NUL."""
+    # the digits before the fraction: k + 1 in fixed notation, 1 in exponent notation
+    firsts = [k + 1 for k in range(_FIXED_LO, _FIXED_HI + 1)] + [1]
+    s = np.arange(1, _DIGITS + 1)
+    out = np.zeros((_BLANK + 1, _DIGITS, _WIDTH), dtype=np.uint8)
+    out[:_BLANK, :, 0] = ord("-")
+    kept = np.arange(_DIGITS) < np.maximum(s[:, None], np.array(firsts)[:, None, None])
+    out[:_BLANK, :, _LEAD : _WIDTH - 8 : 2] = kept * np.uint8(0xFF)
+    for rows, first in zip(out, firsts):
+        if first > 0:
+            rows[s > first, _LEAD + 2 * first - 1] = ord(".")
+        else:  # "0." and -first zeros before the first digit
+            rows[:, _LEAD + first - 2 : _LEAD] = np.frombuffer(b"0." + b"0" * -first, dtype=np.uint8)
+    return out.reshape(-1, _WIDTH).view(np.uint64)
+
+
+_LAYOUTS = _layouts()
+
+
+def _exponents() -> np.ndarray:
+    """The last word of exponent notation for each k from _K_MIN to 308:
+    "e+XX" or "e-XXX" and NUL."""
+    k = np.arange(_K_MIN, 309)
+    out = np.zeros((len(k), 8), dtype=np.uint8)
+    out[:, 0] = ord("e")
+    out[:, 1] = np.where(k < 0, ord("-"), ord("+"))
+    out[:, 2:5] = np.abs(k)[:, None] // np.array([100, 10, 1]) % 10 + 48
+    short = np.abs(k) < 100  # two digits, no hundreds
+    out[short, 2:5] = out[short, 3:6]
+    return out.view(np.uint64).ravel()
+
+
+_K_MIN = -324  # the exponent of the least subnormal
+_EXPONENTS = _exponents()
+
+
+def _scale(ax: np.ndarray, p: np.ndarray) -> np.ndarray:
+    """ax * 10**p in long double, rounded once; |p| <= 27."""
+    y = np.multiply(ax, _POW10[np.maximum(p, 0)])
+    down = np.flatnonzero(p < 0)
+    if len(down):
+        y[down] = np.divide(ax[down], _POW10[-p[down]])
+    return y
+
+
+def _float_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, k, exact): each |x| as D * 10**(k - 16) with D a 17-digit int64
+    rounded to nearest, and whether that rounding is proven to be the one
+    ``%.17g`` makes.  D and k are meaningless where `exact` is false."""
+    ax = np.abs(x)
+    with np.errstate(all="ignore"):
+        k = np.floor(np.log10(ax))
+    exact = np.abs(16 - k) <= _MAX_SCALE  # false for 0, nan and inf
+    exact &= _EXACT
+    ax[~exact] = 1.0
+    k = np.where(exact, k, 16).astype(np.int64)
+    y = _scale(ax, 16 - k)
+    d = y.astype(np.int64)
+    off = np.flatnonzero(exact & ((d < 10**16) | (d >= 10**17)))  # log10 was one step out
+    if len(off):
+        k[off] += np.where(d[off] < 10**16, -1, 1)
+        inside = np.abs(16 - k[off]) <= _MAX_SCALE
+        y[off] = _scale(np.where(inside, ax[off], 1.0), np.where(inside, 16 - k[off], 0))
+        d[off] = y[off].astype(np.int64)
+        exact[off] &= inside & (d[off] >= 10**16) & (d[off] < 10**17)
+    frac = (y - d).astype(np.float64)  # exact: y >= 2**53 has at most 10 fraction bits
+    # y is rounded by at most half its spacing: 2**-11 below 2**54, doubling per binade
+    half_ulp = np.ldexp(2.0**-11, (d >= 2**54).view(np.int8) + (d >= 2**55) + (d >= 2**56))
+    exact &= np.abs(frac - 0.5) > half_ulp
+    d += frac > 0.5
+    exact &= d < 10**17  # a carry to 18 digits takes the scalar path (no double in range has one)
+    return d, k, exact
+
+
+def _words(d: np.ndarray) -> np.ndarray:
+    """Each int64 0 <= d < 2**63 as five words of 4 decimal digits, most
+    significant first, one row per word."""
+    words = np.empty((5, len(d)), dtype=np.int64)
+    top = d // 10**8
+    words[0] = top // 10**8
+    eights = np.stack([top - words[0] * 10**8, d - top * 10**8])
+    high = eights // 10**4
+    words[1::2] = high
+    words[2::2] = eights - high * 10**4
+    return words
+
+
+def _scalar_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(D, k, text) of each value from Python's own ``%.16e``, which has
+    the correctly rounded digits of ``%.17g``: D and k of a finite value,
+    and the text of a non-finite one as a last word (0 where finite)."""
+    d = np.zeros(len(x), dtype=np.int64)
+    k = np.zeros(len(x), dtype=np.int64)
+    text = np.zeros(len(x), dtype=np.uint64)
+    for i, value in enumerate(x.tolist()):
+        mantissa, _, exponent = ("%.16e" % value).partition("e")
+        if exponent:
+            d[i] = int(mantissa.replace(".", "").lstrip("-"))
+            k[i] = int(exponent)
+        else:
+            text[i] = np.frombuffer(mantissa.encode().ljust(8, b"\0"), dtype=np.uint64)[0]
+    return d, k, text
+
+
+def _float_fields(x: np.ndarray) -> np.ndarray:
+    d, k, exact = _float_digits(x)
+    slow = np.flatnonzero(~exact)
+    d[slow], k[slow], text = _scalar_digits(x[slow])
+    fixed = (k >= _FIXED_LO) & (k <= _FIXED_HI)
+    layout = np.where(fixed, k - _FIXED_LO, _SCI)
+    last = np.where(fixed, 0, _EXPONENTS[np.clip(k, _K_MIN, None) - _K_MIN])
+    nonfinite = slow[text != 0]
+    layout[nonfinite] = _BLANK
+    last[nonfinite] = text[text != 0]
+    words = _words(d)
+    # trailing zeros of D, from its last word back; its first word is 0..9
+    z = np.take(_TRAILING, words[1:])
+    zeros = z[3] + (z[3] == 4) * (z[2] + (z[2] == 4) * (z[1] + (z[1] == 4) * z[0]))
+    out = np.take(_LAYOUTS, layout * _DIGITS + (_DIGITS - 1 - zeros), axis=0)
+    words[0] += _FIRST_MASK + 10 * np.signbit(x)
+    for column, word in zip(out.T, words):
+        column &= _MASKS[word]
+    out[:, -1] = last
+    return out.view(np.uint8)
+
+
+def _int_fields(x: np.ndarray) -> np.ndarray:
+    exact = np.abs(x) < 2.0**63  # false for nan
+    d = np.where(exact, x, 0.0).astype(np.int64)  # truncates toward zero, as int() does
+    a = np.abs(d)
+    out = np.zeros((len(x), _INT_WIDTH // 4), dtype=np.uint32)
+    out[:, 1:] = _QUADS[_words(a).T]
+    out = out.view(np.uint8)
+    out[:, 3] = (d < 0) * np.uint8(ord("-"))
+    length = 1 + np.searchsorted(_INT_POW10, a, side="right")
+    out[:, 4:][np.arange(_INT_WIDTH - 4) < (_INT_WIDTH - 4 - length)[:, None]] = 0
+    rows = np.flatnonzero(~exact)
+    if len(rows):  # ``%d`` itself: it raises on nan and inf, and a huge value widens the field
+        text = [("%d" % value).encode() for value in x[rows].tolist()]
+        width = -(-max(_INT_WIDTH, *map(len, text)) // 8) * 8
+        out = np.pad(out, ((0, 0), (width - _INT_WIDTH, 0)))
+        out[rows] = np.frombuffer(b"".join(t.rjust(width, b"\0") for t in text), dtype=np.uint8).reshape(-1, width)
+    return out
+
+
+_KERNELS = {"%.17g": _float_fields, "%d": _int_fields}
+
+
+def fields(conversion: str, x: np.ndarray) -> np.ndarray:
+    """``conversion % value`` for each float64 value of `x`, one row of
+    uint8 per value: the text's bytes with NUL bytes around and inside
+    them; a column that is NUL in every row is left out.  `conversion`
+    is ``%.17g`` or ``%d``."""
+    out = _KERNELS[conversion](np.asarray(x, dtype=np.float64).ravel())
+    used = np.array([np.bitwise_or.reduce(word) for word in out.view(np.uint64).T], dtype=np.uint64)
+    return out[:, used.view(np.uint8) != 0]

@@ -1,12 +1,17 @@
 """Command line front end.
 
 Each subcommand loads a spec file, runs one construction, and writes
-CSV artifacts plus a short text report under ``--out``.  Every CSV
+CSV artifacts plus a short text report under ``--out``; ``run`` loads its
+spec once for all its experiments, and checks every experiment's command
+and flags before the first one runs.  Every CSV
 artifact goes through one writer, `_write_csv`, which owns the float
 format and the quoting.  Handlers hand it blocks of rows: a block's
 text cells are the same in every row and are quoted once, the way
 `csv.writer` quotes them, and its numbers come as one matrix, which is
-formatted a fixed-size slice of rows at a time.  Output is
+formatted a fixed-size slice of rows at a time by the byte kernel in
+`sikorski._numfmt`: whole columns become the exact bytes of ``%.17g`` and
+``%d``, and Python's scalar conversion runs only for the few values whose
+digits the kernel cannot prove exact.  Output is
 deterministic: floats are printed with 17 significant digits, rows
 follow declaration or sample order, and nothing timestamps itself.
 Exit status is 0 on success, 1 when a library invariant fails, and 2
@@ -25,6 +30,7 @@ import io
 import itertools
 import math
 import os
+import re
 import sys
 from typing import Callable, Iterable, NamedTuple, Sequence
 
@@ -139,14 +145,22 @@ def _artifact(args, suffix: str) -> str:
     return os.path.join(args.out, f"{label}_{suffix}")
 
 
+def _spec(args) -> specfile.SpecFile:
+    """The spec file the command names: the one `run` has loaded already,
+    when `run` is the caller."""
+    return args.spec_file or specfile.load_spec(args.spec)
+
+
 class _Slot(str):
-    """A block cell that differs from row to row: a printf conversion,
-    filled from the next column of the block's values."""
+    """A block cell that differs from row to row: a ``%.17g`` or ``%d``
+    conversion, with constant text around it if need be, filled from the
+    next column of the block's values."""
 
 
 _FLOAT_SLOT = _Slot(_FLOAT)
 _INDEX_SLOT = _Slot("%d")  # an integer stored as a float, exact below 2**53
 _SLICE_ROWS = 4096  # rows formatted per write, so a block is never one whole-file string
+_CONVERSION = re.compile(r"%(%|\.17g|d)")  # in a row format: an escaped % or a slot
 
 
 class _Block(NamedTuple):
@@ -165,7 +179,7 @@ def _cell_text(cell) -> str:
     significant digits, anything else is what `csv.writer` makes of it."""
     if cell is None:
         return ""
-    return _FLOAT % cell if isinstance(cell, float) else str(cell)
+    return _fmt(cell) if isinstance(cell, float) else str(cell)
 
 
 def _row_format(cells: Sequence) -> str:
@@ -177,19 +191,60 @@ def _row_format(cells: Sequence) -> str:
     return buf.getvalue()
 
 
+def _row_pieces(cells: Sequence) -> tuple[list[bytes], list[str]]:
+    """A row as the constant bytes between its slots and the slots'
+    conversions: constant 0, conversion 0, constant 1, ..., the last
+    constant."""
+    parts = _CONVERSION.split(_row_format(cells))
+    constants, conversions, text = [], [], parts[0]
+    for conversion, after in zip(parts[1::2], parts[2::2]):
+        if conversion == "%":
+            text += "%" + after
+        else:
+            constants.append(text.encode())
+            conversions.append("%" + conversion)
+            text = after
+    constants.append(text.encode())
+    return constants, conversions
+
+
+def _slice_bytes(constants: list[bytes], conversions: list[str], values: np.ndarray):
+    """The rows of one slice of a block: each row's constant bytes with
+    its values' fields between them, and every NUL that is not part of a
+    constant dropped."""
+    n = len(values)
+    if not conversions:
+        return constants[0] * n
+    from . import _numfmt  # its tables are built for the first block with slots, not at import
+    first = np.frombuffer(constants[0], dtype=np.uint8)
+    pieces, constant_nul = [np.broadcast_to(first, (n, len(first)))], [first == 0]
+    for conversion, column, constant in zip(conversions, values.T, constants[1:]):
+        field = _numfmt.fields(conversion, column)
+        const = np.frombuffer(constant, dtype=np.uint8)
+        pieces += [field, np.broadcast_to(const, (n, len(const)))]
+        constant_nul += [np.zeros(field.shape[1], dtype=bool), const == 0]
+    rows = np.concatenate(pieces, axis=1)
+    del pieces  # the fields, before the mask is made
+    keep = rows != 0
+    if b"\0" in b"".join(constants):
+        keep |= np.concatenate(constant_nul)
+    return rows[keep]
+
+
 def _write_csv(path: str, header: Sequence[str], blocks: Iterable[_Block]) -> None:
     """Write one CSV artifact: the header, then each block's rows.
 
-    A block's row format is built once, so its text cells are quoted once
-    per block, exactly as `csv.writer` quotes them.  Its values are then
-    written `_SLICE_ROWS` rows at a time, one `%` over each slice's flat
-    values, which keeps memory flat however many rows the block has."""
-    with open(path, "w", newline="", encoding="utf-8") as fh:
+    A block's row is quoted once, exactly as `csv.writer` quotes it, and
+    split into the constant bytes between its slots.  Its values are then
+    written `_SLICE_ROWS` rows at a time, which keeps memory flat however
+    many rows the block has: `_numfmt.fields` gives each value's text in a
+    NUL-padded field, the constants and fields of every row are laid side
+    by side, and one boolean compaction drops the padding."""
+    with open(path, "wb") as fh:
         for cells, values in itertools.chain([_Block(header)], blocks):
-            row = _row_format(cells)
+            constants, conversions = _row_pieces(cells)
             for start in range(0, len(values), _SLICE_ROWS):
-                chunk = values[start : start + _SLICE_ROWS]
-                fh.write((row * len(chunk)) % tuple(chunk.ravel().tolist()))
+                fh.write(_slice_bytes(constants, conversions, values[start : start + _SLICE_ROWS]))
 
 
 def _write_report(path: str, lines: Sequence[str]) -> None:
@@ -236,7 +291,7 @@ def _write_iota(path: str, rep: IotaReport) -> None:
 
 
 def cmd_embed(args) -> None:
-    spec = specfile.load_spec(args.spec)
+    spec = _spec(args)
     space = _resolve_family(spec.space, args.family)
     cloud = embed(space)
     path = _artifact(args, "points.csv")
@@ -249,7 +304,7 @@ def cmd_embed(args) -> None:
 
 def cmd_complete(args) -> None:
     _check_probe_flags(args)
-    spec = specfile.load_spec(args.spec)
+    spec = _spec(args)
     space = _resolve_family(spec.space, args.family)
     probes = _select_probes(spec, args.probes)
     cs = complete(space, probes, tol=args.tol, tail=args.tail)
@@ -275,7 +330,7 @@ def cmd_complete(args) -> None:
 
 def cmd_compactify(args) -> None:
     _check_probe_flags(args)
-    spec = specfile.load_spec(args.spec)
+    spec = _spec(args)
     space = _resolve_family(spec.space, args.family)
     probes = _select_probes(spec, args.probes)
     scaled = []
@@ -292,7 +347,7 @@ def cmd_compactify(args) -> None:
 
 
 def cmd_boundize(args) -> None:
-    spec = specfile.load_spec(args.spec)
+    spec = _spec(args)
     gen_names = _family_names(spec.space, args.gens, "--gens")
     omega_vars = tuple(f"u{i + 1}" for i in range(len(gen_names)))
     try:
@@ -316,7 +371,7 @@ def cmd_boundize(args) -> None:
 
 
 def cmd_compare_uniform(args) -> None:
-    spec = specfile.load_spec(args.spec)
+    spec = _spec(args)
     g_names = _family_names(spec.space, args.g_family, "--g-family")
     h_names = _family_names(spec.space, args.h_family, "--h-family")
     eps_grid = list(_parse_point(args.eps_grid, "--eps-grid"))
@@ -347,7 +402,7 @@ def cmd_compare_uniform(args) -> None:
 
 
 def cmd_tangent(args) -> None:
-    spec = specfile.load_spec(args.spec)
+    spec = _spec(args)
     space = spec.space
     dim = len(space.carrier.ambient)
     point = _parse_point(args.point, "--point", dim)
@@ -394,7 +449,7 @@ def cmd_tangent(args) -> None:
 def cmd_check_map(args) -> None:
     if not 0.0 <= args.tol < math.inf:
         raise UsageError(f"--tol must be finite and not negative, got {args.tol!r}")
-    spec = specfile.load_spec(args.spec)
+    spec = _spec(args)
     if args.map not in spec.maps:
         raise UsageError(f"--map: spec declares no map named {args.map!r}")
     loaded = spec.maps[args.map]
@@ -434,9 +489,10 @@ def cmd_verify_filters(args) -> None:
 
 
 def cmd_run(args) -> int | None:
-    """Each experiment through `main`, stopping at the first that exits
-    non-zero; that exit status is the run's."""
-    spec = specfile.load_spec(args.spec)
+    """Each experiment through `main`, with the spec loaded here, stopping
+    at the first that exits non-zero; that exit status is the run's.
+    Every experiment, its flags included, is checked before the first runs."""
+    spec = _spec(args)
     by_label = {e.label: e for e in spec.experiments}
     labels = args.labels or [e.label for e in spec.experiments]
     unknown = [l for l in labels if l not in by_label]
@@ -444,7 +500,7 @@ def cmd_run(args) -> int | None:
         raise UsageError(f"spec declares no experiment(s) {unknown}")
     if not labels:
         raise UsageError("spec declares no experiments")
-    # every experiment is checked before the first one runs
+    argvs = {}
     for label in labels:
         argv = by_label[label].argv
         if argv[0] == "run":
@@ -454,15 +510,15 @@ def cmd_run(args) -> int | None:
         for word in argv:
             if word in ("-h", "--help"):
                 raise UsageError(f"experiment {label}: {word!r} prints help instead of running")
+        spec_arg = [] if argv[0] == "verify-filters" else [args.spec]
+        argvs[label] = [argv[0], *spec_arg, *argv[1:], "--out", args.out, "--label", label]
+        try:
+            _parser().parse_args(argvs[label])
+        except _BadArguments as err:
+            raise UsageError(f"experiment {label}: {err}") from None
     for label in labels:
-        exp = by_label[label]
-        argv = [exp.argv[0]]
-        if exp.argv[0] != "verify-filters":
-            argv.append(args.spec)
-        argv.extend(exp.argv[1:])
-        argv.extend(["--out", args.out, "--label", label])
-        print(f"run {label}: {' '.join(exp.argv)}")
-        rc = main(argv)
+        print(f"run {label}: {' '.join(by_label[label].argv)}")
+        rc = main(argvs[label], spec)
         if rc != 0:
             return rc
 
@@ -481,11 +537,27 @@ _COMMANDS: dict[str, tuple[Callable, str]] = {
 }
 
 
+class _BadArguments(Exception):
+    """A command line argparse rejects, with the parser that rejected it."""
+
+    def __init__(self, parser: argparse.ArgumentParser, message: str):
+        super().__init__(message)
+        self.parser = parser
+
+
+class _ArgumentParser(argparse.ArgumentParser):
+    """argparse's parser, raising `_BadArguments` where argparse would print
+    the usage and exit, so that `run` can check an experiment's flags."""
+
+    def error(self, message):
+        raise _BadArguments(self, message)
+
+
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every
     ``main`` call in the process (``run`` calls ``main`` per experiment)."""
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="sikorski",
         description="generator embeddings, completions, and compactifications of "
         "parametrized differential spaces",
@@ -553,11 +625,18 @@ def _parser() -> argparse.ArgumentParser:
     return parser
 
 
-def main(argv: Sequence[str] | None = None) -> int:
+def main(argv: Sequence[str] | None = None, spec: specfile.SpecFile | None = None) -> int:
+    """Run one command line and return its exit status.  `spec`, when
+    given, is the spec file the command line names, already loaded."""
     try:
         args = _parser().parse_args(argv)
-    except SystemExit as exit_:  # argparse has printed the usage or the help
+    except _BadArguments as err:  # what argparse itself prints
+        err.parser.print_usage(sys.stderr)
+        print(f"{err.parser.prog}: error: {err}", file=sys.stderr)
+        return 2
+    except SystemExit as exit_:  # argparse has printed the help
         return exit_.code
+    args.spec_file = spec
     handler, module = _COMMANDS[args.command]
     try:
         return handler(args) or 0

@@ -405,6 +405,42 @@ def test_run_refuses_an_experiment_that_is_not_a_command_run(tmp_path, first, me
     assert not (tmp_path / "out" / "b_points.csv").exists()
 
 
+def test_run_checks_every_experiments_flags_before_the_first_runs(tmp_path):
+    spec = tmp_path / "t.spec"
+    spec.write_text(
+        "[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 5\n\n[generators]\nf = x\n\n"
+        "[experiments]\na = embed\nb = embed --famly f\n",
+        encoding="utf-8",
+    )
+    proc = run_cli("run", str(spec), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == "sikorski run: experiment b: unrecognized arguments: --famly f\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_bad_command_line_prints_what_argparse_prints(tmp_path):
+    proc = run_cli("embed", UNIT_INTERVAL, "--famly", "f", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    usage = cli._parser().format_usage()
+    assert proc.stderr == usage + "sikorski: error: unrecognized arguments: --famly f\n"
+    proc = run_cli("verify-filters", "--max-size", "x", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr.endswith("sikorski verify-filters: error: argument --max-size: invalid int value: 'x'\n")
+    assert proc.stderr.startswith("usage: sikorski verify-filters")
+
+
+def test_run_loads_its_spec_once(tmp_path, monkeypatch):
+    calls = []
+    load_spec = specfile.load_spec
+    monkeypatch.setattr(specfile, "load_spec", lambda path: calls.append(path) or load_spec(path))
+    spiral = str(SPECS / "spiral.spec")
+    rc, out, err = run_in_process(["run", spiral, "--out", str(tmp_path)])
+    assert (rc, err) == (0, "")
+    assert out.count("\nrun ") == 2  # three experiments
+    assert calls == [spiral]
+
+
 def test_repeated_runs_are_byte_identical(tmp_path):
     outs = []
     for sub in ("one", "two"):

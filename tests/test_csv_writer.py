@@ -1,14 +1,17 @@
 """The block CSV writer, `sikorski.cli._write_csv`, against the
 row-at-a-time reference in ``tests/csv_oracle.py``: the same rows must
 give the same bytes, for generated blocks and for the three artifacts
-whose size grows with the sample count."""
+whose size grows with the sample count.  Every number in every artifact
+of the bundled specs' experiments must be in the reference's form."""
 
+import csv
 import os
 import tempfile
 from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings, strategies as st
 
 import csv_oracle
@@ -23,7 +26,8 @@ LABEL = cli._Slot("base:%d")
 SLOTS = (cli._FLOAT_SLOT, cli._INDEX_SLOT, LABEL)
 
 FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308]), st.floats())
-TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "%", " ", "a", "é"]), max_size=5)
+# a NUL inside a constant cell is text to keep, not padding to drop
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "%", " ", "a", "é", "\0"]), max_size=5)
 CONSTANT = st.one_of(TEXT, st.none(), st.integers(), FLOATS, FLOATS.map(np.float64))
 HEADER = st.lists(TEXT, max_size=3)
 
@@ -65,6 +69,7 @@ def assert_same_bytes(header, block_list):
 @given(HEADER, st.lists(blocks(), max_size=4), st.sampled_from([1, 2, 3]))
 @example([""], [([None], np.empty((1, 0))), ([""], np.empty((2, 0)))], 1)  # a lone empty cell is quoted
 @example(["a"], [([cli._FLOAT_SLOT], np.empty((0, 1)))], 1)  # a block with no rows
+@example(["\0"], [(["x\0", cli._FLOAT_SLOT, "\0"], np.array([[1.5], [0.0]]))], 2)  # NULs beside a slot
 def test_block_writer_matches_the_row_writer(header, block_list, slice_rows):
     with mock.patch.object(cli, "_SLICE_ROWS", slice_rows):  # every block of 2 or more rows spans slices
         assert_same_bytes(header, block_list)
@@ -114,3 +119,20 @@ def test_iota_writes_the_row_writers_bytes(tmp_path):
     rows = [*base, *entries]
     csv_oracle.write_csv(str(tmp_path / "want.csv"), ["source", "target", *rep.sub_names], rows)
     assert (tmp_path / "p_iota.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
+
+
+@pytest.mark.parametrize("spec", sorted(p.name for p in SPECS.glob("*.spec")))
+def test_every_number_of_a_run_is_written_as_percent_g(tmp_path, spec):
+    run_main("run", str(SPECS / spec), "--out", str(tmp_path))
+    cells = 0
+    for path in sorted(tmp_path.glob("*.csv")):
+        with open(path, newline="", encoding="utf-8") as fh:
+            for row in csv.reader(fh):
+                for cell in row:
+                    try:
+                        value = float(cell)
+                    except ValueError:
+                        continue
+                    assert cell == "%.17g" % value, (path.name, cell)
+                    cells += 1
+    assert cells

@@ -1,0 +1,98 @@
+"""The byte kernel `sikorski._numfmt.fields` against the scalar ``%`` it
+replaces: each value's field, with its NUL bytes dropped, must be
+``'%.17g' % x`` or ``'%d' % x`` exactly, whether the value took the long
+double fast path or the scalar fallback."""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings, strategies as st
+
+from sikorski import _numfmt
+
+
+def texts(conversion, values):
+    """What the kernel writes for each value, NUL bytes dropped."""
+    out = _numfmt.fields(conversion, np.array(values, dtype=np.float64))
+    return [row[row != 0].tobytes().decode() for row in out]
+
+
+def with_examples(values):
+    def add(test):
+        for value in values:
+            test = example(value)(test)
+        return test
+
+    return add
+
+
+POWERS = [
+    v
+    for k in range(-30, 31)
+    for p in [float(f"1e{k}")]
+    for v in (p, math.nextafter(p, 0.0), math.nextafter(p, math.inf))
+]
+EDGES = [0.1, 1 / 3, 1e16, 1e17, 99999999999999999.0, 5e-324, 2.2250738585072014e-308]
+# every one of these takes the scalar fallback: zero, the non-finite, the
+# subnormal and extreme, |16 - k| > 27, and exact decimal ties of 17 digits
+# (2**-25 = 2.98023223876953125e-08), which % rounds half-even
+FALLBACKS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.2250738585072014e-308,
+             1e308, -1.7976931348623157e308, 1e-12, 3e44, 2.0**-25, -(2.0**-25), 2.0**-60]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.floats())
+@with_examples(EDGES + POWERS)
+def test_a_float_is_written_as_percent_g(x):
+    assert texts("%.17g", [x]) == ["%.17g" % x]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.integers(0, 2**64 - 1))
+def test_any_bit_pattern_is_written_as_percent_g(bits):
+    x = float(np.array(bits, dtype=np.uint64).view(np.float64))
+    assert texts("%.17g", [x]) == ["%.17g" % x]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(), max_size=40))
+def test_a_column_is_written_value_by_value(column):
+    assert texts("%.17g", column) == ["%.17g" % x for x in column]
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.one_of(st.integers(-(2**53), 2**53).map(float), st.floats(allow_nan=False, allow_infinity=False)))
+@with_examples([0.0, -0.0, 1.0, 9.0, 10.0, 9999.0, 10000.0, 2.0**53 - 1, 2.0**53, -0.5, 2.5, -3.7, 2.0**63, 1e300])
+def test_an_index_is_written_as_percent_d(x):
+    assert texts("%d", [x]) == ["%d" % x]
+
+
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
+def test_an_index_that_percent_d_rejects_is_rejected_alike(x):
+    with pytest.raises(Exception) as scalar:
+        "%d" % x
+    with pytest.raises(scalar.type):
+        _numfmt.fields("%d", np.array([1.0, x]))
+
+
+def test_every_fallback_case_is_written_as_percent_g():
+    values = np.array(FALLBACKS + [-v for v in FALLBACKS])
+    assert not _numfmt._float_digits(values)[2].any()  # none is proven on the fast path
+    assert texts("%.17g", values) == ["%.17g" % x for x in values.tolist()]
+
+
+def test_plain_double_takes_the_fallback_for_every_value(monkeypatch):
+    """Where long double has no 64-bit mantissa no value is proven exact,
+    and the bytes stay the same."""
+    values = np.concatenate([np.random.default_rng(5).standard_normal(300) * 1e3, POWERS])
+    monkeypatch.setattr(_numfmt, "_EXACT", False)
+    assert not _numfmt._float_digits(values)[2].any()
+    assert texts("%.17g", values) == ["%.17g" % x for x in values.tolist()]
+
+
+def test_most_sampled_values_take_the_fast_path():
+    values = np.linspace(-3.0, 5.0, 4001) ** 3
+    exact = _numfmt._float_digits(values)[2]
+    assert exact.mean() > 0.99
+    assert texts("%.17g", values) == ["%.17g" % x for x in values.tolist()]

@@ -1,8 +1,9 @@
-"""Exact ``%.17g`` and ``%d`` text of whole float64 arrays, as byte fields.
+"""Exact ``%.17g`` text of whole float64 arrays, as byte fields.
 
-`fields(conversion, x)` returns one fixed-width row of bytes per value:
-the text Python's ``conversion % value`` gives, with NUL bytes around and
-inside it.  Dropping every NUL of a row gives the text exactly.
+`fields(x)` returns one fixed-width row of bytes per value: the text
+Python's ``'%.17g' % value`` gives, with NUL bytes around and inside it.
+Dropping every NUL of a row gives the text exactly.  An integer below
+2**53 is written as ``%d`` writes it: fixed notation, no point.
 
 A float is formatted from its 17 significant digits D and its decimal
 exponent k.  k = floor(log10 |x|), corrected by at most one step, and
@@ -23,8 +24,7 @@ exponent notation) and count of significant digits, every piece the
 layout may need: the sign, the "0.000" of a small fixed-notation value,
 the digits each followed by a slot that holds the point or NUL, and a
 last word for the exponent.  The digits are ANDed into it from a table
-of 4-digit words, each digit followed by 0xFF.  An integer is simpler:
-its digits are read four at a time and its leading zeros cleared.
+of 4-digit words, each digit followed by 0xFF.
 """
 
 from __future__ import annotations
@@ -36,14 +36,12 @@ __all__ = ["fields"]
 _EXACT = np.longdouble(2) ** 63 + 1 != np.longdouble(2) ** 63  # a 64-bit mantissa, which holds 10**27
 _MAX_SCALE = 27
 _POW10 = np.concatenate([[1], np.cumprod(np.full(_MAX_SCALE, 10, dtype=np.longdouble))])
-_INT_POW10 = 10 ** np.arange(1, 19, dtype=np.int64)
 
-# The ASCII digits of 0..9999 as one native word each, so that a row of
-# words viewed as bytes reads in order: plain for an integer, and for a
-# float with each digit followed by 0xFF, which keeps its point slot.
+# The ASCII digits of 0..9999, four bytes each.
 _FOUR = np.stack(np.meshgrid(*[np.arange(48, 58, dtype=np.uint8)] * 4, indexing="ij"), axis=-1).reshape(-1, 4)
-_QUADS = _FOUR.view(np.uint32).ravel()
-# A float's mask words: the 10,000 spread words, then its first word, at
+# The mask words, as native words, so that a row of words viewed as bytes
+# reads in order: the 10,000 4-digit words with each digit followed by
+# 0xFF, which keeps its point slot, then a value's first word, at
 # 10,000 + 10 * negative + digit: a byte that keeps the sign when negative,
 # five that keep the lead, the digit and its slot.
 _MASKS = np.full((10_000 + 20, 8), 0xFF, dtype=np.uint8)
@@ -59,7 +57,6 @@ del _FOUR
 _DIGITS = 17
 _LEAD = 6  # the sign and the "0.000" before the first digit
 _WIDTH = _LEAD + 2 * _DIGITS + 8  # then the digits and their slots, then one word
-_INT_WIDTH = 24  # three NUL, a sign and 20 digits, enough below 2**63
 
 # %g writes exponents -4..16 in fixed notation, one layout each, then one
 # layout for exponent notation and a blank one for a non-finite value.
@@ -197,33 +194,10 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
     return out.view(np.uint8)
 
 
-def _int_fields(x: np.ndarray) -> np.ndarray:
-    exact = np.abs(x) < 2.0**63  # false for nan
-    d = np.where(exact, x, 0.0).astype(np.int64)  # truncates toward zero, as int() does
-    a = np.abs(d)
-    out = np.zeros((len(x), _INT_WIDTH // 4), dtype=np.uint32)
-    out[:, 1:] = _QUADS[_words(a).T]
-    out = out.view(np.uint8)
-    out[:, 3] = (d < 0) * np.uint8(ord("-"))
-    length = 1 + np.searchsorted(_INT_POW10, a, side="right")
-    out[:, 4:][np.arange(_INT_WIDTH - 4) < (_INT_WIDTH - 4 - length)[:, None]] = 0
-    rows = np.flatnonzero(~exact)
-    if len(rows):  # ``%d`` itself: it raises on nan and inf, and a huge value widens the field
-        text = [("%d" % value).encode() for value in x[rows].tolist()]
-        width = -(-max(_INT_WIDTH, *map(len, text)) // 8) * 8
-        out = np.pad(out, ((0, 0), (width - _INT_WIDTH, 0)))
-        out[rows] = np.frombuffer(b"".join(t.rjust(width, b"\0") for t in text), dtype=np.uint8).reshape(-1, width)
-    return out
-
-
-_KERNELS = {"%.17g": _float_fields, "%d": _int_fields}
-
-
-def fields(conversion: str, x: np.ndarray) -> np.ndarray:
-    """``conversion % value`` for each float64 value of `x`, one row of
+def fields(x: np.ndarray) -> np.ndarray:
+    """``'%.17g' % value`` for each float64 value of `x`, one row of
     uint8 per value: the text's bytes with NUL bytes around and inside
-    them; a column that is NUL in every row is left out.  `conversion`
-    is ``%.17g`` or ``%d``."""
-    out = _KERNELS[conversion](np.asarray(x, dtype=np.float64).ravel())
+    them; a column that is NUL in every row is left out."""
+    out = _float_fields(np.asarray(x, dtype=np.float64).ravel())
     used = np.array([np.bitwise_or.reduce(word) for word in out.view(np.uint64).T], dtype=np.uint64)
     return out[:, used.view(np.uint8) != 0]

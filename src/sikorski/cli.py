@@ -9,8 +9,8 @@ format and the quoting.  Handlers hand it blocks of rows: a block's
 text cells are the same in every row and are quoted once, the way
 `csv.writer` quotes them, and its numbers come as one matrix, which is
 formatted a fixed-size slice of rows at a time by the byte kernel in
-`sikorski._numfmt`: whole columns become the exact bytes of ``%.17g`` and
-``%d``, and Python's scalar conversion runs only for the few values whose
+`sikorski._numfmt`: whole columns become the exact bytes of ``%.17g``,
+and Python's scalar conversion runs only for the few values whose
 digits the kernel cannot prove exact.  Output is
 deterministic: floats are printed with 17 significant digits, rows
 follow declaration or sample order, and nothing timestamps itself.
@@ -67,10 +67,10 @@ def _fmt(value: float) -> str:
     return _FLOAT % float(value)
 
 
-def _split_names(flag: str) -> list[str]:
+def _split_names(flag: str, what: str) -> list[str]:
     names = [part.strip() for part in flag.split(",") if part.strip()]
     if not names:
-        raise UsageError(f"empty name list {flag!r}")
+        raise UsageError(f"{what}: empty list {flag!r}")
     return names
 
 
@@ -78,7 +78,7 @@ def _parse_point(flag: str, what: str, dim: int | None = None) -> tuple[float, .
     """The comma-separated finite constants of a flag; `dim`, when given, is the
     number of coordinates the flag must list."""
     values = []
-    for part in _split_names(flag):
+    for part in _split_names(flag, what):
         try:
             values.append(eval_constant(part))
         except ExprError as err:
@@ -91,7 +91,7 @@ def _parse_point(flag: str, what: str, dim: int | None = None) -> tuple[float, .
 def _family_names(space: DiffSpace, flag: str, what: str) -> list[str]:
     """The generator names a flag lists, each one declared by the space
     and listed once."""
-    names = _split_names(flag)
+    names = _split_names(flag, what)
     for i, name in enumerate(names):
         if name not in space.family.names:
             raise UsageError(f"{what}: no generator named {name!r}")
@@ -101,7 +101,7 @@ def _family_names(space: DiffSpace, flag: str, what: str) -> list[str]:
 
 
 def _resolve_family(space: DiffSpace, flag: str | None) -> DiffSpace:
-    if not flag:
+    if flag is None:
         return space
     if flag.startswith("maximal:"):
         try:
@@ -124,9 +124,9 @@ def _check_probe_flags(args) -> None:
 
 
 def _select_probes(spec: specfile.SpecFile, flag: str | None) -> list[Probe]:
-    if not flag:
+    if flag is None:
         return list(spec.probes)
-    wanted = _split_names(flag)
+    wanted = _split_names(flag, "--probes")
     by_name = {p.name: p for p in spec.probes}
     missing = [n for n in wanted if n not in by_name]
     if missing:
@@ -138,7 +138,9 @@ def _select_probes(spec: specfile.SpecFile, flag: str | None) -> list[Probe]:
 
 
 def _artifact(args, suffix: str) -> str:
-    label = args.label or args.command.replace("-", "_")
+    label = args.command.replace("-", "_") if args.label is None else args.label
+    if not label:
+        raise UsageError("--label '': a label cannot be empty")
     if os.sep in label or (os.altsep and os.altsep in label):
         raise UsageError(f"--label {label!r}: a label names files in --out, not a path")
     os.makedirs(args.out, exist_ok=True)
@@ -152,15 +154,15 @@ def _spec(args) -> specfile.SpecFile:
 
 
 class _Slot(str):
-    """A block cell that differs from row to row: a ``%.17g`` or ``%d``
+    """A block cell that differs from row to row: the ``%.17g``
     conversion, with constant text around it if need be, filled from the
-    next column of the block's values."""
+    next column of the block's values.  An integer below 2**53 is
+    written as ``%d`` writes it."""
 
 
 _FLOAT_SLOT = _Slot(_FLOAT)
-_INDEX_SLOT = _Slot("%d")  # an integer stored as a float, exact below 2**53
 _SLICE_ROWS = 4096  # rows formatted per write, so a block is never one whole-file string
-_CONVERSION = re.compile(r"%(%|\.17g|d)")  # in a row format: an escaped % or a slot
+_CONVERSION = re.compile(r"%(%|\.17g)")  # in a row format: an escaped % or a slot
 
 
 class _Block(NamedTuple):
@@ -191,35 +193,32 @@ def _row_format(cells: Sequence) -> str:
     return buf.getvalue()
 
 
-def _row_pieces(cells: Sequence) -> tuple[list[bytes], list[str]]:
-    """A row as the constant bytes between its slots and the slots'
-    conversions: constant 0, conversion 0, constant 1, ..., the last
-    constant."""
+def _row_pieces(cells: Sequence) -> list[bytes]:
+    """A row as the constant bytes before, between and after its slots."""
     parts = _CONVERSION.split(_row_format(cells))
-    constants, conversions, text = [], [], parts[0]
+    constants, text = [], parts[0]
     for conversion, after in zip(parts[1::2], parts[2::2]):
         if conversion == "%":
             text += "%" + after
         else:
             constants.append(text.encode())
-            conversions.append("%" + conversion)
             text = after
     constants.append(text.encode())
-    return constants, conversions
+    return constants
 
 
-def _slice_bytes(constants: list[bytes], conversions: list[str], values: np.ndarray):
+def _slice_bytes(constants: list[bytes], values: np.ndarray):
     """The rows of one slice of a block: each row's constant bytes with
     its values' fields between them, and every NUL that is not part of a
     constant dropped."""
     n = len(values)
-    if not conversions:
+    if len(constants) == 1:
         return constants[0] * n
     from . import _numfmt  # its tables are built for the first block with slots, not at import
     first = np.frombuffer(constants[0], dtype=np.uint8)
     pieces, constant_nul = [np.broadcast_to(first, (n, len(first)))], [first == 0]
-    for conversion, column, constant in zip(conversions, values.T, constants[1:]):
-        field = _numfmt.fields(conversion, column)
+    for column, constant in zip(values.T, constants[1:]):
+        field = _numfmt.fields(column)
         const = np.frombuffer(constant, dtype=np.uint8)
         pieces += [field, np.broadcast_to(const, (n, len(const)))]
         constant_nul += [np.zeros(field.shape[1], dtype=bool), const == 0]
@@ -242,9 +241,9 @@ def _write_csv(path: str, header: Sequence[str], blocks: Iterable[_Block]) -> No
     by side, and one boolean compaction drops the padding."""
     with open(path, "wb") as fh:
         for cells, values in itertools.chain([_Block(header)], blocks):
-            constants, conversions = _row_pieces(cells)
+            constants = _row_pieces(cells)
             for start in range(0, len(values), _SLICE_ROWS):
-                fh.write(_slice_bytes(constants, conversions, values[start : start + _SLICE_ROWS]))
+                fh.write(_slice_bytes(constants, values[start : start + _SLICE_ROWS]))
 
 
 def _write_report(path: str, lines: Sequence[str]) -> None:
@@ -283,7 +282,7 @@ def _completeness_line(cs: CompletedSpace) -> str:
 
 
 def _write_iota(path: str, rep: IotaReport) -> None:
-    label = _Slot("base:%d")  # base point i lands on base point i
+    label = _Slot("base:%.17g")  # base point i lands on base point i
     index = np.arange(len(rep.base), dtype=float)[:, None]
     base = _Block((label, label, *[_FLOAT_SLOT] * len(rep.sub_names)), np.hstack([index, index, rep.base]))
     entries = (_Block((e.source, e.target, *e.coords)) for e in rep.entries)
@@ -298,7 +297,7 @@ def cmd_embed(args) -> None:
     header = ["point_index", *space.carrier.params, *cloud.names]
     index = np.arange(len(cloud.coords), dtype=float)[:, None]
     values = np.hstack([index, cloud.params, cloud.coords])
-    _write_csv(path, header, [_Block((_INDEX_SLOT, *[_FLOAT_SLOT] * (values.shape[1] - 1)), values)])
+    _write_csv(path, header, [_Block((_FLOAT_SLOT,) * values.shape[1], values)])
     print(f"embed: {len(cloud.coords)} points, {len(cloud.names)} coordinates -> {path}")
 
 
@@ -310,7 +309,7 @@ def cmd_complete(args) -> None:
     cs = complete(space, probes, tol=args.tol, tail=args.tail)
     _write_points(_artifact(args, "points.csv"), cs)
     lines = _completion_lines(cs) + [_completeness_line(cs)]
-    if args.subfamily:
+    if args.subfamily is not None:
         sub = space.with_generators(_family_names(space, args.subfamily, "--subfamily"))
         cs_sub = complete(sub, probes, tol=args.tol, tail=args.tail)
         rep = iota(cs, cs_sub)
@@ -322,7 +321,7 @@ def cmd_complete(args) -> None:
         )
     _write_report(_artifact(args, "report.txt"), lines)
     print(f"complete: {len(cs.adjoined)} adjoined, {len(cs.duplicates)} duplicate(s)")
-    if args.subfamily and rep.max_residual() > IOTA_TOL:
+    if args.subfamily is not None and rep.max_residual() > IOTA_TOL:
         raise ValueError(
             f"extension compatibility residual {_fmt(rep.max_residual())} exceeds {_fmt(IOTA_TOL)}"
         )
@@ -408,7 +407,7 @@ def cmd_tangent(args) -> None:
     point = _parse_point(args.point, "--point", dim)
     coeffs = _parse_point(args.vector, "--vector", dim)
     v = TangentVector(point, coeffs)
-    names = _family_names(space, args.functions, "--functions") if args.functions else space.family.names
+    names = space.family.names if args.functions is None else _family_names(space, args.functions, "--functions")
     funcs = [(n, SmoothFunction.of_generator(n)) for n in names]
 
     rows: list[tuple[str, str, float]] = []
@@ -422,7 +421,7 @@ def cmd_tangent(args) -> None:
             if residual > _RESIDUAL_SCALE * scale:
                 failures.append(f"leibniz residual {_fmt(residual)} for {n1}*{n2}")
 
-    if args.map:
+    if args.map is not None:
         if args.map not in spec.maps:
             raise UsageError(f"--map: spec declares no map named {args.map!r}")
         loaded = spec.maps[args.map]

@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import BinOp, Call, Const, DomainError, Expr, Var, eval_expr, substitute, to_string
-from .space import DiffSpace, Generator, GeneratorFamily, SmoothFunction, eval_columns, sample
+from .space import DiffSpace, SmoothFunction, eval_columns, sample
 from .uniform import Probe
 from .completion import CompletedSpace, complete
 
@@ -69,12 +69,6 @@ class BoundedGeneratorSet:
     max_abs_gamma: tuple[float, ...]
     local_residual: float
     local_sample_count: int
-
-    def family(self) -> GeneratorFamily:
-        gens = tuple(
-            Generator(f"{name}.bounded", expr, 1.0) for name, expr in zip(self.gen_names, self.gammas)
-        )
-        return GeneratorFamily(gens)
 
 
 def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> BoundedGeneratorSet:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import BinOp, DomainError, Expr, Var, diff, eval_array, eval_expr, substitute, variables
+from .expr import BinOp, DomainError, Expr, Var, eval_array, eval_expr, substitute, variables
 
 __all__ = [
     "Interval",
@@ -38,7 +38,6 @@ __all__ = [
     "compose_ambient",
     "check_smooth_map",
     "product_witness",
-    "chart_jacobian",
 ]
 
 
@@ -160,9 +159,6 @@ class GeneratorFamily:
                 return g
         raise KeyError(f"no generator named {name!r}")
 
-    def subfamily(self, names: Iterable[str]) -> "GeneratorFamily":
-        return GeneratorFamily(tuple(self.get(n) for n in names))
-
 
 @dataclass(frozen=True)
 class DiffSpace:
@@ -177,7 +173,7 @@ class DiffSpace:
                 raise ValueError(f"generator {g.name} uses unknown names {sorted(extra)}")
 
     def with_generators(self, names: Iterable[str]) -> "DiffSpace":
-        return dataclasses.replace(self, family=self.family.subfamily(names))
+        return dataclasses.replace(self, family=GeneratorFamily(tuple(self.family.get(n) for n in names)))
 
 
 @dataclass(frozen=True, eq=False)
@@ -352,13 +348,3 @@ def check_smooth_map(source: DiffSpace, witness: SmoothMapWitness, tol: float = 
     i, _ = np.unravel_index(np.argmax(residual), residual.shape)
     rows = tuple(zip(target.family.names, residual.max(axis=0).tolist()))
     return SmoothMapReport(tol, rows, tuple(ambient[i].tolist()), all(r <= tol for _, r in rows))
-
-
-def chart_jacobian(carrier: Carrier, param_values: Sequence[float]) -> tuple[tuple[float, ...], ...]:
-    """Rows are ambient coordinates, columns parameters: the pushforward of
-    the coordinate directions of the parameter box."""
-    env = dict(zip(carrier.params, param_values))
-    rows = []
-    for comp in carrier.chart:
-        rows.append(tuple(eval_expr(diff(comp, p), env) for p in carrier.params))
-    return tuple(rows)

@@ -88,12 +88,6 @@ class SpecFile:
     maps: Mapping[str, LoadedMap]
     experiments: tuple[Experiment, ...]
 
-    def probe(self, name: str) -> Probe:
-        for p in self.probes:
-            if p.name == name:
-                return p
-        raise KeyError(f"no probe named {name!r}")
-
 
 @dataclass
 class _Section:

@@ -72,9 +72,6 @@ class RefinementReport:
     # that holds a witness
     pairs_examined: int
 
-    def all_refine(self) -> bool:
-        return all(row.refines for row in self.rows)
-
 
 def compare_uniformities(
     space: DiffSpace,

@@ -348,6 +348,14 @@ def test_unknown_family_exits_two(tmp_path):
         (["boundize", REAL_LINE, "--omega", "u1 + 1e999", "--gens", "f", "--point", "0"], "--omega"),
         (["complete", REAL_LINE, "--family", "g", "--probes", "pplus,pplus"], "--probes"),
         (["compactify", REAL_LINE, "--family", "g", "--probes", "pplus,pminus,pplus"], "--probes"),
+        (["complete", REAL_LINE, "--family="], "--family"),
+        (["complete", REAL_LINE, "--family=,"], "--family"),
+        (["complete", REAL_LINE, "--family", "g", "--probes="], "--probes"),
+        (["complete", REAL_LINE, "--family", "f,g", "--subfamily="], "--subfamily"),
+        (["compactify", UNIT_INTERVAL, "--family="], "--family"),
+        (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions="], "--functions"),
+        (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--map="], "--map"),
+        (["embed", REAL_LINE, "--label="], "--label"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):

@@ -115,13 +115,6 @@ def test_rebuilt_witness_uses_rescaled_arguments():
     assert eval_expr(out.omega1, {out.omega1_vars[0]: 0.25}) == 0.5
 
 
-def test_bounded_family_carries_unit_bounds():
-    out = boundize(INTEGER_SLAB, IDENTITY, (0.0,))
-    fam = out.family()
-    assert fam.names == ("f.bounded",)
-    assert all(g.bound == 1.0 for g in fam.generators)
-
-
 def test_boundize_through_a_two_generator_witness():
     total = SmoothFunction(parse_expr("u1 + u2", ["u1", "u2"]), ("u1", "u2"), ("f", "g"))
     out = boundize(INTEGER_SLAB, total, (0.0,))

@@ -6,6 +6,8 @@ of the bundled specs' experiments must be in the reference's form."""
 
 import csv
 import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 from unittest import mock
@@ -22,8 +24,8 @@ from sikorski.space import embed
 from sikorski.specfile import load_spec
 
 SPECS = Path(sikorski.__file__).parent / "specs"
-LABEL = cli._Slot("base:%d")
-SLOTS = (cli._FLOAT_SLOT, cli._INDEX_SLOT, LABEL)
+LABEL = cli._Slot("base:%.17g")
+SLOTS = (cli._FLOAT_SLOT, LABEL)
 
 FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308]), st.floats())
 # a NUL inside a constant cell is text to keep, not padding to drop
@@ -78,11 +80,33 @@ def test_block_writer_matches_the_row_writer(header, block_list, slice_rows):
 def test_a_block_spans_full_size_slices():
     rows = 2 * cli._SLICE_ROWS + 3
     values = np.column_stack([np.arange(rows), np.linspace(-1.0, 1.0, rows) ** 3])
-    assert_same_bytes(["i", "x"], [((cli._INDEX_SLOT, "x,y", cli._FLOAT_SLOT), values)])
+    assert_same_bytes(["i", "x"], [((cli._FLOAT_SLOT, "x,y", cli._FLOAT_SLOT), values)])
 
 
 def run_main(*argv):
     assert cli.main(list(argv)) == 0
+
+
+KERNEL_LOADED = """
+import sys
+from sikorski import cli
+assert cli.main(sys.argv[1:]) == 0
+print("sikorski._numfmt" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, loaded",
+    [(["verify-filters", "--max-size", "2"], False), (["embed", str(SPECS / "real_line_atan.spec")], True)],
+)
+def test_the_kernel_is_imported_by_the_first_block_with_slots(tmp_path, argv, loaded):
+    """In a fresh interpreter: a command whose artifacts have no slots
+    never builds the kernel's tables."""
+    proc = subprocess.run(
+        [sys.executable, "-c", KERNEL_LOADED, *argv, "--out", str(tmp_path)], capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == str(loaded)
 
 
 def test_embed_writes_the_row_writers_bytes(tmp_path):

@@ -1,20 +1,20 @@
 """The byte kernel `sikorski._numfmt.fields` against the scalar ``%`` it
 replaces: each value's field, with its NUL bytes dropped, must be
-``'%.17g' % x`` or ``'%d' % x`` exactly, whether the value took the long
-double fast path or the scalar fallback."""
+``'%.17g' % x`` exactly, whether the value took the long double fast
+path or the scalar fallback.  The writer puts indices through it too,
+so an integer below 2**53 must come out as ``'%d' % i``."""
 
 import math
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from sikorski import _numfmt
 
 
-def texts(conversion, values):
+def texts(values):
     """What the kernel writes for each value, NUL bytes dropped."""
-    out = _numfmt.fields(conversion, np.array(values, dtype=np.float64))
+    out = _numfmt.fields(np.array(values, dtype=np.float64))
     return [row[row != 0].tobytes().decode() for row in out]
 
 
@@ -45,41 +45,33 @@ FALLBACKS = [0.0, -0.0, math.nan, -math.nan, math.inf, -math.inf, 5e-324, -2.225
 @given(st.floats())
 @with_examples(EDGES + POWERS)
 def test_a_float_is_written_as_percent_g(x):
-    assert texts("%.17g", [x]) == ["%.17g" % x]
+    assert texts([x]) == ["%.17g" % x]
 
 
 @settings(max_examples=500, deadline=None)
 @given(st.integers(0, 2**64 - 1))
 def test_any_bit_pattern_is_written_as_percent_g(bits):
     x = float(np.array(bits, dtype=np.uint64).view(np.float64))
-    assert texts("%.17g", [x]) == ["%.17g" % x]
+    assert texts([x]) == ["%.17g" % x]
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(), max_size=40))
 def test_a_column_is_written_value_by_value(column):
-    assert texts("%.17g", column) == ["%.17g" % x for x in column]
+    assert texts(column) == ["%.17g" % x for x in column]
 
 
 @settings(max_examples=500, deadline=None)
-@given(st.one_of(st.integers(-(2**53), 2**53).map(float), st.floats(allow_nan=False, allow_infinity=False)))
-@with_examples([0.0, -0.0, 1.0, 9.0, 10.0, 9999.0, 10000.0, 2.0**53 - 1, 2.0**53, -0.5, 2.5, -3.7, 2.0**63, 1e300])
-def test_an_index_is_written_as_percent_d(x):
-    assert texts("%d", [x]) == ["%d" % x]
-
-
-@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf])
-def test_an_index_that_percent_d_rejects_is_rejected_alike(x):
-    with pytest.raises(Exception) as scalar:
-        "%d" % x
-    with pytest.raises(scalar.type):
-        _numfmt.fields("%d", np.array([1.0, x]))
+@given(st.integers(0, 2**53))
+@with_examples([0, 9, 10, 9999, 10000, 2**53 - 1, 2**53])
+def test_an_index_is_written_as_percent_d(i):
+    assert texts([float(i)]) == ["%d" % i]
 
 
 def test_every_fallback_case_is_written_as_percent_g():
     values = np.array(FALLBACKS + [-v for v in FALLBACKS])
     assert not _numfmt._float_digits(values)[2].any()  # none is proven on the fast path
-    assert texts("%.17g", values) == ["%.17g" % x for x in values.tolist()]
+    assert texts(values) == ["%.17g" % x for x in values.tolist()]
 
 
 def test_plain_double_takes_the_fallback_for_every_value(monkeypatch):
@@ -88,11 +80,11 @@ def test_plain_double_takes_the_fallback_for_every_value(monkeypatch):
     values = np.concatenate([np.random.default_rng(5).standard_normal(300) * 1e3, POWERS])
     monkeypatch.setattr(_numfmt, "_EXACT", False)
     assert not _numfmt._float_digits(values)[2].any()
-    assert texts("%.17g", values) == ["%.17g" % x for x in values.tolist()]
+    assert texts(values) == ["%.17g" % x for x in values.tolist()]
 
 
 def test_most_sampled_values_take_the_fast_path():
     values = np.linspace(-3.0, 5.0, 4001) ** 3
     exact = _numfmt._float_digits(values)[2]
     assert exact.mean() > 0.99
-    assert texts("%.17g", values) == ["%.17g" % x for x in values.tolist()]
+    assert texts(values) == ["%.17g" % x for x in values.tolist()]

@@ -13,7 +13,6 @@ from sikorski.space import (
     Interval,
     SmoothFunction,
     SmoothMapWitness,
-    chart_jacobian,
     check_smooth_map,
     embed,
     eval_smooth,
@@ -218,13 +217,3 @@ def test_map_witness_requires_full_coverage():
         SmoothMapWitness(target=s, components=(Var("x"),), witnesses={"f": SmoothFunction.of_generator("f")})
 
 
-def test_chart_jacobian_of_a_circle_chart():
-    carrier = Carrier(
-        params=("t",),
-        box=(Interval(0.0, math.pi),),
-        ambient=("x", "y"),
-        chart=(parse_expr("cos(t)", ["t"]), parse_expr("sin(t)", ["t"])),
-        counts=(5,),
-    )
-    jac = chart_jacobian(carrier, (0.0,))
-    assert jac == ((0.0,), (1.0,))

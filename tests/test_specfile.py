@@ -46,14 +46,12 @@ def test_real_line_spec_contents():
     assert spec.space.carrier.params == ("t",)
     assert spec.space.family.names == ("f", "g")
     assert spec.space.carrier.box[0].lo_open and spec.space.carrier.box[0].hi_open
-    plus = spec.probe("pplus")
+    plus = next(p for p in spec.probes if p.name == "pplus")
     assert (plus.start, plus.stop) == (1, 1050)
     assert "squash" in spec.maps
     target = spec.maps["squash"].target
     assert target.name == "unit_interval"
     assert set(spec.maps["squash"].witness.witnesses) == set(target.space.family.names)
-    with pytest.raises(KeyError):
-        spec.probe("nope")
 
 
 def test_bounded_section_sets_generator_bounds():
@@ -214,7 +212,7 @@ def test_probes_need_a_single_parameter_carrier(tmp_path):
 def test_probe_defaults_without_schedule(tmp_path):
     text = MINIMAL + "\n[probes]\np = 1/n\n"
     spec = load_spec(write_spec(tmp_path, text))
-    p = spec.probe("p")
+    (p,) = [p for p in spec.probes if p.name == "p"]
     assert (p.start, p.stop) == (1, 1000)
 
 

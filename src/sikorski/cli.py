@@ -23,6 +23,7 @@ and summary, then raises ``ValueError`` if an invariant failed.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import functools
@@ -58,6 +59,7 @@ __all__ = ["main"]
 IOTA_TOL = 1e-9
 _RESIDUAL_SCALE = 1e-12
 _FLOAT = "%.17g"  # every float the CLI prints, in artifacts and on stdout
+_UNSET = object()  # an option the command line did not give
 
 class UsageError(Exception):
     pass
@@ -490,7 +492,8 @@ def cmd_verify_filters(args) -> None:
 def cmd_run(args) -> int | None:
     """Each experiment through `main`, with the spec loaded here, stopping
     at the first that exits non-zero; that exit status is the run's.
-    Every experiment, its flags included, is checked before the first runs."""
+    Every experiment, its flags included, is checked before the first runs:
+    it may not ask for help or set --out or --label, which run sets."""
     spec = _spec(args)
     by_label = {e.label: e for e in spec.experiments}
     labels = args.labels or [e.label for e in spec.experiments]
@@ -506,15 +509,25 @@ def cmd_run(args) -> int | None:
             raise UsageError(f"experiment {label} is itself a run; runs do not nest")
         if argv[0] not in _COMMANDS:
             raise UsageError(f"experiment {label}: {argv[0]!r} is not a command")
-        for word in argv:
-            if word in ("-h", "--help"):
-                raise UsageError(f"experiment {label}: {word!r} prints help instead of running")
         spec_arg = [] if argv[0] == "verify-filters" else [args.spec]
-        argvs[label] = [argv[0], *spec_arg, *argv[1:], "--out", args.out, "--label", label]
+        # --out and --label start unset, so the parse shows whether the
+        # experiment sets them, in any spelling argparse accepts
+        given = argparse.Namespace(out=_UNSET, label=_UNSET)
         try:
-            _parser().parse_args(argvs[label])
+            with contextlib.redirect_stdout(io.StringIO()):
+                _parser().commands[argv[0]].parse_args([*spec_arg, *argv[1:]], given)
         except _BadArguments as err:
             raise UsageError(f"experiment {label}: {err}") from None
+        except SystemExit:  # the help action printed (into the buffer) and exited
+            raise UsageError(f"experiment {label}: asks for help instead of running") from None
+        own = [f"--{flag}" for flag in ("out", "label") if getattr(given, flag) is not _UNSET]
+        if own:
+            raise UsageError(
+                f"experiment {label}: sets {' and '.join(own)}, which run sets for every experiment"
+            )
+        # run's flags go ahead of the experiment's, so that a "--" among
+        # them cannot turn run's flags into positionals
+        argvs[label] = [argv[0], f"--out={args.out}", f"--label={label}", *spec_arg, *argv[1:]]
     for label in labels:
         print(f"run {label}: {' '.join(by_label[label].argv)}")
         rc = main(argvs[label], spec)
@@ -546,7 +559,10 @@ class _BadArguments(Exception):
 
 class _ArgumentParser(argparse.ArgumentParser):
     """argparse's parser, raising `_BadArguments` where argparse would print
-    the usage and exit, so that `run` can check an experiment's flags."""
+    the usage and exit, so that `run` can check an experiment's flags.
+    The top-level parser's ``commands`` maps each command to its parser."""
+
+    commands: dict[str, argparse.ArgumentParser]
 
     def error(self, message):
         raise _BadArguments(self, message)
@@ -621,6 +637,7 @@ def _parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("labels", nargs="*", help="experiment labels (default: all, in order)")
 
+    parser.commands = sub.choices
     return parser
 
 

@@ -188,29 +188,22 @@ def maximal_family(family: GeneratorFamily, degree: int) -> GeneratorFamily:
             f"degree {degree} over {len(base)} generator(s) gives {size} monomials,"
             f" more than {MAX_MONOMIALS}"
         )
-    exponents = []
+    out = []
+    # by degree, then reverse-lex exponent vector: f, g, f^2, f*g, g^2, ...
     for total in range(1, degree + 1):
         for picks in itertools.combinations_with_replacement(range(len(base)), total):
-            combo = [0] * len(base)
-            for i in picks:
-                combo[i] += 1
-            exponents.append(tuple(combo))
-    exponents.sort(key=lambda c: (sum(c), tuple(-e for e in c)))
-    out = []
-    for combo in exponents:
-        name_parts = []
-        expr: Expr | None = None
-        bound: float | None = 1.0
-        for gen, k in zip(base, combo):
-            if k == 0:
-                continue
-            name_parts.append(gen.name if k == 1 else f"{gen.name}^{k}")
-            factor = gen.expr if k == 1 else Pow(gen.expr, k)
-            expr = factor if expr is None else BinOp("*", expr, factor)
-            if gen.bound is None or bound is None:
-                bound = None
-            else:
-                bound = bound * gen.bound**k
-        assert expr is not None
-        out.append(Generator("*".join(name_parts), expr, bound))
+            name_parts = []
+            expr: Expr | None = None
+            bound: float | None = 1.0
+            for i, run in itertools.groupby(picks):
+                gen, k = base[i], len(list(run))
+                name_parts.append(gen.name if k == 1 else f"{gen.name}^{k}")
+                factor = gen.expr if k == 1 else Pow(gen.expr, k)
+                expr = factor if expr is None else BinOp("*", expr, factor)
+                if gen.bound is None or bound is None:
+                    bound = None
+                else:
+                    bound = bound * gen.bound**k
+            assert expr is not None
+            out.append(Generator("*".join(name_parts), expr, bound))
     return GeneratorFamily(tuple(out))

@@ -147,8 +147,8 @@ class _BitsetModel:
     entourages holding that pair; ``balls[x]`` is the family of entourage
     balls around x.  The predicates keep their quantifiers: "for every
     entourage there is a member (pair) small of that order" is the union of
-    the members' cover sets compared with the set of all entourages.  The
-    filter axioms, the Cauchy predicate and a filter's reach table are
+    the members' cover sets compared with the set of all entourages.  A
+    family's members, its filter axioms and a filter's reach table are
     evaluated once per distinct family and then looked up; ``related`` reads
     the second filter's reach table.
     """
@@ -191,7 +191,6 @@ class _BitsetModel:
         self.cover = cover
         self.members = _Memo(_bits)
         self.axioms = _Memo(self._axioms)
-        self.cauchy = _Memo(self._cauchy)
         self._reach = _Memo(self._reach_of)
 
     def core(self, f: int) -> int:
@@ -225,7 +224,7 @@ class _BitsetModel:
         """Every entourage ball around x is a member."""
         return self.balls[x] & ~f == 0
 
-    def _cauchy(self, f: int) -> bool:
+    def cauchy(self, f: int) -> bool:
         """For every entourage some member m has m x m inside it."""
         small = 0
         for m in self.members[f]:
@@ -325,7 +324,7 @@ def _check_model(size: int, index: int, bm: _BitsetModel, masks: list[int]) -> M
             bump("convergent_intersections")
 
     # convergence implies Cauchy
-    cauchy = [bm.cauchy[f] for f in masks]
+    cauchy = [bm.cauchy(f) for f in masks]
     for i, f in enumerate(masks):
         if any(c[i] for c in conv) and not cauchy[i]:
             fail(f"{label(f)} converges but is not Cauchy")
@@ -334,7 +333,7 @@ def _check_model(size: int, index: int, bm: _BitsetModel, masks: list[int]) -> M
     # R holds exactly when both filters and their intersection are Cauchy
     r = [[bm.related(f, g) for g in masks] for f in masks]
     for i, j in itertools.product(range(nf), repeat=2):
-        both = cauchy[i] and cauchy[j] and bm.cauchy[meet((masks[i], masks[j]))]
+        both = cauchy[i] and cauchy[j] and bm.cauchy(meet((masks[i], masks[j])))
         if r[i][j] != both:
             fail(f"R mismatch for {label(masks[i])},{label(masks[j])}: R={r[i][j]} cauchy-criterion={both}")
     bump("r_equivalence_criterion", nf * nf)
@@ -367,7 +366,7 @@ def _check_model(size: int, index: int, bm: _BitsetModel, masks: list[int]) -> M
             fail(f"R-class of {label(f)} is empty")
             continue
         minimal = meet(cls)
-        if not bm.cauchy[minimal]:
+        if not bm.cauchy(minimal):
             fail(f"class intersection of {label(f)} is not Cauchy")
         if not bm.related(minimal, f):
             fail(f"class intersection of {label(f)} left its class")

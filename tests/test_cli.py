@@ -396,7 +396,9 @@ def test_run_refuses_a_nested_run(tmp_path):
     [
         ("-h", "experiment a: '-h' is not a command"),
         ("embd", "experiment a: 'embd' is not a command"),
-        ("embed --help", "experiment a: '--help' prints help instead of running"),
+        ("embed --help", "experiment a: asks for help instead of running"),
+        ("embed -h", "experiment a: asks for help instead of running"),
+        ("embed --hel", "experiment a: asks for help instead of running"),
     ],
 )
 def test_run_refuses_an_experiment_that_is_not_a_command_run(tmp_path, first, message):
@@ -411,6 +413,34 @@ def test_run_refuses_an_experiment_that_is_not_a_command_run(tmp_path, first, me
     assert proc.stderr == f"sikorski run: {message}\n"
     assert proc.stdout == ""
     assert not (tmp_path / "out" / "b_points.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "experiment,given",
+    [
+        ("embed --out x", "--out"),
+        ("embed --out=x", "--out"),
+        ("embed --ou=/nonexistent", "--out"),
+        ("embed --label q", "--label"),
+        ("embed --label=q", "--label"),
+        ("embed --lab zz", "--label"),
+        ("embed --out . --label=b", "--out and --label"),
+        ("verify-filters --max-size 1 --o=z", "--out"),
+    ],
+)
+def test_run_refuses_an_experiment_that_sets_out_or_label(tmp_path, experiment, given):
+    # run sets both for every experiment, and argparse would keep the last value
+    spec = tmp_path / "t.spec"
+    spec.write_text(
+        "[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 5\n\n[generators]\nf = x\n\n"
+        f"[experiments]\na = embed\nb = {experiment}\nc = embed --label=q\n",
+        encoding="utf-8",
+    )
+    proc = run_cli("run", str(spec), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == f"sikorski run: experiment b: sets {given}, which run sets for every experiment\n"
+    assert proc.stdout == ""
+    assert not (tmp_path / "out").exists()
 
 
 def test_run_checks_every_experiments_flags_before_the_first_runs(tmp_path):

@@ -222,6 +222,13 @@ def test_maximal_family_lists_monomials_by_degree():
 
     assert eval_expr(big.get("f*g").expr, env) == 1.5 * 2.25
     assert eval_expr(big.get("f^2").expr, env) == 2.25
+    # by degree, then by the exponent vector in reverse-lex order
+    three = GeneratorFamily(tuple(Generator(n, Var("x")) for n in ("a", "b", "c")))
+    assert maximal_family(three, 3).names == (
+        "a", "b", "c",
+        "a^2", "a*b", "a*c", "b^2", "b*c", "c^2",
+        "a^3", "a^2*b", "a^2*c", "a*b^2", "a*b*c", "a*c^2", "b^3", "b^2*c", "b*c^2", "c^3",
+    )
 
 
 def test_maximal_family_without_bounds_stays_unbounded():

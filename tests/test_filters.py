@@ -264,13 +264,13 @@ def test_bitset_verifier_matches_the_frozenset_oracle():
         for index, (u, bm) in enumerate(zip(catalog(ground), _models(size), strict=True)):
             assert _check_model(size, index, bm, masks) == check_model(size, index, u, fs)
             for f, m in zip(fs, masks):
-                assert bm.cauchy[m] == is_cauchy(f, u)
+                assert bm.cauchy(m) == is_cauchy(f, u)
                 for x in ground:
                     assert bm.converges(m, x) == converges_to(f, x, u)
                 for g, mg in zip(fs, masks):
                     assert bm.related(m, mg) == relation_R(f, g, u)
                 if is_cauchy(f, u):
-                    cls = [mg for mg in masks if bm.cauchy[mg] and bm.related(mg, m)]
+                    cls = [mg for mg in masks if bm.cauchy(mg) and bm.related(mg, m)]
                     assert mask_of(minimal_cauchy(f, u, fs).sets) == reduce(operator.and_, cls)
 
 

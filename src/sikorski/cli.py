@@ -2,8 +2,9 @@
 
 Each subcommand loads a spec file, runs one construction, and writes
 CSV artifacts plus a short text report under ``--out``; ``run`` loads its
-spec once for all its experiments, and checks every experiment's command
-and flags before the first one runs.  Every CSV
+spec once for all its experiments, parses each experiment once, checking
+its command and flags, before the first one runs, and then hands each
+parsed experiment straight to its handler.  Every CSV
 artifact goes through one writer, `_write_csv`, which owns the float
 format and the quoting.  Handlers hand it blocks of rows: a block's
 text cells are the same in every row and are quoted once, the way
@@ -15,9 +16,11 @@ digits the kernel cannot prove exact.  Output is
 deterministic: floats are printed with 17 significant digits, rows
 follow declaration or sample order, and nothing timestamps itself.
 Exit status is 0 on success, 1 when a library invariant fails, and 2
-for usage or spec-file problems.  `main` alone turns a command's outcome
-into that status and its one stderr line: a handler writes its artifacts
-and summary, then raises ``ValueError`` if an invariant failed.
+for usage or spec-file problems.  `_dispatch` turns one parsed command's
+outcome into that status and its one stderr line, for every direct
+command and every experiment of a ``run``: a handler writes its
+artifacts and summary, then raises ``ValueError`` if an invariant
+failed.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ import math
 import os
 import re
 import sys
-from typing import Callable, Iterable, NamedTuple, Sequence
+from typing import Collection, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -90,15 +93,15 @@ def _parse_point(flag: str, what: str, dim: int | None = None) -> tuple[float, .
     return tuple(values)
 
 
-def _family_names(space: DiffSpace, flag: str, what: str) -> list[str]:
-    """The generator names a flag lists, each one declared by the space
-    and listed once."""
+def _declared_names(flag: str, what: str, declared: Collection[str], kind: str = "generator") -> list[str]:
+    """The names a flag lists, each one among the `declared` names of its
+    `kind` and listed once."""
     names = _split_names(flag, what)
     for i, name in enumerate(names):
-        if name not in space.family.names:
-            raise UsageError(f"{what}: no generator named {name!r}")
+        if name not in declared:
+            raise UsageError(f"{what}: no {kind} named {name!r}")
         if name in names[:i]:
-            raise UsageError(f"{what}: generator {name!r} is listed twice")
+            raise UsageError(f"{what}: {kind} {name!r} is listed twice")
     return names
 
 
@@ -115,7 +118,7 @@ def _resolve_family(space: DiffSpace, flag: str | None) -> DiffSpace:
         except ValueError as err:
             raise UsageError(f"--family {flag!r}: {err}") from None
         return dataclasses.replace(space, family=family)
-    return space.with_generators(_family_names(space, flag, "--family"))
+    return space.with_generators(_declared_names(flag, "--family", space.family.names))
 
 
 def _check_probe_flags(args) -> None:
@@ -128,15 +131,8 @@ def _check_probe_flags(args) -> None:
 def _select_probes(spec: specfile.SpecFile, flag: str | None) -> list[Probe]:
     if flag is None:
         return list(spec.probes)
-    wanted = _split_names(flag, "--probes")
     by_name = {p.name: p for p in spec.probes}
-    missing = [n for n in wanted if n not in by_name]
-    if missing:
-        raise UsageError(f"--probes names unknown probes {missing}")
-    for i, name in enumerate(wanted):
-        if name in wanted[:i]:
-            raise UsageError(f"--probes: probe {name!r} is listed twice")
-    return [by_name[n] for n in wanted]
+    return [by_name[n] for n in _declared_names(flag, "--probes", by_name, "probe")]
 
 
 def _artifact(args, suffix: str) -> str:
@@ -312,7 +308,7 @@ def cmd_complete(args) -> None:
     _write_points(_artifact(args, "points.csv"), cs)
     lines = _completion_lines(cs) + [_completeness_line(cs)]
     if args.subfamily is not None:
-        sub = space.with_generators(_family_names(space, args.subfamily, "--subfamily"))
+        sub = space.with_generators(_declared_names(args.subfamily, "--subfamily", space.family.names))
         cs_sub = complete(sub, probes, tol=args.tol, tail=args.tail)
         rep = iota(cs, cs_sub)
         _write_iota(_artifact(args, "iota.csv"), rep)
@@ -349,7 +345,7 @@ def cmd_compactify(args) -> None:
 
 def cmd_boundize(args) -> None:
     spec = _spec(args)
-    gen_names = _family_names(spec.space, args.gens, "--gens")
+    gen_names = _declared_names(args.gens, "--gens", spec.space.family.names)
     omega_vars = tuple(f"u{i + 1}" for i in range(len(gen_names)))
     try:
         omega = parse_expr(args.omega, allowed_vars=omega_vars)
@@ -373,8 +369,8 @@ def cmd_boundize(args) -> None:
 
 def cmd_compare_uniform(args) -> None:
     spec = _spec(args)
-    g_names = _family_names(spec.space, args.g_family, "--g-family")
-    h_names = _family_names(spec.space, args.h_family, "--h-family")
+    g_names = _declared_names(args.g_family, "--g-family", spec.space.family.names)
+    h_names = _declared_names(args.h_family, "--h-family", spec.space.family.names)
     eps_grid = list(_parse_point(args.eps_grid, "--eps-grid"))
     if not all(eps > 0.0 for eps in eps_grid):
         raise UsageError(f"--eps-grid: widths must be positive, got {args.eps_grid!r}")
@@ -409,7 +405,9 @@ def cmd_tangent(args) -> None:
     point = _parse_point(args.point, "--point", dim)
     coeffs = _parse_point(args.vector, "--vector", dim)
     v = TangentVector(point, coeffs)
-    names = space.family.names if args.functions is None else _family_names(space, args.functions, "--functions")
+    names = space.family.names
+    if args.functions is not None:
+        names = _declared_names(args.functions, "--functions", names)
     funcs = [(n, SmoothFunction.of_generator(n)) for n in names]
 
     rows: list[tuple[str, str, float]] = []
@@ -490,10 +488,11 @@ def cmd_verify_filters(args) -> None:
 
 
 def cmd_run(args) -> int | None:
-    """Each experiment through `main`, with the spec loaded here, stopping
-    at the first that exits non-zero; that exit status is the run's.
-    Every experiment, its flags included, is checked before the first runs:
-    it may not ask for help or set --out or --label, which run sets."""
+    """Each experiment through `_dispatch`, with the spec loaded here,
+    stopping at the first that exits non-zero; that exit status is the
+    run's.  Every experiment is parsed once, by its command's parser,
+    before the first runs: it may not ask for help or set --out or
+    --label, which run sets."""
     spec = _spec(args)
     by_label = {e.label: e for e in spec.experiments}
     labels = args.labels or [e.label for e in spec.experiments]
@@ -502,12 +501,12 @@ def cmd_run(args) -> int | None:
         raise UsageError(f"spec declares no experiment(s) {unknown}")
     if not labels:
         raise UsageError("spec declares no experiments")
-    argvs = {}
+    commands, parsed = _parser().commands, {}
     for label in labels:
         argv = by_label[label].argv
         if argv[0] == "run":
             raise UsageError(f"experiment {label} is itself a run; runs do not nest")
-        if argv[0] not in _COMMANDS:
+        if argv[0] not in commands:
             raise UsageError(f"experiment {label}: {argv[0]!r} is not a command")
         spec_arg = [] if argv[0] == "verify-filters" else [args.spec]
         # --out and --label start unset, so the parse shows whether the
@@ -515,7 +514,7 @@ def cmd_run(args) -> int | None:
         given = argparse.Namespace(out=_UNSET, label=_UNSET)
         try:
             with contextlib.redirect_stdout(io.StringIO()):
-                _parser().commands[argv[0]].parse_args([*spec_arg, *argv[1:]], given)
+                commands[argv[0]].parse_args([*spec_arg, *argv[1:]], given)
         except _BadArguments as err:
             raise UsageError(f"experiment {label}: {err}") from None
         except SystemExit:  # the help action printed (into the buffer) and exited
@@ -525,28 +524,13 @@ def cmd_run(args) -> int | None:
             raise UsageError(
                 f"experiment {label}: sets {' and '.join(own)}, which run sets for every experiment"
             )
-        # run's flags go ahead of the experiment's, so that a "--" among
-        # them cannot turn run's flags into positionals
-        argvs[label] = [argv[0], f"--out={args.out}", f"--label={label}", *spec_arg, *argv[1:]]
+        given.command, given.out, given.label, given.spec_file = argv[0], args.out, label, spec
+        parsed[label] = given
     for label in labels:
         print(f"run {label}: {' '.join(by_label[label].argv)}")
-        rc = main(argvs[label], spec)
+        rc = _dispatch(parsed[label])
         if rc != 0:
             return rc
-
-
-# each command's handler, and the module a failed invariant is reported from
-_COMMANDS: dict[str, tuple[Callable, str]] = {
-    "embed": (cmd_embed, "space"),
-    "complete": (cmd_complete, "completion"),
-    "compactify": (cmd_compactify, "compactify"),
-    "boundize": (cmd_boundize, "compactify"),
-    "compare-uniform": (cmd_compare_uniform, "uniform"),
-    "tangent": (cmd_tangent, "tangent"),
-    "check-map": (cmd_check_map, "space"),
-    "verify-filters": (cmd_verify_filters, "filters"),
-    "run": (cmd_run, "cli"),
-}
 
 
 class _BadArguments(Exception):
@@ -571,7 +555,9 @@ class _ArgumentParser(argparse.ArgumentParser):
 @functools.lru_cache(maxsize=None)
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every
-    ``main`` call in the process (``run`` calls ``main`` per experiment)."""
+    ``main`` call in the process and by ``run``'s experiments.  A
+    command's parser holds its ``handler``, and the ``module`` a failed
+    invariant is reported from, as defaults."""
     parser = _ArgumentParser(
         prog="sikorski",
         description="generator embeddings, completions, and compactifications of "
@@ -579,18 +565,19 @@ def _parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p: argparse.ArgumentParser, with_spec: bool = True) -> None:
+    def common(p: argparse.ArgumentParser, handler, module: str, with_spec: bool = True) -> None:
+        p.set_defaults(handler=handler, module=module)
         if with_spec:
             p.add_argument("spec", help="path to a spec file")
         p.add_argument("--out", default=".", help="directory for artifacts (default: .)")
         p.add_argument("--label", default=None, help="artifact file prefix (default: command name)")
 
     p = sub.add_parser("embed", help="sample the carrier and write the generator embedding")
-    common(p)
+    common(p, cmd_embed, "space")
     p.add_argument("--family", default=None, help="comma list of generators, or maximal:<degree>")
 
     p = sub.add_parser("complete", help="adjoin the limits of Cauchy probes")
-    common(p)
+    common(p, cmd_complete, "completion")
     p.add_argument("--family", default=None)
     p.add_argument("--subfamily", default=None, help="also map this completion onto a subfamily")
     p.add_argument("--probes", default=None, help="comma list of probe names (default: all)")
@@ -598,52 +585,51 @@ def _parser() -> argparse.ArgumentParser:
     p.add_argument("--tail", type=int, default=50)
 
     p = sub.add_parser("compactify", help="normalize the family and complete into the unit cube")
-    common(p)
+    common(p, cmd_compactify, "compactify")
     p.add_argument("--family", default=None)
     p.add_argument("--probes", default=None)
     p.add_argument("--tol", type=float, default=1e-6)
     p.add_argument("--tail", type=int, default=50)
 
     p = sub.add_parser("boundize", help="bounded replacement generators around a point")
-    common(p)
+    common(p, cmd_boundize, "compactify")
     p.add_argument("--omega", required=True, help="witness expression in u1..uk")
     p.add_argument("--gens", required=True, help="comma list of generator names")
     p.add_argument("--point", required=True, help="ambient point, comma separated")
 
     p = sub.add_parser("compare-uniform", help="search for refinement counterexample pairs")
-    common(p)
+    common(p, cmd_compare_uniform, "uniform")
     p.add_argument("--g-family", required=True)
     p.add_argument("--h-family", required=True)
     p.add_argument("--target-eps", type=float, default=1.0)
     p.add_argument("--eps-grid", required=True, help="comma list of candidate widths")
 
     p = sub.add_parser("tangent", help="directional derivatives and product/chain residuals")
-    common(p)
+    common(p, cmd_tangent, "tangent")
     p.add_argument("--point", required=True)
     p.add_argument("--vector", required=True)
     p.add_argument("--functions", default=None, help="comma list of generators (default: all)")
     p.add_argument("--map", default=None, help="also push the vector through this declared map")
 
     p = sub.add_parser("check-map", help="validate a declared smooth-map witness on all samples")
-    common(p)
+    common(p, cmd_check_map, "space")
     p.add_argument("--map", required=True)
     p.add_argument("--tol", type=float, default=1e-6)
 
     p = sub.add_parser("verify-filters", help="exhaustive finite-model checks of the filter laws")
-    common(p, with_spec=False)
+    common(p, cmd_verify_filters, "filters", with_spec=False)
     p.add_argument("--max-size", type=int, default=4)
 
     p = sub.add_parser("run", help="run experiments declared in the spec file")
-    common(p)
+    common(p, cmd_run, "cli")
     p.add_argument("labels", nargs="*", help="experiment labels (default: all, in order)")
 
     parser.commands = sub.choices
     return parser
 
 
-def main(argv: Sequence[str] | None = None, spec: specfile.SpecFile | None = None) -> int:
-    """Run one command line and return its exit status.  `spec`, when
-    given, is the spec file the command line names, already loaded."""
+def main(argv: Sequence[str] | None = None) -> int:
+    """Run one command line and return its exit status."""
     try:
         args = _parser().parse_args(argv)
     except _BadArguments as err:  # what argparse itself prints
@@ -652,10 +638,15 @@ def main(argv: Sequence[str] | None = None, spec: specfile.SpecFile | None = Non
         return 2
     except SystemExit as exit_:  # argparse has printed the help
         return exit_.code
-    args.spec_file = spec
-    handler, module = _COMMANDS[args.command]
+    args.spec_file = None
+    return _dispatch(args)
+
+
+def _dispatch(args: argparse.Namespace) -> int:
+    """Run one parsed command through its handler, and turn the outcome
+    into its exit status and its one stderr line."""
     try:
-        return handler(args) or 0
+        return args.handler(args) or 0
     except (SpecError, UsageError, OSError) as err:  # OSError: --out cannot be written
         print(f"sikorski {args.command}: {err}", file=sys.stderr)
         return 2
@@ -663,7 +654,7 @@ def main(argv: Sequence[str] | None = None, spec: specfile.SpecFile | None = Non
         # str() of a KeyError is the repr of its message; print the message
         detail = err.args[0] if isinstance(err, KeyError) and err.args else err
         print(
-            f"sikorski {args.command} ({module}): invariant violated: {detail}",
+            f"sikorski {args.command} ({args.module}): invariant violated: {detail}",
             file=sys.stderr,
         )
         return 1

@@ -15,8 +15,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import BinOp, Call, Const, DomainError, Expr, Var, eval_expr, substitute, to_string
-from .space import DiffSpace, SmoothFunction, eval_columns, sample
+from .expr import BinOp, Call, Const, DomainError, Expr, Var, substitute, to_string
+from .space import DiffSpace, SmoothFunction, eval_columns, eval_point, sample
 from .uniform import Probe
 from .completion import CompletedSpace, complete
 
@@ -82,14 +82,8 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
     """
     point = tuple(point)
     alpha_exprs = [space.family.get(n).expr for n in f.gen_names]
-    env = dict(zip(space.carrier.ambient, point))
-    center = []
-    for name, a in zip(f.gen_names, alpha_exprs):
-        try:
-            center.append(eval_expr(a, env))
-        except DomainError as err:
-            raise DomainError(f"generator {name} at {point}: {err}", err.node) from err
-    center = tuple(center)
+    labels = [f"generator {name}" for name in f.gen_names]
+    center = eval_point(alpha_exprs, space.carrier.ambient, point, labels)
     n = len(alpha_exprs)
     fresh = tuple(f"u{i + 1}" for i in range(n))
     eta_fresh = bump(center, fresh)

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import BinOp, DomainError, Expr, Var, eval_array, eval_expr, substitute, variables
+from .expr import BinOp, DomainError, Expr, Var, eval_array, eval_expr, substitute, to_string, variables
 
 __all__ = [
     "Interval",
@@ -30,6 +30,7 @@ __all__ = [
     "SmoothMapWitness",
     "SmoothMapReport",
     "eval_columns",
+    "eval_point",
     "chart_columns",
     "generator_columns",
     "sample",
@@ -115,14 +116,7 @@ class Carrier:
         return tuple(tuple(np.linspace(lo, hi, count).tolist()) for (lo, hi), count in ends)
 
     def chart_point(self, values: Sequence[float]) -> tuple[float, ...]:
-        env = dict(zip(self.params, values))
-        out = []
-        for name, comp in zip(self.ambient, self.chart):
-            try:
-                out.append(eval_expr(comp, env))
-            except DomainError as err:
-                raise DomainError(f"chart component {name} at {tuple(values)}: {err}", err.node) from err
-        return tuple(out)
+        return eval_point(self.chart, self.params, values, [f"chart component {name}" for name in self.ambient])
 
 
 @dataclass(frozen=True)
@@ -222,6 +216,22 @@ def eval_columns(
     return out
 
 
+def eval_point(
+    exprs: Sequence[Expr], names: Sequence[str], point: Sequence[float], labels: Sequence[str]
+) -> tuple[float, ...]:
+    """`eval_columns` at one point, with the scalar `eval_expr`: every
+    expression's value where the coordinates of `point` bind `names`.  A
+    domain error is prefixed as ``"{label} at {point}: ..."``."""
+    env = dict(zip(names, point))
+    out = []
+    for label, expr in zip(labels, exprs):
+        try:
+            out.append(eval_expr(expr, env))
+        except DomainError as err:
+            raise DomainError(f"{label} at {tuple(point)}: {err}", err.node) from err
+    return tuple(out)
+
+
 def chart_columns(carrier: Carrier, params: np.ndarray) -> np.ndarray:
     """The ambient matrix of a parameter matrix: one row per sample."""
     labels = [f"chart component {name}" for name in carrier.ambient]
@@ -282,7 +292,8 @@ def compose_ambient(space: DiffSpace, f: SmoothFunction) -> Expr:
 
 
 def eval_smooth(space: DiffSpace, f: SmoothFunction, ambient_point: Sequence[float]) -> float:
-    return eval_expr(compose_ambient(space, f), dict(zip(space.carrier.ambient, ambient_point)))
+    composed = compose_ambient(space, f)
+    return eval_point([composed], space.carrier.ambient, ambient_point, [f"function {to_string(composed)}"])[0]
 
 
 def product_witness(f: SmoothFunction, g: SmoothFunction) -> SmoothFunction:
@@ -313,8 +324,8 @@ class SmoothMapWitness:
             raise ValueError(f"missing pullback witnesses for {sorted(missing)}")
 
     def image_point(self, source: DiffSpace, ambient_point: Sequence[float]) -> tuple[float, ...]:
-        env = dict(zip(source.carrier.ambient, ambient_point))
-        return tuple(eval_expr(comp, env) for comp in self.components)
+        labels = [f"map component {name}" for name in self.target.carrier.ambient]
+        return eval_point(self.components, source.carrier.ambient, ambient_point, labels)
 
 
 @dataclass(frozen=True)

@@ -11,12 +11,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import DomainError, Expr, diff, eval_expr, substitute, to_string
+from .expr import Expr, diff, substitute, to_string
 from .space import (
     DiffSpace,
     SmoothFunction,
     SmoothMapWitness,
     compose_ambient,
+    eval_point,
     eval_smooth,
     product_witness,
 )
@@ -41,14 +42,12 @@ class TangentVector:
 
 
 def _directional(expr: Expr, ambient: Sequence[str], v: TangentVector) -> float:
-    env = dict(zip(ambient, v.point))
+    moved = [(name, coeff) for name, coeff in zip(ambient, v.coeffs) if coeff != 0.0]
+    partials = [diff(expr, name) for name, _ in moved]
+    labels = [f"derivative of {to_string(expr)} along {name}" for name, _ in moved]
     total = 0.0
-    for name, coeff in zip(ambient, v.coeffs):
-        if coeff != 0.0:
-            try:
-                total += coeff * eval_expr(diff(expr, name), env)
-            except DomainError as err:
-                raise DomainError(f"derivative of {to_string(expr)} along {name} at {v.point}: {err}", err.node) from err
+    for (_, coeff), value in zip(moved, eval_point(partials, ambient, v.point, labels)):
+        total += coeff * value
     return total
 
 

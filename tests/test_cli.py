@@ -195,6 +195,34 @@ def test_tangent_names_a_derivative_singular_at_the_point(tmp_path):
     )
 
 
+def test_tangent_names_a_function_singular_at_the_point(tmp_path):
+    # a zero vector skips every derivative; the Leibniz check still
+    # evaluates h at the point
+    rc, _, err = run_in_process([
+        "tangent", log_spec(tmp_path), "--point", "0", "--vector", "0", "--functions", "f,h",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert err == (
+        "sikorski tangent (tangent): invariant violated:"
+        " function log(x) at (0.0,): log of non-positive value 0.0\n"
+    )
+
+
+def test_tangent_names_a_map_component_singular_at_the_point(tmp_path):
+    spec = log_spec(tmp_path)
+    with open(spec, "a", encoding="utf-8") as fh:
+        fh.write("\n[map m]\ntarget = unit_interval_compact.spec\ncomponent x = log(x)\nwitness g = u1 : h\n")
+    rc, _, err = run_in_process([
+        "tangent", spec, "--point", "0", "--vector", "0", "--functions", "f", "--map", "m", "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert err == (
+        "sikorski tangent (tangent): invariant violated:"
+        " map component x at (0.0,): log of non-positive value 0.0\n"
+    )
+
+
 def test_compare_uniform_finds_witness_pairs(tmp_path):
     proc = run_cli(
         "compare-uniform", PARABOLA,
@@ -305,6 +333,12 @@ def test_unknown_family_exits_two(tmp_path):
     assert "no generator named 'zap'" in proc.stderr
 
 
+def test_an_unknown_probe_is_reported_like_an_unknown_generator(tmp_path):
+    proc = run_cli("complete", REAL_LINE, "--probes", "pplus,nope", "--out", str(tmp_path))
+    assert proc.returncode == 2
+    assert proc.stderr == "sikorski complete: --probes: no probe named 'nope'\n"
+
+
 @pytest.mark.parametrize(
     "argv, flag",
     [
@@ -356,6 +390,7 @@ def test_unknown_family_exits_two(tmp_path):
         (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions="], "--functions"),
         (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--map="], "--map"),
         (["embed", REAL_LINE, "--label="], "--label"),
+        (["compactify", REAL_LINE, "--family", "g", "--probes", "pminus,zap"], "--probes"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
@@ -477,6 +512,42 @@ def test_run_loads_its_spec_once(tmp_path, monkeypatch):
     assert (rc, err) == (0, "")
     assert out.count("\nrun ") == 2  # three experiments
     assert calls == [spiral]
+
+
+def test_run_parses_each_experiment_once(tmp_path, monkeypatch):
+    progs = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counted(self, *args, **kwargs):
+        progs.append(self.prog)
+        return parse_known_args(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counted)
+    rc, out, err = run_in_process(["run", str(SPECS / "spiral.spec"), "--out", str(tmp_path)])
+    assert (rc, err) == (0, "")
+    assert out.count("\nrun ") == 2  # three experiments, all of them complete
+    # the command line once, through the top-level parser and run's; then
+    # each experiment once, by its command's parser
+    assert sorted(progs) == ["sikorski", "sikorski complete", "sikorski complete", "sikorski complete", "sikorski run"]
+
+
+def test_every_command_parser_names_its_handler_and_module():
+    for name, parser in cli._parser().commands.items():
+        assert parser.get_default("handler") is getattr(cli, "cmd_" + name.replace("-", "_")), name
+        module = parser.get_default("module")
+        assert isinstance(module, str) and module, name
+
+
+def test_run_runs_an_experiment_that_ends_in_a_double_dash(tmp_path):
+    spec = tmp_path / "t.spec"
+    spec.write_text(
+        "[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 5\n\n[generators]\nf = x\n\n"
+        "[experiments]\na = embed\nb = embed --\n",
+        encoding="utf-8",
+    )
+    proc = run_cli("run", str(spec), "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert (tmp_path / "out" / "b_points.csv").read_bytes() == (tmp_path / "out" / "a_points.csv").read_bytes()
 
 
 def test_repeated_runs_are_byte_identical(tmp_path):

@@ -481,8 +481,9 @@ def cmd_verify_filters(args) -> None:
             for m in rep.models
         ),
     )
-    _write_report(_artifact(args, "report.txt"), rep.summary_text().splitlines())
-    print(rep.summary_text())
+    summary = rep.summary_text()
+    _write_report(_artifact(args, "report.txt"), summary.splitlines())
+    print(summary)
     if not rep.passed:
         raise ValueError(rep.first_counterexample)
 

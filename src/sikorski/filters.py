@@ -13,7 +13,11 @@ entourage V0 is an equivalence relation (its composition witness W
 contains V0, so V0 o V0 is inside W o W inside V0), and the uniformity is
 exactly the symmetric supersets of V0; so there is one model per set
 partition.  Each model is built straight from its partition as integer
-bitsets (see ``_BitsetModel``).
+bitsets (see ``_BitsetModel``), in closed form: its 2^k entourages are
+never walked one by one.  What depends on the ground size alone (each
+family's members and filter axioms, and the check that pair and triple
+intersections of filters are filters) is computed once per size, in a
+``_Families`` table its models share.
 
 ``tests/filter_oracle.py`` keeps the definitions written with Python sets
 (filters, uniformities, the catalog, convergence, Cauchy filters, R and
@@ -88,7 +92,8 @@ class FilterLawReport:
     def summary_text(self) -> str:
         lines = [f"finite-model verification up to ground size {self.max_size}"]
         for size, found, expected in self.filter_counts:
-            lines.append(f"  size {size}: {found} filters (expected {expected}), ok")
+            verdict = "ok" if found == expected else "MISMATCH"
+            lines.append(f"  size {size}: {found} filters (expected {expected}), {verdict}")
         lines.append(f"  models checked: {len(self.models)}")
         for name, count in sorted(self.totals().items()):
             lines.append(f"  {name}: {count} checks")
@@ -115,7 +120,7 @@ def _up_sets(n: int) -> tuple[int, ...]:
 
 
 class _Memo(dict):
-    """A per-model table that evaluates its function once per key."""
+    """A table that evaluates its function once per key."""
 
     def __init__(self, fn):
         super().__init__()
@@ -126,72 +131,24 @@ class _Memo(dict):
         return value
 
 
-class _BitsetModel:
-    """One uniformity model on the ground set {0, .., n-1}, encoded for the
-    exhaustive sweep.
-
-    The model is given by its minimum entourage V0 as row masks: bit y of
-    ``rows[x]`` is set when x V0 y (``rows`` is reflexive and symmetric).
-    With p_0, .., p_{k-1} the unordered pairs outside V0 (``pairs``),
-    entourage number s is V0 plus the pairs p_t whose bit t is set in s:
-    the 2^k symmetric supersets of V0, which are every entourage of the
-    model, enumerated literally.
-
-    A subset of the ground set is an int (bit x for point x); a family of
-    subsets, such as a filter, is an int over the 2^n subsets (bit s for
-    subset s), so intersecting filters is ``&`` and ``f <= g`` is
-    ``f & ~g == 0``.  A set of entourages is an int over their numbers: a
-    pair of V0 is held by every entourage, and p_t by the entourages whose
-    number has bit t set.  ``cover[a][b]`` is the set of entourages
-    containing a x b, the intersection over the pairs of a x b of the
-    entourages holding that pair; ``balls[x]`` is the family of entourage
-    balls around x.  The predicates keep their quantifiers: "for every
-    entourage there is a member (pair) small of that order" is the union of
-    the members' cover sets compared with the set of all entourages.  A
-    family's members, its filter axioms and a filter's reach table are
-    evaluated once per distinct family and then looked up; ``related`` reads
-    the second filter's reach table.
+class _Families:
+    """What the laws need of the families on {0, .., n-1} that no
+    uniformity changes, computed once per ground size and shared by its
+    models: a family's members and filter axioms, a filter's core and
+    label, and the sweep that checks whether the pair and triple
+    intersections of ``masks`` are filters.  The sweep visits every pair
+    and triple, as each model's count of ``intersections_are_filters``
+    records, and keeps the first eight failures it finds.
     """
 
-    def __init__(self, rows: Sequence[int]):
-        n = len(rows)
-        self.rows = tuple(rows)
+    def __init__(self, n: int, masks: list[int]):
+        self.n = n
+        self.masks = masks
         self.full = (1 << n) - 1
         self.up = _up_sets(n)
-        self.pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if not rows[a] >> b & 1]
-        self.n_entourages = 1 << len(self.pairs)
-        self.every_entourage = (1 << self.n_entourages) - 1
-        held = [0] * len(self.pairs)  # held[t]: the entourages holding p_t
-        balls = [0] * n
-        for s in range(self.n_entourages):
-            ball = list(rows)
-            for t in _bits(s):
-                a, b = self.pairs[t]
-                ball[a] |= 1 << b
-                ball[b] |= 1 << a
-                held[t] |= 1 << s
-            for x in range(n):
-                balls[x] |= 1 << ball[x]
-        self.balls = balls
-        holding = [self.every_entourage if rows[i] >> j & 1 else 0 for i in range(n) for j in range(n)]
-        for (a, b), h in zip(self.pairs, held):
-            holding[a * n + b] = holding[b * n + a] = h
-        # row_cover[i][b]: entourages containing {i} x b
-        row_cover = []
-        for i in range(n):
-            row = [self.every_entourage] * (self.full + 1)
-            for b in range(1, self.full + 1):
-                low = b & -b
-                row[b] = row[b ^ low] & holding[i * n + low.bit_length() - 1]
-            row_cover.append(row)
-        cover = [[self.every_entourage] * (self.full + 1)]
-        for a in range(1, self.full + 1):
-            low = a & -a
-            cover.append([c & r for c, r in zip(cover[a ^ low], row_cover[low.bit_length() - 1])])
-        self.cover = cover
         self.members = _Memo(_bits)
         self.axioms = _Memo(self._axioms)
-        self._reach = _Memo(self._reach_of)
+        self._meet_sweep()
 
     def core(self, f: int) -> int:
         out = self.full
@@ -220,6 +177,80 @@ class _BitsetModel:
                 return f"filter axioms violated: superset {_bits(_bits(missing)[0])} missing"
         return None
 
+    def _meet_sweep(self) -> None:
+        """Intersections of filters are filters (pairs and triples)."""
+        meets = itertools.chain(
+            (f & g for f, g in itertools.combinations(self.masks, 2)),
+            (f & g & h for f, g, h in itertools.combinations(self.masks, 3)),
+        )
+        self.meets_visited = 0
+        self.meet_failures: list[str] = []
+        for m in meets:
+            err = self.axioms[m]
+            if err and len(self.meet_failures) < 8:
+                self.meet_failures.append(f"intersection axioms: {err}")
+            self.meets_visited += 1
+
+
+class _BitsetModel:
+    """One uniformity model on the ground set {0, .., n-1}, encoded for the
+    exhaustive sweep.
+
+    The model is given by its minimum entourage V0 as row masks: bit y of
+    ``rows[x]`` is set when x V0 y (``rows`` is reflexive and symmetric).
+    With p_0, .., p_{k-1} the unordered pairs outside V0 (``pairs``),
+    entourage number s is V0 plus the pairs p_t whose bit t is set in s:
+    the 2^k symmetric supersets of V0, which are every entourage of the
+    model.  The tables below are built without walking them one by one.
+
+    A subset of the ground set is an int (bit x for point x); a family of
+    subsets, such as a filter, is an int over the 2^n subsets (bit s for
+    subset s), so intersecting filters is ``&`` and ``f <= g`` is
+    ``f & ~g == 0``.  A set of entourages is an int over their numbers: a
+    pair of V0 is held by every entourage, and p_t by the entourages whose
+    number has bit t set (``held[t]``, a run of 2^t ones in every 2^(t+1)
+    positions).  ``cover[a][b]`` is the set of entourages containing
+    a x b, the intersection over the pairs of a x b of the entourages
+    holding that pair; ``balls[x]`` is the family of entourage balls
+    around x.  The predicates keep their quantifiers: "for every entourage
+    there is a member (pair) small of that order" is the union of the
+    members' cover sets compared with the set of all entourages.  A
+    family's members come from the ground size's ``_Families``; a filter's
+    reach table is evaluated once per model and filter and then looked up,
+    and ``related`` reads the second filter's reach table.
+    """
+
+    def __init__(self, rows: Sequence[int], table: _Families):
+        n = len(rows)
+        full = table.full
+        self.rows = tuple(rows)
+        self.members = table.members
+        self.pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if not rows[a] >> b & 1]
+        self.n_entourages = 1 << len(self.pairs)
+        self.every_entourage = every = (1 << self.n_entourages) - 1
+        self.held = [((1 << 2**t) - 1 << 2**t) * every // ((1 << 2 ** (t + 1)) - 1) for t in range(len(self.pairs))]
+        # The ball of entourage s around x is rows[x] plus the partners of x
+        # among the pairs of s; every point outside rows[x] is such a partner
+        # in some pair p_t, so the balls are exactly the supersets of rows[x].
+        self.balls = [table.up[row] for row in rows]
+        holding = [every if rows[i] >> j & 1 else 0 for i in range(n) for j in range(n)]
+        for (a, b), h in zip(self.pairs, self.held):
+            holding[a * n + b] = holding[b * n + a] = h
+        # row_cover[i][b]: entourages containing {i} x b
+        row_cover = []
+        for i in range(n):
+            row = [every] * (full + 1)
+            for b in range(1, full + 1):
+                low = b & -b
+                row[b] = row[b ^ low] & holding[i * n + low.bit_length() - 1]
+            row_cover.append(row)
+        cover = [[every] * (full + 1)]
+        for a in range(1, full + 1):
+            low = a & -a
+            cover.append([c & r for c, r in zip(cover[a ^ low], row_cover[low.bit_length() - 1])])
+        self.cover = cover
+        self._reach = _Memo(self._reach_of)
+
     def converges(self, f: int, x: int) -> bool:
         """Every entourage ball around x is a member."""
         return self.balls[x] & ~f == 0
@@ -233,7 +264,7 @@ class _BitsetModel:
 
     def _reach_of(self, f: int) -> list[int]:
         """For each subset a, the entourages containing a x b for some member b."""
-        reach = [0] * (self.full + 1)
+        reach = [0] * len(self.cover)
         for b in self.members[f]:
             reach = [r | row[b] for r, row in zip(reach, self.cover)]
         return reach
@@ -248,10 +279,11 @@ class _BitsetModel:
         return small == self.every_entourage
 
 
-def _models(size: int) -> list[_BitsetModel]:
-    """Every uniformity on {0, .., size-1}, one per partition, ordered by
+def _models(table: _Families) -> list[_BitsetModel]:
+    """Every uniformity on {0, .., n-1}, one per partition, ordered by
     entourage count and then by the sorted pairs of the minimum entourage
     (the partition's relation, which tells the models apart)."""
+    size = table.n
     models = []
     for blocks in partitions(range(size)):
         rows = [0] * size
@@ -259,7 +291,7 @@ def _models(size: int) -> list[_BitsetModel]:
             mask = sum(1 << x for x in block)
             for x in block:
                 rows[x] = mask
-        models.append(_BitsetModel(rows))
+        models.append(_BitsetModel(rows, table))
     models.sort(key=lambda m: (m.n_entourages, [(x, y) for x in range(size) for y in _bits(m.rows[x])]))
     return models
 
@@ -271,15 +303,17 @@ def _filters(size: int) -> list[int]:
     return [_up_sets(size)[c] for c in cores]
 
 
-def _check_model(size: int, index: int, bm: _BitsetModel, masks: list[int]) -> ModelReport:
+def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> ModelReport:
     """Check every law on one model, visiting every pair and triple of
     filters the laws quantify over.  A failed law and an intersection that
     breaks the filter axioms are both recorded as failures; the first eight
-    are kept."""
+    are kept.  The intersection sweep depends on no uniformity, so its
+    count and failures come from ``table``, where it ran once."""
+    masks = table.masks
     nf = len(masks)
-    failures: list[str] = []
+    failures = list(table.meet_failures)
     counts: dict[str, int] = {}
-    label = bm.label
+    label = table.label
 
     def bump(name: str, n: int = 1) -> None:
         if n:
@@ -291,23 +325,13 @@ def _check_model(size: int, index: int, bm: _BitsetModel, masks: list[int]) -> M
 
     def meet(families: Iterable[int]) -> int:
         out = reduce(operator.and_, families)
-        err = bm.axioms[out]
+        err = table.axioms[out]
         if err:
             fail(f"intersection axioms: {err}")
         return out
 
     # intersections of filters are filters (pairs and triples)
-    meets = itertools.chain(
-        (f & g for f, g in itertools.combinations(masks, 2)),
-        (f & g & h for f, g, h in itertools.combinations(masks, 3)),
-    )
-    visited = 0
-    for m in meets:
-        err = bm.axioms[m]
-        if err:
-            fail(f"intersection axioms: {err}")
-        visited += 1
-    bump("intersections_are_filters", visited)
+    bump("intersections_are_filters", table.meets_visited)
 
     # intersections of filters converging to x converge to x
     points = range(len(bm.rows))
@@ -374,8 +398,8 @@ def _check_model(size: int, index: int, bm: _BitsetModel, masks: list[int]) -> M
             if minimal & ~g:
                 fail(f"class intersection of {label(f)} not below {label(g)}")
         # cross-check: the up-set of the union of class cores
-        union_core = reduce(operator.or_, (bm.core(g) for g in cls))
-        if minimal != bm.up[union_core]:
+        union_core = reduce(operator.or_, (table.core(g) for g in cls))
+        if minimal != table.up[union_core]:
             fail(f"class intersection of {label(f)} is not the up-set of the union of cores")
 
     checks = tuple(sorted(counts.items()))
@@ -390,7 +414,7 @@ def verify_filter_laws(max_size: int = 4) -> FilterLawReport:
     filter_counts = []
     models = []
     for size in range(1, max_size + 1):
-        masks = _filters(size)
-        filter_counts.append((size, len(masks), 2**size - 1))
-        models.extend(_check_model(size, index, bm, masks) for index, bm in enumerate(_models(size)))
+        table = _Families(size, _filters(size))
+        filter_counts.append((size, len(table.masks), 2**size - 1))
+        models.extend(_check_model(size, index, bm, table) for index, bm in enumerate(_models(table)))
     return FilterLawReport(max_size, tuple(models), tuple(filter_counts))

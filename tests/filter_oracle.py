@@ -12,6 +12,10 @@ frozenset comparison at a time.
 pair and triple of filters.  It raises where an intersection or
 ``minimal_cauchy`` raises; ``sikorski.filters._check_model`` records those
 as failures instead.
+
+``entourage_walk`` visits a bitset model's 2^k entourages one at a time:
+the reference for the holding sets and balls that ``_BitsetModel`` builds
+in closed form.
 """
 
 from __future__ import annotations
@@ -383,3 +387,31 @@ def check_model(size: int, index: int, u: FiniteUniformity, fs: list[FiniteFilte
 
     checks = tuple(sorted(counts.items()))
     return ModelReport(size, index, len(u.entourages), len(fs), checks, tuple(failures))
+
+# ---------------------------------------------------------------------------
+# The entourage walk
+
+
+def entourage_walk(rows: Sequence[int]) -> tuple[list[int], list[int]]:
+    """The holding sets and balls of the bitset model with minimum-entourage
+    rows ``rows``, found by walking its 2^k entourages one at a time.
+
+    With p_0, .., p_{k-1} the pairs a < b outside V0 in lexicographic order,
+    entourage number s is V0 plus each p_t whose bit t is set in s.
+    ``held[t]`` is the set of entourage numbers holding p_t, and
+    ``balls[x]`` the family of the entourages' balls around x, both as the
+    bitset model encodes them."""
+    n = len(rows)
+    pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if not rows[a] >> b & 1]
+    held = [0] * len(pairs)
+    balls = [0] * n
+    for s in range(1 << len(pairs)):
+        ball = list(rows)
+        for t, (a, b) in enumerate(pairs):
+            if s >> t & 1:
+                ball[a] |= 1 << b
+                ball[b] |= 1 << a
+                held[t] |= 1 << s
+        for x in range(n):
+            balls[x] |= 1 << ball[x]
+    return held, balls

@@ -14,6 +14,7 @@ from filter_oracle import (
     catalog,
     check_model,
     converges_to,
+    entourage_walk,
     enumerate_filters,
     intersect_filters,
     is_cauchy,
@@ -23,8 +24,18 @@ from filter_oracle import (
     relation_R,
     uniformity_from_partition,
 )
-from sikorski import cli
-from sikorski.filters import _BitsetModel, _bits, _check_model, _filters, _models, partitions, verify_filter_laws
+from sikorski import cli, filters
+from sikorski.filters import (
+    FilterLawReport,
+    _BitsetModel,
+    _bits,
+    _check_model,
+    _Families,
+    _filters,
+    _models,
+    partitions,
+    verify_filter_laws,
+)
 
 
 def mask_of(sets):
@@ -260,9 +271,10 @@ def test_bitset_verifier_matches_the_frozenset_oracle():
     for size in range(1, 5):
         ground = tuple(range(size))
         fs = enumerate_filters(ground)
-        masks = _filters(size)
-        for index, (u, bm) in enumerate(zip(catalog(ground), _models(size), strict=True)):
-            assert _check_model(size, index, bm, masks) == check_model(size, index, u, fs)
+        table = _Families(size, _filters(size))
+        masks = table.masks
+        for index, (u, bm) in enumerate(zip(catalog(ground), _models(table), strict=True)):
+            assert _check_model(size, index, bm, table) == check_model(size, index, u, fs)
             for f, m in zip(fs, masks):
                 assert bm.cauchy(m) == is_cauchy(f, u)
                 for x in ground:
@@ -279,7 +291,7 @@ def test_the_sweep_enumerates_the_catalog_and_every_filter(size):
     """Model i of the sweep holds exactly the entourages of the catalog's
     model i, and the sweep's filters are the enumerated filters, in order."""
     ground = tuple(range(size))
-    models = _models(size)
+    models = _models(_Families(size, _filters(size)))
     us = catalog(ground)
     assert len(models) == len(us)
     for bm, u in zip(models, us):
@@ -330,9 +342,10 @@ def test_a_non_transitive_minimum_is_reported_not_raised():
     u = FiniteUniformity(ground, _sorted_sets(_symmetric_supersets(ground, minimum)))
     with pytest.raises(ValueError, match="R-class failed to be Cauchy"):
         check_model(3, 0, u, enumerate_filters(ground))
-    bm = _BitsetModel([0b011, 0b111, 0b110])
+    table = _Families(3, _filters(3))
+    bm = _BitsetModel([0b011, 0b111, 0b110], table)
     assert {entourage(bm, s) for s in range(bm.n_entourages)} == set(u.entourages)
-    report = _check_model(3, 0, bm, _filters(3))
+    report = _check_model(3, 0, bm, table)
     assert any(msg.startswith("R not transitive") for msg in report.failures)
 
 
@@ -342,5 +355,67 @@ def test_a_family_that_is_not_a_filter_is_reported_not_raised():
     fs = enumerate_filters(ground) + [FiniteFilter(ground, frozenset({frozenset({0})}))]
     with pytest.raises(ValueError, match="ground set missing"):
         check_model(2, 0, u, fs)
-    report = _check_model(2, 0, _BitsetModel([0b01, 0b10]), _filters(2) + [1 << 0b01])
+    table = _Families(2, _filters(2) + [1 << 0b01])
+    report = _check_model(2, 0, _BitsetModel([0b01, 0b10], table), table)
     assert "intersection axioms: filter axioms violated: ground set missing" in report.failures
+
+
+def test_a_non_filter_meet_fails_every_model_of_its_size():
+    """The intersection sweep runs once per ground size, and every model of
+    that size records its failures first."""
+    table = _Families(2, _filters(2) + [1 << 0b01])
+    reports = [_check_model(2, index, bm, table) for index, bm in enumerate(_models(table))]
+    assert len(reports) == 2
+    for report in reports:
+        assert report.failures[0] == "intersection axioms: filter axioms violated: ground set missing"
+        assert dict(report.checks)["intersections_are_filters"] == 6 + 4
+
+
+def test_each_ground_size_builds_its_table_and_sweep_once(monkeypatch):
+    calls = {"tables": 0, "sweeps": 0}
+    init, sweep = _Families.__init__, _Families._meet_sweep
+
+    def counted_init(self, *args):
+        calls["tables"] += 1
+        init(self, *args)
+
+    def counted_sweep(self):
+        calls["sweeps"] += 1
+        sweep(self)
+
+    monkeypatch.setattr(filters._Families, "__init__", counted_init)
+    monkeypatch.setattr(filters._Families, "_meet_sweep", counted_sweep)
+    assert len(verify_filter_laws(5).models) == 75
+    assert calls == {"tables": 5, "sweeps": 5}
+
+
+def test_the_closed_forms_match_the_entourage_walk():
+    """``held`` and ``balls`` are computed without the walk over every
+    entourage; the walk is the reference, on every model up to size 5 and
+    on a minimum entourage that is not an equivalence relation."""
+    for size in range(1, 6):
+        table = _Families(size, _filters(size))
+        for bm in _models(table):
+            assert (bm.held, bm.balls) == entourage_walk(bm.rows)
+    bm = _BitsetModel([0b011, 0b111, 0b110], _Families(3, _filters(3)))
+    assert (bm.held, bm.balls) == entourage_walk(bm.rows)
+
+
+@pytest.mark.parametrize("k", [7, 8, 9, 10])
+def test_size_five_models_match_the_frozenset_oracle(k):
+    """The first size-5 model with 2^k entourages, for the k the size-4
+    comparison never reaches."""
+    ground = tuple(range(5))
+    table = _Families(5, _filters(5))
+    index, bm = next((i, bm) for i, bm in enumerate(_models(table)) if bm.n_entourages == 1 << k)
+    u = catalog(ground)[index]
+    assert len(u.entourages) == 1 << k
+    assert _check_model(5, index, bm, table) == check_model(5, index, u, enumerate_filters(ground))
+
+
+def test_the_summary_names_a_filter_count_mismatch():
+    report = FilterLawReport(2, (), ((1, 1, 1), (2, 4, 3)))
+    lines = report.summary_text().splitlines()
+    assert "  size 1: 1 filters (expected 1), ok" in lines
+    assert "  size 2: 4 filters (expected 3), MISMATCH" in lines
+    assert lines[-1] == "  FIRST COUNTEREXAMPLE: size 2: 4 filters, expected 3"

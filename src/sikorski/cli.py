@@ -41,14 +41,12 @@ from typing import Collection, Iterable, NamedTuple, Sequence
 import numpy as np
 
 from . import specfile, tangent
-from .compactify import boundize, compactify, normalize
+from .compactify import boundize, compactify
 from .completion import CompletedSpace, IotaReport, complete, iota, maximal_family
 from .expr import ExprError, eval_constant, parse_expr
 from .filters import _MAX_GROUND, verify_filter_laws
 from .space import (
     DiffSpace,
-    Generator,
-    GeneratorFamily,
     SmoothFunction,
     check_smooth_map,
     embed,
@@ -330,14 +328,8 @@ def cmd_compactify(args) -> None:
     spec = _spec(args)
     space = _resolve_family(spec.space, args.family)
     probes = _select_probes(spec, args.probes)
-    scaled = []
-    lines = []
-    for gen in space.family.generators:
-        ng = normalize(space, gen.name)
-        scaled.append(Generator(gen.name, ng.expr, 1.0))
-        lines.append(f"normalized {gen.name}: sup {_fmt(ng.sup)} at sample {ng.argmax_index}")
-    bounded = dataclasses.replace(space, family=GeneratorFamily(tuple(scaled)))
-    cs = compactify(bounded, probes, tol=args.tol, tail=args.tail)
+    normalized, cs = compactify(space, probes, tol=args.tol, tail=args.tail)
+    lines = [f"normalized {ng.name}: sup {_fmt(ng.sup)} at sample {ng.argmax_index}" for ng in normalized]
     _write_points(_artifact(args, "points.csv"), cs)
     _write_report(_artifact(args, "report.txt"), lines + _completion_lines(cs))
     print(f"compactify: {len(cs.adjoined)} adjoined, {len(cs.duplicates)} duplicate(s)")

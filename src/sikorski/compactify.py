@@ -3,9 +3,9 @@
 The pieces of the bounded-generator construction: a smooth cube splice
 that is exactly one on the inner cube and exactly zero outside the outer
 one, the localization of a witnessed function to bounded generators with
-unit sup bound, sup-normalization of an individual generator, and the
-compactification, which is completion over a family whose coordinates all
-live in [-1, 1].
+unit sup bound, sup-normalization of a family's generators, and the
+compactification, which is completion over the normalized family, whose
+coordinates all live in [-1, 1].
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import BinOp, Call, Const, DomainError, Expr, Var, substitute, to_string
-from .space import DiffSpace, SmoothFunction, eval_columns, eval_point, sample
+from .space import DiffSpace, Generator, GeneratorFamily, SmoothFunction, eval_columns, eval_point, sample
 from .uniform import Probe
 from .completion import CompletedSpace, complete
 
@@ -145,8 +145,7 @@ class NormalizedGenerator:
     name: str
     expr: Expr  # original expression divided by the sampled sup
     sup: float
-    argmax_params: tuple[float, ...]
-    argmax_index: int
+    argmax_index: int  # the first sample attaining the sup
 
 
 def _monotone_divergent(line: np.ndarray, toward_end: bool) -> bool:
@@ -163,51 +162,56 @@ def _monotone_divergent(line: np.ndarray, toward_end: bool) -> bool:
     return bool(np.all(increments[1:] >= increments[:-1] * (1.0 - 1e-9)))
 
 
-def normalize(space: DiffSpace, name: str) -> NormalizedGenerator:
-    """Scale a generator by its sampled sup so its range fits in [-1, 1].
+def normalize(space: DiffSpace) -> tuple[NormalizedGenerator, ...]:
+    """Scale every generator by its sampled sup so its range fits in
+    [-1, 1]: one result per generator, in family order.
 
-    Rejected when the sampled sup is zero (nothing to scale) or when |g|
+    The carrier is sampled once, and the generators are checked in family
+    order, so the first failing one is the one reported.  A generator is
+    rejected when its sampled sup is zero (nothing to scale) or when |g|
     diverges monotonically into an open boundary of the grid, which is
     the sampled shadow of an unbounded generator.
     """
-    gen = space.family.get(name)
-    params, ambient = sample(space.carrier)
-    values = np.abs(eval_columns([gen.expr], space.carrier.ambient, ambient, [f"generator {name}"])[:, 0])
-    index = int(np.argmax(values))
-    sup = float(values[index])
-    if sup == 0.0:
-        raise ValueError(f"generator {name} is identically zero on the samples")
-    grid = values.reshape(space.carrier.counts)
-    multi = np.unravel_index(index, grid.shape)
-    # only an open end can hide an unattained sup; a closed end's boundary
-    # sample belongs to the carrier, so the max found there is genuine
-    for axis, interval in enumerate(space.carrier.box):
-        line = grid[multi[:axis] + (slice(None),) + multi[axis + 1:]]
-        if (
-            interval.hi_open
-            and multi[axis] == grid.shape[axis] - 1
-            and _monotone_divergent(line, toward_end=True)
-        ):
-            raise ValueError(f"generator {name} diverges toward the upper end of axis {axis}")
-        if (
-            interval.lo_open
-            and multi[axis] == 0
-            and _monotone_divergent(line, toward_end=False)
-        ):
-            raise ValueError(f"generator {name} diverges toward the lower end of axis {axis}")
-    scaled = BinOp("/", gen.expr, Const(sup))
-    return NormalizedGenerator(name, scaled, sup, tuple(params[index].tolist()), index)
-
-
-def compactify(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail: int = 50) -> CompletedSpace:
-    """Completion over a family of unit-bounded generators.  Every
-    coordinate of the result, adjoined points included, lies in [-1, 1]."""
+    _, ambient = sample(space.carrier)
+    out = []
     for gen in space.family.generators:
-        if gen.bound is None:
-            raise ValueError(f"generator {gen.name} carries no bound flag")
-        if gen.bound > 1.0:
-            raise ValueError(f"generator {gen.name} has bound {gen.bound!r} > 1")
-    cs = complete(space, probes, tol=tol, tail=tail)
+        name = gen.name
+        values = np.abs(eval_columns([gen.expr], space.carrier.ambient, ambient, [f"generator {name}"])[:, 0])
+        index = int(np.argmax(values))
+        sup = float(values[index])
+        if sup == 0.0:
+            raise ValueError(f"generator {name} is identically zero on the samples")
+        grid = values.reshape(space.carrier.counts)
+        multi = np.unravel_index(index, grid.shape)
+        # only an open end can hide an unattained sup; a closed end's boundary
+        # sample belongs to the carrier, so the max found there is genuine
+        for axis, interval in enumerate(space.carrier.box):
+            line = grid[multi[:axis] + (slice(None),) + multi[axis + 1:]]
+            if (
+                interval.hi_open
+                and multi[axis] == grid.shape[axis] - 1
+                and _monotone_divergent(line, toward_end=True)
+            ):
+                raise ValueError(f"generator {name} diverges toward the upper end of axis {axis}")
+            if (
+                interval.lo_open
+                and multi[axis] == 0
+                and _monotone_divergent(line, toward_end=False)
+            ):
+                raise ValueError(f"generator {name} diverges toward the lower end of axis {axis}")
+        out.append(NormalizedGenerator(name, BinOp("/", gen.expr, Const(sup)), sup, index))
+    return tuple(out)
+
+
+def compactify(
+    space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail: int = 50
+) -> tuple[tuple[NormalizedGenerator, ...], CompletedSpace]:
+    """Normalize every generator, then complete over the scaled family:
+    the normalized generators and the completion.  Every coordinate of
+    the result, adjoined points included, is checked to lie in [-1, 1]."""
+    normalized = normalize(space)
+    scaled = GeneratorFamily(tuple(Generator(ng.name, ng.expr) for ng in normalized))
+    cs = complete(DiffSpace(space.carrier, scaled), probes, tol=tol, tail=tail)
     over = np.argwhere(np.abs(cs.base.coords) > 1.0)
     if over.size:
         i, k = over[0]
@@ -217,4 +221,4 @@ def compactify(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tai
         for name, value in zip(cs.names, adj.coords):
             if abs(value) > 1.0:
                 raise ValueError(f"adjoined coordinate {name} of {adj.probe} leaves [-1, 1]: {value!r}")
-    return cs
+    return normalized, cs

@@ -194,16 +194,11 @@ def maximal_family(family: GeneratorFamily, degree: int) -> GeneratorFamily:
         for picks in itertools.combinations_with_replacement(range(len(base)), total):
             name_parts = []
             expr: Expr | None = None
-            bound: float | None = 1.0
             for i, run in itertools.groupby(picks):
                 gen, k = base[i], len(list(run))
                 name_parts.append(gen.name if k == 1 else f"{gen.name}^{k}")
                 factor = gen.expr if k == 1 else Pow(gen.expr, k)
                 expr = factor if expr is None else BinOp("*", expr, factor)
-                if gen.bound is None or bound is None:
-                    bound = None
-                else:
-                    bound = bound * gen.bound**k
             assert expr is not None
-            out.append(Generator("*".join(name_parts), expr, bound))
+            out.append(Generator("*".join(name_parts), expr))
     return GeneratorFamily(tuple(out))

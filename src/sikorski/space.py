@@ -121,15 +121,11 @@ class Carrier:
 
 @dataclass(frozen=True)
 class Generator:
-    """A named generator function over ambient coordinates.
-
-    `bound` is an optional declared sup bound; compactification requires
-    one of at most 1 and re-checks it on samples.
-    """
+    """A named generator function over ambient coordinates.  Its sup is
+    measured on the samples (`compactify.normalize`), never declared."""
 
     name: str
     expr: Expr
-    bound: float | None = None
 
 
 @dataclass(frozen=True)

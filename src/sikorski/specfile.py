@@ -1,7 +1,7 @@
 """Loader for the INI-style experiment files understood by the CLI.
 
 A spec file declares one parametrized carrier with its generator family,
-plus optional probes, bound flags, smooth-map witnesses, and named
+plus optional probes, bound declarations, smooth-map witnesses, and named
 experiment command lines.  Sections look like::
 
     [space]
@@ -472,18 +472,16 @@ def load_spec(path: str, _stack: tuple[str, ...] = ()) -> SpecFile:
     generators = _parse_generators(path, by_name["generators"], carrier.ambient)
 
     if "bounded" in by_name:
-        bounds: dict[str, float] = {}
+        # checked, but not stored: compactify measures each sup itself
+        bounded: set[str] = set()
         declared = {g.name for g in generators}
         for lineno, key, value, column in by_name["bounded"].entries:
             if key not in declared:
                 raise SpecError(path, lineno, f"bound for unknown generator {key!r}")
-            if key in bounds:
+            if key in bounded:
                 raise SpecError(path, lineno, f"duplicate bound for {key!r}")
-            bounds[key] = _const(path, lineno, column, value, f"bound for {key}")
-        generators = [
-            Generator(g.name, g.expr, bounds[g.name]) if g.name in bounds else g
-            for g in generators
-        ]
+            _const(path, lineno, column, value, f"bound for {key}")
+            bounded.add(key)
 
     try:
         space = DiffSpace(carrier, GeneratorFamily(tuple(generators)))

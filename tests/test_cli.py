@@ -23,6 +23,8 @@ import pytest
 
 import sikorski
 from sikorski import cli, specfile, tangent
+from sikorski import compactify as compactify_module
+from sikorski import space as space_module
 from sikorski.space import embed
 
 SPECS = Path(sikorski.__file__).parent / "specs"
@@ -124,6 +126,60 @@ def test_compactify_compact_interval(tmp_path):
     assert report[0] == "normalized g: sup 1 at sample 100"
     assert "adjoined: 0" in report
     assert report[-1] == "duplicates: plow, phigh"  # no completeness line
+
+
+def test_compactify_samples_the_carrier_twice(tmp_path, monkeypatch):
+    """Once to normalize the whole family and once to embed it, however
+    many generators the family has."""
+    calls = []
+    original = space_module.sample
+
+    def counted(carrier):
+        calls.append(carrier)
+        return original(carrier)
+
+    monkeypatch.setattr(space_module, "sample", counted)
+    monkeypatch.setattr(compactify_module, "sample", counted)
+    rc, out, err = run_in_process([
+        "compactify", UNIT_INTERVAL, "--family", "maximal:3", "--out", str(tmp_path),
+    ])
+    assert (rc, err) == (0, "")
+    assert out == "compactify: 0 adjoined, 2 duplicate(s)\n"
+    assert len(calls) == 2
+
+
+def test_compactify_reports_the_first_failing_generator(tmp_path):
+    """z fails normalization before r's domain error at x = 1/2 is met."""
+    spec = tmp_path / "order.spec"
+    spec.write_text(
+        "[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 3\n\n"
+        "[generators]\nz = x - x\nr = 1/(x - 1/2)\n",
+        encoding="utf-8",
+    )
+    rc, out, err = run_in_process(["compactify", str(spec), "--out", str(tmp_path)])
+    assert rc == 1
+    assert out == ""
+    assert err == (
+        "sikorski compactify (compactify): invariant violated:"
+        " generator z is identically zero on the samples\n"
+    )
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="normalize scales by the sup over the samples alone, and probe c0's"
+    " limit in a lies beyond it: adjoined coordinate a of c0 leaves [-1, 1]",
+)
+def test_spiral_compactification_stays_in_the_cube(tmp_path):
+    rc, out, err = run_in_process([
+        "compactify", str(SPECS / "spiral.spec"), "--family", "a,b", "--tol", "1e-3",
+        "--out", str(tmp_path),
+    ])
+    assert (rc, err) == (0, "")
+    header, *rows = read_rows(tmp_path / "compactify_points.csv")
+    assert header == ["point_kind", "probe_name", "a", "b"]
+    assert rows
+    assert all(abs(float(v)) <= 1.0 for row in rows for v in row[2:])
 
 
 def test_compactify_divergent_generator_exits_one(tmp_path):

@@ -1,11 +1,14 @@
 import math
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import sikorski
 from sikorski import specfile
+from sikorski import compactify as compactify_module
 from sikorski.compactify import (
+    NormalizedGenerator,
     boundize,
     bump,
     compactify,
@@ -19,6 +22,7 @@ from sikorski.space import (
     GeneratorFamily,
     Interval,
     SmoothFunction,
+    embed,
 )
 from sikorski.uniform import Probe
 
@@ -32,9 +36,7 @@ def line_space(lo, hi, count, gens, lo_open=False, hi_open=False, inset=1e-3):
         counts=(count,),
         inset=inset,
     )
-    family = GeneratorFamily(
-        tuple(Generator(n, parse_expr(e, ["x"]), bound) for n, e, bound in gens)
-    )
+    family = GeneratorFamily(tuple(Generator(n, parse_expr(e, ["x"])) for n, e in gens))
     return DiffSpace(carrier, family)
 
 
@@ -85,7 +87,7 @@ def test_bump_validates_its_cubes():
         bump((0.0, 0.0), ("u",))
 
 
-INTEGER_SLAB = line_space(-5.0, 5.0, 11, [("f", "x", None), ("g", "x^2", None)])
+INTEGER_SLAB = line_space(-5.0, 5.0, 11, [("f", "x"), ("g", "x^2")])
 IDENTITY = SmoothFunction(Var("u1"), ("u1",), ("f",))
 
 
@@ -126,13 +128,13 @@ def test_boundize_through_a_two_generator_witness():
 
 
 def test_sweep_errors_name_the_expression_and_the_sample():
-    space = line_space(-3.0, 3.0, 7, [("f", "1 / (x - 1)", None)])
+    space = line_space(-3.0, 3.0, 7, [("f", "1 / (x - 1)")])
     with pytest.raises(DomainError) as err:
         boundize(space, SmoothFunction.of_generator("f"), (0.0,))
     assert err.value.index == 4
     assert str(err.value) == "bounded generator f at (1.0,): division by zero"
     with pytest.raises(DomainError) as err:
-        normalize(space, "f")
+        normalize(space)
     assert err.value.index == 4
     assert str(err.value) == "generator f at (1.0,): division by zero"
     # the witness is checked on the local samples 1100 and 1101 only; the
@@ -145,67 +147,90 @@ def test_sweep_errors_name_the_expression_and_the_sample():
 
 
 def test_normalize_divides_by_the_sampled_sup():
-    space = line_space(-2.0, 2.0, 41, [("f", "x", None)])
-    ng = normalize(space, "f")
+    space = line_space(-2.0, 2.0, 41, [("f", "x")])
+    (ng,) = normalize(space)
     assert ng.sup == 2.0
     assert eval_expr(ng.expr, {"x": 1.0}) == 0.5
-    assert ng.argmax_params == (-2.0,)
     assert ng.argmax_index == 0
 
 
 def test_normalize_accepts_a_flattening_generator():
-    slab = line_space(-1100.0, 1100.0, 2201, [("a", "atan(x)", None)], lo_open=True, hi_open=True)
-    ng = normalize(slab, "a")
+    slab = line_space(-1100.0, 1100.0, 2201, [("a", "atan(x)")], lo_open=True, hi_open=True)
+    (ng,) = normalize(slab)
     assert abs(ng.sup - math.pi / 2) < 1e-3
     assert abs(eval_expr(ng.expr, {"x": 1.0}) - 0.5) < 1e-3
 
 
 def test_normalize_rejects_divergence_into_an_open_end():
-    slab = line_space(-1100.0, 1100.0, 2201, [("f", "x", None)], lo_open=True, hi_open=True)
+    slab = line_space(-1100.0, 1100.0, 2201, [("f", "x")], lo_open=True, hi_open=True)
     with pytest.raises(ValueError, match="diverges toward"):
-        normalize(slab, "f")
+        normalize(slab)
 
 
 def test_closed_boundary_maxima_are_genuine():
     """On a closed box the boundary sample belongs to the carrier, so a
     growing profile is just a generator peaking at the edge."""
-    space = line_space(0.0, 10.0, 21, [("f", "x", None)])
-    ng = normalize(space, "f")
+    space = line_space(0.0, 10.0, 21, [("f", "x")])
+    (ng,) = normalize(space)
     assert ng.sup == 10.0
 
 
 def test_normalize_rejects_the_zero_generator():
-    space = line_space(-1.0, 1.0, 11, [("z", "x - x", None)])
+    space = line_space(-1.0, 1.0, 11, [("z", "x - x")])
     with pytest.raises(ValueError, match="identically zero"):
-        normalize(space, "z")
+        normalize(space)
 
 
 def test_renormalizing_keeps_the_argmax():
-    space = line_space(-2.0, 2.0, 41, [("f", "x^3 - x", None)])
-    first = normalize(space, "f")
-    rescaled = DiffSpace(space.carrier, GeneratorFamily((Generator("f", first.expr, 1.0),)))
-    second = normalize(rescaled, "f")
+    space = line_space(-2.0, 2.0, 41, [("f", "x^3 - x")])
+    (first,) = normalize(space)
+    rescaled = DiffSpace(space.carrier, GeneratorFamily((Generator("f", first.expr),)))
+    (second,) = normalize(rescaled)
     assert second.argmax_index == first.argmax_index
     assert second.sup == pytest.approx(1.0, abs=1e-12)
 
 
-def test_compactify_requires_declared_unit_bounds():
-    space = line_space(-1.0, 1.0, 11, [("f", "x", None)])
-    with pytest.raises(ValueError, match="no bound flag"):
-        compactify(space, [])
-    loud = line_space(-1.0, 1.0, 11, [("f", "2 * x", 2.0)])
-    with pytest.raises(ValueError, match="> 1"):
-        compactify(loud, [])
-    liar = line_space(-3.0, 3.0, 13, [("f", "x", 1.0)])
-    with pytest.raises(ValueError, match="exceeds its unit bound"):
+def test_normalize_matches_the_embedding_column_by_column():
+    """Every bundled generator that normalizes gets the sup and the first
+    argmax of its column of |embed(space).coords|, in one sweep."""
+    checked = 0
+    for path in sorted((Path(sikorski.__file__).parent / "specs").glob("*.spec")):
+        space = specfile.load_spec(str(path)).space
+        names = []
+        for name in space.family.names:
+            try:
+                normalize(space.with_generators([name]))
+            except (ValueError, DomainError):
+                continue
+            names.append(name)
+        if not names:
+            continue
+        sub = space.with_generators(names)
+        values = np.abs(embed(sub).coords)
+        normalized = normalize(sub)
+        assert tuple(ng.name for ng in normalized) == sub.family.names
+        for column, ng in zip(values.T, normalized):
+            assert ng.sup == column.max()
+            assert ng.argmax_index == int(np.argmax(column))
+        checked += len(names)
+    assert checked == 8
+
+
+def test_compactify_rechecks_the_unit_bound_on_the_samples(monkeypatch):
+    liar = line_space(-3.0, 3.0, 13, [("f", "x")])
+    # a normalization that leaves the generator unscaled
+    monkeypatch.setattr(
+        compactify_module, "normalize", lambda space: (NormalizedGenerator("f", Var("x"), 1.0, 0),)
+    )
+    with pytest.raises(ValueError, match=r"generator f exceeds its unit bound at \(-3.0,\): -3.0"):
         compactify(liar, [])
 
 
 def test_compactified_arc_lands_just_inside_the_unit_interval():
-    slab = line_space(-1100.0, 1100.0, 2201, [("a", "(2/pi) * atan(x)", 1.0)])
+    slab = line_space(-1100.0, 1100.0, 2201, [("a", "(2/pi) * atan(x)")])
     plus = Probe("plus", Var("n"), 1, 1050)
     minus = Probe("minus", parse_expr("-n", ["n"]), 1, 1050)
-    cs = compactify(slab, [plus, minus], tol=1e-3, tail=50)
+    _, cs = compactify(slab, [plus, minus], tol=1e-3, tail=50)
     assert [a.probe for a in cs.adjoined] == ["plus", "minus"]
     for a, sign in zip(cs.adjoined, (1.0, -1.0)):
         assert abs(a.coords[0] - sign) < 1e-3
@@ -215,10 +240,10 @@ def test_compactified_arc_lands_just_inside_the_unit_interval():
 
 
 def test_compact_carrier_gains_nothing():
-    space = line_space(0.0, 1.0, 101, [("g", "x", 1.0)])
+    space = line_space(0.0, 1.0, 101, [("g", "x")])
     low = Probe("low", parse_expr("exp(-n)", ["n"]), 1, 100)
     high = Probe("high", parse_expr("1 - exp(-n)", ["n"]), 1, 100)
-    cs = compactify(space, [low, high], tol=1e-6, tail=50)
+    _, cs = compactify(space, [low, high], tol=1e-6, tail=50)
     assert cs.adjoined == ()
     assert cs.duplicates == ("low", "high")
     assert all(abs(c[0]) <= 1.0 for c in cs.all_coords())

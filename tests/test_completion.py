@@ -209,14 +209,12 @@ def test_an_undecided_probe_leaves_completeness_undecided():
 def test_maximal_family_lists_monomials_by_degree():
     fam = GeneratorFamily(
         (
-            Generator("f", Var("x"), bound=1.0),
-            Generator("g", parse_expr("x^2", ["x"]), bound=0.5),
+            Generator("f", Var("x")),
+            Generator("g", parse_expr("x^2", ["x"])),
         )
     )
     big = maximal_family(fam, 2)
     assert big.names == ("f", "g", "f^2", "f*g", "g^2")
-    assert big.get("f*g").bound == 0.5
-    assert big.get("g^2").bound == 0.25
     env = {"x": 1.5}
     from sikorski.expr import eval_expr
 
@@ -231,11 +229,10 @@ def test_maximal_family_lists_monomials_by_degree():
     )
 
 
-def test_maximal_family_without_bounds_stays_unbounded():
+def test_maximal_family_of_one_generator_lists_its_powers():
     fam = GeneratorFamily((Generator("f", Var("x")),))
     big = maximal_family(fam, 3)
     assert big.names == ("f", "f^2", "f^3")
-    assert all(g.bound is None for g in big.generators)
     with pytest.raises(ValueError, match="degree"):
         maximal_family(fam, 0)
 

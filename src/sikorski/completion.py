@@ -41,12 +41,10 @@ MAX_MONOMIALS = 1000  # the largest family `maximal_family` builds
 class AdjoinedPoint:
     probe: str
     coords: tuple[float, ...]
-    oscillation: float
 
 
 @dataclass(frozen=True)
 class CompletedSpace:
-    space: DiffSpace
     base: EmbeddedCloud
     adjoined: tuple[AdjoinedPoint, ...]
     verdicts: tuple[CauchyVerdict, ...]
@@ -93,8 +91,8 @@ def complete(space: DiffSpace, probes: Sequence[Probe], tol: float = 1e-6, tail:
         if known:
             duplicates.append(probe.name)
         else:
-            adjoined.append(AdjoinedPoint(probe.name, verdict.limit, verdict.max_oscillation()))
-    return CompletedSpace(space, base, tuple(adjoined), tuple(verdicts), tuple(duplicates))
+            adjoined.append(AdjoinedPoint(probe.name, verdict.limit))
+    return CompletedSpace(base, tuple(adjoined), tuple(verdicts), tuple(duplicates))
 
 
 @dataclass(frozen=True)
@@ -109,7 +107,6 @@ class IotaEntry:
 @dataclass(frozen=True, eq=False)
 class IotaReport:
     sub_names: tuple[str, ...]
-    full_names: tuple[str, ...]
     base: np.ndarray  # projected coordinates of base point i, which lands on base point i
     entries: tuple[IotaEntry, ...]
     residuals: tuple[tuple[str, float], ...]  # per sub-family generator
@@ -129,13 +126,12 @@ def iota(cs_full: CompletedSpace, cs_sub: CompletedSpace) -> IotaReport:
     extension, and which subfamily completion points the map misses.
     """
     sub_names = cs_sub.names
-    full_names = cs_full.names
-    missing = set(sub_names) - set(full_names)
+    missing = set(sub_names) - set(cs_full.names)
     if missing:
         raise ValueError(f"subfamily is not contained in the full family: {sorted(missing)}")
     if not np.array_equal(cs_full.base.ambient, cs_sub.base.ambient):
         raise ValueError("completions were built over different sample clouds")
-    projection = [full_names.index(n) for n in sub_names]
+    projection = [cs_full.names.index(n) for n in sub_names]
 
     base = cs_full.base.coords[:, projection]
     gaps = np.max(np.abs(base - cs_sub.base.coords), axis=0, initial=0.0).tolist()
@@ -170,7 +166,7 @@ def iota(cs_full: CompletedSpace, cs_sub: CompletedSpace) -> IotaReport:
         entries.append(IotaEntry(f"adjoined:{adj.probe}", target_label, projected))
     uncovered = tuple(a.probe for a in cs_sub.adjoined if a.probe not in covered)
     residuals = tuple((n, residual[n]) for n in sub_names)
-    return IotaReport(sub_names, full_names, base, tuple(entries), residuals, uncovered)
+    return IotaReport(sub_names, base, tuple(entries), residuals, uncovered)
 
 
 def maximal_family(family: GeneratorFamily, degree: int) -> GeneratorFamily:

@@ -17,7 +17,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import BinOp, DomainError, Expr, Var, eval_array, eval_expr, substitute, to_string, variables
+from .expr import DomainError, Expr, Var, eval_array, eval_expr, substitute, to_string, variables
 
 __all__ = [
     "Interval",
@@ -38,7 +38,6 @@ __all__ = [
     "eval_smooth",
     "compose_ambient",
     "check_smooth_map",
-    "product_witness",
 ]
 
 
@@ -290,16 +289,6 @@ def compose_ambient(space: DiffSpace, f: SmoothFunction) -> Expr:
 def eval_smooth(space: DiffSpace, f: SmoothFunction, ambient_point: Sequence[float]) -> float:
     composed = compose_ambient(space, f)
     return eval_point([composed], space.carrier.ambient, ambient_point, [f"function {to_string(composed)}"])[0]
-
-
-def product_witness(f: SmoothFunction, g: SmoothFunction) -> SmoothFunction:
-    """Pointwise product as a witness over the concatenated generator lists."""
-    n = len(f.omega_vars)
-    fvars = tuple(f"u{i + 1}" for i in range(n))
-    gvars = tuple(f"u{n + j + 1}" for j in range(len(g.omega_vars)))
-    left = substitute(f.omega, {old: Var(new) for old, new in zip(f.omega_vars, fvars)})
-    right = substitute(g.omega, {old: Var(new) for old, new in zip(g.omega_vars, gvars)})
-    return SmoothFunction(BinOp("*", left, right), fvars + gvars, f.gen_names + g.gen_names)
 
 
 @dataclass(frozen=True)

@@ -65,7 +65,6 @@ class SpecError(Exception):
 @dataclass(frozen=True)
 class Experiment:
     label: str
-    line: int
     argv: tuple[str, ...]
 
 
@@ -73,8 +72,6 @@ class Experiment:
 class LoadedMap:
     """A named smooth-map declaration, resolved against its target spec."""
 
-    name: str
-    target_path: str
     target: "SpecFile"
     witness: SmoothMapWitness
 
@@ -150,7 +147,7 @@ def _scan_interval(path: str, lineno: int, column: int, text: str, start: int) -
     lo_open = opener == "("
     j = start + 1
     depth = 0
-    parts: list[str] = []
+    parts: list[tuple[int, str]] = []  # each endpoint's start in `text`, and its text
     piece = j
     hi_open: bool | None = None
     while j < len(text):
@@ -166,16 +163,19 @@ def _scan_interval(path: str, lineno: int, column: int, text: str, start: int) -
             hi_open = False
             break
         elif ch == "," and depth == 0:
-            parts.append(text[piece:j])
+            parts.append((piece, text[piece:j]))
             piece = j + 1
         j += 1
     if hi_open is None:
         raise SpecError(path, lineno, "unterminated interval in domain")
-    parts.append(text[piece:j])
+    parts.append((piece, text[piece:j]))
     if len(parts) != 2:
         raise SpecError(path, lineno, f"an interval needs two endpoints, got {len(parts)}")
-    lo = _const(path, lineno, column, parts[0].strip(), "domain endpoint")
-    hi = _const(path, lineno, column, parts[1].strip(), "domain endpoint")
+    # the column of each endpoint, not of the whole domain
+    lo, hi = (
+        _const(path, lineno, column + at + len(part) - len(part.lstrip()), part.strip(), "domain endpoint")
+        for at, part in parts
+    )
     try:
         interval = Interval(lo, hi, lo_open=lo_open, hi_open=hi_open)
     except ValueError as err:
@@ -375,10 +375,10 @@ def _parse_map(
     if target_entry is None:
         raise SpecError(path, section.line, f"map {map_name!r} has no target line")
     target_lineno, target_value = target_entry
-    target_path = os.path.join(os.path.dirname(os.path.abspath(path)), target_value)
-    if not os.path.exists(target_path):
+    target_file = os.path.join(os.path.dirname(os.path.abspath(path)), target_value)
+    if not os.path.exists(target_file):
         raise SpecError(path, target_lineno, f"target spec {target_value!r} does not exist")
-    target_spec = load_spec(target_path, _stack=stack)
+    target_spec = load_spec(target_file, _stack=stack)
 
     target_ambient = target_spec.space.carrier.ambient
     missing = [amb for amb in target_ambient if amb not in components]
@@ -409,7 +409,7 @@ def _parse_map(
         tuple(components[amb][1] for amb in target_ambient),
         {name: fn for name, (_, fn) in witnesses.items()},
     )
-    return LoadedMap(map_name, target_path, target_spec, witness)
+    return LoadedMap(target_spec, witness)
 
 
 def _parse_experiments(path: str, section: _Section) -> list[Experiment]:
@@ -427,7 +427,7 @@ def _parse_experiments(path: str, section: _Section) -> list[Experiment]:
             raise SpecError(path, lineno, f"experiment {key}: {err}") from err
         if not argv:
             raise SpecError(path, lineno, f"experiment {key} has no command")
-        experiments.append(Experiment(key, lineno, argv))
+        experiments.append(Experiment(key, argv))
     return experiments
 
 
@@ -496,9 +496,10 @@ def load_spec(path: str, _stack: tuple[str, ...] = ()) -> SpecFile:
     maps: dict[str, LoadedMap] = {}
     for section in map_sections:
         loaded = _parse_map(path, section, space, stack)
-        if loaded.name in maps:
-            raise SpecError(path, section.line, f"duplicate map {loaded.name!r}")
-        maps[loaded.name] = loaded
+        map_name = section.header[1]
+        if map_name in maps:
+            raise SpecError(path, section.line, f"duplicate map {map_name!r}")
+        maps[map_name] = loaded
 
     experiments = (
         _parse_experiments(path, by_name["experiments"]) if "experiments" in by_name else []

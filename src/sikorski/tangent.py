@@ -11,16 +11,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import Expr, diff, substitute, to_string
-from .space import (
-    DiffSpace,
-    SmoothFunction,
-    SmoothMapWitness,
-    compose_ambient,
-    eval_point,
-    eval_smooth,
-    product_witness,
-)
+from .expr import BinOp, Expr, diff, substitute, to_string
+from .space import DiffSpace, SmoothFunction, SmoothMapWitness, compose_ambient, eval_point, eval_smooth
 
 __all__ = [
     "TangentVector",
@@ -42,6 +34,8 @@ class TangentVector:
 
 
 def _directional(expr: Expr, ambient: Sequence[str], v: TangentVector) -> float:
+    if len(v.point) != len(ambient):
+        raise ValueError("vector lives in a different ambient space")
     moved = [(name, coeff) for name, coeff in zip(ambient, v.coeffs) if coeff != 0.0]
     partials = [diff(expr, name) for name, _ in moved]
     labels = [f"derivative of {to_string(expr)} along {name}" for name, _ in moved]
@@ -55,8 +49,6 @@ def apply(space: DiffSpace, v: TangentVector, f: SmoothFunction) -> float:
     """The derivation v acting on f: directional derivative of the composed
     ambient expression at the vector's base point.  Symbolic partials, so
     kinks (abs at zero) surface as domain errors instead of noise."""
-    if len(v.point) != len(space.carrier.ambient):
-        raise ValueError("vector lives in a different ambient space")
     return _directional(compose_ambient(space, f), space.carrier.ambient, v)
 
 
@@ -66,8 +58,8 @@ def leibniz_check(
     """The residual |v(fg) - f(m) v(g) - g(m) v(f)|, zero up to float
     summation order, and the scale 1 + |f(m) v(g)| + |g(m) v(f)| it is
     judged against."""
-    fg = product_witness(f, g)
-    lhs = apply(space, v, fg)
+    fg = BinOp("*", compose_ambient(space, f), compose_ambient(space, g))
+    lhs = _directional(fg, space.carrier.ambient, v)
     fvg = eval_smooth(space, f, v.point) * apply(space, v, g)
     gvf = eval_smooth(space, g, v.point) * apply(space, v, f)
     return abs(lhs - (fvg + gvf)), 1.0 + abs(fvg) + abs(gvf)

@@ -61,8 +61,6 @@ class RefinementRow:
 
 @dataclass(frozen=True)
 class RefinementReport:
-    g_names: tuple[str, ...]
-    h_names: tuple[str, ...]
     sample_count: int
     rows: tuple[RefinementRow, ...]
     # sample pairs the search compared, a row with itself not counted: with
@@ -137,7 +135,7 @@ def compare_uniformities(
             )
             x, y = (tuple(cloud.params[k].tolist()) for k in (i, j))
             rows.append(RefinementRow(target.describe(), eps, False, x, y, d_g, violated))
-    return RefinementReport(g_names, h_names, n_pts, tuple(rows), sum(scanned for _, scanned in found))
+    return RefinementReport(n_pts, tuple(rows), sum(scanned for _, scanned in found))
 
 
 def _upper_edges(lead: np.ndarray, eps: float) -> np.ndarray:

@@ -457,6 +457,16 @@ def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
     assert "Traceback" not in proc.stderr
 
 
+def test_a_bad_subfamily_writes_nothing(tmp_path):
+    """--subfamily is checked before the completion runs, so a bad one
+    leaves no artifact behind."""
+    out = tmp_path / "out"
+    proc = run_cli("complete", REAL_LINE, "--family", "f,g", "--subfamily", "zap", "--out", str(out))
+    assert proc.returncode == 2
+    assert proc.stderr == "sikorski complete: --subfamily: no generator named 'zap'\n"
+    assert not out.exists()
+
+
 def test_one_parser_serves_every_main_call():
     assert cli._parser() is cli._parser()
     argvs = [

@@ -103,6 +103,14 @@ def test_bounded_replacement_at_the_origin():
     assert eval_expr(out.gammas[0], {"x": 3.0}) == 0.0
 
 
+def test_boundize_refuses_a_point_of_another_dimension():
+    """A point binds the ambient coordinates one to one: a stray
+    coordinate is refused, not dropped."""
+    for point in ((0.5, 99.0), ()):
+        with pytest.raises(ValueError, match="point lives in a different ambient space"):
+            boundize(INTEGER_SLAB, IDENTITY, point)
+
+
 def test_scale_tracks_the_center():
     for m, expected in ((-3.0, 5.0), (0.0, 2.0), (5.0, 7.0)):
         out = boundize(INTEGER_SLAB, IDENTITY, (m,))

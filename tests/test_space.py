@@ -16,7 +16,6 @@ from sikorski.space import (
     check_smooth_map,
     embed,
     eval_smooth,
-    product_witness,
     sample,
 )
 
@@ -161,15 +160,6 @@ def test_smooth_function_validates_its_witness():
         SmoothFunction(Var("u1"), ("u1", "u2"), ("f",))
     with pytest.raises(ValueError, match="undeclared"):
         SmoothFunction(parse_expr("u1 + u2", ["u1", "u2"]), ("u1",), ("f",))
-
-
-def test_product_witness_multiplies_values():
-    s = line_space(-5.0, 5.0, 11, [("f", "x"), ("g", "x^2")])
-    f = SmoothFunction.of_generator("f")
-    g = SmoothFunction.of_generator("g")
-    fg = product_witness(f, g)
-    assert eval_smooth(s, fg, (2.0,)) == 8.0
-    assert eval_smooth(s, fg, (-1.5,)) == -1.5 * 2.25
 
 
 def test_identity_map_witness_has_zero_residual():

@@ -108,7 +108,10 @@ def test_expression_errors_name_the_column(tmp_path):
     "old, new, message",
     [
         ("domain = [0, 1]", "domain = [0, 1e999]", "3: domain endpoint: value inf is not finite"),
-        ("domain = [0, 1]", "domain = [0, 2 +]", "3: domain endpoint: unexpected end of input (offset 3), column 13"),
+        ("domain = [0, 1]", "domain = [0, 2 +]", "3: domain endpoint: unexpected end of input (offset 3), column 17"),
+        ("domain = [0, 1]", "domain = [0, 1] x [0, 2 +]",
+         "3: domain endpoint: unexpected end of input (offset 3), column 26"),
+        ("domain = [0, 1]", "domain = ( * 1, 2)", "3: domain endpoint: expected a value, got '*' (offset 0), column 12"),
         ("samples = 11", "samples = 11\ninset = 1e999", "6: inset: value inf is not finite"),
         ("f = x", "f = x\n\n[bounded]\nf = x", "11: bound for f: unknown variable 'x' (offset 0), column 5"),
     ],
@@ -272,7 +275,7 @@ def test_map_targets_resolve_relative_to_the_spec(tmp_path):
     spec = load_spec(write_spec(tmp_path, text, name="source.spec"))
     loaded = spec.maps["m"]
     assert loaded.target.name == "target"
-    assert Path(loaded.target_path).parent == tmp_path
+    assert Path(loaded.target.path).parent == tmp_path
 
 
 def test_map_without_target_line(tmp_path):

@@ -12,7 +12,12 @@ text cells are the same in every row and are quoted once, the way
 formatted a fixed-size slice of rows at a time by the byte kernel in
 `sikorski._numfmt`: whole columns become the exact bytes of ``%.17g``,
 and Python's scalar conversion runs only for the few values whose
-digits the kernel cannot prove exact.  Output is
+digits the kernel cannot prove exact.  Within one `main` call nothing
+is computed twice: `sikorski.space` memoizes each carrier's sweep and
+each family's embedding, the writer memoizes each column's fields on
+the column's bytes, and `main` empties all three when its command line
+ends, however it ends, so the experiments of a ``run`` share them and
+no invocation sees another's.  Output is
 deterministic: floats are printed with 17 significant digits, rows
 follow declaration or sample order, and nothing timestamps itself.
 Exit status is 0 on success, 1 when a library invariant fails, and 2
@@ -50,6 +55,7 @@ from .space import (
     SmoothFunction,
     check_smooth_map,
     embed,
+    forget_sweeps,
 )
 from .specfile import SpecError
 from .tangent import TangentVector
@@ -158,6 +164,10 @@ class _Slot(str):
 
 _FLOAT_SLOT = _Slot(_FLOAT)
 _SLICE_ROWS = 4096  # rows formatted per write, so a block is never one whole-file string
+# The fields of every column formatted so far in this `main` call, keyed on
+# the column's own bytes, so that a hit is a byte-equal column.  Not a
+# digest: hashlib loads OpenSSL, 3.35 MiB of resident memory.
+_FIELDS: dict[bytes, np.ndarray] = {}
 _CONVERSION = re.compile(r"%(%|\.17g)")  # in a row format: an escaped % or a slot
 
 
@@ -165,8 +175,9 @@ class _Block(NamedTuple):
     """Rows of a CSV artifact that share their constant cells.
 
     `cells` is the row: each `_Slot` takes the next column of `values`,
-    every other cell is written the same in every row.  `values` has one
-    row per CSV row; the default is one row with no slots."""
+    every other cell is written the same in every row.  `values` is a
+    float64 matrix with one row per CSV row; the default is one row with
+    no slots."""
 
     cells: Sequence
     values: np.ndarray = np.empty((1, 0))
@@ -214,7 +225,10 @@ def _slice_bytes(constants: list[bytes], values: np.ndarray):
     first = np.frombuffer(constants[0], dtype=np.uint8)
     pieces, constant_nul = [np.broadcast_to(first, (n, len(first)))], [first == 0]
     for column, constant in zip(values.T, constants[1:]):
-        field = _numfmt.fields(column)
+        key = column.tobytes()
+        field = _FIELDS.get(key)
+        if field is None:
+            field = _FIELDS[key] = _numfmt.fields(column)
         const = np.frombuffer(constant, dtype=np.uint8)
         pieces += [field, np.broadcast_to(const, (n, len(const)))]
         constant_nul += [np.zeros(field.shape[1], dtype=bool), const == 0]
@@ -634,7 +648,11 @@ def main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exit_:  # argparse has printed the help
         return exit_.code
     args.spec_file = None
-    return _dispatch(args)
+    try:
+        return _dispatch(args)
+    finally:  # the memos serve one command line
+        forget_sweeps()
+        _FIELDS.clear()
 
 
 def _dispatch(args: argparse.Namespace) -> int:

@@ -11,6 +11,7 @@ evaluations: one matrix row per sample, row-major in parameter order.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -35,6 +36,7 @@ __all__ = [
     "generator_columns",
     "sample",
     "embed",
+    "forget_sweeps",
     "eval_smooth",
     "compose_ambient",
     "check_smooth_map",
@@ -243,16 +245,44 @@ def generator_columns(space: DiffSpace, ambient: np.ndarray) -> np.ndarray:
 
 def sample(carrier: Carrier) -> tuple[np.ndarray, np.ndarray]:
     """Grid samples as a parameter matrix and an ambient matrix, one row
-    per sample, row-major in parameter order (last axis fastest)."""
-    axes = carrier.axis_samples()
-    mesh = np.meshgrid(*axes, indexing="ij")
-    params = np.stack([m.ravel() for m in mesh], axis=1)
-    return params, chart_columns(carrier, params)
+    per sample, row-major in parameter order (last axis fastest).
+
+    The matrices are read-only and memoized: a carrier equal to one
+    swept before gets the same matrices back, until `forget_sweeps`."""
+    return _sweep(carrier, repr(carrier))
 
 
 def embed(space: DiffSpace) -> EmbeddedCloud:
+    """The generator embedding of the sampled carrier, memoized like
+    `sample`: a space equal to one embedded before gets the same cloud."""
+    return _embedding(space, repr(space))
+
+
+# The memos key on the frozen value and on its repr: -0.0 == 0.0, but a
+# zero's sign shows in the samples and the artifacts, and only the repr
+# tells the two apart.  A DomainError is raised, never stored.  `cli.main`
+# empties both after every command line, so a memo lives for one
+# invocation; the bounds cap what a library caller keeps.
+@functools.lru_cache(maxsize=2)
+def _sweep(carrier: Carrier, exact: str) -> tuple[np.ndarray, np.ndarray]:
+    axes = carrier.axis_samples()
+    mesh = np.meshgrid(*axes, indexing="ij")
+    params = np.stack([m.ravel() for m in mesh], axis=1)
+    ambient = chart_columns(carrier, params)
+    params.flags.writeable = ambient.flags.writeable = False
+    return params, ambient
+
+
+@functools.lru_cache(maxsize=4)
+def _embedding(space: DiffSpace, exact: str) -> EmbeddedCloud:
     params, ambient = sample(space.carrier)
     return EmbeddedCloud(space.family.names, params, ambient, generator_columns(space, ambient))
+
+
+def forget_sweeps() -> None:
+    """Empty the memos of `sample` and `embed`."""
+    _sweep.cache_clear()
+    _embedding.cache_clear()
 
 
 @dataclass(frozen=True)

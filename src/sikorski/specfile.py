@@ -159,10 +159,10 @@ def _scan_interval(path: str, lineno: int, column: int, text: str, start: int) -
                 hi_open = True
                 break
             depth -= 1
-        elif ch == "]" and depth == 0:
+        elif ch == "]":  # no endpoint holds "]" or ",", so each ends one at any depth
             hi_open = False
             break
-        elif ch == "," and depth == 0:
+        elif ch == ",":
             parts.append((piece, text[piece:j]))
             piece = j + 1
         j += 1

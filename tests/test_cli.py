@@ -23,7 +23,6 @@ import pytest
 
 import sikorski
 from sikorski import cli, specfile, tangent
-from sikorski import compactify as compactify_module
 from sikorski import space as space_module
 from sikorski.space import embed
 
@@ -31,6 +30,7 @@ SPECS = Path(sikorski.__file__).parent / "specs"
 REAL_LINE = str(SPECS / "real_line_atan.spec")
 UNIT_INTERVAL = str(SPECS / "unit_interval_compact.spec")
 PARABOLA = str(SPECS / "parabola_refinement.spec")
+SPIRAL = str(SPECS / "spiral.spec")
 
 
 def run_cli(*argv):
@@ -128,24 +128,42 @@ def test_compactify_compact_interval(tmp_path):
     assert report[-1] == "duplicates: plow, phigh"  # no completeness line
 
 
-def test_compactify_samples_the_carrier_twice(tmp_path, monkeypatch):
-    """Once to normalize the whole family and once to embed it, however
-    many generators the family has."""
-    calls = []
-    original = space_module.sample
+def sweeps_and_embeddings(monkeypatch):
+    """Lists that record the row count of each chart evaluation over a
+    carrier's samples and the family of each generator evaluation over
+    them: the work `sample` and `embed` do when their memos miss.  The
+    memos start empty, because a library call made outside `main`, by an
+    earlier test, may have filled them."""
+    space_module.forget_sweeps()
+    sweeps, embeddings = [], []
+    chart_columns, generator_columns = space_module.chart_columns, space_module.generator_columns
 
-    def counted(carrier):
-        calls.append(carrier)
-        return original(carrier)
+    def counted_chart(carrier, params):
+        sweeps.append(len(params))
+        return chart_columns(carrier, params)
 
-    monkeypatch.setattr(space_module, "sample", counted)
-    monkeypatch.setattr(compactify_module, "sample", counted)
+    def counted_generators(space, ambient):
+        embeddings.append(space.family.names)
+        return generator_columns(space, ambient)
+
+    monkeypatch.setattr(space_module, "chart_columns", counted_chart)
+    monkeypatch.setattr(space_module, "generator_columns", counted_generators)
+    return sweeps, embeddings
+
+
+def test_compactify_sweeps_the_carrier_once(tmp_path, monkeypatch):
+    """Normalizing the whole family and embedding it share one chart
+    evaluation over the samples, however many generators the family has."""
+    sweeps, _ = sweeps_and_embeddings(monkeypatch)
     rc, out, err = run_in_process([
         "compactify", UNIT_INTERVAL, "--family", "maximal:3", "--out", str(tmp_path),
     ])
     assert (rc, err) == (0, "")
     assert out == "compactify: 0 adjoined, 2 duplicate(s)\n"
-    assert len(calls) == 2
+    assert sweeps == [101]
+    # the next invocation sweeps again: no memo outlives its command line
+    assert run_in_process(["compactify", UNIT_INTERVAL, "--out", str(tmp_path)])[0] == 0
+    assert sweeps == [101, 101]
 
 
 def test_compactify_reports_the_first_failing_generator(tmp_path):
@@ -637,6 +655,75 @@ def run_in_process(argv):
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         rc = cli.main(argv)
     return rc, out.getvalue(), err.getvalue()
+
+
+def memos_are_empty():
+    return (
+        space_module._sweep.cache_info().currsize == 0
+        and space_module._embedding.cache_info().currsize == 0
+        and cli._FIELDS == {}
+    )
+
+
+def test_run_sweeps_its_carrier_once_and_embeds_each_family_once(tmp_path, monkeypatch):
+    sweeps, embeddings = sweeps_and_embeddings(monkeypatch)
+    rc, out, err = run_in_process(["run", SPIRAL, "--out", str(tmp_path)])
+    assert (rc, err) == (0, "")
+    assert out.count("\nrun ") == 2  # three experiments
+    assert sweeps == [2000]
+    # plane_complete embeds a,b; unwound_complete embeds a,b,c; projection
+    # completes over both again and embeds neither
+    assert embeddings == [("a", "b"), ("a", "b", "c")]
+    assert memos_are_empty()
+
+
+def test_a_run_writes_what_its_experiments_write_one_at_a_time(tmp_path):
+    rc, _, err = run_in_process(["run", SPIRAL, "--out", str(tmp_path / "run")])
+    assert (rc, err) == (0, "")
+    for experiment in specfile.load_spec(SPIRAL).experiments:
+        argv = [experiment.argv[0], SPIRAL, *experiment.argv[1:]]
+        rc, _, err = run_in_process([*argv, "--out", str(tmp_path / "one"), "--label", experiment.label])
+        assert (rc, err) == (0, "")
+    written = sorted(p.name for p in (tmp_path / "run").iterdir())
+    assert written == sorted(p.name for p in (tmp_path / "one").iterdir())
+    assert len(written) == 7  # three points and three reports, and projection's iota
+    for name in written:
+        assert (tmp_path / "run" / name).read_bytes() == (tmp_path / "one" / name).read_bytes(), name
+
+
+def test_the_memos_are_emptied_when_main_returns_or_raises(tmp_path, monkeypatch):
+    argv = ["complete", SPIRAL, "--subfamily", "a,b", "--tol", "1e-3", "--out", str(tmp_path)]
+    assert run_in_process(argv)[0] == 0
+    assert memos_are_empty()
+
+    def failing(cs_full, cs_sub):
+        # by now the sweep, both embeddings and the points artifact are memoized
+        assert not memos_are_empty()
+        raise error
+
+    monkeypatch.setattr(cli, "iota", failing)
+    error = ValueError("a failed invariant")
+    rc, _, err = run_in_process(argv)
+    assert (rc, err) == (1, "sikorski complete (completion): invariant violated: a failed invariant\n")
+    assert memos_are_empty()
+    error = RuntimeError("a handler that does not return")
+    with pytest.raises(RuntimeError, match="does not return"):
+        run_in_process(argv)
+    assert memos_are_empty()
+
+
+def test_a_run_never_loads_openssl(tmp_path):
+    """The format memo keys on a column's bytes, not a digest: hashlib
+    would load OpenSSL's _hashlib, 3.35 MiB of resident memory."""
+    code = (
+        "import sys\n"
+        "from sikorski import cli\n"
+        f"assert cli.main(['run', {SPIRAL!r}, '--out', {str(tmp_path)!r}]) == 0\n"
+        "print('_hashlib' in sys.modules)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_an_iota_residual_above_tolerance_exits_one(tmp_path, monkeypatch):

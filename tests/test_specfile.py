@@ -112,6 +112,10 @@ def test_expression_errors_name_the_column(tmp_path):
         ("domain = [0, 1]", "domain = [0, 1] x [0, 2 +]",
          "3: domain endpoint: unexpected end of input (offset 3), column 26"),
         ("domain = [0, 1]", "domain = ( * 1, 2)", "3: domain endpoint: expected a value, got '*' (offset 0), column 12"),
+        # a bracket or a comma ends an endpoint inside an open call, and the endpoint is what fails
+        ("domain = [0, 1]", "domain = [0, sqrt(]",
+         "3: domain endpoint: unexpected end of input (offset 5), column 19"),
+        ("domain = [0, 1]", "domain = [sqrt(0, 1]", "3: domain endpoint: expected ')' (offset 6), column 17"),
         ("samples = 11", "samples = 11\ninset = 1e999", "6: inset: value inf is not finite"),
         ("f = x", "f = x\n\n[bounded]\nf = x", "11: bound for f: unknown variable 'x' (offset 0), column 5"),
     ],

@@ -426,7 +426,7 @@ def cmd_tangent(args) -> None:
         for n2, f2 in funcs[i:]:
             residual, scale = tangent.leibniz_check(space, v, f1, f2)
             rows.append(("leibniz", f"{n1}*{n2}", residual))
-            if residual > _RESIDUAL_SCALE * scale:
+            if not residual <= _RESIDUAL_SCALE * scale:
                 failures.append(f"leibniz residual {_fmt(residual)} for {n1}*{n2}")
 
     if args.map is not None:
@@ -443,7 +443,7 @@ def cmd_tangent(args) -> None:
             beta = SmoothFunction.of_generator(gen_name)
             residual, scale = tangent.chain_rule_check(space, loaded.witness, v, beta)
             rows.append(("chain", f"{args.map}:{gen_name}", residual))
-            if residual > _RESIDUAL_SCALE * scale:
+            if not residual <= _RESIDUAL_SCALE * scale:
                 failures.append(f"chain rule residual {_fmt(residual)} for {gen_name}")
 
     _write_csv(_artifact(args, "tangent.csv"), ["kind", "name", "value"], map(_Block, rows))

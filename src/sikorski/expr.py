@@ -5,9 +5,11 @@ set of unary primitives with field arithmetic and integer powers.  The
 module provides the tree type, a small recursive-descent parser, guarded
 evaluation (singular points raise, they never return NaN/inf), exact
 symbolic differentiation, substitution, and a printer whose output parses
-back to a structurally equal tree.  `eval_array` evaluates a tree over
-whole sample arrays with the same guards; the scalar `eval_expr` is its
-oracle and decides every sample that trips a guard.
+back to a structurally equal tree.  `eval_array` is the one evaluator: it
+takes a tree over whole sample arrays and finds the first failing sample
+itself; `eval_expr` and `eval_constant` are one-sample calls of it.  The
+tests keep the recursive per-sample walker it replaced as their
+reference (``tests/expr_oracle.py``).
 """
 
 from __future__ import annotations
@@ -56,9 +58,9 @@ class ParseError(ExprError):
 
 
 class DomainError(ExprError):
-    """Evaluation hit a singular point.  Carries the offending node and,
-    from an array evaluation, the `index` of the offending sample in
-    flattened sample order (None from a plain `eval_expr` call)."""
+    """Evaluation hit a singular point.  Carries the offending node and
+    the `index` of the offending sample in flattened sample order; a
+    one-sample evaluation (`eval_expr`) reports index 0."""
 
     def __init__(self, message: str, node: "Expr | None" = None, index: int | None = None):
         super().__init__(message)
@@ -109,38 +111,9 @@ CONSTANTS: Mapping[str, float] = {"pi": math.pi, "e": math.e}
 _TAN_COS_FLOOR = 1e-15
 
 
-def _splice_h(t: float) -> float:
-    return math.exp(-1.0 / t) if t > 0.0 else 0.0
-
-
-def _splice_h_prime(t: float) -> float:
-    return math.exp(-1.0 / t) / (t * t) if t > 0.0 else 0.0
-
-
-def _bump1(t: float) -> float:
-    """Smooth splice: exactly 1 on [-1, 1], exactly 0 outside (-2, 2)."""
-    a = 2.0 - abs(t)
-    if a >= 1.0:
-        return 1.0
-    if a <= 0.0:
-        return 0.0
-    num = _splice_h(a)
-    return num / (num + _splice_h(1.0 - a))
-
-
-def _bump1d(t: float) -> float:
-    """Derivative of the splice; zero on the flat pieces by construction."""
-    a = 2.0 - abs(t)
-    if a >= 1.0 or a <= 0.0:
-        return 0.0
-    ha = _splice_h(a)
-    hb = _splice_h(1.0 - a)
-    g = (_splice_h_prime(a) * hb + ha * _splice_h_prime(1.0 - a)) / ((ha + hb) ** 2)
-    return -math.copysign(1.0, t) * g
-
-
 def _splice_h_array(t: np.ndarray) -> np.ndarray:
-    """_splice_h over an array; exp(-1/t) is only ever taken at t > 0."""
+    """The splice's h(t): exp(-1/t) for t > 0, else 0; exp(-1/t) is only
+    ever taken at t > 0."""
     positive = t > 0.0
     return np.where(positive, np.exp(-1.0 / np.where(positive, t, 1.0)), 0.0)
 
@@ -164,22 +137,21 @@ def _bump1d_array(t: np.ndarray) -> np.ndarray:
     return np.where((a >= 1.0) | (a <= 0.0), 0.0, -np.copysign(1.0, t) * g)
 
 
-# The closed primitive set, each with its scalar and its array form.
-# `bump1` and its derivative `bump1d` are the splice used by the
-# bounded-generator construction; they are primitives here so that
-# differentiation and printing stay total on trees that the
-# compactification code builds.
+# The closed primitive set, each with its array form.  `bump1` and its
+# derivative `bump1d` are the splice used by the bounded-generator
+# construction; they are primitives here so that differentiation and
+# printing stay total on trees that the compactification code builds.
 _PRIMITIVES = {
-    "sin": (math.sin, np.sin),
-    "cos": (math.cos, np.cos),
-    "tan": (math.tan, np.tan),
-    "atan": (math.atan, np.arctan),
-    "exp": (math.exp, np.exp),
-    "log": (math.log, np.log),
-    "sqrt": (math.sqrt, np.sqrt),
-    "abs": (abs, np.abs),
-    "bump1": (_bump1, _bump1_array),
-    "bump1d": (_bump1d, _bump1d_array),
+    "sin": np.sin,
+    "cos": np.cos,
+    "tan": np.tan,
+    "atan": np.arctan,
+    "exp": np.exp,
+    "log": np.log,
+    "sqrt": np.sqrt,
+    "abs": np.abs,
+    "bump1": _bump1_array,
+    "bump1d": _bump1d_array,
 }
 UNARY_PRIMITIVES = tuple(_PRIMITIVES)
 
@@ -335,56 +307,119 @@ def parse_expr(text: str, allowed_vars: Iterable[str] = ()) -> Expr:
 # Evaluation
 
 
-def _check_finite(value: float, node: Expr) -> float:
-    if not math.isfinite(value):
-        raise DomainError(f"non-finite value from {to_string(node)}", node)
-    return value
+def _guard(failures: list, node: Expr, bad, message: str, arg=None) -> None:
+    """Note a guard of `node` that fires at the samples where `bad` holds;
+    `arg`, when given, completes the message with the sample's argument."""
+    if np.any(bad):
+        failures.append((bad, node, message, arg))
 
 
-def eval_expr(node: Expr, env: Mapping[str, float]) -> float:
-    """Evaluate with every singularity reported as a DomainError.
+def _eval_node(node: Expr, env: Mapping[str, np.ndarray], failures: list) -> np.ndarray:
+    """The value of `node` at every sample.  Children are walked left to
+    right before their parent, and the walk goes on past a guard that
+    fires, so `failures` ends up holding every guard that fired, in the
+    order a per-sample walk would meet them."""
+    if isinstance(node, Const):
+        return np.float64(node.value)
+    if isinstance(node, Var):
+        if node.name not in env:
+            failures.append((np.True_, node, f"unbound variable {node.name!r}", None))
+            return np.float64(np.nan)
+        return env[node.name]
+    if isinstance(node, BinOp):
+        left = _eval_node(node.left, env, failures)
+        right = _eval_node(node.right, env, failures)
+        if node.op == "/":
+            _guard(failures, node, right == 0.0, "division by zero")
+        value = _BINARY_OPS[node.op](left, right)
+        bad = ~np.isfinite(value)
+        if np.any(bad):
+            failures.append((bad, node, f"non-finite value from {to_string(node)}", None))
+        return value
+    if isinstance(node, Pow):
+        base = _eval_node(node.base, env, failures)
+        if node.exponent < 0:
+            _guard(failures, node, base == 0.0, "zero raised to a negative power")
+        value = base**node.exponent
+        bad = ~np.isfinite(value)
+        if np.any(bad):
+            finite_base = np.isfinite(base)
+            _guard(failures, node, bad & finite_base, "overflow in power")
+            _guard(failures, node, bad & ~finite_base, f"non-finite value from {to_string(node)}")
+        return value
+    if isinstance(node, Call):
+        if node.func not in _PRIMITIVES:
+            raise ExprError(f"unknown primitive {node.func!r}")
+        arg = _eval_node(node.arg, env, failures)
+        if node.func == "tan":
+            _guard(failures, node, np.abs(np.cos(arg)) < _TAN_COS_FLOOR, "tan singular near", arg)
+        elif node.func == "log":
+            _guard(failures, node, arg <= 0.0, "log of non-positive value", arg)
+        elif node.func == "sqrt":
+            _guard(failures, node, arg < 0.0, "sqrt of negative value", arg)
+        value = _PRIMITIVES[node.func](arg)
+        bad = ~np.isfinite(value)
+        if np.any(bad):
+            if node.func == "tan":
+                failures.append((bad, node, f"non-finite value from {to_string(node)}", None))
+            else:  # a non-finite argument passes through the other primitives
+                _guard(failures, node, bad & np.isfinite(arg), f"overflow in {node.func}")
+        return value
+    raise ExprError(f"unknown node {node!r}")
+
+
+def _raise_first(failures: list, shape: tuple[int, ...]) -> None:
+    """Raise the DomainError a per-sample loop meets first: at the smallest
+    sample where a guard fired, the first guard to fire there."""
+    masks = [np.broadcast_to(bad, shape) for bad, _, _, _ in failures]
+    firing = [int(np.argmax(mask)) for mask in masks if mask.any()]
+    if not firing:  # the guards fired on zero samples
+        return
+    index = min(firing)
+    for mask, (_, node, message, arg) in zip(masks, failures):
+        if mask.flat[index]:
+            if arg is not None:
+                message = f"{message} {float(np.broadcast_to(arg, shape).flat[index])!r}"
+            raise DomainError(message, node, index)
+
+
+def eval_array(node: Expr, env: Mapping[str, np.ndarray | float]) -> np.ndarray:
+    """Evaluate over whole arrays of samples at once, with every
+    singularity reported as a DomainError.
 
     Raising instead of returning NaN/inf is load-bearing: downstream
     completion and refinement searches treat any returned float as a
-    legitimate coordinate.
+    legitimate coordinate.  The guards: division by zero, zero to a
+    negative power, tan within `_TAN_COS_FLOOR` of a pole, log of a
+    non-positive and sqrt of a negative value; and a non-finite result of
+    arithmetic, of a power (an overflow where the base was finite) or of
+    tan, or of another primitive at a finite argument (an overflow).
+    Variables and constants carry no guard, so a non-finite binding
+    passes on through the primitives other than tan; finite bindings
+    never give a non-finite value.
+
+    The arrays in `env` broadcast to the shape of the result; samples are
+    ordered as the flattened (row-major) result.  The DomainError raised
+    is the one a per-sample loop meets first: at the smallest sample where
+    a guard fires, the first node to fire there in evaluation order
+    (children left to right before their parent), with that node, its
+    message, and the sample's flattened index as its `index`.  An unbound
+    variable fires at every sample.
     """
-    if isinstance(node, Const):
-        return node.value
-    if isinstance(node, Var):
-        try:
-            return env[node.name]
-        except KeyError:
-            raise DomainError(f"unbound variable {node.name!r}", node) from None
-    if isinstance(node, BinOp):
-        left = eval_expr(node.left, env)
-        right = eval_expr(node.right, env)
-        if node.op == "/" and right == 0.0:
-            raise DomainError("division by zero", node)
-        return _check_finite(_BINARY_OPS[node.op](left, right), node)
-    if isinstance(node, Pow):
-        base = eval_expr(node.base, env)
-        if base == 0.0 and node.exponent < 0:
-            raise DomainError("zero raised to a negative power", node)
-        try:
-            return _check_finite(base**node.exponent, node)
-        except OverflowError:
-            raise DomainError("overflow in power", node) from None
-    if isinstance(node, Call):
-        arg = eval_expr(node.arg, env)
-        if node.func not in _PRIMITIVES:
-            raise ExprError(f"unknown primitive {node.func!r}")
-        if node.func == "tan" and abs(math.cos(arg)) < _TAN_COS_FLOOR:
-            raise DomainError(f"tan singular near {arg!r}", node)
-        if node.func == "log" and arg <= 0.0:
-            raise DomainError(f"log of non-positive value {arg!r}", node)
-        if node.func == "sqrt" and arg < 0.0:
-            raise DomainError(f"sqrt of negative value {arg!r}", node)
-        try:
-            value = _PRIMITIVES[node.func][0](arg)
-        except OverflowError:
-            raise DomainError(f"overflow in {node.func}", node) from None
-        return _check_finite(value, node) if node.func == "tan" else value
-    raise ExprError(f"unknown node {node!r}")
+    names = tuple(env)
+    columns = np.broadcast_arrays(*(np.asarray(env[name], dtype=float) for name in names))
+    shape = columns[0].shape if columns else ()
+    failures: list = []
+    with np.errstate(all="ignore"):
+        value = _eval_node(node, dict(zip(names, columns)), failures)
+    if failures:
+        _raise_first(failures, shape)
+    return np.array(np.broadcast_to(value, shape), dtype=float)
+
+
+def eval_expr(node: Expr, env: Mapping[str, float]) -> float:
+    """`eval_array` at the one sample where `env` binds each name to a number."""
+    return float(eval_array(node, env))
 
 
 def eval_constant(text: str) -> float:
@@ -396,79 +431,6 @@ def eval_constant(text: str) -> float:
     if not math.isfinite(value):
         raise ExprError(f"value {value!r} is not finite")
     return value
-
-
-class _Tripped(Exception):
-    """A guard fired somewhere in the batch; the scalar evaluator decides."""
-
-
-def _eval_node(node: Expr, env: Mapping[str, np.ndarray]) -> np.ndarray:
-    """Elementwise `eval_expr`; raises _Tripped where that would raise."""
-    bad = False
-    if isinstance(node, Const):
-        value = np.float64(node.value)
-    elif isinstance(node, Var):
-        if node.name not in env:
-            raise _Tripped
-        value = env[node.name]
-    elif isinstance(node, BinOp):
-        left = _eval_node(node.left, env)
-        right = _eval_node(node.right, env)
-        if node.op == "/":
-            bad = right == 0.0
-        value = _BINARY_OPS[node.op](left, right)
-    elif isinstance(node, Pow):
-        base = _eval_node(node.base, env)
-        if node.exponent < 0:
-            bad = base == 0.0
-        value = base**node.exponent
-    elif isinstance(node, Call):
-        if node.func not in _PRIMITIVES:
-            raise ExprError(f"unknown primitive {node.func!r}")
-        arg = _eval_node(node.arg, env)
-        if node.func == "tan":
-            bad = np.abs(np.cos(arg)) < _TAN_COS_FLOOR
-        elif node.func == "log":
-            bad = arg <= 0.0
-        elif node.func == "sqrt":
-            bad = arg < 0.0
-        value = _PRIMITIVES[node.func][1](arg)
-    else:
-        raise ExprError(f"unknown node {node!r}")
-    if np.any(bad) or not np.all(np.isfinite(value)):
-        raise _Tripped
-    return value
-
-
-def eval_array(node: Expr, env: Mapping[str, np.ndarray | float]) -> np.ndarray:
-    """`eval_expr` over whole arrays of samples at once.
-
-    The arrays in `env` broadcast to the shape of the result; samples are
-    ordered as the flattened (row-major) result.  Every node checks the
-    guards of `eval_expr` on all samples.  When one fires, the scalar
-    evaluator walks the samples in order, so the DomainError raised is the
-    one a per-sample loop raises: first offending sample, same node, same
-    message, and that sample's flattened index as its `index`.  Values
-    may differ from `eval_expr` by a few ulps, because numpy's ufuncs are
-    not `math`'s.
-    """
-    names = tuple(env)
-    columns = np.broadcast_arrays(*(np.asarray(env[name], dtype=float) for name in names))
-    shape = columns[0].shape if columns else ()
-    try:
-        with np.errstate(all="ignore"):
-            value = _eval_node(node, dict(zip(names, columns)))
-    except _Tripped:
-        flat = [column.ravel().tolist() for column in columns]
-        values = []
-        for index, row in enumerate(zip(*flat) if flat else [()]):
-            try:
-                values.append(eval_expr(node, dict(zip(names, row))))
-            except DomainError as err:
-                err.index = index
-                raise
-        return np.array(values, dtype=float).reshape(shape)
-    return np.array(np.broadcast_to(value, shape), dtype=float)
 
 
 # ---------------------------------------------------------------------------

@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import DomainError, Expr, Var, eval_array, eval_expr, substitute, to_string, variables
+from .expr import DomainError, Expr, Var, eval_array, substitute, to_string, variables
 
 __all__ = [
     "Interval",
@@ -216,17 +216,10 @@ def eval_columns(
 def eval_point(
     exprs: Sequence[Expr], names: Sequence[str], point: Sequence[float], labels: Sequence[str]
 ) -> tuple[float, ...]:
-    """`eval_columns` at one point, with the scalar `eval_expr`: every
-    expression's value where the coordinates of `point` bind `names`.  A
-    domain error is prefixed as ``"{label} at {point}: ..."``."""
-    env = dict(zip(names, point))
-    out = []
-    for label, expr in zip(labels, exprs):
-        try:
-            out.append(eval_expr(expr, env))
-        except DomainError as err:
-            raise DomainError(f"{label} at {tuple(point)}: {err}", err.node) from err
-    return tuple(out)
+    """`eval_columns` on the one-row matrix of `point`: every expression's
+    value where the coordinates of `point` bind `names`.  A domain error
+    is prefixed as ``"{label} at {point}: ..."``, with `index` 0."""
+    return tuple(eval_columns(exprs, names, np.array([point], dtype=float), labels)[0].tolist())
 
 
 def chart_columns(carrier: Carrier, params: np.ndarray) -> np.ndarray:

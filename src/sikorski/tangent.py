@@ -8,10 +8,11 @@ Smooth maps push vectors forward through their ambient Jacobian.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import BinOp, Expr, diff, substitute, to_string
+from .expr import BinOp, DomainError, Expr, diff, substitute, to_string
 from .space import DiffSpace, SmoothFunction, SmoothMapWitness, compose_ambient, eval_point, eval_smooth
 
 __all__ = [
@@ -42,6 +43,11 @@ def _directional(expr: Expr, ambient: Sequence[str], v: TangentVector) -> float:
     total = 0.0
     for (_, coeff), value in zip(moved, eval_point(partials, ambient, v.point, labels)):
         total += coeff * value
+    if not math.isfinite(total):
+        raise DomainError(
+            f"derivative of {to_string(expr)} along {v.coeffs} at {v.point}: weighted sum {total!r} is not finite",
+            expr,
+        )
     return total
 
 

@@ -2,14 +2,27 @@
 ``sikorski.uniform.probe_cauchy`` is compared against.
 
 ``probe_cauchy`` walks the tail one index at a time: it evaluates the
-probe with ``eval_expr``, checks the box, maps the value through
-``Carrier.chart_point``, then evaluates every generator at every tail
-point and classifies the columns with Python's ``sum``, ``min`` and
-``max``.  Its domain errors carry no ``index``.
+probe with the scalar walker of ``expr_oracle``, checks the box, charts
+the value through the same walker, then evaluates every generator at
+every tail point and classifies the columns with Python's ``sum``,
+``min`` and ``max``.  No value passes through ``eval_array``, the code
+under test.  Its domain errors carry no ``index``.
 """
 
-from sikorski.expr import DomainError, eval_expr
+from expr_oracle import eval_scalar
+from sikorski.expr import DomainError
 from sikorski.uniform import CauchyVerdict
+
+
+def chart_point(carrier, value):
+    env = {carrier.params[0]: value}
+    out = []
+    for name, comp in zip(carrier.ambient, carrier.chart):
+        try:
+            out.append(eval_scalar(comp, env))
+        except DomainError as err:
+            raise DomainError(f"chart component {name} at {(value,)}: {err}", err.node) from err
+    return tuple(out)
 
 
 def probe_points(space, probe, tail):
@@ -18,10 +31,10 @@ def probe_points(space, probe, tail):
     box = carrier.box[0]
     out = []
     for n in range(first, probe.stop + 1):
-        value = eval_expr(probe.expr, {"n": float(n)})
+        value = eval_scalar(probe.expr, {"n": float(n)})
         if not box.contains(value):
             raise DomainError(f"probe {probe.name} leaves the box at n={n}: {value!r} not in {box}", probe.expr)
-        out.append((n, value, carrier.chart_point((value,))))
+        out.append((n, value, chart_point(carrier, value)))
     return out
 
 
@@ -30,7 +43,7 @@ def generator_values(space, ambient_point):
     out = []
     for g in space.family.generators:
         try:
-            out.append(eval_expr(g.expr, env))
+            out.append(eval_scalar(g.expr, env))
         except DomainError as err:
             raise DomainError(f"generator {g.name} at {tuple(ambient_point)}: {err}", err.node) from err
     return tuple(out)

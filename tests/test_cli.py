@@ -297,6 +297,18 @@ def test_tangent_names_a_map_component_singular_at_the_point(tmp_path):
     )
 
 
+def test_tangent_fails_on_a_derivative_that_overflows(tmp_path):
+    # d(x*x) along 1e308 is inf; the product-rule residual used to read nan,
+    # which no bound rejects, and the command exited 0
+    proc = run_cli("tangent", REAL_LINE, "--point", "1", "--vector", "1e308", "--out", str(tmp_path))
+    assert proc.returncode == 1
+    assert "nan" not in proc.stdout
+    assert proc.stderr == (
+        "sikorski tangent (tangent): invariant violated:"
+        " derivative of x * x along (1e+308,) at (1.0,): weighted sum inf is not finite\n"
+    )
+
+
 def test_compare_uniform_finds_witness_pairs(tmp_path):
     proc = run_cli(
         "compare-uniform", PARABOLA,

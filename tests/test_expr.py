@@ -3,7 +3,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from sikorski.expr import (
     BinOp,
@@ -13,6 +13,7 @@ from sikorski.expr import (
     ExprError,
     ParseError,
     Pow,
+    UNARY_PRIMITIVES,
     Var,
     diff,
     eval_array,
@@ -23,6 +24,7 @@ from sikorski.expr import (
     variables,
 )
 
+from expr_oracle import eval_scalar
 from exprgen import random_expr
 
 
@@ -206,29 +208,86 @@ def test_derivative_is_additive(seed, at):
 def scalar_batch(expr, env):
     """The per-sample loop that eval_array replaces."""
     names = list(env)
-    return [eval_expr(expr, dict(zip(names, row))) for row in zip(*(env[n] for n in names))]
+    return [eval_scalar(expr, dict(zip(names, row))) for row in zip(*(env[n] for n in names))]
+
+
+def scalar_outcomes(expr, env):
+    """The walker at each sample of the broadcast `env`, in flattened order:
+    its value, its DomainError, or None where math refuses a non-finite
+    argument (``sin(inf)``, ``bump1(nan)``) and so gives no verdict."""
+    names = list(env)
+    columns = np.broadcast_arrays(*(np.asarray(env[n], dtype=float) for n in names))
+    out = []
+    for row in zip(*(c.ravel().tolist() for c in columns)):
+        try:
+            out.append(eval_scalar(expr, dict(zip(names, row))))
+        except DomainError as err:
+            out.append(err)
+        except (ValueError, ZeroDivisionError):
+            out.append(None)
+    return out
+
+
+def wild_expr(rng, names, depth):
+    """Random trees over the whole primitive set, domain holes and all."""
+    if depth == 0 or rng.random() < 0.2:
+        roll = rng.random()
+        if roll < 0.6:
+            return Var(rng.choice(names))
+        if roll < 0.9:
+            return Const(rng.choice([0.0, 1.0, -2.0, 0.5, 1e200, 710.0, math.pi / 2]))
+        return Const(rng.choice([math.inf, -math.inf]))
+    roll = rng.random()
+    if roll < 0.4:
+        return BinOp(rng.choice("+-*/"), wild_expr(rng, names, depth - 1), wild_expr(rng, names, depth - 1))
+    if roll < 0.8:
+        return Call(rng.choice(UNARY_PRIMITIVES), wild_expr(rng, names, depth - 1))
+    return Pow(wild_expr(rng, names, depth - 1), rng.choice((-2, -1, 2, 3)))
+
+
+# zero, the infinities, nan, tan's poles, the splice's corners, overflow
+_EDGE_SAMPLES = (0.0, -0.0, math.inf, -math.inf, math.nan, math.pi / 2, -math.pi / 2, 1.0, -2.0, 1e200, 710.0)
+_SAMPLES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(_EDGE_SAMPLES))
 
 
 @given(
     st.integers(0, 10**9),
-    st.lists(st.floats(-3.0, 3.0, allow_nan=False), min_size=1, max_size=30),
+    st.lists(_SAMPLES, min_size=1, max_size=30),
+    st.lists(_SAMPLES, min_size=1, max_size=5),
+    st.sampled_from(["paired", "grid", "scalar"]),
 )
-def test_eval_array_matches_the_scalar_oracle(seed, xs):
+# sin(atan(x^3) - -inf): x^3 is the first node to fire (at sample 1),
+# but the subtraction fires at sample 0
+@example(116, [0.0, math.inf], [0.0], "paired")
+# abs(-inf)^3: abs passes -inf on, and the power reports a non-finite value
+@example(113, [0.0], [0.0], "paired")
+def test_eval_array_matches_the_scalar_oracle(seed, xs, ys, layout):
+    """Sample by sample, eval_array gives the walker's value; where the
+    walker raises, eval_array raises at the smallest such sample, with the
+    walker's message and node, and that sample as its index."""
     rng = random.Random(seed)
-    e = random_expr(rng, ("x", "y"), 4)
-    env = {"x": xs, "y": xs[::-1]}
+    # now and then a name the environment leaves unbound
+    e = wild_expr(rng, ("x", "y", "z") if rng.random() < 0.1 else ("x", "y"), 4)
+    env = {
+        "paired": {"x": np.array(xs), "y": np.array(xs[::-1])},
+        "grid": {"x": np.array(xs)[:, None], "y": np.array(ys)},  # broadcast to 2-D
+        "scalar": {"x": np.array(xs), "y": ys[0]},
+    }[layout]
+    expected = scalar_outcomes(e, env)
     try:
-        expected = scalar_batch(e, env)
+        got = eval_array(e, env)
     except DomainError as err:
-        with pytest.raises(DomainError) as got:
-            eval_array(e, env)
-        assert str(got.value) == str(err)
-        assert got.value.node == err.node
+        assert not any(isinstance(o, DomainError) for o in expected[: err.index])
+        if expected[err.index] is not None:
+            assert isinstance(expected[err.index], DomainError)
+            assert str(err) == str(expected[err.index])
+            assert err.node == expected[err.index].node
         return
-    got = eval_array(e, {k: np.array(v) for k, v in env.items()})
-    assert got.shape == (len(xs),)
-    for a, b in zip(got.tolist(), expected):
-        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
+    assert got.shape == np.broadcast_shapes(*(np.shape(v) for v in env.values()))
+    for a, b in zip(got.ravel().tolist(), expected):
+        assert not isinstance(b, DomainError)
+        if b is not None:
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12) or (math.isnan(a) and math.isnan(b))
 
 
 def test_eval_array_splice_pieces_match_the_scalar_oracle():
@@ -295,7 +354,7 @@ def test_domain_errors_carry_the_flattened_sample_index():
     assert str(err.value) == "log of non-positive value -0.5"
     with pytest.raises(DomainError) as err:
         eval_expr(e, {"x": 1.0, "y": -1.5})
-    assert err.value.index is None
+    assert err.value.index == 0
 
 
 def test_eval_array_broadcasts_constants_and_scalars():
@@ -303,3 +362,23 @@ def test_eval_array_broadcasts_constants_and_scalars():
     got = eval_array(parse_expr("x + y", ["x", "y"]), {"x": np.arange(3.0), "y": 0.5})
     assert got.tolist() == [0.5, 1.5, 2.5]
     assert eval_array(Const(3.0), {"x": np.zeros(4)}).tolist() == [3.0] * 4
+
+
+def test_domain_messages_show_a_python_float():
+    """numpy's own repr of a sample reads ``np.float64(x)``; the messages
+    show the float as Python prints it, at one sample and in a 2-D sweep."""
+    cases = [
+        ("tan(x)", math.pi / 2, "tan singular near 1.5707963267948966"),
+        ("log(x)", -0.5, "log of non-positive value -0.5"),
+        ("sqrt(x)", -2.0, "sqrt of negative value -2.0"),
+    ]
+    for text, at, message in cases:
+        e = parse_expr(text, ["x"])
+        with pytest.raises(DomainError) as err:
+            eval_expr(e, {"x": at})
+        assert str(err.value) == message
+        assert err.value.index == 0
+        with pytest.raises(DomainError) as err:
+            eval_array(e, {"x": np.array([[1.0, 1.0], [1.0, at]])})
+        assert str(err.value) == message
+        assert err.value.index == 3

@@ -2,16 +2,17 @@
 search in ``sikorski.uniform.compare_uniformities`` is compared against.
 
 ``pseudometric`` evaluates each listed generator at both points with
-``eval_expr`` and takes the largest gap; ``entourage_contains`` tests
-every gap strictly against the entourage's width.
+the scalar walker of ``expr_oracle`` and takes the largest gap;
+``entourage_contains`` tests every gap strictly against the entourage's
+width.
 """
 
-from sikorski.expr import eval_expr
+from expr_oracle import eval_scalar
 
 
 def _family_values(space, names, point):
     env = dict(zip(space.carrier.ambient, point))
-    return [eval_expr(space.family.get(n).expr, env) for n in names]
+    return [eval_scalar(space.family.get(n).expr, env) for n in names]
 
 
 def entourage_contains(space, v, x, y):

@@ -56,6 +56,7 @@ from .space import (
     check_smooth_map,
     embed,
     forget_sweeps,
+    placeholders,
 )
 from .specfile import SpecError
 from .tangent import TangentVector
@@ -147,6 +148,13 @@ def _artifact(args, suffix: str) -> str:
         raise UsageError(f"--label {label!r}: a label names files in --out, not a path")
     os.makedirs(args.out, exist_ok=True)
     return os.path.join(args.out, f"{label}_{suffix}")
+
+
+def _map(spec: specfile.SpecFile, name: str) -> specfile.LoadedMap:
+    """The map `--map` names, which the spec must declare."""
+    if name not in spec.maps:
+        raise UsageError(f"--map: spec declares no map named {name!r}")
+    return spec.maps[name]
 
 
 def _spec(args) -> specfile.SpecFile:
@@ -354,7 +362,7 @@ def cmd_compactify(args) -> None:
 def cmd_boundize(args) -> None:
     spec = _spec(args)
     gen_names = _declared_names(args.gens, "--gens", spec.space.family.names)
-    omega_vars = tuple(f"u{i + 1}" for i in range(len(gen_names)))
+    omega_vars = placeholders(len(gen_names))
     try:
         omega = parse_expr(args.omega, allowed_vars=omega_vars)
     except ExprError as err:
@@ -430,9 +438,7 @@ def cmd_tangent(args) -> None:
                 failures.append(f"leibniz residual {_fmt(residual)} for {n1}*{n2}")
 
     if args.map is not None:
-        if args.map not in spec.maps:
-            raise UsageError(f"--map: spec declares no map named {args.map!r}")
-        loaded = spec.maps[args.map]
+        loaded = _map(spec, args.map)
         pushed = tangent.tangent_map(space, loaded.witness, v)
         target = loaded.witness.target
         for amb, c in zip(target.carrier.ambient, pushed.coeffs):
@@ -457,9 +463,7 @@ def cmd_check_map(args) -> None:
     if not 0.0 <= args.tol < math.inf:
         raise UsageError(f"--tol must be finite and not negative, got {args.tol!r}")
     spec = _spec(args)
-    if args.map not in spec.maps:
-        raise UsageError(f"--map: spec declares no map named {args.map!r}")
-    loaded = spec.maps[args.map]
+    loaded = _map(spec, args.map)
     rep = check_smooth_map(spec.space, loaded.witness, tol=args.tol)
     _write_csv(_artifact(args, "map.csv"), ["generator", "max_residual"], map(_Block, rep.residuals))
     worst = "-" if rep.worst_point is None else "(" + ", ".join(_fmt(c) for c in rep.worst_point) + ")"

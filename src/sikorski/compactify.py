@@ -16,7 +16,7 @@ from typing import Sequence
 import numpy as np
 
 from .expr import BinOp, Call, Const, DomainError, Expr, Var, substitute, to_string
-from .space import DiffSpace, Generator, GeneratorFamily, SmoothFunction, eval_columns, eval_point, sample
+from .space import DiffSpace, Generator, GeneratorFamily, SmoothFunction, eval_columns, eval_point, placeholders, sample
 from .uniform import Probe
 from .completion import CompletedSpace, complete
 
@@ -85,7 +85,7 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
     labels = [f"generator {name}" for name in f.gen_names]
     center = eval_point(alpha_exprs, space.carrier.ambient, point, labels)
     n = len(alpha_exprs)
-    fresh = tuple(f"u{i + 1}" for i in range(n))
+    fresh = placeholders(n)
     eta_fresh = bump(center, fresh)
     eta = substitute(eta_fresh, dict(zip(fresh, alpha_exprs)))
     mus = tuple(max(abs(c + OUTER_HALF_WIDTH), abs(c - OUTER_HALF_WIDTH)) for c in center)
@@ -186,18 +186,10 @@ def normalize(space: DiffSpace) -> tuple[NormalizedGenerator, ...]:
         # sample belongs to the carrier, so the max found there is genuine
         for axis, interval in enumerate(space.carrier.box):
             line = grid[multi[:axis] + (slice(None),) + multi[axis + 1:]]
-            if (
-                interval.hi_open
-                and multi[axis] == grid.shape[axis] - 1
-                and _monotone_divergent(line, toward_end=True)
-            ):
-                raise ValueError(f"generator {name} diverges toward the upper end of axis {axis}")
-            if (
-                interval.lo_open
-                and multi[axis] == 0
-                and _monotone_divergent(line, toward_end=False)
-            ):
-                raise ValueError(f"generator {name} diverges toward the lower end of axis {axis}")
+            for toward_end, is_open, end in ((True, interval.hi_open, "upper"), (False, interval.lo_open, "lower")):
+                last = grid.shape[axis] - 1 if toward_end else 0
+                if is_open and multi[axis] == last and _monotone_divergent(line, toward_end):
+                    raise ValueError(f"generator {name} diverges toward the {end} end of axis {axis}")
         out.append(NormalizedGenerator(name, BinOp("/", gen.expr, Const(sup)), sup, index))
     return tuple(out)
 

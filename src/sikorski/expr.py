@@ -33,6 +33,7 @@ __all__ = [
     "ParseError",
     "DomainError",
     "CONSTANTS",
+    "MAX_DEPTH",
     "UNARY_PRIMITIVES",
     "parse_expr",
     "eval_expr",
@@ -105,6 +106,16 @@ class Call(Expr):
 
 
 CONSTANTS: Mapping[str, float] = {"pi": math.pi, "e": math.e}
+
+# The deepest tree, and the deepest nesting of groups in its text, that
+# parse_expr and eval_constant accept.  Every walker recurses once per
+# level of the tree it walks.  The deepest walk measured is `tangent
+# --map` on a chain of divisions by a variable, as deep as this in the
+# map component, the target generator and the witness: it differentiates
+# the component put into the generator, and takes 6 * depth + 7 frames.
+# A pytest test starts about 33 frames deep, so that walk passes Python's
+# default recursion limit of 1000 at a depth of about 158.
+MAX_DEPTH = 128
 
 # tan is treated as singular when cos falls below this; keeps tan(pi/2)
 # an error instead of a garbage 1e16.
@@ -193,11 +204,16 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
+    """Each rule returns its tree and the tree's depth, a leaf being one
+    deep.  `open` counts the groups around the current token: parentheses,
+    call arguments and unary minuses, which the parser recurses into."""
+
     def __init__(self, text: str, allowed_vars: frozenset[str], finite_literals: bool = True):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.allowed = allowed_vars
         self.finite_literals = finite_literals
+        self.open = 0
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -213,47 +229,63 @@ class _Parser:
             raise ParseError(f"expected {sym!r}", offset)
         self.advance()
 
+    def nested(self, depth: int, offset: int) -> int:
+        """The depth of a node made at `offset` over children at most
+        `depth` deep, or of a group opened there around `depth` others."""
+        if depth >= MAX_DEPTH:
+            raise ParseError(f"expression nested deeper than {MAX_DEPTH} levels", offset)
+        return depth + 1
+
+    def group(self, parse, offset: int):
+        """`parse()` inside a group opened at `offset`."""
+        self.open = self.nested(self.open, offset)
+        result = parse()
+        self.open -= 1
+        return result
+
     def parse(self) -> Expr:
-        e = self.expr()
+        e, _ = self.expr()
         kind, value, offset = self.peek()
         if kind != "end":
             raise ParseError(f"trailing input {value!r}", offset)
         return e
 
-    def expr(self) -> Expr:
-        node = self.term()
+    def expr(self) -> tuple[Expr, int]:
+        node, depth = self.term()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "sym" and value in "+-":
                 self.advance()
-                node = BinOp(value, node, self.term())
+                right, right_depth = self.term()
+                node, depth = BinOp(value, node, right), self.nested(max(depth, right_depth), offset)
             else:
-                return node
+                return node, depth
 
-    def term(self) -> Expr:
-        node = self.factor()
+    def term(self) -> tuple[Expr, int]:
+        node, depth = self.factor()
         while True:
-            kind, value, _ = self.peek()
+            kind, value, offset = self.peek()
             if kind == "sym" and value in "*/":
                 self.advance()
-                node = BinOp(value, node, self.factor())
+                right, right_depth = self.factor()
+                node, depth = BinOp(value, node, right), self.nested(max(depth, right_depth), offset)
             else:
-                return node
+                return node, depth
 
-    def factor(self) -> Expr:
-        kind, value, _ = self.peek()
+    def factor(self) -> tuple[Expr, int]:
+        kind, value, offset = self.peek()
         if kind == "sym" and value == "-":
             self.advance()
-            inner = self.factor()
+            inner, depth = self.group(self.factor, offset)
             if isinstance(inner, Const):
-                return Const(-inner.value)
-            return BinOp("-", Const(0.0), inner)
-        node = self.base()
-        kind, value, _ = self.peek()
+                return Const(-inner.value), depth
+            return BinOp("-", Const(0.0), inner), self.nested(depth, offset)
+        node, depth = self.base()
+        kind, value, offset = self.peek()
         if kind == "sym" and value == "^":
             self.advance()
-            node = Pow(node, self.integer())
-        return node
+            node, depth = Pow(node, self.integer()), self.nested(depth, offset)
+        return node, depth
 
     def integer(self) -> int:
         sign = 1
@@ -267,31 +299,31 @@ class _Parser:
         self.advance()
         return sign * int(value)
 
-    def base(self) -> Expr:
+    def base(self) -> tuple[Expr, int]:
         kind, value, offset = self.advance()
         if kind == "num":
             number = float(value)
             if self.finite_literals and not math.isfinite(number):
                 raise ParseError(f"number {value} is not finite", offset)
-            return Const(number)
+            return Const(number), 1
         if kind == "sym" and value == "(":
-            node = self.expr()
+            result = self.group(self.expr, offset)
             self.expect_sym(")")
-            return node
+            return result
         if kind == "ident":
-            nkind, nvalue, _ = self.peek()
+            nkind, nvalue, noffset = self.peek()
             if nkind == "sym" and nvalue == "(":
                 if value not in UNARY_PRIMITIVES:
                     raise ParseError(f"unknown primitive {value!r}", offset)
                 self.advance()
-                arg = self.expr()
+                arg, depth = self.group(self.expr, noffset)
                 self.expect_sym(")")
-                return Call(value, arg)
+                return Call(value, arg), self.nested(depth, offset)
             if value in CONSTANTS:
-                return Const(CONSTANTS[value])
+                return Const(CONSTANTS[value]), 1
             if value not in self.allowed:
                 raise ParseError(f"unknown variable {value!r}", offset)
-            return Var(value)
+            return Var(value), 1
         raise ParseError(f"expected a value, got {value!r}" if value else "unexpected end of input", offset)
 
 
@@ -299,7 +331,10 @@ def parse_expr(text: str, allowed_vars: Iterable[str] = ()) -> Expr:
     """Parse `text` into a tree.  Identifiers must be declared variables,
     the constants pi/e, or a primitive applied to one argument.  A number
     must be finite: evaluation returns a constant unchecked, so ``1e999``
-    would otherwise surface only as a non-finite value at sweep time."""
+    would otherwise surface only as a non-finite value at sweep time.
+    The tree may be at most `MAX_DEPTH` deep, and the text may nest at
+    most `MAX_DEPTH` parentheses, call arguments and unary minuses; the
+    ParseError names the token that passes the bound."""
     return _Parser(text, frozenset(allowed_vars)).parse()
 
 

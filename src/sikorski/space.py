@@ -28,6 +28,7 @@ __all__ = [
     "DiffSpace",
     "EmbeddedCloud",
     "SmoothFunction",
+    "placeholders",
     "SmoothMapWitness",
     "SmoothMapReport",
     "eval_columns",
@@ -278,6 +279,11 @@ def forget_sweeps() -> None:
     _embedding.cache_clear()
 
 
+def placeholders(k: int) -> tuple[str, ...]:
+    """The names ``u1 .. uk`` a witness expression gives its `k` generators."""
+    return tuple(f"u{i + 1}" for i in range(k))
+
+
 @dataclass(frozen=True)
 class SmoothFunction:
     """A structure member presented by witness: omega composed with named
@@ -297,7 +303,8 @@ class SmoothFunction:
 
     @classmethod
     def of_generator(cls, name: str) -> "SmoothFunction":
-        return cls(Var("u1"), ("u1",), (name,))
+        (u,) = placeholders(1)
+        return cls(Var(u), (u,), (name,))
 
 
 def compose_ambient(space: DiffSpace, f: SmoothFunction) -> Expr:

@@ -21,6 +21,17 @@ Values on the right of ``=`` are expressions in the scope the key
 declares (interval endpoints and numeric fields take constant
 expressions, so ``pi/2`` is a legal endpoint).  ``#`` starts a comment.
 Every reported problem carries the file and line it came from.
+
+The keyed sections, ``[space]``, ``[generators]``, ``[bounded]``,
+``[probes]`` and ``[experiments]``, are read through one entry reader,
+`_entries`, which yields a section's entries in file order and refuses
+a malformed key with the section's own message and a repeated one as
+``duplicate <noun> <key>``.  It is lazy, and each section checks an
+entry's value before it reads the next entry, so problems are reported
+in file order: a bad value on one line wins over a bad key on the next.
+``[space]`` is the exception: it reads all its keys, then its values in
+a fixed order.  An expression error becomes a SpecError in one place,
+`_located`, which adds the column of the offending token.
 """
 
 from __future__ import annotations
@@ -29,7 +40,7 @@ import os
 import re
 import shlex
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Callable, Iterator, Mapping, Sequence
 
 from .expr import Expr, ExprError, ParseError, eval_constant, parse_expr
 from .space import (
@@ -40,6 +51,7 @@ from .space import (
     Interval,
     SmoothFunction,
     SmoothMapWitness,
+    placeholders,
 )
 from .uniform import Probe
 
@@ -120,18 +132,30 @@ def _split_sections(path: str, text: str) -> list[_Section]:
     return sections
 
 
-def _parse_scoped(
-    path: str, lineno: int, column: int, text: str, scope: Sequence[str], what: str
-) -> Expr:
-    try:
-        return parse_expr(text, allowed_vars=scope)
-    except ParseError as err:
-        raise SpecError(path, lineno, f"{what}: {err}, column {column + err.offset}") from err
+def _entries(
+    path: str, section: _Section, noun: str, valid: Callable[[str], object], malformed: str
+) -> Iterator[tuple[int, str, str, int]]:
+    """A section's entries, in file order, each with a new key that `valid`
+    accepts.  A key it refuses is reported as `malformed`, formatted with
+    the key, and a repeated one as ``duplicate <noun> <key>``.  Lazy, so
+    that a problem in the value of one entry is reported before a problem
+    in the key of the next."""
+    seen: set[str] = set()
+    for lineno, key, value, column in section.entries:
+        if not valid(key):
+            raise SpecError(path, lineno, malformed.format(key))
+        if key in seen:
+            raise SpecError(path, lineno, f"duplicate {noun} {key!r}")
+        seen.add(key)
+        yield lineno, key, value, column
 
 
-def _const(path: str, lineno: int, column: int, text: str, what: str) -> float:
+def _located(path: str, lineno: int, column: int, what: str, read: Callable, *args):
+    """`read(*args)`, an `ExprError` from it reported as a SpecError at
+    `lineno`; a ParseError also names the column of its token, `column`
+    being where the text read starts."""
     try:
-        return eval_constant(text)
+        return read(*args)
     except ParseError as err:
         raise SpecError(path, lineno, f"{what}: {err}, column {column + err.offset}") from err
     except ExprError as err:
@@ -173,8 +197,8 @@ def _scan_interval(path: str, lineno: int, column: int, text: str, start: int) -
         raise SpecError(path, lineno, f"an interval needs two endpoints, got {len(parts)}")
     # the column of each endpoint, not of the whole domain
     lo, hi = (
-        _const(path, lineno, column + at + len(part) - len(part.lstrip()), part.strip(), "domain endpoint")
-        for at, part in parts
+        _located(path, lineno, column + at + len(p) - len(p.lstrip()), "domain endpoint", eval_constant, p.strip())
+        for at, p in parts
     )
     try:
         interval = Interval(lo, hi, lo_open=lo_open, hi_open=hi_open)
@@ -203,13 +227,8 @@ def _parse_domain(path: str, lineno: int, column: int, text: str) -> tuple[Inter
 
 
 def _parse_space(path: str, section: _Section, default_name: str) -> tuple[str, Carrier]:
-    values: dict[str, tuple[int, str, int]] = {}
-    for lineno, key, value, column in section.entries:
-        if key not in _SPACE_KEYS:
-            raise SpecError(path, lineno, f"unknown [space] key {key!r}")
-        if key in values:
-            raise SpecError(path, lineno, f"duplicate [space] key {key!r}")
-        values[key] = (lineno, value, column)
+    entries = _entries(path, section, "[space] key", _SPACE_KEYS.__contains__, "unknown [space] key {!r}")
+    values = {key: (lineno, value, column) for lineno, key, value, column in entries}
     for key in ("params", "domain", "chart", "samples"):
         if key not in values:
             raise SpecError(path, section.line, f"[space] is missing {key!r}")
@@ -248,7 +267,7 @@ def _parse_space(path: str, section: _Section, default_name: str) -> tuple[str, 
         # the column of this component's expression, not of the whole chart
         expr_column = column + match.start() + len(amb_text) + 1 + len(expr_text) - len(expr_text.lstrip())
         chart.append(
-            _parse_scoped(path, lineno, expr_column, expr_text.strip(), params, f"chart component {amb}")
+            _located(path, lineno, expr_column, f"chart component {amb}", parse_expr, expr_text.strip(), params)
         )
     if not ambient:
         raise SpecError(path, lineno, "chart declares no ambient coordinates")
@@ -268,7 +287,7 @@ def _parse_space(path: str, section: _Section, default_name: str) -> tuple[str, 
     inset = 1e-3
     if "inset" in values:
         lineno, value, column = values["inset"]
-        inset = _const(path, lineno, column, value, "inset")
+        inset = _located(path, lineno, column, "inset", eval_constant, value)
 
     try:
         carrier = Carrier(params, box, tuple(ambient), tuple(chart), counts, inset)
@@ -278,16 +297,11 @@ def _parse_space(path: str, section: _Section, default_name: str) -> tuple[str, 
 
 
 def _parse_generators(path: str, section: _Section, ambient: Sequence[str]) -> list[Generator]:
-    gens: list[Generator] = []
-    seen: set[str] = set()
-    for lineno, key, value, column in section.entries:
-        if not _NAME_RE.match(key):
-            raise SpecError(path, lineno, f"generator name {key!r} is not an identifier")
-        if key in seen:
-            raise SpecError(path, lineno, f"duplicate generator name {key!r}")
-        seen.add(key)
-        expr = _parse_scoped(path, lineno, column, value, ambient, f"generator {key}")
-        gens.append(Generator(key, expr))
+    entries = _entries(path, section, "generator name", _NAME_RE.match, "generator name {!r} is not an identifier")
+    gens = [
+        Generator(key, _located(path, lineno, column, f"generator {key}", parse_expr, value, ambient))
+        for lineno, key, value, column in entries
+    ]
     if not gens:
         raise SpecError(path, section.line, "[generators] declares nothing")
     return gens
@@ -295,13 +309,9 @@ def _parse_generators(path: str, section: _Section, ambient: Sequence[str]) -> l
 
 def _parse_probes(path: str, section: _Section) -> list[Probe]:
     probes: list[Probe] = []
-    seen: set[str] = set()
-    for lineno, key, value, column in section.entries:
-        if not _NAME_RE.match(key):
-            raise SpecError(path, lineno, f"probe name {key!r} is not an identifier")
-        if key in seen:
-            raise SpecError(path, lineno, f"duplicate probe name {key!r}")
-        seen.add(key)
+    for lineno, key, value, column in _entries(
+        path, section, "probe name", _NAME_RE.match, "probe name {!r} is not an identifier"
+    ):
         expr_text, at, schedule = value.partition("@")
         start, stop = 1, 1000
         if at:
@@ -311,7 +321,7 @@ def _parse_probes(path: str, section: _Section) -> list[Probe]:
                     path, lineno, f"probe schedule must look like '@ 1 .. 1000', got {schedule!r}"
                 )
             start, stop = int(match.group(1)), int(match.group(2))
-        expr = _parse_scoped(path, lineno, column, expr_text.strip(), ("n",), f"probe {key}")
+        expr = _located(path, lineno, column, f"probe {key}", parse_expr, expr_text.strip(), ("n",))
         try:
             probes.append(Probe(key, expr, start, stop))
         except ValueError as err:
@@ -345,7 +355,7 @@ def _parse_map(
                 raise SpecError(path, lineno, f"duplicate component {amb!r}")
             components[amb] = (
                 lineno,
-                _parse_scoped(path, lineno, column, value, source_ambient, f"component {amb}"),
+                _located(path, lineno, column, f"component {amb}", parse_expr, value, source_ambient),
             )
         elif len(words) == 2 and words[0] == "witness":
             gen_name = words[1]
@@ -358,15 +368,11 @@ def _parse_map(
                 )
             gen_names = _split_csv(gens_text)
             for g in gen_names:
-                try:
-                    source_space.family.get(g)
-                except KeyError:
-                    raise SpecError(
-                        path, lineno, f"witness for {gen_name!r} references unknown generator {g!r}"
-                    ) from None
-            omega_vars = tuple(f"u{i + 1}" for i in range(len(gen_names)))
-            omega = _parse_scoped(
-                path, lineno, column, omega_text.strip(), omega_vars, f"witness for {gen_name}"
+                if g not in source_space.family.names:
+                    raise SpecError(path, lineno, f"witness for {gen_name!r} references unknown generator {g!r}")
+            omega_vars = placeholders(len(gen_names))
+            omega = _located(
+                path, lineno, column, f"witness for {gen_name}", parse_expr, omega_text.strip(), omega_vars
             )
             witnesses[gen_name] = (lineno, SmoothFunction(omega, omega_vars, tuple(gen_names)))
         else:
@@ -391,12 +397,8 @@ def _parse_map(
             f" (missing {missing}, extra {extra})",
         )
     for gen_name, (lineno, _) in witnesses.items():
-        try:
-            target_spec.space.family.get(gen_name)
-        except KeyError:
-            raise SpecError(
-                path, lineno, f"witness names unknown target generator {gen_name!r}"
-            ) from None
+        if gen_name not in target_spec.space.family.names:
+            raise SpecError(path, lineno, f"witness names unknown target generator {gen_name!r}")
     lacking = set(target_spec.space.family.names) - set(witnesses)
     if lacking:
         raise SpecError(
@@ -414,13 +416,9 @@ def _parse_map(
 
 def _parse_experiments(path: str, section: _Section) -> list[Experiment]:
     experiments: list[Experiment] = []
-    seen: set[str] = set()
-    for lineno, key, value, _ in section.entries:
-        if not _LABEL_RE.match(key):
-            raise SpecError(path, lineno, f"experiment label {key!r} is not usable as a file stem")
-        if key in seen:
-            raise SpecError(path, lineno, f"duplicate experiment label {key!r}")
-        seen.add(key)
+    for lineno, key, value, _ in _entries(
+        path, section, "experiment label", _LABEL_RE.match, "experiment label {!r} is not usable as a file stem"
+    ):
         try:
             argv = tuple(shlex.split(value))
         except ValueError as err:
@@ -443,7 +441,7 @@ def load_spec(path: str, _stack: tuple[str, ...] = ()) -> SpecFile:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise SpecError(path, 1, f"cannot read spec: {err}") from err
 
     sections = _split_sections(path, text)
@@ -473,15 +471,11 @@ def load_spec(path: str, _stack: tuple[str, ...] = ()) -> SpecFile:
 
     if "bounded" in by_name:
         # checked, but not stored: compactify measures each sup itself
-        bounded: set[str] = set()
         declared = {g.name for g in generators}
-        for lineno, key, value, column in by_name["bounded"].entries:
-            if key not in declared:
-                raise SpecError(path, lineno, f"bound for unknown generator {key!r}")
-            if key in bounded:
-                raise SpecError(path, lineno, f"duplicate bound for {key!r}")
-            _const(path, lineno, column, value, f"bound for {key}")
-            bounded.add(key)
+        for lineno, key, value, column in _entries(
+            path, by_name["bounded"], "bound for", declared.__contains__, "bound for unknown generator {!r}"
+        ):
+            _located(path, lineno, column, f"bound for {key}", eval_constant, value)
 
     try:
         space = DiffSpace(carrier, GeneratorFamily(tuple(generators)))

@@ -24,6 +24,7 @@ import pytest
 import sikorski
 from sikorski import cli, specfile, tangent
 from sikorski import space as space_module
+from sikorski.expr import MAX_DEPTH
 from sikorski.space import embed
 
 SPECS = Path(sikorski.__file__).parent / "specs"
@@ -477,6 +478,9 @@ def test_an_unknown_probe_is_reported_like_an_unknown_generator(tmp_path):
         (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--map="], "--map"),
         (["embed", REAL_LINE, "--label="], "--label"),
         (["compactify", REAL_LINE, "--family", "g", "--probes", "pminus,zap"], "--probes"),
+        (["tangent", REAL_LINE, "--point", "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), "--vector", "1"],
+         "--point"),
+        (["boundize", REAL_LINE, "--omega", "u1" + "+u1" * MAX_DEPTH, "--gens", "f", "--point", "0"], "--omega"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
@@ -884,6 +888,77 @@ def test_probes_on_a_two_parameter_carrier_exit_two(tmp_path):
     rc, _, err = run_in_process(["complete", str(spec), "--out", str(tmp_path)])
     assert rc == 2
     assert err == f"sikorski complete: {spec}:10: probes require a single-parameter carrier\n"
+
+
+UNDECODABLE = b"[space]\nparams = t\n\xff\xfe\n"
+DECODE_ERROR = "cannot read spec: 'utf-8' codec can't decode byte 0xff in position 19: invalid start byte"
+
+
+def test_an_undecodable_spec_exits_two(tmp_path):
+    spec = tmp_path / "bad.spec"
+    spec.write_bytes(UNDECODABLE)
+    rc, out, err = run_in_process(["embed", str(spec), "--out", str(tmp_path / "out")])
+    assert (rc, out, err) == (2, "", f"sikorski embed: {spec}:1: {DECODE_ERROR}\n")
+
+
+def test_an_undecodable_map_target_exits_two(tmp_path):
+    (tmp_path / "bad.spec").write_bytes(UNDECODABLE)
+    spec = tmp_path / "source.spec"
+    spec.write_text(
+        "[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 11\n\n[generators]\nf = x\n\n"
+        "[map m]\ntarget = bad.spec\ncomponent x = x\nwitness f = u1 : f\n"
+    )
+    rc, out, err = run_in_process(["check-map", str(spec), "--map", "m", "--out", str(tmp_path / "out")])
+    assert (rc, out, err) == (2, "", f"sikorski check-map: {tmp_path / 'bad.spec'}:1: {DECODE_ERROR}\n")
+
+
+@pytest.mark.parametrize("command", [["tangent", "--point", "1", "--vector", "1"], ["check-map"]])
+def test_an_undeclared_map_is_a_usage_error(tmp_path, command):
+    rc, out, err = run_in_process([command[0], REAL_LINE, *command[1:], "--map", "zap", "--out", str(tmp_path)])
+    assert (rc, err) == (2, f"sikorski {command[0]}: --map: spec declares no map named 'zap'\n")
+
+
+def deep_map_spec(tmp_path, depth):
+    """A spec whose generator, map component and witness, and the map's
+    target generator, are each a chain of divisions by 1 `depth` deep."""
+    def chain(var):
+        return var + "/1" * (depth - 1)
+
+    space = "[space]\nparams = t\ndomain = [1, 2]\nchart = {v} : t\nsamples = 11\n\n[generators]\n"
+    (tmp_path / "target.spec").write_text(space.format(v="y") + f"g = {chain('y')}\n")
+    spec = tmp_path / "deep.spec"
+    spec.write_text(
+        space.format(v="x") + f"f = {chain('x')}\n\n[map m]\ntarget = target.spec\n"
+        f"component y = {chain('x')}\nwitness g = {chain('u1')} : f\n"
+    )
+    return str(spec)
+
+
+def test_an_expression_at_the_depth_bound_runs_through_tangent_and_check_map(tmp_path):
+    """Composed through the map, the trees are twice the bound deep, and
+    the chain rule differentiates them; every walk stays under Python's
+    recursion limit inside this test."""
+    spec = deep_map_spec(tmp_path, MAX_DEPTH)
+    point = "(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH
+    rc, out, err = run_in_process(
+        ["tangent", spec, "--point", point, "--vector", "1", "--map", "m", "--out", str(tmp_path)]
+    )
+    assert (rc, err) == (0, "")
+    assert out == "apply f = 1\nleibniz f*f = 0\npushforward m.y = 1\nimage m.y = 1\nchain m:g = 0\n"
+    rc, out, err = run_in_process(["check-map", spec, "--map", "m", "--out", str(tmp_path)])
+    assert (rc, out, err) == (0, "check-map: max residual 0 (tol 9.9999999999999995e-07)\n", "")
+
+
+def test_an_expression_past_the_depth_bound_exits_two(tmp_path):
+    spec = deep_map_spec(tmp_path, MAX_DEPTH + 1)
+    offset = 2 * MAX_DEPTH - 1  # the last '/'
+    for command in (["tangent", "--point", "1", "--vector", "1", "--map", "m"], ["check-map", "--map", "m"]):
+        rc, out, err = run_in_process([command[0], spec, *command[1:], "--out", str(tmp_path)])
+        assert (rc, out) == (2, "")
+        assert err == (
+            f"sikorski {command[0]}: {spec}:8: generator f: expression nested deeper than {MAX_DEPTH} levels"
+            f" (offset {offset}), column {5 + offset}\n"
+        )
 
 
 @pytest.mark.parametrize("samples", [10927, 10986, 11045])

@@ -11,12 +11,14 @@ from sikorski.expr import (
     Const,
     DomainError,
     ExprError,
+    MAX_DEPTH,
     ParseError,
     Pow,
     UNARY_PRIMITIVES,
     Var,
     diff,
     eval_array,
+    eval_constant,
     eval_expr,
     parse_expr,
     substitute,
@@ -86,6 +88,47 @@ def test_negative_integer_exponent_parses():
     e = parse_expr("x^-2", ["x"])
     assert e == Pow(Var("x"), -2)
     assert eval_expr(e, {"x": 2.0}) == 0.25
+
+
+# at the bound and one past it, with the offset of the token that passes it
+DEEP = [
+    ("(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, "(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),
+    ("sin(" * (MAX_DEPTH - 1) + "x" + ")" * (MAX_DEPTH - 1), "sin(" * MAX_DEPTH + "x" + ")" * MAX_DEPTH, 0),
+    ("x" + "+x" * (MAX_DEPTH - 1), "x" + "+x" * MAX_DEPTH, 2 * MAX_DEPTH - 1),
+    ("-" * MAX_DEPTH + "1", "-" * (MAX_DEPTH + 1) + "1", MAX_DEPTH),
+    ("-" * (MAX_DEPTH - 1) + "x", "-" * MAX_DEPTH + "x", 0),
+    ("(" * (MAX_DEPTH - 2) + "x^2" + ")^2" * (MAX_DEPTH - 2), "(" * (MAX_DEPTH - 1) + "x^2" + ")^2" * (MAX_DEPTH - 1),
+     4 * MAX_DEPTH - 3),
+]
+
+
+@pytest.mark.parametrize("at_bound, past, offset", DEEP)
+def test_parse_refuses_an_expression_past_the_depth_bound(at_bound, past, offset):
+    parse_expr(at_bound, ["x"])
+    with pytest.raises(ParseError) as info:
+        parse_expr(past, ["x"])
+    assert str(info.value) == f"expression nested deeper than {MAX_DEPTH} levels (offset {offset})"
+    assert info.value.offset == offset
+
+
+def test_eval_constant_refuses_a_constant_past_the_depth_bound():
+    assert eval_constant("(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH) == 1.0
+    with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels \\(offset {MAX_DEPTH}\\)"):
+        eval_constant("(" * 300 + "1" + ")" * 300)
+
+
+def test_every_walker_takes_a_tree_at_the_depth_bound():
+    """A chain of divisions, whose derivative is three times as deep, and
+    its composition with itself, twice as deep."""
+    e = parse_expr("x" + "/x" * (MAX_DEPTH - 1), ["x"])
+    composed = substitute(e, {"x": e})
+    assert variables(composed) == frozenset({"x"})
+    assert parse_expr(to_string(e), ["x"]) == e
+    at = {"x": np.array([1.0, 1.01])}
+    assert eval_array(composed, at)[0] == 1.0
+    derivative = diff(e, "x")
+    assert to_string(derivative).endswith(" / x^2")
+    assert eval_array(derivative, at)[0] == pytest.approx(2.0 - MAX_DEPTH)
 
 
 def test_eval_atan_of_one():

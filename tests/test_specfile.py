@@ -4,6 +4,7 @@ from pathlib import Path
 import pytest
 
 import sikorski
+from sikorski.expr import MAX_DEPTH
 from sikorski.specfile import SpecError, load_spec
 
 SPEC_DIR = Path(sikorski.__file__).parent / "specs"
@@ -147,6 +148,61 @@ def test_expression_numbers_are_finite(tmp_path, old, new, message):
     with pytest.raises(SpecError) as info:
         load_spec(path)
     assert str(info.value) == f"{path}:{message}"
+
+
+MAP = "f = x\n\n[map m]\ntarget = target.spec\n"
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("samples = 11", "samples = 11\nsize = 3", "6: unknown [space] key 'size'"),
+        ("samples = 11", "samples = 11\nparams = s", "6: duplicate [space] key 'params'"),
+        ("f = x", "f = x\n2f = x", "9: generator name '2f' is not an identifier"),
+        ("f = x", "f = x\nf = x^2", "9: duplicate generator name 'f'"),
+        ("f = x", "f = x\n\n[probes]\np = 1/n\np = 2/n", "12: duplicate probe name 'p'"),
+        ("f = x", "f = x\n\n[experiments]\na = embed\na = embed", "12: duplicate experiment label 'a'"),
+        ("f = x", "f = x\n\n[bounded]\ng = 1", "11: bound for unknown generator 'g'"),
+        ("f = x", MAP + "target = target.spec", "12: duplicate target line"),
+        ("f = x", MAP + "component x = x\ncomponent x = x", "13: duplicate component 'x'"),
+        ("f = x", MAP + "component x = x\nwitness f = u1 : f\nwitness f = u1 : f", "14: duplicate witness for 'f'"),
+        ("f = x", MAP + "component x = x\nwitness f = u1 : zap", "13: witness for 'f' references unknown generator 'zap'"),
+        ("f = x", MAP + "component x = x\nwitness f = u1 : f\nwitness h = u1 : f",
+         "14: witness names unknown target generator 'h'"),
+        # in file order: a bad value on one line is reported before a bad key on the next
+        ("f = x", "f = x +\n2f = x", "8: generator f: unexpected end of input (offset 3), column 8"),
+        ("f = x", "f = x\n\n[probes]\np = 1/n +\n2p = 1/n", "11: probe p: unexpected end of input (offset 5), column 10"),
+        ("f = x", "f = x\n\n[bounded]\nf = 1 +\ng = 1", "11: bound for f: unexpected end of input (offset 3), column 8"),
+        ("f = x", 'f = x\n\n[experiments]\na = embed "\n-b = embed', "11: experiment a: No closing quotation"),
+        # [space] reads every key before any value
+        ("domain = [0, 1]\nchart = x : t\nsamples = 11", "domain = [0, 1e999]\nchart = x : t\nsamples = 11\nsize = 3",
+         "6: unknown [space] key 'size'"),
+    ],
+)
+def test_loader_messages(tmp_path, old, new, message):
+    write_spec(tmp_path, MINIMAL, name="target.spec")
+    path = write_spec(tmp_path, MINIMAL.replace(old, new))
+    with pytest.raises(SpecError) as info:
+        load_spec(path)
+    assert str(info.value) == f"{path}:{message}"
+
+
+@pytest.mark.parametrize(
+    "value, offset",
+    [
+        ("(" * (MAX_DEPTH + 1) + "x" + ")" * (MAX_DEPTH + 1), MAX_DEPTH),  # the first '(' too many
+        ("x" + " + x" * MAX_DEPTH, 4 * MAX_DEPTH - 2),  # the last '+'
+        ("-" * (MAX_DEPTH + 1) + "x", MAX_DEPTH),  # the last '-'
+    ],
+)
+def test_an_expression_past_the_depth_bound_is_a_spec_error(tmp_path, value, offset):
+    path = write_spec(tmp_path, MINIMAL.replace("f = x", f"f = {value}"))
+    with pytest.raises(SpecError) as info:
+        load_spec(path)
+    assert str(info.value) == (
+        f"{path}:8: generator f: expression nested deeper than {MAX_DEPTH} levels"
+        f" (offset {offset}), column {5 + offset}"
+    )
 
 
 def test_chart_errors_name_the_component_column(tmp_path):

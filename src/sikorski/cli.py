@@ -48,7 +48,7 @@ import numpy as np
 from . import specfile, tangent
 from .compactify import boundize, compactify
 from .completion import CompletedSpace, IotaReport, complete, iota, maximal_family
-from .expr import ExprError, eval_constant, parse_expr
+from .expr import MAX_DEPTH, ExprError, eval_constant, parse_expr
 from .filters import _MAX_GROUND, verify_filter_laws
 from .space import (
     DiffSpace,
@@ -361,6 +361,10 @@ def cmd_compactify(args) -> None:
 
 def cmd_boundize(args) -> None:
     spec = _spec(args)
+    # the splice multiplies one factor per generator into one product tree
+    count = len(_split_names(args.gens, "--gens"))
+    if count > MAX_DEPTH:
+        raise UsageError(f"--gens: at most {MAX_DEPTH} generators, got {count}")
     gen_names = _declared_names(args.gens, "--gens", spec.space.family.names)
     omega_vars = placeholders(len(gen_names))
     try:

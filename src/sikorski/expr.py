@@ -349,30 +349,63 @@ def _guard(failures: list, node: Expr, bad, message: str, arg=None) -> None:
         failures.append((bad, node, message, arg))
 
 
-def _eval_node(node: Expr, env: Mapping[str, np.ndarray], failures: list) -> np.ndarray:
+def _shared(root: Expr) -> dict[int, int]:
+    """The node objects that several parents in the tree refer to, as a
+    derivative's operands are: for each id, the number of references."""
+    refs: dict[int, int] = {}
+    stack = [root]
+    while stack:
+        node = stack.pop()
+        key = id(node)
+        if key in refs:
+            refs[key] += 1
+        else:
+            refs[key] = 1
+            if isinstance(node, BinOp):
+                stack += (node.left, node.right)
+            elif isinstance(node, Pow):
+                stack.append(node.base)
+            elif isinstance(node, Call):
+                stack.append(node.arg)
+    return {key: count for key, count in refs.items() if count > 1}
+
+
+def _eval_node(node: Expr, env: Mapping[str, np.ndarray], failures: list, unread: dict, memo: dict) -> np.ndarray:
     """The value of `node` at every sample.  Children are walked left to
     right before their parent, and the walk goes on past a guard that
     fires, so `failures` ends up holding every guard that fired, in the
-    order a per-sample walk would meet them."""
+    order a per-sample walk would meet them.
+
+    A shared node object is walked once: its guards are noted at its
+    first position, which is where a per-sample walk meets them first,
+    and `memo` keeps its value, by id, until the last of its `unread`
+    references has read it.  Other values are freed as soon as their
+    parent is computed, as without sharing.  One frame per tree level
+    keeps a tree at the depth bound, composed and differentiated, under
+    the recursion limit."""
+    key = id(node)
+    if key in memo:
+        unread[key] -= 1
+        return memo[key] if unread[key] else memo.pop(key)
     if isinstance(node, Const):
-        return np.float64(node.value)
-    if isinstance(node, Var):
-        if node.name not in env:
+        value = np.float64(node.value)
+    elif isinstance(node, Var):
+        if node.name in env:
+            value = env[node.name]
+        else:
             failures.append((np.True_, node, f"unbound variable {node.name!r}", None))
-            return np.float64(np.nan)
-        return env[node.name]
-    if isinstance(node, BinOp):
-        left = _eval_node(node.left, env, failures)
-        right = _eval_node(node.right, env, failures)
+            value = np.float64(np.nan)
+    elif isinstance(node, BinOp):
+        left = _eval_node(node.left, env, failures, unread, memo)
+        right = _eval_node(node.right, env, failures, unread, memo)
         if node.op == "/":
             _guard(failures, node, right == 0.0, "division by zero")
         value = _BINARY_OPS[node.op](left, right)
         bad = ~np.isfinite(value)
         if np.any(bad):
             failures.append((bad, node, f"non-finite value from {to_string(node)}", None))
-        return value
-    if isinstance(node, Pow):
-        base = _eval_node(node.base, env, failures)
+    elif isinstance(node, Pow):
+        base = _eval_node(node.base, env, failures, unread, memo)
         if node.exponent < 0:
             _guard(failures, node, base == 0.0, "zero raised to a negative power")
         value = base**node.exponent
@@ -381,11 +414,10 @@ def _eval_node(node: Expr, env: Mapping[str, np.ndarray], failures: list) -> np.
             finite_base = np.isfinite(base)
             _guard(failures, node, bad & finite_base, "overflow in power")
             _guard(failures, node, bad & ~finite_base, f"non-finite value from {to_string(node)}")
-        return value
-    if isinstance(node, Call):
+    elif isinstance(node, Call):
         if node.func not in _PRIMITIVES:
             raise ExprError(f"unknown primitive {node.func!r}")
-        arg = _eval_node(node.arg, env, failures)
+        arg = _eval_node(node.arg, env, failures, unread, memo)
         if node.func == "tan":
             _guard(failures, node, np.abs(np.cos(arg)) < _TAN_COS_FLOOR, "tan singular near", arg)
         elif node.func == "log":
@@ -399,8 +431,12 @@ def _eval_node(node: Expr, env: Mapping[str, np.ndarray], failures: list) -> np.
                 failures.append((bad, node, f"non-finite value from {to_string(node)}", None))
             else:  # a non-finite argument passes through the other primitives
                 _guard(failures, node, bad & np.isfinite(arg), f"overflow in {node.func}")
-        return value
-    raise ExprError(f"unknown node {node!r}")
+    else:
+        raise ExprError(f"unknown node {node!r}")
+    if key in unread:
+        unread[key] -= 1
+        memo[key] = value
+    return value
 
 
 def _raise_first(failures: list, shape: tuple[int, ...]) -> None:
@@ -446,7 +482,7 @@ def eval_array(node: Expr, env: Mapping[str, np.ndarray | float]) -> np.ndarray:
     shape = columns[0].shape if columns else ()
     failures: list = []
     with np.errstate(all="ignore"):
-        value = _eval_node(node, dict(zip(names, columns)), failures)
+        value = _eval_node(node, dict(zip(names, columns)), failures, _shared(node), {})
     if failures:
         _raise_first(failures, shape)
     return np.array(np.broadcast_to(value, shape), dtype=float)

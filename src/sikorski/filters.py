@@ -15,9 +15,11 @@ exactly the symmetric supersets of V0; so there is one model per set
 partition.  Each model is built straight from its partition as integer
 bitsets (see ``_BitsetModel``), in closed form: its 2^k entourages are
 never walked one by one.  What depends on the ground size alone (each
-family's members and filter axioms, and the check that pair and triple
-intersections of filters are filters) is computed once per size, in a
-``_Families`` table its models share.
+family's members, minimal members and filter axioms, and the check that
+pair and triple intersections of filters are filters) is computed once per
+size, in a ``_Families`` table its models share.  The Cauchy property and
+R are read off the minimal members: a filter up(c) has just one, c, so
+each is one lookup per filter or pair of filters.
 
 ``tests/filter_oracle.py`` keeps the definitions written with Python sets
 (filters, uniformities, the catalog, convergence, Cauchy filters, R and
@@ -134,11 +136,12 @@ class _Memo(dict):
 class _Families:
     """What the laws need of the families on {0, .., n-1} that no
     uniformity changes, computed once per ground size and shared by its
-    models: a family's members and filter axioms, a filter's core and
-    label, and the sweep that checks whether the pair and triple
-    intersections of ``masks`` are filters.  The sweep visits every pair
-    and triple, as each model's count of ``intersections_are_filters``
-    records, and keeps the first eight failures it finds.
+    models: a family's members, minimal members and filter axioms, a
+    filter's core and label, and the sweep that checks whether the pair
+    and triple intersections of ``masks`` are filters.  The sweep visits
+    every pair and triple, as each model's count of
+    ``intersections_are_filters`` records, and keeps the first eight
+    failures it finds.
     """
 
     def __init__(self, n: int, masks: list[int]):
@@ -147,6 +150,7 @@ class _Families:
         self.full = (1 << n) - 1
         self.up = _up_sets(n)
         self.members = _Memo(_bits)
+        self.minimal = _Memo(self._minimal)
         self.axioms = _Memo(self._axioms)
         self._meet_sweep()
 
@@ -158,6 +162,15 @@ class _Families:
 
     def label(self, f: int) -> str:
         return "^" + "".join(str(x) for x in _bits(self.core(f)))
+
+    def _minimal(self, f: int) -> list[int]:
+        """The members of f with no other member strictly inside them:
+        those outside the union of the members' strict up-sets.  A filter
+        up(c) has the one minimal member c."""
+        above = 0
+        for s in self.members[f]:
+            above |= self.up[s] ^ (1 << s)
+        return _bits(f & ~above)
 
     def _axioms(self, f: int) -> str | None:
         """The first filter axiom the family breaks, worded as the
@@ -214,17 +227,18 @@ class _BitsetModel:
     holding that pair; ``balls[x]`` is the family of entourage balls
     around x.  The predicates keep their quantifiers: "for every entourage
     there is a member (pair) small of that order" is the union of the
-    members' cover sets compared with the set of all entourages.  A
-    family's members come from the ground size's ``_Families``; a filter's
-    reach table is evaluated once per model and filter and then looked up,
-    and ``related`` reads the second filter's reach table.
+    members' cover sets compared with the set of all entourages.  That
+    union is taken over the minimal members alone, which the ground size's
+    ``_Families`` keeps: ``cover[a][b]`` can only shrink as a or b grows,
+    so the cover set of any members lies inside that of minimal members
+    below them.  This holds for any family, filter or not.
     """
 
     def __init__(self, rows: Sequence[int], table: _Families):
         n = len(rows)
         full = table.full
         self.rows = tuple(rows)
-        self.members = table.members
+        self.minimal = table.minimal
         self.pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if not rows[a] >> b & 1]
         self.n_entourages = 1 << len(self.pairs)
         self.every_entourage = every = (1 << self.n_entourages) - 1
@@ -249,7 +263,6 @@ class _BitsetModel:
             low = a & -a
             cover.append([c & r for c, r in zip(cover[a ^ low], row_cover[low.bit_length() - 1])])
         self.cover = cover
-        self._reach = _Memo(self._reach_of)
 
     def converges(self, f: int, x: int) -> bool:
         """Every entourage ball around x is a member."""
@@ -258,24 +271,18 @@ class _BitsetModel:
     def cauchy(self, f: int) -> bool:
         """For every entourage some member m has m x m inside it."""
         small = 0
-        for m in self.members[f]:
+        for m in self.minimal[f]:
             small |= self.cover[m][m]
         return small == self.every_entourage
-
-    def _reach_of(self, f: int) -> list[int]:
-        """For each subset a, the entourages containing a x b for some member b."""
-        reach = [0] * len(self.cover)
-        for b in self.members[f]:
-            reach = [r | row[b] for r, row in zip(reach, self.cover)]
-        return reach
 
     def related(self, f1: int, f2: int) -> bool:
         """For every entourage there are members a of f1 and b of f2 with
         a x b inside it."""
-        reach = self._reach[f2]
         small = 0
-        for a in self.members[f1]:
-            small |= reach[a]
+        for a in self.minimal[f1]:
+            row = self.cover[a]
+            for b in self.minimal[f2]:
+                small |= row[b]
         return small == self.every_entourage
 
 

@@ -15,7 +15,10 @@ as failures instead.
 
 ``entourage_walk`` visits a bitset model's 2^k entourages one at a time:
 the reference for the holding sets and balls that ``_BitsetModel`` builds
-in closed form.
+in closed form.  ``cauchy_over_every_member`` and ``related_rows`` take
+the Cauchy property and R over every member of a family, in a bitset
+model's own encoding: the reference for ``_BitsetModel.cauchy`` and
+``_BitsetModel.related``, which read only the minimal members.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Hashable, Iterable, Iterator, Sequence
 
-from sikorski.filters import _MAX_GROUND, ModelReport, partitions
+from sikorski.filters import _MAX_GROUND, ModelReport, _bits, partitions
 
 
 def _sorted_sets(sets: Iterable[frozenset]) -> tuple[frozenset, ...]:
@@ -415,3 +418,41 @@ def entourage_walk(rows: Sequence[int]) -> tuple[list[int], list[int]]:
         for x in range(n):
             balls[x] |= 1 << ball[x]
     return held, balls
+
+# ---------------------------------------------------------------------------
+# The all-members walk
+
+
+def cauchy_over_every_member(bm, f: int) -> bool:
+    """For every entourage of the bitset model ``bm`` some member m of the
+    family f has m x m inside it, with every member tried."""
+    small = 0
+    for m in _bits(f):
+        small |= bm.cover[m][m]
+    return small == bm.every_entourage
+
+
+def related_rows(bm, families: Sequence[int]) -> list[list[bool]]:
+    """R between every two of the families on the bitset model ``bm``:
+    row i, column j holds when for every entourage some member a of
+    families[i] and some member b of families[j] have a x b inside it,
+    with every pair of members tried.  Each column family's reach table
+    (for each subset a, the entourages containing a x b for some member b)
+    is built once and read by every row."""
+    reaches = []
+    for f in families:
+        reach = [0] * len(bm.cover)
+        for b in _bits(f):
+            reach = [r | row[b] for r, row in zip(reach, bm.cover)]
+        reaches.append(reach)
+    rows = []
+    for f in families:
+        members = _bits(f)
+        row = []
+        for reach in reaches:
+            small = 0
+            for a in members:
+                small |= reach[a]
+            row.append(small == bm.every_entourage)
+        rows.append(row)
+    return rows

@@ -481,6 +481,8 @@ def test_an_unknown_probe_is_reported_like_an_unknown_generator(tmp_path):
         (["tangent", REAL_LINE, "--point", "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), "--vector", "1"],
          "--point"),
         (["boundize", REAL_LINE, "--omega", "u1" + "+u1" * MAX_DEPTH, "--gens", "f", "--point", "0"], "--omega"),
+        (["boundize", REAL_LINE, "--omega", "u1", "--gens", ",".join(f"g{i}" for i in range(1000)), "--point", "0"],
+         "--gens"),
     ],
 )
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
@@ -489,6 +491,26 @@ def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
     assert proc.stderr.startswith(f"sikorski {argv[0]}: {flag}")
     assert "invariant violated" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+def test_boundize_takes_at_most_max_depth_generators(tmp_path):
+    """The splice is one product of a factor per generator; past
+    `MAX_DEPTH` names the list is refused before any sweep, where 986
+    names once ended in a RecursionError."""
+    def boundize(count):
+        """boundize over g0 = x, .., g{count-1} = x on a 101-sample interval."""
+        spec = tmp_path / f"g{count}.spec"
+        gens = "".join(f"g{i} = x\n" for i in range(count))
+        spec.write_text(f"[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 101\n\n[generators]\n{gens}")
+        names = ",".join(f"g{i}" for i in range(count))
+        return run_in_process(["boundize", str(spec), "--omega", "u1", "--gens", names, "--point", "0.5",
+                               "--out", str(tmp_path / "out")])
+
+    rc, out, err = boundize(MAX_DEPTH)
+    assert (rc, err) == (0, "")
+    assert out.startswith(f"boundize: {MAX_DEPTH} generator(s) at 0.5")
+    for count in (MAX_DEPTH + 1, 1000):
+        assert boundize(count) == (2, "", f"sikorski boundize: --gens: at most {MAX_DEPTH} generators, got {count}\n")
 
 
 def test_a_bad_subfamily_writes_nothing(tmp_path):
@@ -918,13 +940,16 @@ def test_an_undeclared_map_is_a_usage_error(tmp_path, command):
     assert (rc, err) == (2, f"sikorski {command[0]}: --map: spec declares no map named 'zap'\n")
 
 
-def deep_map_spec(tmp_path, depth):
+def deep_map_spec(tmp_path, depth, by_variable=False):
     """A spec whose generator, map component and witness, and the map's
-    target generator, are each a chain of divisions by 1 `depth` deep."""
+    target generator, are each a chain of divisions by 1, or by the
+    chain's own variable, `depth` deep."""
     def chain(var):
-        return var + "/1" * (depth - 1)
+        return var + f"/{var if by_variable else 1}" * (depth - 1)
 
-    space = "[space]\nparams = t\ndomain = [1, 2]\nchart = {v} : t\nsamples = 11\n\n[generators]\n"
+    # x^-(depth-2), and that power of it, stay finite on a narrow domain
+    domain = "[1, 1.001]" if by_variable else "[1, 2]"
+    space = f"[space]\nparams = t\ndomain = {domain}\nchart = {{v}} : t\nsamples = 11\n\n[generators]\n"
     (tmp_path / "target.spec").write_text(space.format(v="y") + f"g = {chain('y')}\n")
     spec = tmp_path / "deep.spec"
     spec.write_text(
@@ -945,6 +970,21 @@ def test_an_expression_at_the_depth_bound_runs_through_tangent_and_check_map(tmp
     )
     assert (rc, err) == (0, "")
     assert out == "apply f = 1\nleibniz f*f = 0\npushforward m.y = 1\nimage m.y = 1\nchain m:g = 0\n"
+    rc, out, err = run_in_process(["check-map", spec, "--map", "m", "--out", str(tmp_path)])
+    assert (rc, out, err) == (0, "check-map: max residual 0 (tol 9.9999999999999995e-07)\n", "")
+
+
+def test_a_chain_of_divisions_by_a_variable_at_the_depth_bound_runs_through_tangent_and_check_map(tmp_path):
+    """The derivative of a division holds both operands and the
+    numerator's derivative, so these trees share subtrees at every level;
+    evaluation walks each shared subtree once, where walking it at every
+    reference took seconds."""
+    spec = deep_map_spec(tmp_path, MAX_DEPTH, by_variable=True)
+    rc, out, err = run_in_process(
+        ["tangent", spec, "--point", "1.0005", "--vector", "1", "--map", "m", "--out", str(tmp_path)]
+    )
+    assert (rc, err) == (0, "")
+    assert out.splitlines()[0] == "apply f = -118.2496156041386"
     rc, out, err = run_in_process(["check-map", spec, "--map", "m", "--out", str(tmp_path)])
     assert (rc, out, err) == (0, "check-map: max residual 0 (tol 9.9999999999999995e-07)\n", "")
 

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+from sikorski import expr as expr_module
 from sikorski.expr import (
     BinOp,
     Call,
@@ -305,9 +306,6 @@ _SAMPLES = st.one_of(st.floats(-3.0, 3.0), st.sampled_from(_EDGE_SAMPLES))
 # abs(-inf)^3: abs passes -inf on, and the power reports a non-finite value
 @example(113, [0.0], [0.0], "paired")
 def test_eval_array_matches_the_scalar_oracle(seed, xs, ys, layout):
-    """Sample by sample, eval_array gives the walker's value; where the
-    walker raises, eval_array raises at the smallest such sample, with the
-    walker's message and node, and that sample as its index."""
     rng = random.Random(seed)
     # now and then a name the environment leaves unbound
     e = wild_expr(rng, ("x", "y", "z") if rng.random() < 0.1 else ("x", "y"), 4)
@@ -316,6 +314,13 @@ def test_eval_array_matches_the_scalar_oracle(seed, xs, ys, layout):
         "grid": {"x": np.array(xs)[:, None], "y": np.array(ys)},  # broadcast to 2-D
         "scalar": {"x": np.array(xs), "y": ys[0]},
     }[layout]
+    assert_matches_the_walker(e, env)
+
+
+def assert_matches_the_walker(e, env):
+    """Sample by sample, eval_array gives the walker's value; where the
+    walker raises, eval_array raises at the smallest such sample, with the
+    walker's message and node, and that sample as its index."""
     expected = scalar_outcomes(e, env)
     try:
         got = eval_array(e, env)
@@ -331,6 +336,70 @@ def test_eval_array_matches_the_scalar_oracle(seed, xs, ys, layout):
         assert not isinstance(b, DomainError)
         if b is not None:
             assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12) or (math.isnan(a) and math.isnan(b))
+
+
+def node_objects(e):
+    """The distinct node objects of a tree, shared subtrees counted once."""
+    seen = {}
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in seen:
+            seen[id(node)] = node
+            stack.extend(getattr(node, field) for field in ("left", "right", "base", "arg") if hasattr(node, field))
+    return seen
+
+
+def test_eval_array_walks_each_node_object_once(monkeypatch):
+    """A derivative holds its operands as shared subtrees; evaluation
+    applies each operation and primitive once per node object, however
+    many parents refer to it, and keeps no value past its last reader."""
+    e = diff(parse_expr("sin(x)" + "/(x+2)" * 40, ["x"]), "x")
+    applied = []
+    for table in (expr_module._BINARY_OPS, expr_module._PRIMITIVES):
+        for name, fn in list(table.items()):
+            monkeypatch.setitem(table, name, lambda *args, fn=fn: applied.append(fn) or fn(*args))
+    memos = []
+    walk = expr_module._eval_node
+
+    def first_call(node, env, failures, unread, memo):
+        memos.append(memo)
+        monkeypatch.setattr(expr_module, "_eval_node", walk)
+        return walk(node, env, failures, unread, memo)
+
+    monkeypatch.setattr(expr_module, "_eval_node", first_call)
+    eval_array(e, {"x": np.array([0.5, 1.0, 1.5])})
+    operations = [node for node in node_objects(e).values() if isinstance(node, (BinOp, Call))]
+    assert len(applied) == len(operations) == 201
+    # each shared value is dropped once its last parent has read it
+    assert memos == [{}]
+    # a parsed tree shares nothing, so no value outlives its parent
+    assert expr_module._shared(parse_expr("x * sin(x) + x / (1 + x)", ["x"])) == {}
+
+
+@pytest.mark.parametrize("seed", range(30))
+def test_a_shared_subtree_raises_what_the_walker_raises(seed):
+    """The walker evaluates a shared subtree at every reference; eval_array
+    walks it once, and raises the same error at the same sample."""
+    rng = random.Random(seed)
+    shared = wild_expr(rng, ("x", "y"), 3)
+    other = wild_expr(rng, ("x", "y"), 2)
+    e = BinOp(rng.choice("+-*/"), BinOp(rng.choice("+-*/"), other, shared), Call(rng.choice(UNARY_PRIMITIVES), shared))
+    xs = [rng.choice(_EDGE_SAMPLES + (0.5, -1.5)) for _ in range(8)]
+    assert_matches_the_walker(e, {"x": np.array(xs), "y": np.array(xs[::-1])})
+
+
+def test_a_derivative_chain_raises_what_the_walker_raises():
+    """At x = 1 the chain divides by zero, in operands that the
+    derivative shares among many parents."""
+    e = diff(parse_expr("x" + "/(x-1)" * 20, ["x"]), "x")
+    assert len(node_objects(e)) == 159  # written out as a tree, 979 nodes
+    env = {"x": np.array([0.5, 2.0, 1.0, 3.0])}
+    with pytest.raises(DomainError) as err:
+        eval_array(e, env)
+    assert err.value.index == 2
+    assert str(err.value) == "division by zero"
+    assert_matches_the_walker(e, env)
 
 
 def test_eval_array_splice_pieces_match_the_scalar_oracle():

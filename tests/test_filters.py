@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import operator
+import random
 from functools import reduce
 
 import pytest
@@ -12,6 +13,7 @@ from filter_oracle import (
     _symmetric_supersets,
     ball,
     catalog,
+    cauchy_over_every_member,
     check_model,
     converges_to,
     entourage_walk,
@@ -21,6 +23,7 @@ from filter_oracle import (
     make_uniformity,
     minimal_cauchy,
     principal_filter,
+    related_rows,
     relation_R,
     uniformity_from_partition,
 )
@@ -399,6 +402,52 @@ def test_the_closed_forms_match_the_entourage_walk():
             assert (bm.held, bm.balls) == entourage_walk(bm.rows)
     bm = _BitsetModel([0b011, 0b111, 0b110], _Families(3, _filters(3)))
     assert (bm.held, bm.balls) == entourage_walk(bm.rows)
+
+
+def minimal_by_search(f):
+    """The members of the family f with no other member strictly inside,
+    by comparing every two members."""
+    members = _bits(f)
+    return [s for s in members if not any(t != s and t & s == t for t in members)]
+
+
+def assert_minimal_members_suffice(bm, families):
+    assert [bm.cauchy(f) for f in families] == [cauchy_over_every_member(bm, f) for f in families]
+    assert [[bm.related(f, g) for g in families] for f in families] == related_rows(bm, families)
+
+
+def test_minimal_members_decide_as_every_member_does_on_filters():
+    """``cauchy`` and ``related`` read the minimal members only; the walk
+    over every member is the reference, on every model up to size 5 and
+    every pair of filters.  A filter's one minimal member is its core."""
+    for size in range(1, 6):
+        table = _Families(size, _filters(size))
+        assert all(table.minimal[f] == [table.core(f)] for f in table.masks)
+        for bm in _models(table):
+            assert_minimal_members_suffice(bm, table.masks)
+
+
+def test_minimal_members_decide_as_every_member_does_on_any_family():
+    """The argument uses no filter law, so it holds on any family: seeded
+    random families (most of them not up-sets), some without a set of
+    fewer than two points (which alone would make them Cauchy), the empty
+    family, families holding the empty set, and on the minimum entourage
+    that is not an equivalence relation."""
+    rng = random.Random(24)
+    for size in range(1, 6):
+        table = _Families(size, _filters(size))
+        every_subset = (1 << (1 << size)) - 1
+        large = sum(1 << s for s in range(1 << size) if len(_bits(s)) >= 2)
+        families = [0, 1, every_subset, 1 | 1 << table.full]
+        families += [rng.getrandbits(1 << size) for _ in range(8)]
+        families += [rng.getrandbits(1 << size) & large for _ in range(8)]
+        families += [rng.getrandbits(1 << size) | 1 for _ in range(4)]
+        assert [table.minimal[f] for f in families] == [minimal_by_search(f) for f in families]
+        models = _models(table)
+        if size == 3:
+            models.append(_BitsetModel([0b011, 0b111, 0b110], table))
+        for bm in models:
+            assert_minimal_members_suffice(bm, families)
 
 
 @pytest.mark.parametrize("k", [7, 8, 9, 10])

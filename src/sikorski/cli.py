@@ -1,14 +1,16 @@
 """Command line front end.
 
-Each subcommand loads a spec file, runs one construction, and writes
-CSV artifacts plus a short text report under ``--out``; ``run`` loads its
+Each subcommand runs one construction on a spec file and writes CSV
+artifacts plus a short text report under ``--out``; ``run`` loads its
 spec once for all its experiments, parses each experiment once, checking
-its command and flags, before the first one runs, and then hands each
-parsed experiment straight to its handler.  Every CSV
+its command and flag names, before the first one runs, and then hands
+each parsed experiment straight to its handler.  Every CSV
 artifact goes through one writer, `_write_csv`, which owns the float
 format and the quoting.  Handlers hand it blocks of rows: a block's
-text cells are the same in every row and are quoted once, the way
-`csv.writer` quotes them, and its numbers come as one matrix, which is
+row is written once by `csv.writer`, with a private-use mark (U+E000)
+where each number goes, and that text split at the marks gives the
+constant bytes of every row; constant cells may hold neither NUL nor
+the mark.  The block's numbers come as one matrix, which is
 formatted a fixed-size slice of rows at a time by the byte kernel in
 `sikorski._numfmt`: whole columns become the exact bytes of ``%.17g``,
 and Python's scalar conversion runs only for the few values whose
@@ -21,8 +23,9 @@ no invocation sees another's.  Output is
 deterministic: floats are printed with 17 significant digits, rows
 follow declaration or sample order, and nothing timestamps itself.
 Exit status is 0 on success, 1 when a library invariant fails, and 2
-for usage or spec-file problems.  `_dispatch` turns one parsed command's
-outcome into that status and its one stderr line, for every direct
+for usage or spec-file problems.  `_dispatch` loads a command's spec,
+hands it to the handler with the parsed flags, and turns the outcome
+into that status and its one stderr line, for every direct
 command and every experiment of a ``run``: a handler writes its
 artifacts and summary, then raises ``ValueError`` if an invariant
 failed.
@@ -39,7 +42,6 @@ import io
 import itertools
 import math
 import os
-import re
 import sys
 from typing import Collection, Iterable, NamedTuple, Sequence
 
@@ -157,26 +159,20 @@ def _map(spec: specfile.SpecFile, name: str) -> specfile.LoadedMap:
     return spec.maps[name]
 
 
-def _spec(args) -> specfile.SpecFile:
-    """The spec file the command names: the one `run` has loaded already,
-    when `run` is the caller."""
-    return args.spec_file or specfile.load_spec(args.spec)
-
-
 class _Slot(str):
-    """A block cell that differs from row to row: the ``%.17g``
-    conversion, with constant text around it if need be, filled from the
-    next column of the block's values.  An integer below 2**53 is
-    written as ``%d`` writes it."""
+    """A block cell that differs from row to row: `_MARK`, with constant
+    text around it if need be, where the ``%.17g`` text of the next column
+    of the block's values goes.  An integer below 2**53 is written as
+    ``%d`` writes it."""
 
 
-_FLOAT_SLOT = _Slot(_FLOAT)
+_MARK = "\ue000"  # a private-use character: a slot's place, in no constant cell
+_FLOAT_SLOT = _Slot(_MARK)
 _SLICE_ROWS = 4096  # rows formatted per write, so a block is never one whole-file string
 # The fields of every column formatted so far in this `main` call, keyed on
 # the column's own bytes, so that a hit is a byte-equal column.  Not a
 # digest: hashlib loads OpenSSL, 3.35 MiB of resident memory.
 _FIELDS: dict[bytes, np.ndarray] = {}
-_CONVERSION = re.compile(r"%(%|\.17g)")  # in a row format: an escaped % or a slot
 
 
 class _Block(NamedTuple):
@@ -193,45 +189,34 @@ class _Block(NamedTuple):
 
 def _cell_text(cell) -> str:
     """A constant cell's text: None is an empty cell, a float has 17
-    significant digits, anything else is what `csv.writer` makes of it."""
+    significant digits, anything else is what `csv.writer` makes of it.
+    NUL is the fields' padding and `_MARK` a slot's place, so neither may
+    stand in a constant cell."""
     if cell is None:
         return ""
-    return _fmt(cell) if isinstance(cell, float) else str(cell)
-
-
-def _row_format(cells: Sequence) -> str:
-    """One CSV row as a `%` format: the row written by `csv.writer`, with
-    every ``%`` of a constant cell doubled and each slot a bare conversion."""
-    text = [c if isinstance(c, _Slot) else _cell_text(c).replace("%", "%%") for c in cells]
-    buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(text)
-    return buf.getvalue()
+    text = _fmt(cell) if isinstance(cell, float) else str(cell)
+    if "\0" in text or _MARK in text:
+        raise ValueError(f"a CSV cell cannot hold NUL or U+E000: {text!r}")
+    return text
 
 
 def _row_pieces(cells: Sequence) -> list[bytes]:
-    """A row as the constant bytes before, between and after its slots."""
-    parts = _CONVERSION.split(_row_format(cells))
-    constants, text = [], parts[0]
-    for conversion, after in zip(parts[1::2], parts[2::2]):
-        if conversion == "%":
-            text += "%" + after
-        else:
-            constants.append(text.encode())
-            text = after
-    constants.append(text.encode())
-    return constants
+    """A row as the constant bytes before, between and after its slots:
+    the row written by `csv.writer`, split at each slot's mark."""
+    buf = io.StringIO()
+    csv.writer(buf, lineterminator="\n").writerow(c if isinstance(c, _Slot) else _cell_text(c) for c in cells)
+    return [piece.encode() for piece in buf.getvalue().split(_MARK)]
 
 
 def _slice_bytes(constants: list[bytes], values: np.ndarray):
     """The rows of one slice of a block: each row's constant bytes with
-    its values' fields between them, and every NUL that is not part of a
-    constant dropped."""
+    its values' fields between them, and the fields' NUL padding dropped."""
     n = len(values)
     if len(constants) == 1:
         return constants[0] * n
     from . import _numfmt  # its tables are built for the first block with slots, not at import
     first = np.frombuffer(constants[0], dtype=np.uint8)
-    pieces, constant_nul = [np.broadcast_to(first, (n, len(first)))], [first == 0]
+    pieces = [np.broadcast_to(first, (n, len(first)))]
     for column, constant in zip(values.T, constants[1:]):
         key = column.tobytes()
         field = _FIELDS.get(key)
@@ -239,13 +224,9 @@ def _slice_bytes(constants: list[bytes], values: np.ndarray):
             field = _FIELDS[key] = _numfmt.fields(column)
         const = np.frombuffer(constant, dtype=np.uint8)
         pieces += [field, np.broadcast_to(const, (n, len(const)))]
-        constant_nul += [np.zeros(field.shape[1], dtype=bool), const == 0]
     rows = np.concatenate(pieces, axis=1)
     del pieces  # the fields, before the mask is made
-    keep = rows != 0
-    if b"\0" in b"".join(constants):
-        keep |= np.concatenate(constant_nul)
-    return rows[keep]
+    return rows[rows != 0]
 
 
 def _write_csv(path: str, header: Sequence[str], blocks: Iterable[_Block]) -> None:
@@ -300,15 +281,14 @@ def _completeness_line(cs: CompletedSpace) -> str:
 
 
 def _write_iota(path: str, rep: IotaReport) -> None:
-    label = _Slot("base:%.17g")  # base point i lands on base point i
+    label = _Slot("base:" + _MARK)  # base point i lands on base point i
     index = np.arange(len(rep.base), dtype=float)[:, None]
     base = _Block((label, label, *[_FLOAT_SLOT] * len(rep.sub_names)), np.hstack([index, index, rep.base]))
     entries = (_Block((e.source, e.target, *e.coords)) for e in rep.entries)
     _write_csv(path, ["source", "target", *rep.sub_names], itertools.chain([base], entries))
 
 
-def cmd_embed(args) -> None:
-    spec = _spec(args)
+def cmd_embed(args, spec) -> None:
     space = _resolve_family(spec.space, args.family)
     cloud = embed(space)
     path = _artifact(args, "points.csv")
@@ -319,9 +299,8 @@ def cmd_embed(args) -> None:
     print(f"embed: {len(cloud.coords)} points, {len(cloud.names)} coordinates -> {path}")
 
 
-def cmd_complete(args) -> None:
+def cmd_complete(args, spec) -> None:
     _check_probe_flags(args)
-    spec = _spec(args)
     space = _resolve_family(spec.space, args.family)
     probes = _select_probes(spec, args.probes)
     sub = None
@@ -347,9 +326,8 @@ def cmd_complete(args) -> None:
         )
 
 
-def cmd_compactify(args) -> None:
+def cmd_compactify(args, spec) -> None:
     _check_probe_flags(args)
-    spec = _spec(args)
     space = _resolve_family(spec.space, args.family)
     probes = _select_probes(spec, args.probes)
     normalized, cs = compactify(space, probes, tol=args.tol, tail=args.tail)
@@ -359,8 +337,7 @@ def cmd_compactify(args) -> None:
     print(f"compactify: {len(cs.adjoined)} adjoined, {len(cs.duplicates)} duplicate(s)")
 
 
-def cmd_boundize(args) -> None:
-    spec = _spec(args)
+def cmd_boundize(args, spec) -> None:
     # the splice multiplies one factor per generator into one product tree
     count = len(_split_names(args.gens, "--gens"))
     if count > MAX_DEPTH:
@@ -387,8 +364,7 @@ def cmd_boundize(args) -> None:
     )
 
 
-def cmd_compare_uniform(args) -> None:
-    spec = _spec(args)
+def cmd_compare_uniform(args, spec) -> None:
     g_names = _declared_names(args.g_family, "--g-family", spec.space.family.names)
     h_names = _declared_names(args.h_family, "--h-family", spec.space.family.names)
     eps_grid = list(_parse_point(args.eps_grid, "--eps-grid"))
@@ -418,8 +394,7 @@ def cmd_compare_uniform(args) -> None:
     )
 
 
-def cmd_tangent(args) -> None:
-    spec = _spec(args)
+def cmd_tangent(args, spec) -> None:
     space = spec.space
     dim = len(space.carrier.ambient)
     point = _parse_point(args.point, "--point", dim)
@@ -463,10 +438,9 @@ def cmd_tangent(args) -> None:
         raise ValueError("; ".join(failures))
 
 
-def cmd_check_map(args) -> None:
+def cmd_check_map(args, spec) -> None:
     if not 0.0 <= args.tol < math.inf:
         raise UsageError(f"--tol must be finite and not negative, got {args.tol!r}")
-    spec = _spec(args)
     loaded = _map(spec, args.map)
     rep = check_smooth_map(spec.space, loaded.witness, tol=args.tol)
     _write_csv(_artifact(args, "map.csv"), ["generator", "max_residual"], map(_Block, rep.residuals))
@@ -484,7 +458,7 @@ def cmd_check_map(args) -> None:
         raise ValueError(f"pullback witness residual {_fmt(rep.max_residual())} exceeds {_fmt(rep.tol)}")
 
 
-def cmd_verify_filters(args) -> None:
+def cmd_verify_filters(args, spec) -> None:
     if not 1 <= args.max_size <= _MAX_GROUND:
         raise UsageError(f"--max-size must be between 1 and {_MAX_GROUND}, got {args.max_size}")
     rep = verify_filter_laws(args.max_size)
@@ -504,13 +478,12 @@ def cmd_verify_filters(args) -> None:
         raise ValueError(rep.first_counterexample)
 
 
-def cmd_run(args) -> int | None:
-    """Each experiment through `_dispatch`, with the spec loaded here,
+def cmd_run(args, spec) -> int | None:
+    """Each experiment through `_dispatch`, with run's own spec,
     stopping at the first that exits non-zero; that exit status is the
     run's.  Every experiment is parsed once, by its command's parser,
     before the first runs: it may not ask for help or set --out or
     --label, which run sets."""
-    spec = _spec(args)
     by_label = {e.label: e for e in spec.experiments}
     labels = args.labels or [e.label for e in spec.experiments]
     unknown = [l for l in labels if l not in by_label]
@@ -541,11 +514,11 @@ def cmd_run(args) -> int | None:
             raise UsageError(
                 f"experiment {label}: sets {' and '.join(own)}, which run sets for every experiment"
             )
-        given.command, given.out, given.label, given.spec_file = argv[0], args.out, label, spec
+        given.command, given.out, given.label = argv[0], args.out, label
         parsed[label] = given
     for label in labels:
         print(f"run {label}: {' '.join(by_label[label].argv)}")
-        rc = _dispatch(parsed[label])
+        rc = _dispatch(parsed[label], spec)
         if rc != 0:
             return rc
 
@@ -655,7 +628,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except SystemExit as exit_:  # argparse has printed the help
         return exit_.code
-    args.spec_file = None
     try:
         return _dispatch(args)
     finally:  # the memos serve one command line
@@ -663,12 +635,18 @@ def main(argv: Sequence[str] | None = None) -> int:
         _FIELDS.clear()
 
 
-def _dispatch(args: argparse.Namespace) -> int:
+def _dispatch(args: argparse.Namespace, spec: specfile.SpecFile | None = None) -> int:
     """Run one parsed command through its handler, and turn the outcome
-    into its exit status and its one stderr line."""
+    into its exit status and its one stderr line.  The handler gets the
+    command's spec as well: `spec` when the caller has loaded it, else
+    the file the command names, loaded here; None for a command that
+    names no spec."""
     try:
-        return args.handler(args) or 0
-    except (SpecError, UsageError, OSError) as err:  # OSError: --out cannot be written
+        if spec is None and "spec" in args:
+            spec = specfile.load_spec(args.spec)
+        return args.handler(args, spec) or 0
+    # OSError: --out cannot be written; MemoryError: a sample grid too large to allocate
+    except (SpecError, UsageError, OSError, MemoryError) as err:
         print(f"sikorski {args.command}: {err}", file=sys.stderr)
         return 2
     except (KeyError, ExprError, ValueError) as err:

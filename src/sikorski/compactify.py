@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import BinOp, Call, Const, DomainError, Expr, Var, substitute, to_string
+from .expr import BinOp, Call, Const, DomainError, Expr, Var, excerpt, substitute
 from .space import DiffSpace, Generator, GeneratorFamily, SmoothFunction, eval_columns, eval_point, placeholders, sample
 from .uniform import Probe
 from .completion import CompletedSpace, complete
@@ -113,7 +113,7 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
         substitute(f.omega, dict(zip(f.omega_vars, alpha_exprs))),
         substitute(omega1, dict(zip(fresh, gammas))),
     ]
-    labels = [f"witness {to_string(f.omega)}", f"rescaled witness {to_string(omega1)}"]
+    labels = [f"witness {excerpt(f.omega)}", f"rescaled witness {excerpt(omega1)}"]
     try:
         original, rebuilt = eval_columns(checks, space.carrier.ambient, ambient[local], labels).T
     except DomainError as err:

@@ -43,6 +43,7 @@ __all__ = [
     "substitute",
     "variables",
     "to_string",
+    "excerpt",
 ]
 
 
@@ -403,7 +404,7 @@ def _eval_node(node: Expr, env: Mapping[str, np.ndarray], failures: list, unread
         value = _BINARY_OPS[node.op](left, right)
         bad = ~np.isfinite(value)
         if np.any(bad):
-            failures.append((bad, node, f"non-finite value from {to_string(node)}", None))
+            failures.append((bad, node, f"non-finite value from {excerpt(node)}", None))
     elif isinstance(node, Pow):
         base = _eval_node(node.base, env, failures, unread, memo)
         if node.exponent < 0:
@@ -413,7 +414,7 @@ def _eval_node(node: Expr, env: Mapping[str, np.ndarray], failures: list, unread
         if np.any(bad):
             finite_base = np.isfinite(base)
             _guard(failures, node, bad & finite_base, "overflow in power")
-            _guard(failures, node, bad & ~finite_base, f"non-finite value from {to_string(node)}")
+            _guard(failures, node, bad & ~finite_base, f"non-finite value from {excerpt(node)}")
     elif isinstance(node, Call):
         if node.func not in _PRIMITIVES:
             raise ExprError(f"unknown primitive {node.func!r}")
@@ -428,7 +429,7 @@ def _eval_node(node: Expr, env: Mapping[str, np.ndarray], failures: list, unread
         bad = ~np.isfinite(value)
         if np.any(bad):
             if node.func == "tan":
-                failures.append((bad, node, f"non-finite value from {to_string(node)}", None))
+                failures.append((bad, node, f"non-finite value from {excerpt(node)}", None))
             else:  # a non-finite argument passes through the other primitives
                 _guard(failures, node, bad & np.isfinite(arg), f"overflow in {node.func}")
     else:
@@ -688,3 +689,14 @@ def _render(node: Expr, min_prec: int) -> str:
 def to_string(node: Expr) -> str:
     """Render so that parse_expr(to_string(e)) is structurally equal to e."""
     return _render(node, _PREC_ADD)
+
+
+_EXCERPT_CHARS = 100  # the most of a tree that one message or label shows
+
+
+def excerpt(node: Expr) -> str:
+    """`node` rendered for a message or a label: its `to_string`, cut to
+    100 characters and ``…`` when longer, so that a message about a large
+    tree stays one short line."""
+    text = to_string(node)
+    return text if len(text) <= _EXCERPT_CHARS else text[:_EXCERPT_CHARS] + "…"

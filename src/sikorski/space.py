@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import DomainError, Expr, Var, eval_array, substitute, to_string, variables
+from .expr import DomainError, Expr, Var, eval_array, excerpt, substitute, variables
 
 __all__ = [
     "Interval",
@@ -318,7 +318,7 @@ def compose_ambient(space: DiffSpace, f: SmoothFunction) -> Expr:
 
 def eval_smooth(space: DiffSpace, f: SmoothFunction, ambient_point: Sequence[float]) -> float:
     composed = compose_ambient(space, f)
-    return eval_point([composed], space.carrier.ambient, ambient_point, [f"function {to_string(composed)}"])[0]
+    return eval_point([composed], space.carrier.ambient, ambient_point, [f"function {excerpt(composed)}"])[0]
 
 
 @dataclass(frozen=True)

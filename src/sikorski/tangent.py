@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from typing import Sequence
 
-from .expr import BinOp, DomainError, Expr, diff, substitute, to_string
+from .expr import BinOp, DomainError, Expr, diff, excerpt, substitute
 from .space import DiffSpace, SmoothFunction, SmoothMapWitness, compose_ambient, eval_point, eval_smooth
 
 __all__ = [
@@ -39,13 +39,13 @@ def _directional(expr: Expr, ambient: Sequence[str], v: TangentVector) -> float:
         raise ValueError("vector lives in a different ambient space")
     moved = [(name, coeff) for name, coeff in zip(ambient, v.coeffs) if coeff != 0.0]
     partials = [diff(expr, name) for name, _ in moved]
-    labels = [f"derivative of {to_string(expr)} along {name}" for name, _ in moved]
+    labels = [f"derivative of {excerpt(expr)} along {name}" for name, _ in moved]
     total = 0.0
     for (_, coeff), value in zip(moved, eval_point(partials, ambient, v.point, labels)):
         total += coeff * value
     if not math.isfinite(total):
         raise DomainError(
-            f"derivative of {to_string(expr)} along {v.coeffs} at {v.point}: weighted sum {total!r} is not finite",
+            f"derivative of {excerpt(expr)} along {v.coeffs} at {v.point}: weighted sum {total!r} is not finite",
             expr,
         )
     return total

@@ -15,7 +15,7 @@ import math
 import operator
 from typing import Mapping
 
-from sikorski.expr import _TAN_COS_FLOOR, BinOp, Call, Const, DomainError, Expr, ExprError, Pow, Var, to_string
+from sikorski.expr import _TAN_COS_FLOOR, BinOp, Call, Const, DomainError, Expr, ExprError, Pow, Var, excerpt
 
 _BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
 
@@ -66,7 +66,7 @@ _PRIMITIVES = {
 
 def _check_finite(value: float, node: Expr) -> float:
     if not math.isfinite(value):
-        raise DomainError(f"non-finite value from {to_string(node)}", node)
+        raise DomainError(f"non-finite value from {excerpt(node)}", node)
     return value
 
 

@@ -411,6 +411,16 @@ def test_missing_spec_file_exits_two(tmp_path):
     assert "cannot read spec" in proc.stderr
 
 
+@pytest.mark.parametrize(
+    "command", [["complete", "--tol", "0"], ["compactify", "--tail", "1"], ["check-map", "--map", "m", "--tol", "-1"]]
+)
+def test_a_bad_spec_is_reported_before_a_bad_flag(tmp_path, command):
+    """Every command loads its spec before it checks its flag values."""
+    rc, out, err = run_in_process([command[0], str(tmp_path / "nope.spec"), *command[1:], "--out", str(tmp_path)])
+    assert (rc, out) == (2, "")
+    assert err.startswith(f"sikorski {command[0]}: ") and "cannot read spec" in err
+
+
 def test_unknown_family_exits_two(tmp_path):
     proc = run_cli(
         "complete", REAL_LINE, "--family", "zap",
@@ -999,6 +1009,35 @@ def test_an_expression_past_the_depth_bound_exits_two(tmp_path):
             f"sikorski {command[0]}: {spec}:8: generator f: expression nested deeper than {MAX_DEPTH} levels"
             f" (offset {offset}), column {5 + offset}\n"
         )
+
+
+def test_a_non_finite_value_in_a_large_tree_is_reported_in_one_short_line(tmp_path):
+    """On [1, 2] the composed chains of divisions by the variable leave
+    the float range; the message shows each tree cut to 100 characters,
+    not the whole tree."""
+    spec = deep_map_spec(tmp_path, MAX_DEPTH, by_variable=True)
+    for name in ("deep.spec", "target.spec"):
+        path = tmp_path / name
+        path.write_text(path.read_text().replace("[1, 1.001]", "[1, 2]"))
+    for command in (["check-map", "--map", "m"], ["tangent", "--map", "m", "--point", "1.5", "--vector", "1"]):
+        rc, out, err = run_in_process([command[0], spec, *command[1:], "--out", str(tmp_path)])
+        assert rc == 1
+        assert "non-finite value from " in err and "…" in err
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert len(err.encode()) < 400
+
+
+def test_a_sample_grid_too_large_to_allocate_exits_two(tmp_path):
+    """10^15 float64 samples are 7.11 PiB, past any 64-bit address space,
+    so the allocation fails at once rather than being overcommitted."""
+    spec = tmp_path / "huge.spec"
+    spec.write_text("[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 1000000000000000\n\n"
+                    "[generators]\nf = x\n")
+    out_dir = tmp_path / "out"
+    rc, out, err = run_in_process(["embed", str(spec), "--out", str(out_dir)])
+    assert (rc, out) == (2, "")
+    assert re.fullmatch(r"sikorski embed: Unable to allocate 7\.11 PiB [^\n]*\n", err)
+    assert not out_dir.exists()
 
 
 @pytest.mark.parametrize("samples", [10927, 10986, 11045])

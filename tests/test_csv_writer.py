@@ -24,12 +24,12 @@ from sikorski.space import embed
 from sikorski.specfile import load_spec
 
 SPECS = Path(sikorski.__file__).parent / "specs"
-LABEL = cli._Slot("base:%.17g")
-SLOTS = (cli._FLOAT_SLOT, LABEL)
+LABEL = cli._Slot("base:" + cli._MARK)
+QUOTED = cli._Slot('a,"' + cli._MARK + '\n')  # csv.writer must quote it around its mark
+SLOTS = (cli._FLOAT_SLOT, LABEL, QUOTED)
 
 FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308]), st.floats())
-# a NUL inside a constant cell is text to keep, not padding to drop
-TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "%", " ", "a", "é", "\0"]), max_size=5)
+TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "%", " ", "a", "é"]), max_size=5)
 CONSTANT = st.one_of(TEXT, st.none(), st.integers(), FLOATS, FLOATS.map(np.float64))
 HEADER = st.lists(TEXT, max_size=3)
 
@@ -54,7 +54,9 @@ def oracle_rows(cells, values):
     for row in values.tolist():
         it = iter(row)
         yield [
-            (next(it) if c is cli._FLOAT_SLOT else c % next(it)) if isinstance(c, cli._Slot) else c
+            (next(it) if c is cli._FLOAT_SLOT else c.replace(cli._MARK, "%.17g" % next(it)))
+            if isinstance(c, cli._Slot)
+            else c
             for c in cells
         ]
 
@@ -71,10 +73,19 @@ def assert_same_bytes(header, block_list):
 @given(HEADER, st.lists(blocks(), max_size=4), st.sampled_from([1, 2, 3]))
 @example([""], [([None], np.empty((1, 0))), ([""], np.empty((2, 0)))], 1)  # a lone empty cell is quoted
 @example(["a"], [([cli._FLOAT_SLOT], np.empty((0, 1)))], 1)  # a block with no rows
-@example(["\0"], [(["x\0", cli._FLOAT_SLOT, "\0"], np.array([[1.5], [0.0]]))], 2)  # NULs beside a slot
 def test_block_writer_matches_the_row_writer(header, block_list, slice_rows):
     with mock.patch.object(cli, "_SLICE_ROWS", slice_rows):  # every block of 2 or more rows spans slices
         assert_same_bytes(header, block_list)
+
+
+@pytest.mark.parametrize("cell", ["x\0", "\0", "a" + cli._MARK, cli._MARK])
+@pytest.mark.parametrize("in_header", [True, False])
+def test_a_constant_cell_holding_nul_or_the_mark_is_refused(tmp_path, cell, in_header):
+    """NUL is the fields' padding and the mark a slot's place, so a
+    constant cell holding either would be written wrong."""
+    header, row = ([cell], [cli._FLOAT_SLOT]) if in_header else (["x"], [cell, cli._FLOAT_SLOT])
+    with pytest.raises(ValueError, match="cannot hold NUL or U\\+E000"):
+        cli._write_csv(str(tmp_path / "t.csv"), header, [cli._Block(row, np.array([[1.5]]))])
 
 
 def test_a_block_spans_full_size_slices():

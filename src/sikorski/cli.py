@@ -143,13 +143,8 @@ def _select_probes(spec: specfile.SpecFile, flag: str | None) -> list[Probe]:
 
 
 def _artifact(args, suffix: str) -> str:
-    label = args.command.replace("-", "_") if args.label is None else args.label
-    if not label:
-        raise UsageError("--label '': a label cannot be empty")
-    if os.sep in label or (os.altsep and os.altsep in label):
-        raise UsageError(f"--label {label!r}: a label names files in --out, not a path")
     os.makedirs(args.out, exist_ok=True)
-    return os.path.join(args.out, f"{label}_{suffix}")
+    return os.path.join(args.out, f"{args.label}_{suffix}")
 
 
 def _map(spec: specfile.SpecFile, name: str) -> specfile.LoadedMap:
@@ -640,10 +635,17 @@ def _dispatch(args: argparse.Namespace, spec: specfile.SpecFile | None = None) -
     into its exit status and its one stderr line.  The handler gets the
     command's spec as well: `spec` when the caller has loaded it, else
     the file the command names, loaded here; None for a command that
-    names no spec."""
+    names no spec.  The artifact label is settled before the handler
+    runs, so a bad one is refused before any work."""
     try:
         if spec is None and "spec" in args:
             spec = specfile.load_spec(args.spec)
+        if args.label is None:
+            args.label = args.command.replace("-", "_")
+        if not args.label:
+            raise UsageError("--label '': a label cannot be empty")
+        if os.sep in args.label or (os.altsep and os.altsep in args.label):
+            raise UsageError(f"--label {args.label!r}: a label names files in --out, not a path")
         return args.handler(args, spec) or 0
     # OSError: --out cannot be written; MemoryError: a sample grid too large to allocate
     except (SpecError, UsageError, OSError, MemoryError) as err:

@@ -209,11 +209,10 @@ class _Parser:
     deep.  `open` counts the groups around the current token: parentheses,
     call arguments and unary minuses, which the parser recurses into."""
 
-    def __init__(self, text: str, allowed_vars: frozenset[str], finite_literals: bool = True):
+    def __init__(self, text: str, allowed_vars: frozenset[str]):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.allowed = allowed_vars
-        self.finite_literals = finite_literals
         self.open = 0
 
     def peek(self) -> tuple[str, str, int]:
@@ -304,7 +303,7 @@ class _Parser:
         kind, value, offset = self.advance()
         if kind == "num":
             number = float(value)
-            if self.finite_literals and not math.isfinite(number):
+            if not math.isfinite(number):
                 raise ParseError(f"number {value} is not finite", offset)
             return Const(number), 1
         if kind == "sym" and value == "(":
@@ -496,10 +495,10 @@ def eval_expr(node: Expr, env: Mapping[str, float]) -> float:
 
 def eval_constant(text: str) -> float:
     """The value of a constant expression such as ``pi/2``, which must be
-    finite.  A ParseError carries the offset of the bad token; every other
-    failure is an ExprError, a non-finite number included, since the
-    value itself is checked."""
-    value = eval_expr(_Parser(text, frozenset(), finite_literals=False).parse(), {})
+    finite.  It is parsed as any expression is, so a ParseError carries the
+    offset of the bad token, a number such as ``1e999`` included; every
+    other failure is an ExprError, a value such as ``1e308*10`` included."""
+    value = eval_expr(parse_expr(text), {})
     if not math.isfinite(value):
         raise ExprError(f"value {value!r} is not finite")
     return value

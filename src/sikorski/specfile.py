@@ -22,16 +22,19 @@ declares (interval endpoints and numeric fields take constant
 expressions, so ``pi/2`` is a legal endpoint).  ``#`` starts a comment.
 Every reported problem carries the file and line it came from.
 
-The keyed sections, ``[space]``, ``[generators]``, ``[bounded]``,
-``[probes]`` and ``[experiments]``, are read through one entry reader,
-`_entries`, which yields a section's entries in file order and refuses
-a malformed key with the section's own message and a repeated one as
-``duplicate <noun> <key>``.  It is lazy, and each section checks an
-entry's value before it reads the next entry, so problems are reported
-in file order: a bad value on one line wins over a bad key on the next.
-``[space]`` is the exception: it reads all its keys, then its values in
-a fixed order.  An expression error becomes a SpecError in one place,
-`_located`, which adds the column of the offending token.
+Problems are reported in file order.  Every section header is checked
+first, before any section is read: an unknown section, a malformed
+``[map NAME]`` header and a repeated header (``duplicate section [map
+m]``).  Then every section, ``[map NAME]`` included, is read through one
+entry reader, `_entries`, which yields a section's entries in file order
+and refuses a malformed key with the section's own message and a
+repeated one as ``duplicate <noun> <key>``; runs of whitespace inside a
+key read as one space.  It is lazy, and each section checks an entry's
+value before it reads the next entry, so a bad value on one line wins
+over a bad key on the next.  ``[space]`` is the exception: it reads all
+its keys, then its values in a fixed order.  An expression error becomes
+a SpecError in one place, `_located`, which adds the column of the
+offending token.
 """
 
 from __future__ import annotations
@@ -60,8 +63,10 @@ __all__ = ["SpecError", "Experiment", "LoadedMap", "SpecFile", "load_spec"]
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*\Z")
 _LABEL_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_\-]*\Z")
 _SCHEDULE_RE = re.compile(r"\s*(-?\d+)\s*\.\.\s*(-?\d+)\s*\Z")
+_MAP_KEY_RE = re.compile(r"target\Z|(component|witness) \S+\Z")
 
 _SPACE_KEYS = ("name", "params", "domain", "chart", "samples", "inset")
+_SECTIONS = ("space", "generators", "bounded", "probes", "experiments")
 
 
 class SpecError(Exception):
@@ -128,7 +133,7 @@ def _split_sections(path: str, text: str) -> list[_Section]:
         if not eq:
             raise SpecError(path, lineno, f"expected 'name = value', got {stripped!r}")
         column = len(key) + 1 + (len(value) - len(value.lstrip())) + 1
-        current.entries.append((lineno, key.strip(), value.strip(), column))
+        current.entries.append((lineno, " ".join(key.split()), value.strip(), column))
     return sections
 
 
@@ -313,17 +318,17 @@ def _parse_probes(path: str, section: _Section) -> list[Probe]:
         path, section, "probe name", _NAME_RE.match, "probe name {!r} is not an identifier"
     ):
         expr_text, at, schedule = value.partition("@")
-        start, stop = 1, 1000
+        bounds: tuple[int, ...] = ()  # Probe's own schedule
         if at:
             match = _SCHEDULE_RE.match(schedule)
             if not match:
                 raise SpecError(
                     path, lineno, f"probe schedule must look like '@ 1 .. 1000', got {schedule!r}"
                 )
-            start, stop = int(match.group(1)), int(match.group(2))
+            bounds = tuple(map(int, match.groups()))
         expr = _located(path, lineno, column, f"probe {key}", parse_expr, expr_text.strip(), ("n",))
         try:
-            probes.append(Probe(key, expr, start, stop))
+            probes.append(Probe(key, expr, *bounds))
         except ValueError as err:
             raise SpecError(path, lineno, f"probe {key}: {err}") from err
     return probes
@@ -335,48 +340,31 @@ def _parse_map(
     source_space: DiffSpace,
     stack: tuple[str, ...],
 ) -> LoadedMap:
-    if len(section.header) != 2 or not _NAME_RE.match(section.header[1]):
-        raise SpecError(path, section.line, "map sections are headed '[map NAME]'")
     map_name = section.header[1]
     source_ambient = source_space.carrier.ambient
 
     target_entry: tuple[int, str] | None = None
-    components: dict[str, tuple[int, Expr]] = {}
+    components: dict[str, Expr] = {}
     witnesses: dict[str, tuple[int, SmoothFunction]] = {}
-    for lineno, key, value, column in section.entries:
-        words = key.split()
-        if words == ["target"]:
-            if target_entry is not None:
-                raise SpecError(path, lineno, "duplicate target line")
+    for lineno, key, value, column in _entries(
+        path, section, "map line", _MAP_KEY_RE.match, "unknown map line {!r}"
+    ):
+        kind, _, name = key.partition(" ")
+        if kind == "target":
             target_entry = (lineno, value)
-        elif len(words) == 2 and words[0] == "component":
-            amb = words[1]
-            if amb in components:
-                raise SpecError(path, lineno, f"duplicate component {amb!r}")
-            components[amb] = (
-                lineno,
-                _located(path, lineno, column, f"component {amb}", parse_expr, value, source_ambient),
-            )
-        elif len(words) == 2 and words[0] == "witness":
-            gen_name = words[1]
-            if gen_name in witnesses:
-                raise SpecError(path, lineno, f"duplicate witness for {gen_name!r}")
+        elif kind == "component":
+            components[name] = _located(path, lineno, column, f"component {name}", parse_expr, value, source_ambient)
+        else:
             omega_text, colon, gens_text = value.partition(":")
             if not colon:
-                raise SpecError(
-                    path, lineno, f"witness needs 'omega : generators', got {value!r}"
-                )
+                raise SpecError(path, lineno, f"witness needs 'omega : generators', got {value!r}")
             gen_names = _split_csv(gens_text)
             for g in gen_names:
                 if g not in source_space.family.names:
-                    raise SpecError(path, lineno, f"witness for {gen_name!r} references unknown generator {g!r}")
+                    raise SpecError(path, lineno, f"witness for {name!r} references unknown generator {g!r}")
             omega_vars = placeholders(len(gen_names))
-            omega = _located(
-                path, lineno, column, f"witness for {gen_name}", parse_expr, omega_text.strip(), omega_vars
-            )
-            witnesses[gen_name] = (lineno, SmoothFunction(omega, omega_vars, tuple(gen_names)))
-        else:
-            raise SpecError(path, lineno, f"unknown map line {key!r}")
+            omega = _located(path, lineno, column, f"witness for {name}", parse_expr, omega_text.strip(), omega_vars)
+            witnesses[name] = (lineno, SmoothFunction(omega, omega_vars, tuple(gen_names)))
 
     if target_entry is None:
         raise SpecError(path, section.line, f"map {map_name!r} has no target line")
@@ -408,7 +396,7 @@ def _parse_map(
         )
     witness = SmoothMapWitness(
         target_spec.space,
-        tuple(components[amb][1] for amb in target_ambient),
+        tuple(components[amb] for amb in target_ambient),
         {name: fn for name, (_, fn) in witnesses.items()},
     )
     return LoadedMap(target_spec, witness)
@@ -444,17 +432,14 @@ def load_spec(path: str, _stack: tuple[str, ...] = ()) -> SpecFile:
     except (OSError, UnicodeDecodeError) as err:
         raise SpecError(path, 1, f"cannot read spec: {err}") from err
 
-    sections = _split_sections(path, text)
+    # every header is checked, in file order, before any section is read
     by_name: dict[str, _Section] = {}
-    map_sections: list[_Section] = []
-    for section in sections:
+    for section in _split_sections(path, text):
+        key = " ".join(section.header)
         if section.header[0] == "map":
-            map_sections.append(section)
-            continue
-        if len(section.header) != 1:
-            raise SpecError(path, section.line, f"unknown section {' '.join(section.header)!r}")
-        key = section.header[0]
-        if key not in ("space", "generators", "bounded", "probes", "experiments"):
+            if len(section.header) != 2 or not _NAME_RE.match(section.header[1]):
+                raise SpecError(path, section.line, "map sections are headed '[map NAME]'")
+        elif key not in _SECTIONS:
             raise SpecError(path, section.line, f"unknown section {key!r}")
         if key in by_name:
             raise SpecError(path, section.line, f"duplicate section [{key}]")
@@ -487,13 +472,11 @@ def load_spec(path: str, _stack: tuple[str, ...] = ()) -> SpecFile:
         raise SpecError(path, by_name["probes"].line, "probes require a single-parameter carrier")
 
     stack = _stack + (resolved,)
-    maps: dict[str, LoadedMap] = {}
-    for section in map_sections:
-        loaded = _parse_map(path, section, space, stack)
-        map_name = section.header[1]
-        if map_name in maps:
-            raise SpecError(path, section.line, f"duplicate map {map_name!r}")
-        maps[map_name] = loaded
+    maps = {
+        section.header[1]: _parse_map(path, section, space, stack)
+        for section in by_name.values()
+        if section.header[0] == "map"
+    }
 
     experiments = (
         _parse_experiments(path, by_name["experiments"]) if "experiments" in by_name else []

@@ -63,11 +63,11 @@ class RefinementRow:
 class RefinementReport:
     sample_count: int
     rows: tuple[RefinementRow, ...]
-    # sample pairs the search compared, a row with itself not counted: with
-    # one G coordinate, the lead range of each width's first flagged row;
-    # with several, the cells of each flagged row's 3x3 neighbourhood that
-    # can hold a witness partner, in the chunks scanned up to the first
-    # that holds a witness
+    # sample pairs the search compared, a row with itself not counted, for
+    # the flagged rows up to and including each width's first witness row:
+    # with one G coordinate, the lead range of that row (the first flagged
+    # one); with several, the cells of each flagged row's 3x3 neighbourhood
+    # that can hold a witness partner, for the rows in sample order
     pairs_examined: int
 
 
@@ -307,8 +307,12 @@ def _cell_search(
         owners = np.repeat(rows[lo:hi], per_row[lo:hi])
         d_g = np.max([np.abs(col[partners] - col[owners]) for col in g_cols], axis=0)
         d_h = np.max([np.abs(col[partners] - col[owners]) for col in h_cols], axis=0)
-        scanned += int(np.count_nonzero(partners != owners))
         hit = (d_g < eps) & (d_h >= target_eps)
+        # the rows come in sample order, so a first hit lies in the first
+        # witness's own row, the last row whose pairs count
+        last = np.searchsorted(sizes, done + hit.argmax(), side="right") if hit.any() else hi - 1
+        end = int(sizes[last]) - done
+        scanned += int(np.count_nonzero(partners[:end] != owners[:end]))
         if hit.any():
             i, j = order[owners[hit]], order[partners[hit]]
             return divmod(int((np.minimum(i, j) * n_pts + np.maximum(i, j)).min()), n_pts), scanned

@@ -828,6 +828,21 @@ def test_a_filter_counterexample_exits_one(tmp_path, monkeypatch):
     assert (tmp_path / "verify_filters_report.txt").exists()
 
 
+def test_a_bad_label_is_refused_before_any_work(tmp_path, monkeypatch):
+    def never(max_size):
+        raise AssertionError("the verifier ran")
+
+    monkeypatch.setattr(cli, "verify_filter_laws", never)
+    rc, out, err = run_in_process(["verify-filters", "--max-size", "5", "--label", "a/b", "--out", str(tmp_path)])
+    assert (rc, out) == (2, "")
+    assert err == "sikorski verify-filters: --label 'a/b': a label names files in --out, not a path\n"
+    # run's own label names no file, and it is refused all the same
+    rc, out, err = run_in_process(["run", SPIRAL, "--label", "a/b", "--out", str(tmp_path)])
+    assert (rc, out) == (2, "")
+    assert err == "sikorski run: --label 'a/b': a label names files in --out, not a path\n"
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_a_wrong_map_witness_exits_one(tmp_path):
     text = Path(REAL_LINE).read_text(encoding="utf-8")
     spec = tmp_path / "real_line_atan.spec"

@@ -1,12 +1,16 @@
 """The README's two tables name exactly what they describe: one row per
-command of the command line, and one row per module of the package."""
+command of the command line, and one row per module of the package; and
+its spec example is a spec that loads and runs."""
 
+import contextlib
+import io
 import itertools
 import pkgutil
 from pathlib import Path
 
 import sikorski
 from sikorski import cli
+from sikorski.specfile import load_spec
 
 README = Path(__file__).resolve().parent.parent / "README.md"
 
@@ -29,3 +33,19 @@ def test_the_layout_table_lists_every_module():
     listed = first_column("| module | contents |")
     modules = [f"sikorski.{info.name}" for info in pkgutil.iter_modules(sikorski.__path__)]
     assert sorted(listed) == sorted(modules)
+
+
+def test_the_spec_example_loads_and_runs(tmp_path):
+    """The README's spec example, beside the target spec its map names,
+    loads, and both its experiments and its map check exit 0."""
+    text = README.read_text(encoding="utf-8")
+    example = text.split("```ini\n", 1)[1].split("```", 1)[0]
+    spec = tmp_path / "example.spec"
+    spec.write_text(example, encoding="utf-8")
+    target = Path(sikorski.__file__).parent / "specs" / "unit_interval_compact.spec"
+    (tmp_path / target.name).write_text(target.read_text(encoding="utf-8"), encoding="utf-8")
+    assert load_spec(str(spec)).maps["squash"].target.name == "unit_interval"
+    out = str(tmp_path / "out")
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(["run", str(spec), "--out", out]) == 0
+        assert cli.main(["check-map", str(spec), "--map", "squash", "--out", out]) == 0

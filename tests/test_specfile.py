@@ -108,7 +108,8 @@ def test_expression_errors_name_the_column(tmp_path):
 @pytest.mark.parametrize(
     "old, new, message",
     [
-        ("domain = [0, 1]", "domain = [0, 1e999]", "3: domain endpoint: value inf is not finite"),
+        ("domain = [0, 1]", "domain = [0, 1e999]",
+         "3: domain endpoint: number 1e999 is not finite (offset 0), column 14"),
         ("domain = [0, 1]", "domain = [0, 2 +]", "3: domain endpoint: unexpected end of input (offset 3), column 17"),
         ("domain = [0, 1]", "domain = [0, 1] x [0, 2 +]",
          "3: domain endpoint: unexpected end of input (offset 3), column 26"),
@@ -117,7 +118,7 @@ def test_expression_errors_name_the_column(tmp_path):
         ("domain = [0, 1]", "domain = [0, sqrt(]",
          "3: domain endpoint: unexpected end of input (offset 5), column 19"),
         ("domain = [0, 1]", "domain = [sqrt(0, 1]", "3: domain endpoint: expected ')' (offset 6), column 17"),
-        ("samples = 11", "samples = 11\ninset = 1e999", "6: inset: value inf is not finite"),
+        ("samples = 11", "samples = 11\ninset = 1e999", "6: inset: number 1e999 is not finite (offset 0), column 9"),
         ("f = x", "f = x\n\n[bounded]\nf = x", "11: bound for f: unknown variable 'x' (offset 0), column 5"),
     ],
 )
@@ -163,9 +164,11 @@ MAP = "f = x\n\n[map m]\ntarget = target.spec\n"
         ("f = x", "f = x\n\n[probes]\np = 1/n\np = 2/n", "12: duplicate probe name 'p'"),
         ("f = x", "f = x\n\n[experiments]\na = embed\na = embed", "12: duplicate experiment label 'a'"),
         ("f = x", "f = x\n\n[bounded]\ng = 1", "11: bound for unknown generator 'g'"),
-        ("f = x", MAP + "target = target.spec", "12: duplicate target line"),
-        ("f = x", MAP + "component x = x\ncomponent x = x", "13: duplicate component 'x'"),
-        ("f = x", MAP + "component x = x\nwitness f = u1 : f\nwitness f = u1 : f", "14: duplicate witness for 'f'"),
+        ("f = x", MAP + "target = target.spec", "12: duplicate map line 'target'"),
+        ("f = x", MAP + "component x = x\ncomponent x = x", "13: duplicate map line 'component x'"),
+        ("f = x", MAP + "component x = x\nwitness f = u1 : f\nwitness f = u1 : f", "14: duplicate map line 'witness f'"),
+        # a run of whitespace inside a key reads as one space
+        ("f = x", MAP + "component  x = x\ncomponent x = x", "13: duplicate map line 'component x'"),
         ("f = x", MAP + "component x = x\nwitness f = u1 : zap", "13: witness for 'f' references unknown generator 'zap'"),
         ("f = x", MAP + "component x = x\nwitness f = u1 : f\nwitness h = u1 : f",
          "14: witness names unknown target generator 'h'"),
@@ -174,6 +177,12 @@ MAP = "f = x\n\n[map m]\ntarget = target.spec\n"
         ("f = x", "f = x\n\n[probes]\np = 1/n +\n2p = 1/n", "11: probe p: unexpected end of input (offset 5), column 10"),
         ("f = x", "f = x\n\n[bounded]\nf = 1 +\ng = 1", "11: bound for f: unexpected end of input (offset 3), column 8"),
         ("f = x", 'f = x\n\n[experiments]\na = embed "\n-b = embed', "11: experiment a: No closing quotation"),
+        ("f = x", MAP + "component x = x +\nzap = 1", "12: component x: unexpected end of input (offset 3), column 18"),
+        # every header is checked, in file order, before any section is read
+        ("f = x", MAP + "component x = x\nwitness f = u1 : f\n\n[map m]\ntarget = missing.spec",
+         "15: duplicate section [map m]"),
+        ("[generators]\nf = x", "[map]\ntarget = target.spec\n\n[generators]\n2f = x",
+         "7: map sections are headed '[map NAME]'"),
         # [space] reads every key before any value
         ("domain = [0, 1]\nchart = x : t\nsamples = 11", "domain = [0, 1e999]\nchart = x : t\nsamples = 11\nsize = 3",
          "6: unknown [space] key 'size'"),

@@ -334,17 +334,17 @@ def test_the_cell_scan_on_a_5x2_grid():
     flagged.  A row with y = 0 can find an H gap of 1 only in B and F, a row
     with y = 1 only in A and B, so those are the cells scanned: 4 partners
     for each of the 3 rows of A, 3 for (3, 0) and for (4, 0), 5 for (3, 1)
-    and 6 for (4, 1).  The 7 flagged rows fit in one chunk.  Row (0, 0),
-    the first in sample order, has no witness: its partners with y = 1 are
-    0.75 or more away in a.  The chunk's first witness is (2, 0)-(3, 1),
-    where b is 0 at both ends.  With one row per chunk, the scan stops after
-    the third flagged row, (2, 0)."""
+    and 6 for (4, 1).  Row (0, 0), the first in sample order, has no
+    witness: its partners with y = 1 are 0.75 or more away in a.  The first
+    witness is (2, 0)-(3, 1), where b is 0 at both ends, so the pairs
+    examined are those of the first three flagged rows, up to (2, 0), in
+    one chunk of all 7 flagged rows or in chunks of one row each."""
     space = plane_space(5, 2, [("a", "x/4"), ("b", "y*(x-3)"), ("c", "y")])
     report = compare_uniformities(space, ["a", "b"], ["c"], [0.5], target_eps=1.0)
     row = report.rows[0]
     assert (row.witness_x, row.witness_y) == ((2.0, 0.0), (3.0, 1.0))
     assert (row.d_g, row.violated) == (0.25, "c")
-    assert report.pairs_examined == 3 * 4 + 2 * 3 + 5 + 6
+    assert report.pairs_examined == 3 * 4
     with mock.patch.object(uniform, "_CHUNK_PAIRS", 1):
         report = compare_uniformities(space, ["a", "b"], ["c"], [0.5], target_eps=1.0)
     assert (report.rows[0].witness_x, report.rows[0].witness_y) == ((2.0, 0.0), (3.0, 1.0))
@@ -494,13 +494,13 @@ def test_range_search_matches_all_pairs(s_count, t_count, exprs, g_names, h_name
     of every pair on each width's verdict and witness.  With one G
     coordinate the flags are exact, so the search computes only the pairs
     of each witness row i with the samples within the width of it.  With
-    several, the cell scan gives the same rows when each chunk holds a
-    single flagged row."""
+    several, the cell scan gives the same rows and the same count of pairs
+    when each chunk holds a single flagged row."""
     space = plane_space(s_count, t_count, list(zip("abc", exprs)))
     ambient = embed(space).ambient
     report = compare_uniformities(space, g_names, h_names, eps_grid, target_eps)
     with mock.patch.object(uniform, "_CHUNK_PAIRS", 1):
-        assert compare_uniformities(space, g_names, h_names, eps_grid, target_eps).rows == report.rows
+        assert compare_uniformities(space, g_names, h_names, eps_grid, target_eps) == report
     scanned = 0
     for eps, row in zip(eps_grid, report.rows):
         expected = _all_pairs_witness(space, g_names, h_names, eps, target_eps)

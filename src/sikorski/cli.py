@@ -2,9 +2,8 @@
 
 Each subcommand runs one construction on a spec file and writes CSV
 artifacts plus a short text report under ``--out``; ``run`` loads its
-spec once for all its experiments, parses each experiment once, checking
-its command and flag names, before the first one runs, and then hands
-each parsed experiment straight to its handler.  Every CSV
+spec once for all its experiments and checks every one of them, its
+command, flag names and flag values, before the first one runs.  Every CSV
 artifact goes through one writer, `_write_csv`, which owns the float
 format and the quoting.  Handlers hand it blocks of rows: a block's
 row is written once by `csv.writer`, with a private-use mark (U+E000)
@@ -23,12 +22,13 @@ no invocation sees another's.  Output is
 deterministic: floats are printed with 17 significant digits, rows
 follow declaration or sample order, and nothing timestamps itself.
 Exit status is 0 on success, 1 when a library invariant fails, and 2
-for usage or spec-file problems.  `_dispatch` loads a command's spec,
-hands it to the handler with the parsed flags, and turns the outcome
-into that status and its one stderr line, for every direct
-command and every experiment of a ``run``: a handler writes its
-artifacts and summary, then raises ``ValueError`` if an invariant
-failed.
+for usage or spec-file problems.  A handler is a generator over the
+parsed flags and the spec: it makes its checks, raising `UsageError`,
+then yields once, and only then works: it writes its artifacts and
+summary, then raises ``ValueError`` if an invariant failed.
+`_dispatch` loads a command's spec, runs the handler through its checks
+and then its work, and turns the outcome into that status and its one
+stderr line, for every direct command and every experiment of a ``run``.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ import itertools
 import math
 import os
 import sys
-from typing import Collection, Iterable, NamedTuple, Sequence
+from typing import Collection, Generator, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -283,8 +283,9 @@ def _write_iota(path: str, rep: IotaReport) -> None:
     _write_csv(path, ["source", "target", *rep.sub_names], itertools.chain([base], entries))
 
 
-def cmd_embed(args, spec) -> None:
+def cmd_embed(args, spec) -> Iterator[None]:
     space = _resolve_family(spec.space, args.family)
+    yield
     cloud = embed(space)
     path = _artifact(args, "points.csv")
     header = ["point_index", *space.carrier.params, *cloud.names]
@@ -294,13 +295,14 @@ def cmd_embed(args, spec) -> None:
     print(f"embed: {len(cloud.coords)} points, {len(cloud.names)} coordinates -> {path}")
 
 
-def cmd_complete(args, spec) -> None:
+def cmd_complete(args, spec) -> Iterator[None]:
     _check_probe_flags(args)
     space = _resolve_family(spec.space, args.family)
     probes = _select_probes(spec, args.probes)
     sub = None
     if args.subfamily is not None:
         sub = space.with_generators(_declared_names(args.subfamily, "--subfamily", space.family.names))
+    yield
     cs = complete(space, probes, tol=args.tol, tail=args.tail)
     _write_points(_artifact(args, "points.csv"), cs)
     lines = _completion_lines(cs) + [_completeness_line(cs)]
@@ -321,10 +323,11 @@ def cmd_complete(args, spec) -> None:
         )
 
 
-def cmd_compactify(args, spec) -> None:
+def cmd_compactify(args, spec) -> Iterator[None]:
     _check_probe_flags(args)
     space = _resolve_family(spec.space, args.family)
     probes = _select_probes(spec, args.probes)
+    yield
     normalized, cs = compactify(space, probes, tol=args.tol, tail=args.tail)
     lines = [f"normalized {ng.name}: sup {_fmt(ng.sup)} at sample {ng.argmax_index}" for ng in normalized]
     _write_points(_artifact(args, "points.csv"), cs)
@@ -332,7 +335,7 @@ def cmd_compactify(args, spec) -> None:
     print(f"compactify: {len(cs.adjoined)} adjoined, {len(cs.duplicates)} duplicate(s)")
 
 
-def cmd_boundize(args, spec) -> None:
+def cmd_boundize(args, spec) -> Iterator[None]:
     # the splice multiplies one factor per generator into one product tree
     count = len(_split_names(args.gens, "--gens"))
     if count > MAX_DEPTH:
@@ -345,6 +348,7 @@ def cmd_boundize(args, spec) -> None:
         raise UsageError(f"--omega: {err}") from err
     fn = SmoothFunction(omega, omega_vars, tuple(gen_names))
     point = _parse_point(args.point, "--point", len(spec.space.carrier.ambient))
+    yield
     bset = boundize(spec.space, fn, point)
     path = _artifact(args, "boundize.csv")
     columns = zip(bset.gen_names, bset.mus, bset.max_abs_gamma)
@@ -359,7 +363,7 @@ def cmd_boundize(args, spec) -> None:
     )
 
 
-def cmd_compare_uniform(args, spec) -> None:
+def cmd_compare_uniform(args, spec) -> Iterator[None]:
     g_names = _declared_names(args.g_family, "--g-family", spec.space.family.names)
     h_names = _declared_names(args.h_family, "--h-family", spec.space.family.names)
     eps_grid = list(_parse_point(args.eps_grid, "--eps-grid"))
@@ -367,6 +371,7 @@ def cmd_compare_uniform(args, spec) -> None:
         raise UsageError(f"--eps-grid: widths must be positive, got {args.eps_grid!r}")
     if not 0.0 < args.target_eps < math.inf:
         raise UsageError(f"--target-eps must be positive and finite, got {args.target_eps!r}")
+    yield
     rep = compare_uniformities(spec.space, g_names, h_names, eps_grid, args.target_eps)
     params = spec.space.carrier.params
     path = _artifact(args, "refinement.csv")
@@ -389,7 +394,7 @@ def cmd_compare_uniform(args, spec) -> None:
     )
 
 
-def cmd_tangent(args, spec) -> None:
+def cmd_tangent(args, spec) -> Iterator[None]:
     space = spec.space
     dim = len(space.carrier.ambient)
     point = _parse_point(args.point, "--point", dim)
@@ -399,6 +404,8 @@ def cmd_tangent(args, spec) -> None:
     if args.functions is not None:
         names = _declared_names(args.functions, "--functions", names)
     funcs = [(n, SmoothFunction.of_generator(n)) for n in names]
+    loaded = None if args.map is None else _map(spec, args.map)
+    yield
 
     rows: list[tuple[str, str, float]] = []
     failures: list[str] = []
@@ -411,8 +418,7 @@ def cmd_tangent(args, spec) -> None:
             if not residual <= _RESIDUAL_SCALE * scale:
                 failures.append(f"leibniz residual {_fmt(residual)} for {n1}*{n2}")
 
-    if args.map is not None:
-        loaded = _map(spec, args.map)
+    if loaded is not None:
         pushed = tangent.tangent_map(space, loaded.witness, v)
         target = loaded.witness.target
         for amb, c in zip(target.carrier.ambient, pushed.coeffs):
@@ -433,10 +439,11 @@ def cmd_tangent(args, spec) -> None:
         raise ValueError("; ".join(failures))
 
 
-def cmd_check_map(args, spec) -> None:
+def cmd_check_map(args, spec) -> Iterator[None]:
     if not 0.0 <= args.tol < math.inf:
         raise UsageError(f"--tol must be finite and not negative, got {args.tol!r}")
     loaded = _map(spec, args.map)
+    yield
     rep = check_smooth_map(spec.space, loaded.witness, tol=args.tol)
     _write_csv(_artifact(args, "map.csv"), ["generator", "max_residual"], map(_Block, rep.residuals))
     worst = "-" if rep.worst_point is None else "(" + ", ".join(_fmt(c) for c in rep.worst_point) + ")"
@@ -453,9 +460,10 @@ def cmd_check_map(args, spec) -> None:
         raise ValueError(f"pullback witness residual {_fmt(rep.max_residual())} exceeds {_fmt(rep.tol)}")
 
 
-def cmd_verify_filters(args, spec) -> None:
+def cmd_verify_filters(args, spec) -> Iterator[None]:
     if not 1 <= args.max_size <= _MAX_GROUND:
         raise UsageError(f"--max-size must be between 1 and {_MAX_GROUND}, got {args.max_size}")
+    yield
     rep = verify_filter_laws(args.max_size)
     _write_csv(
         _artifact(args, "models.csv"),
@@ -473,12 +481,13 @@ def cmd_verify_filters(args, spec) -> None:
         raise ValueError(rep.first_counterexample)
 
 
-def cmd_run(args, spec) -> int | None:
-    """Each experiment through `_dispatch`, with run's own spec,
-    stopping at the first that exits non-zero; that exit status is the
-    run's.  Every experiment is parsed once, by its command's parser,
-    before the first runs: it may not ask for help or set --out or
-    --label, which run sets."""
+def cmd_run(args, spec) -> Generator[None, None, int | None]:
+    """Every listed experiment checked before the first runs: parsed
+    once, by its command's parser, and then run through its handler's
+    checks with run's own spec; it may not ask for help or set --out or
+    --label, which run sets.  Then the work of each, in the listed
+    order, through `_dispatch`, stopping at the first that exits
+    non-zero; that exit status is the run's."""
     by_label = {e.label: e for e in spec.experiments}
     labels = args.labels or [e.label for e in spec.experiments]
     unknown = [l for l in labels if l not in by_label]
@@ -486,7 +495,7 @@ def cmd_run(args, spec) -> int | None:
         raise UsageError(f"spec declares no experiment(s) {unknown}")
     if not labels:
         raise UsageError("spec declares no experiments")
-    commands, parsed = _parser().commands, {}
+    commands, checked = _parser().commands, []
     for label in labels:
         argv = by_label[label].argv
         if argv[0] == "run":
@@ -510,10 +519,16 @@ def cmd_run(args, spec) -> int | None:
                 f"experiment {label}: sets {' and '.join(own)}, which run sets for every experiment"
             )
         given.command, given.out, given.label = argv[0], args.out, label
-        parsed[label] = given
-    for label in labels:
-        print(f"run {label}: {' '.join(by_label[label].argv)}")
-        rc = _dispatch(parsed[label], spec)
+        work = given.handler(given, spec)
+        try:
+            next(work)  # the checks
+        except UsageError as err:
+            raise UsageError(f"experiment {label}: {err}") from None
+        checked.append((given, work))  # one entry per listed label: one listed twice runs twice
+    yield
+    for given, work in checked:
+        print(f"run {given.label}: {' '.join(by_label[given.label].argv)}")
+        rc = _dispatch(given, work)
         if rc != 0:
             return rc
 
@@ -630,23 +645,27 @@ def main(argv: Sequence[str] | None = None) -> int:
         _FIELDS.clear()
 
 
-def _dispatch(args: argparse.Namespace, spec: specfile.SpecFile | None = None) -> int:
+def _dispatch(args: argparse.Namespace, work: Iterator[None] | None = None) -> int:
     """Run one parsed command through its handler, and turn the outcome
-    into its exit status and its one stderr line.  The handler gets the
-    command's spec as well: `spec` when the caller has loaded it, else
-    the file the command names, loaded here; None for a command that
-    names no spec.  The artifact label is settled before the handler
-    runs, so a bad one is refused before any work."""
+    into its exit status and its one stderr line.  Given the handler's
+    `work`, already checked (an experiment of ``run``), only the work
+    is left to run.  Otherwise the spec the command names is loaded (a
+    command that names none gets None), the artifact label is settled,
+    and the handler makes its checks, all before any work."""
     try:
-        if spec is None and "spec" in args:
-            spec = specfile.load_spec(args.spec)
-        if args.label is None:
-            args.label = args.command.replace("-", "_")
-        if not args.label:
-            raise UsageError("--label '': a label cannot be empty")
-        if os.sep in args.label or (os.altsep and os.altsep in args.label):
-            raise UsageError(f"--label {args.label!r}: a label names files in --out, not a path")
-        return args.handler(args, spec) or 0
+        if work is None:
+            spec = specfile.load_spec(args.spec) if "spec" in args else None
+            if args.label is None:
+                args.label = args.command.replace("-", "_")
+            if not args.label:
+                raise UsageError("--label '': a label cannot be empty")
+            if os.sep in args.label or (os.altsep and os.altsep in args.label):
+                raise UsageError(f"--label {args.label!r}: a label names files in --out, not a path")
+            work = args.handler(args, spec)
+            next(work)  # the checks
+        next(work)  # the work
+    except StopIteration as done:  # only run returns a status
+        return done.value or 0
     # OSError: --out cannot be written; MemoryError: a sample grid too large to allocate
     except (SpecError, UsageError, OSError, MemoryError) as err:
         print(f"sikorski {args.command}: {err}", file=sys.stderr)

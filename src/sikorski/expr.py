@@ -498,10 +498,7 @@ def eval_constant(text: str) -> float:
     finite.  It is parsed as any expression is, so a ParseError carries the
     offset of the bad token, a number such as ``1e999`` included; every
     other failure is an ExprError, a value such as ``1e308*10`` included."""
-    value = eval_expr(parse_expr(text), {})
-    if not math.isfinite(value):
-        raise ExprError(f"value {value!r} is not finite")
-    return value
+    return eval_expr(parse_expr(text), {})
 
 
 # ---------------------------------------------------------------------------

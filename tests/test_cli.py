@@ -11,10 +11,12 @@ import argparse
 import contextlib
 import csv
 import dataclasses
+import inspect
 import io
 import math
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -436,71 +438,93 @@ def test_an_unknown_probe_is_reported_like_an_unknown_generator(tmp_path):
     assert proc.stderr == "sikorski complete: --probes: no probe named 'nope'\n"
 
 
-@pytest.mark.parametrize(
-    "argv, flag",
-    [
-        (["complete", REAL_LINE, "--subfamily", "zap"], "--subfamily"),
-        (["compare-uniform", REAL_LINE, "--g-family", "zap", "--h-family", "g", "--eps-grid", "0.1"], "--g-family"),
-        (["compare-uniform", REAL_LINE, "--g-family", "g", "--h-family", "zap", "--eps-grid", "0.1"], "--h-family"),
-        (["boundize", REAL_LINE, "--omega", "u1", "--gens", "zap", "--point", "0"], "--gens"),
-        (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions", "f,zap"], "--functions"),
-        (["complete", REAL_LINE, "--family", "g", "--tail", "1"], "--tail"),
-        (["compactify", UNIT_INTERVAL, "--tail", "1"], "--tail"),
-        (["complete", REAL_LINE, "--family", "g", "--tol", "0"], "--tol"),
-        (["check-map", REAL_LINE, "--map", "squash", "--tol=-1e-9"], "--tol"),
-        (["verify-filters", "--max-size", "9"], "--max-size"),
-        (["complete", REAL_LINE, "--family", "maximal:0"], "--family"),
-        (["embed", REAL_LINE, "--family", "maximal:-2"], "--family"),
-        (["complete", REAL_LINE, "--family", "g,g"], "--family"),
-        (["complete", REAL_LINE, "--family", "f,g", "--subfamily", "g, g"], "--subfamily"),
-        (["compare-uniform", REAL_LINE, "--g-family", "f,g,f", "--h-family", "g", "--eps-grid", "0.1"], "--g-family"),
-        (["compare-uniform", REAL_LINE, "--g-family", "g", "--h-family", "g,g", "--eps-grid", "0.1"], "--h-family"),
-        (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f,f", "--point", "0"], "--gens"),
-        (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions", "g,f,g"], "--functions"),
-        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "0"], "--eps-grid"),
-        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1,-0.5"], "--eps-grid"),
-        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1e-400"], "--eps-grid"),
-        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "0/0"], "--eps-grid"),
-        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps", "0"], "--target-eps"),
-        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps=-1"], "--target-eps"),
-        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps", "nan"], "--target-eps"),
-        (["tangent", REAL_LINE, "--point", "1,2", "--vector", "1"], "--point"),
-        (["tangent", REAL_LINE, "--point", "1", "--vector", "1,0"], "--vector"),
-        (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f", "--point", "1,2"], "--point"),
-        (["embed", REAL_LINE, "--family", "maximal:100000"], "--family"),
-        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1e999"], "--eps-grid"),
-        (["tangent", REAL_LINE, "--point", "1e999", "--vector", "1"], "--point"),
-        (["tangent", REAL_LINE, "--point", "1", "--vector", "1e999"], "--vector"),
-        (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f", "--point", "1e999"], "--point"),
-        (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps", "inf"], "--target-eps"),
-        (["complete", REAL_LINE, "--family", "g", "--tol", "inf"], "--tol"),
-        (["compactify", UNIT_INTERVAL, "--tol", "inf"], "--tol"),
-        (["check-map", REAL_LINE, "--map", "squash", "--tol", "inf"], "--tol"),
-        (["boundize", REAL_LINE, "--omega", "u1 + 1e999", "--gens", "f", "--point", "0"], "--omega"),
-        (["complete", REAL_LINE, "--family", "g", "--probes", "pplus,pplus"], "--probes"),
-        (["compactify", REAL_LINE, "--family", "g", "--probes", "pplus,pminus,pplus"], "--probes"),
-        (["complete", REAL_LINE, "--family="], "--family"),
-        (["complete", REAL_LINE, "--family=,"], "--family"),
-        (["complete", REAL_LINE, "--family", "g", "--probes="], "--probes"),
-        (["complete", REAL_LINE, "--family", "f,g", "--subfamily="], "--subfamily"),
-        (["compactify", UNIT_INTERVAL, "--family="], "--family"),
-        (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions="], "--functions"),
-        (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--map="], "--map"),
-        (["embed", REAL_LINE, "--label="], "--label"),
-        (["compactify", REAL_LINE, "--family", "g", "--probes", "pminus,zap"], "--probes"),
-        (["tangent", REAL_LINE, "--point", "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), "--vector", "1"],
-         "--point"),
-        (["boundize", REAL_LINE, "--omega", "u1" + "+u1" * MAX_DEPTH, "--gens", "f", "--point", "0"], "--omega"),
-        (["boundize", REAL_LINE, "--omega", "u1", "--gens", ",".join(f"g{i}" for i in range(1000)), "--point", "0"],
-         "--gens"),
-    ],
-)
+BAD_FLAG_VALUES = [
+    (["complete", REAL_LINE, "--subfamily", "zap"], "--subfamily"),
+    (["compare-uniform", REAL_LINE, "--g-family", "zap", "--h-family", "g", "--eps-grid", "0.1"], "--g-family"),
+    (["compare-uniform", REAL_LINE, "--g-family", "g", "--h-family", "zap", "--eps-grid", "0.1"], "--h-family"),
+    (["boundize", REAL_LINE, "--omega", "u1", "--gens", "zap", "--point", "0"], "--gens"),
+    (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions", "f,zap"], "--functions"),
+    (["complete", REAL_LINE, "--family", "g", "--tail", "1"], "--tail"),
+    (["compactify", UNIT_INTERVAL, "--tail", "1"], "--tail"),
+    (["complete", REAL_LINE, "--family", "g", "--tol", "0"], "--tol"),
+    (["check-map", REAL_LINE, "--map", "squash", "--tol=-1e-9"], "--tol"),
+    (["verify-filters", "--max-size", "9"], "--max-size"),
+    (["complete", REAL_LINE, "--family", "maximal:0"], "--family"),
+    (["embed", REAL_LINE, "--family", "maximal:-2"], "--family"),
+    (["complete", REAL_LINE, "--family", "g,g"], "--family"),
+    (["complete", REAL_LINE, "--family", "f,g", "--subfamily", "g, g"], "--subfamily"),
+    (["compare-uniform", REAL_LINE, "--g-family", "f,g,f", "--h-family", "g", "--eps-grid", "0.1"], "--g-family"),
+    (["compare-uniform", REAL_LINE, "--g-family", "g", "--h-family", "g,g", "--eps-grid", "0.1"], "--h-family"),
+    (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f,f", "--point", "0"], "--gens"),
+    (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions", "g,f,g"], "--functions"),
+    (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "0"], "--eps-grid"),
+    (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1,-0.5"], "--eps-grid"),
+    (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1e-400"], "--eps-grid"),
+    (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "0/0"], "--eps-grid"),
+    (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps", "0"], "--target-eps"),
+    (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps=-1"], "--target-eps"),
+    (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps", "nan"], "--target-eps"),
+    (["tangent", REAL_LINE, "--point", "1,2", "--vector", "1"], "--point"),
+    (["tangent", REAL_LINE, "--point", "1", "--vector", "1,0"], "--vector"),
+    (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f", "--point", "1,2"], "--point"),
+    (["embed", REAL_LINE, "--family", "maximal:100000"], "--family"),
+    (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1e999"], "--eps-grid"),
+    (["tangent", REAL_LINE, "--point", "1e999", "--vector", "1"], "--point"),
+    (["tangent", REAL_LINE, "--point", "1", "--vector", "1e999"], "--vector"),
+    (["boundize", REAL_LINE, "--omega", "u1", "--gens", "f", "--point", "1e999"], "--point"),
+    (["compare-uniform", PARABOLA, "--g-family", "f1", "--h-family", "f2", "--eps-grid", "1", "--target-eps", "inf"], "--target-eps"),
+    (["complete", REAL_LINE, "--family", "g", "--tol", "inf"], "--tol"),
+    (["compactify", UNIT_INTERVAL, "--tol", "inf"], "--tol"),
+    (["check-map", REAL_LINE, "--map", "squash", "--tol", "inf"], "--tol"),
+    (["boundize", REAL_LINE, "--omega", "u1 + 1e999", "--gens", "f", "--point", "0"], "--omega"),
+    (["complete", REAL_LINE, "--family", "g", "--probes", "pplus,pplus"], "--probes"),
+    (["compactify", REAL_LINE, "--family", "g", "--probes", "pplus,pminus,pplus"], "--probes"),
+    (["complete", REAL_LINE, "--family="], "--family"),
+    (["complete", REAL_LINE, "--family=,"], "--family"),
+    (["complete", REAL_LINE, "--family", "g", "--probes="], "--probes"),
+    (["complete", REAL_LINE, "--family", "f,g", "--subfamily="], "--subfamily"),
+    (["compactify", UNIT_INTERVAL, "--family="], "--family"),
+    (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions="], "--functions"),
+    (["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--map="], "--map"),
+    (["embed", REAL_LINE, "--label="], "--label"),
+    (["compactify", REAL_LINE, "--family", "g", "--probes", "pminus,zap"], "--probes"),
+    (["tangent", REAL_LINE, "--point", "(" * (MAX_DEPTH + 1) + "1" + ")" * (MAX_DEPTH + 1), "--vector", "1"],
+     "--point"),
+    (["boundize", REAL_LINE, "--omega", "u1" + "+u1" * MAX_DEPTH, "--gens", "f", "--point", "0"], "--omega"),
+    (["boundize", REAL_LINE, "--omega", "u1", "--gens", ",".join(f"g{i}" for i in range(1000)), "--point", "0"],
+     "--gens"),
+]
+
+
+@pytest.mark.parametrize("argv, flag", BAD_FLAG_VALUES)
 def test_bad_flag_values_are_usage_errors(tmp_path, argv, flag):
     proc = run_cli(*argv, "--out", str(tmp_path))
     assert proc.returncode == 2, proc.stderr
     assert proc.stderr.startswith(f"sikorski {argv[0]}: {flag}")
     assert "invariant violated" not in proc.stderr
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("argv", [argv for argv, _ in BAD_FLAG_VALUES if argv[1:] != [REAL_LINE, "--label="]])
+def test_run_refuses_a_bad_flag_value_by_its_experiment_before_the_first_runs(tmp_path, argv):
+    """Each bad flag value above, as the second experiment of a run after
+    an `embed`: the run refuses it with the direct command's message,
+    named by its experiment, and writes nothing.  (run sets --label.)"""
+    command = argv[0]
+    source, flags = (UNIT_INTERVAL, argv[1:]) if command == "verify-filters" else (argv[1], argv[2:])
+    (tmp_path / "unit_interval_compact.spec").write_text(Path(UNIT_INTERVAL).read_text(encoding="utf-8"))
+    spec = tmp_path / "case.spec"
+    declared = Path(source).read_text(encoding="utf-8").split("[experiments]")[0]
+    spec.write_text(declared + f"[experiments]\na = embed\nb = {shlex.join([command, *flags])}\n", encoding="utf-8")
+    direct = [command, *([] if command == "verify-filters" else [str(spec)]), *flags]
+    rc, _, err = run_in_process([*direct, "--out", str(tmp_path / "direct")])
+    prefix = f"sikorski {command}: "
+    assert rc == 2 and err.startswith(prefix)
+    out_dir = tmp_path / "out"
+    assert run_in_process(["run", str(spec), "--out", str(out_dir)]) == (
+        2, "", f"sikorski run: experiment b: {err[len(prefix):]}"
+    )
+    assert not out_dir.exists()
 
 
 def test_boundize_takes_at_most_max_depth_generators(tmp_path):
@@ -624,6 +648,26 @@ def test_run_checks_every_experiments_flags_before_the_first_runs(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+def test_run_checks_every_experiments_flag_values_before_the_first_runs(tmp_path):
+    spec = tmp_path / "t.spec"
+    spec.write_text(
+        "[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 5\n\n[generators]\nf = x\n\n"
+        "[experiments]\na = embed\nb = complete --tol 0\n",
+        encoding="utf-8",
+    )
+    proc = run_cli("run", str(spec), "--out", str(tmp_path / "out"))
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "sikorski run: experiment b: --tol must be positive and finite, got 0.0\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_run_runs_a_label_listed_twice_twice(tmp_path):
+    rc, out, err = run_in_process(["run", SPIRAL, "plane_complete", "plane_complete", "--out", str(tmp_path)])
+    assert (rc, err) == (0, "")
+    assert out.count("run plane_complete: ") == 2
+    assert out.count("complete: 5 adjoined, 0 duplicate(s)\n") == 2
+
+
 def test_a_bad_command_line_prints_what_argparse_prints(tmp_path):
     proc = run_cli("embed", UNIT_INTERVAL, "--famly", "f", "--out", str(tmp_path))
     assert proc.returncode == 2
@@ -666,6 +710,7 @@ def test_run_parses_each_experiment_once(tmp_path, monkeypatch):
 def test_every_command_parser_names_its_handler_and_module():
     for name, parser in cli._parser().commands.items():
         assert parser.get_default("handler") is getattr(cli, "cmd_" + name.replace("-", "_")), name
+        assert inspect.isgeneratorfunction(parser.get_default("handler")), name
         module = parser.get_default("module")
         assert isinstance(module, str) and module, name
 
@@ -963,6 +1008,19 @@ def test_an_undecodable_map_target_exits_two(tmp_path):
 def test_an_undeclared_map_is_a_usage_error(tmp_path, command):
     rc, out, err = run_in_process([command[0], REAL_LINE, *command[1:], "--map", "zap", "--out", str(tmp_path)])
     assert (rc, err) == (2, f"sikorski {command[0]}: --map: spec declares no map named 'zap'\n")
+
+
+def test_tangent_checks_its_map_before_any_work(tmp_path, monkeypatch):
+    calls = []
+    apply = tangent.apply
+    monkeypatch.setattr(tangent, "apply", lambda *args: calls.append(args) or apply(*args))
+    argv = ["tangent", REAL_LINE, "--point", "1", "--vector", "1", "--out", str(tmp_path)]
+    rc, out, err = run_in_process([*argv, "--map", "zap"])
+    assert (rc, out, err) == (2, "", "sikorski tangent: --map: spec declares no map named 'zap'\n")
+    assert calls == []
+    assert list(tmp_path.iterdir()) == []
+    assert run_in_process([*argv, "--map", "squash"])[0] == 0
+    assert calls  # the wrapper sees the work of a good command
 
 
 def deep_map_spec(tmp_path, depth, by_variable=False):

@@ -1,10 +1,15 @@
+import contextlib
+import io
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
+import sikorski
+from sikorski import cli
 from sikorski import expr as expr_module
 from sikorski.expr import (
     BinOp,
@@ -116,6 +121,21 @@ def test_eval_constant_refuses_a_constant_past_the_depth_bound():
     assert eval_constant("(" * MAX_DEPTH + "1" + ")" * MAX_DEPTH) == 1.0
     with pytest.raises(ParseError, match=f"nested deeper than {MAX_DEPTH} levels \\(offset {MAX_DEPTH}\\)"):
         eval_constant("(" * 300 + "1" + ")" * 300)
+
+
+def test_eval_constant_names_the_node_that_leaves_the_float_range(tmp_path):
+    """Literals are finite when parsed and every evaluated node is
+    guarded, so a constant that overflows fails at its node, and a flag
+    holding it is a usage error naming that node."""
+    with pytest.raises(DomainError) as info:
+        eval_constant("1e308*10")
+    assert str(info.value) == "non-finite value from 1e+308 * 10.0"
+    spec = str(Path(sikorski.__file__).parent / "specs" / "real_line_atan.spec")
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = cli.main(["tangent", spec, "--point", "1e308*10", "--vector", "1", "--out", str(tmp_path)])
+    assert (rc, err.getvalue()) == (2, "sikorski tangent: --point: non-finite value from 1e+308 * 10.0\n")
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_every_walker_takes_a_tree_at_the_depth_bound():

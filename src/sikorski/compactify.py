@@ -16,7 +16,17 @@ from typing import Sequence
 import numpy as np
 
 from .expr import BinOp, Call, Const, DomainError, Expr, Var, excerpt, substitute
-from .space import DiffSpace, Generator, GeneratorFamily, SmoothFunction, eval_columns, eval_point, placeholders, sample
+from .space import (
+    DiffSpace,
+    Generator,
+    GeneratorFamily,
+    SmoothFunction,
+    compose_ambient,
+    eval_columns,
+    eval_point,
+    placeholders,
+    sample,
+)
 from .uniform import Probe
 from .completion import CompletedSpace, complete
 
@@ -109,10 +119,7 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
     local = (np.abs(alpha_vals - center) < INNER_HALF_WIDTH).all(axis=1)
     # the witness and its rescaled form, each composed down to the ambient
     # coordinates, on the samples inside the inner cube
-    checks = [
-        substitute(f.omega, dict(zip(f.omega_vars, alpha_exprs))),
-        substitute(omega1, dict(zip(fresh, gammas))),
-    ]
+    checks = [compose_ambient(space, f), substitute(omega1, dict(zip(fresh, gammas)))]
     labels = [f"witness {excerpt(f.omega)}", f"rescaled witness {excerpt(omega1)}"]
     try:
         original, rebuilt = eval_columns(checks, space.carrier.ambient, ambient[local], labels).T

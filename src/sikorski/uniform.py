@@ -63,11 +63,9 @@ class RefinementRow:
 class RefinementReport:
     sample_count: int
     rows: tuple[RefinementRow, ...]
-    # sample pairs the search compared, a row with itself not counted, for
-    # the flagged rows up to and including each width's first witness row:
-    # with one G coordinate, the lead range of that row (the first flagged
-    # one); with several, the cells of each flagged row's 3x3 neighbourhood
-    # that can hold a witness partner, for the rows in sample order
+    # sample pairs the scan compared, a row with itself not counted: each
+    # flagged row's runs, for the rows in sample order up to and including
+    # each width's first witness row
     pairs_examined: int
 
 
@@ -84,11 +82,11 @@ def compare_uniformities(
     Verdicts are relative to the sampled cloud: a witness is a genuine
     counterexample pair, while "refines" says no sampled pair violates the
     target.  The search is exhaustive over sampled pairs: every pair it
-    does not compute is excluded by an exact bound, a lead range when G
-    has one coordinate and a 3x3 neighbourhood of cells of side at least
-    the width over its first two coordinates when G has more.  The first
-    witness in lexicographic sample order wins, which keeps reports
-    reproducible.
+    does not compute is excluded by an exact bound, which leaves each row
+    runs of possible partners: a lead range when G has one coordinate, a
+    3x3 neighbourhood of cells of side at least the width over its first
+    two coordinates when G has more.  The first witness in lexicographic
+    sample order wins, which keeps reports reproducible.
     """
     g_names = tuple(g_names)
     h_names = tuple(h_names)
@@ -99,29 +97,27 @@ def compare_uniformities(
     all_names = g_names + tuple(n for n in h_names if n not in g_names)
     cloud = embed(space.with_generators(all_names))
     coords = cloud.coords
-    n_pts = coords.shape[0]
     g_idx = [all_names.index(n) for n in g_names]
     h_idx = [all_names.index(n) for n in h_names]
     target = Entourage(h_names, target_eps)
 
-    # fixed-radius near neighbours (Bentley, Stanat & Williams 1977), one
-    # exact path per G arity.  Step 1 flags every row that has a witness,
-    # from range maxima and minima of each H column over a set of rows that
-    # holds all of the row's G-close partners: its lead range in rows sorted
-    # on the one G coordinate, or its 3x3 cell neighbourhood over the first
-    # two.  Step 2 computes d_G and d_H between flagged rows and those
-    # partners, in ascending sample index of the flagged row, and stops at
-    # the first row (or chunk of rows) with a witness.  The witness relation
-    # is symmetric, so that holds the first witness in lexicographic order.
+    # fixed-radius near neighbours (Bentley, Stanat & Williams 1977).  Step
+    # 1, one per G arity, sorts the rows so that a row's G-close partners lie
+    # in its runs of consecutive rows, and flags the rows with a witness from
+    # maxima and minima of each H column over their runs.  Step 2, `_scan`,
+    # computes d_G and d_H between flagged rows and their runs, in ascending
+    # sample index of the flagged row, and stops at the first row (or chunk
+    # of rows) with a witness.  The witness relation is symmetric, so that
+    # holds the first witness in lexicographic order.
+    g_cols = [coords[:, k] for k in g_idx]
+    h_cols = [coords[:, k] for k in h_idx]
     if len(g_idx) == 1:
-        order = np.argsort(coords[:, g_idx[0]], kind="stable")
-        lead = coords[order, g_idx[0]]
-        h_cols = [coords[order, k] for k in h_idx]
-        found = [_range_search(order, lead, h_cols, eps, target_eps) for eps in eps_grid]
+        order = np.argsort(g_cols[0], kind="stable")
+        cols = (order, [g_cols[0][order]], [col[order] for col in h_cols])
+        runs = (cols + _lead_runs(*cols, eps, target_eps) for eps in eps_grid)
     else:
-        g_cols = [coords[:, k] for k in g_idx]
-        h_cols = [coords[:, k] for k in h_idx]
-        found = [_cell_search(g_cols, h_cols, eps, target_eps) for eps in eps_grid]
+        runs = (_cell_runs(g_cols, h_cols, eps, target_eps) for eps in eps_grid)
+    found = [_scan(*run, eps, target_eps) for run, eps in zip(runs, eps_grid)]
 
     rows = []
     for eps, (witness, _) in zip(map(float, eps_grid), found):
@@ -130,12 +126,10 @@ def compare_uniformities(
         else:
             i, j = witness
             d_g = float(max(abs(coords[i, k] - coords[j, k]) for k in g_idx))
-            violated = next(
-                n for n, k in zip(h_names, h_idx) if abs(coords[i, k] - coords[j, k]) >= target_eps
-            )
+            violated = next(n for n, k in zip(h_names, h_idx) if abs(coords[i, k] - coords[j, k]) >= target_eps)
             x, y = (tuple(cloud.params[k].tolist()) for k in (i, j))
             rows.append(RefinementRow(target.describe(), eps, False, x, y, d_g, violated))
-    return RefinementReport(n_pts, tuple(rows), sum(scanned for _, scanned in found))
+    return RefinementReport(coords.shape[0], tuple(rows), sum(scanned for _, scanned in found))
 
 
 def _upper_edges(lead: np.ndarray, eps: float) -> np.ndarray:
@@ -187,33 +181,19 @@ def _flag_rows(lo: np.ndarray, length: np.ndarray, h_cols: list[np.ndarray], tar
     return flag
 
 
-def _range_search(
-    order: np.ndarray,
-    lead: np.ndarray,
-    h_cols: list[np.ndarray],
-    eps: float,
-    target_eps: float,
-) -> tuple[tuple[int, int] | None, int]:
-    """Steps 1 and 2 at one width for a one-coordinate G, over rows sorted
-    on it: the first witness (i, j), and the pairs scanned.  The flag is
-    exact here, so the first flagged row always has a witness."""
+def _lead_runs(order: np.ndarray, g_cols: list[np.ndarray], h_cols: list[np.ndarray], eps: float, target_eps: float):
+    """Step 1 at one width for a one-coordinate G, over rows sorted on it:
+    the first flagged row in sample order, with its lead range as its one
+    run.  The flag is exact here, so that row always has a witness."""
+    lead = g_cols[0]
     # the rows j with |fl(lead[j] - lead[r])| < eps: fl(-a - -b) is
     # fl(b - a), so the lower edges are the upper edges of -lead reversed
     lo = lead.size - _upper_edges(-lead[::-1], eps)[::-1]
     length = _upper_edges(lead, eps)
     length -= lo
     flagged = np.flatnonzero(_flag_rows(lo, length, h_cols, target_eps))
-    if not flagged.size:
-        return None, 0
-    p = flagged[np.argmin(order[flagged])]
-    partners = np.r_[lo[p]:p, p + 1 : lo[p] + length[p]]
-    d_h = np.max([np.abs(col[partners] - col[p]) for col in h_cols], axis=0)
-    return (int(order[p]), int(order[partners[d_h >= target_eps]].min())), partners.size
-
-
-# a chunk of the cell scan computes at most this many pairs (more only when
-# one row's neighbourhood is larger), so its memory stays flat
-_CHUNK_PAIRS = 1 << 12
+    rows = flagged[order[flagged].argmin(keepdims=True)] if flagged.size else flagged
+    return rows, lo[rows, None], length[rows, None]
 
 
 def _cell_side(key_cols: list[np.ndarray], eps: float) -> float:
@@ -236,22 +216,14 @@ def _cell_side(key_cols: list[np.ndarray], eps: float) -> float:
     return max(eps + top * 2.0**-50, spread, 2.0**-960) * (1.0 + 2.0**-40)
 
 
-def _cell_search(
-    g_cols: list[np.ndarray],
-    h_cols: list[np.ndarray],
-    eps: float,
-    target_eps: float,
-) -> tuple[tuple[int, int] | None, int]:
-    """Steps 1 and 2 at one width for a G family of several coordinates,
-    given in sample order: the first witness (i, j), and the pairs scanned.
-
-    Rows are keyed by their cell over the first two G coordinates and
-    sorted on the key, so each cell is a run of rows and a row's G-close
-    partners lie in the runs of its 3x3 cell neighbourhood (`_cell_side`).
-    Per-cell maxima and minima of each H column decide, as in `_flag_rows`,
-    which of those cells can hold a witness partner: a row is flagged when
-    one of its nine can, and its scan reads only those that can.
-    """
+def _cell_runs(g_cols: list[np.ndarray], h_cols: list[np.ndarray], eps: float, target_eps: float):
+    """Step 1 at one width for a G family of several coordinates, given in
+    sample order: the rows' order sorted on their cell over the first two,
+    the columns in that order, and the flagged rows in sample order with
+    the runs of their 3x3 cell neighbourhood (`_cell_side`).  Per-cell
+    maxima and minima of each H column decide, as in `_flag_rows`, which
+    of those cells can hold a witness partner; a cell that cannot gets
+    count 0."""
     n_pts = g_cols[0].size
     side = _cell_side(g_cols[:2], eps)
     kx, ky = (np.floor(col / side).astype(np.int64) for col in g_cols[:2])
@@ -284,9 +256,6 @@ def _cell_search(
     for own, ext in exts:
         flag |= ext[nbr].max(axis=0)[cell_of] - own >= target_eps
     rows = np.flatnonzero(flag)
-    if not rows.size:
-        return None, 0
-
     rows = rows[np.argsort(order[rows])]
     around = nbr[:, cell_of[rows]].T  # one row of nine cells per flagged row
     # the cells that can hold a witness partner of the row, the only ones read
@@ -295,13 +264,35 @@ def _cell_search(
         reach |= ext[around] - own[rows, None] >= target_eps
     starts = np.r_[first, 0][around]
     counts = np.where(reach, np.r_[np.diff(np.r_[first, n_pts]), 0][around], 0)
+    return order, g_cols, h_cols, rows, starts, counts
+
+
+# a chunk of the scan computes at most this many pairs (more only when one
+# row's runs are longer), so its memory stays flat
+_CHUNK_PAIRS = 1 << 12
+
+
+def _scan(
+    order: np.ndarray,
+    g_cols: list[np.ndarray],
+    h_cols: list[np.ndarray],
+    rows: np.ndarray,
+    starts: np.ndarray,
+    counts: np.ndarray,
+    eps: float,
+    target_eps: float,
+) -> tuple[tuple[int, int] | None, int]:
+    """Step 2 at one width, over columns in step 1's sorted `order`: the
+    first witness (i, j) in sample indices, and the pairs scanned.  `rows`
+    come in sample order, and the partners of rows[k] are its runs
+    starts[k, m] .. starts[k, m] + counts[k, m] - 1."""
     per_row = counts.sum(axis=1)
     sizes = np.cumsum(per_row)
     scanned = done = lo = 0
     while lo < rows.size:
         hi = max(lo + 1, int(np.searchsorted(sizes, done + _CHUNK_PAIRS, side="right")))
         count = counts[lo:hi].ravel()
-        # the rows of each cell's run, all runs one after another
+        # the rows of each run, all runs one after another
         shift = np.repeat(starts[lo:hi].ravel() - (np.cumsum(count) - count), count)
         partners = np.arange(shift.size) + shift
         owners = np.repeat(rows[lo:hi], per_row[lo:hi])
@@ -315,7 +306,7 @@ def _cell_search(
         scanned += int(np.count_nonzero(partners[:end] != owners[:end]))
         if hit.any():
             i, j = order[owners[hit]], order[partners[hit]]
-            return divmod(int((np.minimum(i, j) * n_pts + np.maximum(i, j)).min()), n_pts), scanned
+            return divmod(int((np.minimum(i, j) * order.size + np.maximum(i, j)).min()), order.size), scanned
         done, lo = int(sizes[hi - 1]), hi
     return None, scanned
 

@@ -114,6 +114,30 @@ def test_iota_sends_a_limit_realized_by_a_sample_to_that_sample():
     assert rep.uncovered == ()
 
 
+def test_iota_sends_a_limit_realized_by_an_earlier_probe_to_that_point():
+    """On (0, 1), f = x*(1-x) tends to 0 at both ends: over (f, g) the
+    probes 1/n and 1 - 1/n adjoin two points, while over f alone q's limit
+    is p's adjoined point, up to the rounding of the two tail means."""
+    space = line_space(0.0, 1.0, 101, [("f", "x*(1-x)"), ("g", "x")], lo_open=True, hi_open=True)
+    p = Probe("p", parse_expr("1/n", ["n"]), 1, 1000)
+    q = Probe("q", parse_expr("1 - 1/n", ["n"]), 1, 1000)
+    cs_full = complete(space, [p, q], tol=1e-3)
+    cs_sub = complete(space.with_generators(["f"]), [p, q], tol=1e-3)
+    assert [a.probe for a in cs_full.adjoined] == ["p", "q"]
+    assert ([a.probe for a in cs_sub.adjoined], cs_sub.duplicates) == (["p"], ("q",))
+    rep = iota(cs_full, cs_sub)
+    assert [(e.source, e.target) for e in rep.entries] == [("adjoined:p", "adjoined:p"), ("adjoined:q", "adjoined:p")]
+    assert rep.max_residual() < 1e-17
+    assert rep.uncovered == ()
+
+
+def test_iota_requires_one_sample_cloud():
+    cs_full = complete(line_space(0.0, 1.0, 11, [("f", "x"), ("g", "x^2")]), [], tol=1e-3)
+    cs_sub = complete(line_space(0.0, 1.0, 12, [("g", "x^2")]), [], tol=1e-3)
+    with pytest.raises(ValueError, match="^completions were built over different sample clouds$"):
+        iota(cs_full, cs_sub)
+
+
 def test_iota_requires_a_subfamily():
     cs_sub = complete(SLAB.with_generators(["g"]), [PLUS, MINUS], tol=1e-3, tail=50)
     cs_f = complete(SLAB.with_generators(["f"]), [PLUS, MINUS], tol=1e-3, tail=50)

@@ -1,11 +1,13 @@
 """The README's two tables name exactly what they describe: one row per
-command of the command line, and one row per module of the package; and
-its spec example is a spec that loads and runs."""
+command of the command line, and one row per module of the package; its
+command examples parse; and its spec example is a spec that loads and
+runs."""
 
 import contextlib
 import io
 import itertools
 import pkgutil
+import shlex
 from pathlib import Path
 
 import sikorski
@@ -33,6 +35,20 @@ def test_the_layout_table_lists_every_module():
     listed = first_column("| module | contents |")
     modules = [f"sikorski.{info.name}" for info in pkgutil.iter_modules(sikorski.__path__)]
     assert sorted(listed) == sorted(modules)
+
+
+def test_the_command_examples_parse():
+    """Every `sikorski` line of the sh blocks, its backslash continuations
+    joined, parses, and names each flag in full: argparse would also take
+    an abbreviation, which a renamed flag can leave behind."""
+    blocks = [part.split("```", 1)[0] for part in README.read_text(encoding="utf-8").split("```sh\n")[1:]]
+    text = "".join(blocks).replace("\\\n", " ")
+    lines = [shlex.split(line) for line in text.splitlines() if line.startswith("sikorski ")]
+    assert lines
+    for argv in lines:
+        cli._parser().parse_args(argv[1:])
+        flags = cli._parser().commands[argv[1]]._option_string_actions
+        assert [a for a in argv if a.startswith("--") and a.split("=")[0] not in flags] == []
 
 
 def test_the_spec_example_loads_and_runs(tmp_path):

@@ -5,6 +5,7 @@ import pytest
 
 import sikorski
 from sikorski.expr import MAX_DEPTH
+from sikorski.space import embed
 from sikorski.specfile import SpecError, load_spec
 
 SPEC_DIR = Path(sikorski.__file__).parent / "specs"
@@ -186,6 +187,30 @@ MAP = "f = x\n\n[map m]\ntarget = target.spec\n"
         # [space] reads every key before any value
         ("domain = [0, 1]\nchart = x : t\nsamples = 11", "domain = [0, 1e999]\nchart = x : t\nsamples = 11\nsize = 3",
          "6: unknown [space] key 'size'"),
+        # the line layout
+        ("[generators]", "[generators", "7: unterminated section header"),
+        ("[generators]", "[ ]", "7: empty section header"),
+        ("[space]", "x = 1\n[space]", "1: entry before any section: 'x = 1'"),
+        ("samples = 11", "samples = 11\ninset", "6: expected 'name = value', got 'inset'"),
+        # the domain
+        ("domain = [0, 1]", "domain = [0, 1", "3: unterminated interval in domain"),
+        ("domain = [0, 1]", "domain = [0, 1, 2]", "3: an interval needs two endpoints, got 3"),
+        ("domain = [0, 1]", "domain = [1, 0]", "3: domain: empty interval [1.0, 0.0]"),
+        ("domain = [0, 1]", "domain = 0, 1", "3: domain: expected an interval at '0, 1'"),
+        ("domain = [0, 1]", "domain =", "3: domain: no intervals given"),
+        # the rest of [space] and [generators]
+        ("[space]", "[space]\nname = 2d", "2: space name '2d' is not an identifier"),
+        ("params = t", "params = 2t", "2: parameter name '2t' is not an identifier"),
+        ("chart = x : t", "chart = 2x : t", "4: ambient name '2x' is not an identifier"),
+        ("chart = x : t", "chart = ,", "4: chart declares no ambient coordinates"),
+        ("samples = 11", "samples = 11, 12", "5: samples has 2 count(s) for 1 parameter(s)"),
+        ("f = x", "", "7: [generators] declares nothing"),
+        # maps and experiments
+        ("f = x", MAP + "component x = x\nwitness f = u1", "13: witness needs 'omega : generators', got 'u1'"),
+        ("f = x", MAP + "component y = x",
+         "10: map 'm' components do not match the target ambient coordinates (missing ['x'], extra ['y'])"),
+        ("f = x", "f = x\n\n[map m]\ncomponent x = x", "10: map 'm' has no target line"),
+        ("f = x", "f = x\n\n[experiments]\na =", "11: experiment a has no command"),
     ],
 )
 def test_loader_messages(tmp_path, old, new, message):
@@ -225,6 +250,14 @@ def test_domain_arity_must_match_params(tmp_path):
     text = MINIMAL.replace("domain = [0, 1]", "domain = [0, 1] x [0, 2]")
     with pytest.raises(SpecError, match="interval"):
         load_spec(write_spec(tmp_path, text))
+
+
+def test_one_samples_count_applies_to_every_axis(tmp_path):
+    text = MINIMAL.replace("params = t", "params = s, t").replace("domain = [0, 1]", "domain = [0, 1] x [0, 1]")
+    text = text.replace("chart = x : t", "chart = x : s, y : t").replace("samples = 11", "samples = 5")
+    space = load_spec(write_spec(tmp_path, text)).space
+    assert space.carrier.counts == (5, 5)
+    assert embed(space).ambient.shape == (25, 2)
 
 
 def test_domain_endpoints_take_expressions(tmp_path):

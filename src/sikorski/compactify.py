@@ -15,14 +15,13 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import BinOp, Call, Const, DomainError, Expr, Var, excerpt, substitute
+from .expr import BinOp, Call, Const, DomainError, Expr, Var, eval_columns, excerpt, substitute
 from .space import (
     DiffSpace,
     Generator,
     GeneratorFamily,
     SmoothFunction,
     compose_ambient,
-    eval_columns,
     eval_point,
     placeholders,
     sample,

@@ -5,11 +5,11 @@ set of unary primitives with field arithmetic and integer powers.  The
 module provides the tree type, a small recursive-descent parser, guarded
 evaluation (singular points raise, they never return NaN/inf), exact
 symbolic differentiation, substitution, and a printer whose output parses
-back to a structurally equal tree.  `eval_array` is the one evaluator: it
-takes a tree over whole sample arrays and finds the first failing sample
-itself; `eval_expr` and `eval_constant` are one-sample calls of it.  The
-tests keep the recursive per-sample walker it replaced as their
-reference (``tests/expr_oracle.py``).
+back to a structurally equal tree.  One walk evaluates every sweep: it
+takes its trees over whole sample arrays, walks a node they share once,
+and finds the first failing sample itself; `eval_columns`, `eval_array`,
+`eval_expr` and `eval_constant` call it.  The tests keep the recursive
+per-sample walker it replaced as their reference (``tests/expr_oracle.py``).
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
@@ -39,6 +39,7 @@ __all__ = [
     "eval_expr",
     "eval_constant",
     "eval_array",
+    "eval_columns",
     "diff",
     "substitute",
     "variables",
@@ -349,11 +350,12 @@ def _guard(failures: list, node: Expr, bad, message: str, arg=None) -> None:
         failures.append((bad, node, message, arg))
 
 
-def _shared(root: Expr) -> dict[int, int]:
-    """The node objects that several parents in the tree refer to, as a
-    derivative's operands are: for each id, the number of references."""
+def _shared(*roots: Expr) -> dict[int, int]:
+    """The node objects that several parents in the trees refer to, as a
+    derivative's operands are, or that several trees hold: for each id,
+    the number of references, a root counting one."""
     refs: dict[int, int] = {}
-    stack = [root]
+    stack = list(roots)
     while stack:
         node = stack.pop()
         key = id(node)
@@ -439,19 +441,28 @@ def _eval_node(node: Expr, env: Mapping[str, np.ndarray], failures: list, unread
     return value
 
 
-def _raise_first(failures: list, shape: tuple[int, ...]) -> None:
-    """Raise the DomainError a per-sample loop meets first: at the smallest
-    sample where a guard fired, the first guard to fire there."""
-    masks = [np.broadcast_to(bad, shape) for bad, _, _, _ in failures]
-    firing = [int(np.argmax(mask)) for mask in masks if mask.any()]
-    if not firing:  # the guards fired on zero samples
-        return
-    index = min(firing)
-    for mask, (_, node, message, arg) in zip(masks, failures):
-        if mask.flat[index]:
-            if arg is not None:
-                message = f"{message} {float(np.broadcast_to(arg, shape).flat[index])!r}"
-            raise DomainError(message, node, index)
+def _walk(roots: Sequence[Expr], env: Mapping[str, np.ndarray], out: np.ndarray) -> tuple[int, DomainError] | None:
+    """Write root k's value into ``out[..., k]``, one memo serving every
+    root, and return None or the root and the DomainError a per-sample
+    loop over the roots meets first: at the smallest sample where a guard
+    fires, the first to fire there in root order, then in evaluation
+    order (children left to right before their parent).  A shared node's
+    guards are noted under the first root to reach it, which fails
+    wherever a later reader would."""
+    shape = out.shape[:-1]
+    unread, memo, failures = _shared(*roots), {}, []
+    with np.errstate(all="ignore"):
+        for k, root in enumerate(roots):
+            found: list = []
+            out[..., k] = _eval_node(root, env, found, unread, memo)
+            failures += [(k, np.broadcast_to(bad, shape), *rest) for bad, *rest in found]
+    index = min((int(np.argmax(mask)) for _, mask, *_ in failures if mask.any()), default=None)
+    if index is None:  # no guard fired, or one fired on zero samples
+        return None
+    k, _, node, message, arg = next(failure for failure in failures if failure[1].flat[index])
+    if arg is not None:
+        message += f" {float(np.broadcast_to(arg, shape).flat[index])!r}"
+    return k, DomainError(message, node, index)
 
 
 def eval_array(node: Expr, env: Mapping[str, np.ndarray | float]) -> np.ndarray:
@@ -471,21 +482,38 @@ def eval_array(node: Expr, env: Mapping[str, np.ndarray | float]) -> np.ndarray:
 
     The arrays in `env` broadcast to the shape of the result; samples are
     ordered as the flattened (row-major) result.  The DomainError raised
-    is the one a per-sample loop meets first: at the smallest sample where
-    a guard fires, the first node to fire there in evaluation order
-    (children left to right before their parent), with that node, its
+    is the first a per-sample loop meets (`_walk`), with its node, its
     message, and the sample's flattened index as its `index`.  An unbound
     variable fires at every sample.
     """
     names = tuple(env)
     columns = np.broadcast_arrays(*(np.asarray(env[name], dtype=float) for name in names))
-    shape = columns[0].shape if columns else ()
-    failures: list = []
-    with np.errstate(all="ignore"):
-        value = _eval_node(node, dict(zip(names, columns)), failures, _shared(node), {})
-    if failures:
-        _raise_first(failures, shape)
-    return np.array(np.broadcast_to(value, shape), dtype=float)
+    out = np.empty((columns[0].shape if columns else ()) + (1,))
+    failure = _walk([node], dict(zip(names, columns)), out)
+    if failure:
+        raise failure[1]
+    return out[..., 0]
+
+
+def eval_columns(
+    exprs: Sequence[Expr], names: Sequence[str], rows: np.ndarray, labels: Sequence[str]
+) -> np.ndarray:
+    """Evaluate every expression on every row of `rows`, whose columns bind
+    `names`: one result column per expression, one row per sample.
+
+    The expressions are walked as `eval_array` walks one tree, so a node
+    they share is evaluated once.  The error raised is the first a
+    per-sample loop meets, at the smallest (sample index, column); its
+    message is prefixed with the column's label and the row, as
+    ``"{label} at {row}: ..."``, and its `index` is the row's index.
+    """
+    out = np.empty((rows.shape[0], len(exprs)))
+    failure = _walk(exprs, dict(zip(names, rows.T)), out)
+    if failure:
+        k, err = failure
+        row = tuple(rows[err.index].tolist())
+        raise DomainError(f"{labels[k]} at {row}: {err}", err.node, err.index) from err
+    return out
 
 
 def eval_expr(node: Expr, env: Mapping[str, float]) -> float:

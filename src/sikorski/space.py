@@ -18,7 +18,7 @@ from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .expr import DomainError, Expr, Var, eval_array, excerpt, substitute, variables
+from .expr import Expr, Var, eval_columns, excerpt, substitute, variables
 
 __all__ = [
     "Interval",
@@ -31,7 +31,6 @@ __all__ = [
     "placeholders",
     "SmoothMapWitness",
     "SmoothMapReport",
-    "eval_columns",
     "eval_point",
     "chart_columns",
     "generator_columns",
@@ -185,33 +184,6 @@ class EmbeddedCloud:
     def __post_init__(self):
         for matrix in (self.params, self.ambient, self.coords):
             matrix.flags.writeable = False
-
-
-def eval_columns(
-    exprs: Sequence[Expr], names: Sequence[str], rows: np.ndarray, labels: Sequence[str]
-) -> np.ndarray:
-    """Evaluate every expression on every row of `rows`, whose columns bind
-    `names`: one result column per expression, one row per sample.
-
-    On a domain error every column is still evaluated, and the error
-    raised is the one a per-sample loop meets first: the smallest
-    (sample index, column).  Its message is prefixed with the column's
-    label and the row, as ``"{label} at {row}: ..."``, and its `index`
-    is the row's index.
-    """
-    env = dict(zip(names, rows.T))
-    out = np.empty((rows.shape[0], len(exprs)))
-    errors = []
-    for k, expr in enumerate(exprs):
-        try:
-            out[:, k] = eval_array(expr, env)
-        except DomainError as err:
-            errors.append((err.index, k, err))
-    if errors:
-        index, k, err = min(errors, key=lambda e: e[:2])
-        row = tuple(rows[index].tolist())
-        raise DomainError(f"{labels[k]} at {row}: {err}", err.node, index) from err
-    return out
 
 
 def eval_point(

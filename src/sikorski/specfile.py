@@ -289,13 +289,13 @@ def _parse_space(path: str, section: _Section, default_name: str) -> tuple[str, 
             path, lineno, f"samples has {len(counts)} count(s) for {len(params)} parameter(s)"
         )
 
-    inset = 1e-3
+    inset: tuple[float, ...] = ()  # Carrier's own inset
     if "inset" in values:
         lineno, value, column = values["inset"]
-        inset = _located(path, lineno, column, "inset", eval_constant, value)
+        inset = (_located(path, lineno, column, "inset", eval_constant, value),)
 
     try:
-        carrier = Carrier(params, box, tuple(ambient), tuple(chart), counts, inset)
+        carrier = Carrier(params, box, tuple(ambient), tuple(chart), counts, *inset)
     except ValueError as err:
         raise SpecError(path, section.line, f"[space]: {err}") from err
     return name, carrier

@@ -57,3 +57,10 @@ def test_the_filter_verifier_loads_without_numpy():
     loaded = loaded_after("import sikorski.filters\nassert sikorski.filters.verify_filter_laws(5).passed")
     assert "sikorski.filters" in loaded
     assert "numpy" not in loaded
+
+
+def test_the_expression_layer_loads_no_space():
+    """`sikorski.expr` owns every sweep's walk, and stays the bottom layer."""
+    loaded = loaded_after("import sikorski.expr")
+    assert "sikorski.expr" in loaded
+    assert "sikorski.space" not in loaded

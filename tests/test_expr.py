@@ -24,6 +24,7 @@ from sikorski.expr import (
     Var,
     diff,
     eval_array,
+    eval_columns,
     eval_constant,
     eval_expr,
     parse_expr,
@@ -395,6 +396,66 @@ def test_eval_array_walks_each_node_object_once(monkeypatch):
     assert memos == [{}]
     # a parsed tree shares nothing, so no value outlives its parent
     assert expr_module._shared(parse_expr("x * sin(x) + x / (1 + x)", ["x"])) == {}
+    # a node that two roots of one sweep hold is referred to twice
+    s = Call("sin", Var("x"))
+    assert expr_module._shared(BinOp("+", s, Const(1.0)), BinOp("*", s, Const(2.0))) == {id(s): 2}
+
+
+def test_eval_columns_walks_a_node_two_columns_share_once(monkeypatch):
+    calls = []
+    sin = expr_module._PRIMITIVES["sin"]
+    monkeypatch.setitem(expr_module._PRIMITIVES, "sin", lambda arg: calls.append(arg) or sin(arg))
+    s = Call("sin", Var("x"))
+    rows = np.array([[0.5], [1.0], [2.0]])
+    got = eval_columns([BinOp("+", s, Const(1.0)), BinOp("*", s, Const(2.0))], ["x"], rows, ["a", "b"])
+    assert len(calls) == 1
+    assert got.tolist() == np.stack([np.sin(rows[:, 0]) + 1.0, np.sin(rows[:, 0]) * 2.0], axis=1).tolist()
+
+
+def per_column_loop(exprs, names, rows, labels):
+    """The loop eval_columns replaces: the walker at every row, and within
+    a row at every column; or the first DomainError it meets, prefixed as
+    eval_columns prefixes it, with the row's index."""
+    out = []
+    for index, row in enumerate(rows.tolist()):
+        env = dict(zip(names, row))
+        values = []
+        for label, e in zip(labels, exprs):
+            try:
+                values.append(eval_scalar(e, env))
+            except DomainError as err:
+                return DomainError(f"{label} at {tuple(row)}: {err}", err.node, index)
+        out.append(values)
+    return out
+
+
+@given(
+    st.integers(0, 10**9),
+    st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -1.0])), min_size=1, max_size=12),
+)
+# t vanishes at the first row: the power column meets the division first
+@example(3, [1.0, 0.0])
+def test_eval_columns_over_shared_trees_matches_a_per_column_loop(seed, xs):
+    """Columns built on the same node objects give the walker's values, or
+    the failure the loop meets first: the same label, row, message, node
+    and index.  The quotient's division guard is noted under the power
+    column, the first to reach it, and the column after reads it again."""
+    rng = random.Random(seed)
+    t, u = random_expr(rng, ("x", "y"), 3), random_expr(rng, ("x", "y"), 3)
+    q = BinOp("/", u, t)
+    exprs = [t, BinOp("*", t, u), Pow(q, -2), q]
+    labels = ["t", "t * u", "(u / t)^-2", "u / t"]
+    rows = np.array([xs, xs[::-1]]).T
+    expected = per_column_loop(exprs, ("x", "y"), rows, labels)
+    if isinstance(expected, DomainError):
+        with pytest.raises(DomainError) as err:
+            eval_columns(exprs, ("x", "y"), rows, labels)
+        assert (str(err.value), err.value.node, err.value.index) == (str(expected), expected.node, expected.index)
+        return
+    got = eval_columns(exprs, ("x", "y"), rows, labels)
+    assert got.shape == (len(xs), len(exprs))
+    for a, b in zip(got.ravel().tolist(), [v for values in expected for v in values]):
+        assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
 
 
 @pytest.mark.parametrize("seed", range(30))

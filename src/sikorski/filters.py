@@ -19,7 +19,8 @@ family's members, minimal members and filter axioms, and the check that
 pair and triple intersections of filters are filters) is computed once per
 size, in a ``_Families`` table its models share.  The Cauchy property and
 R are read off the minimal members: a filter up(c) has just one, c, so
-each is one lookup per filter or pair of filters.
+the Cauchy property is one lookup per filter, and R is one integer row per
+filter, over the filter indices, on whose bits the R laws are checked.
 
 ``tests/filter_oracle.py`` keeps the definitions written with Python sets
 (filters, uniformities, the catalog, convergence, Cauchy filters, R and
@@ -232,6 +233,11 @@ class _BitsetModel:
     ``_Families`` keeps: ``cover[a][b]`` can only shrink as a or b grows,
     so the cover set of any members lies inside that of minimal members
     below them.  This holds for any family, filter or not.
+
+    R is computed a row at a time (``relation_rows``): one int per family
+    over the family indices, from the cover rows of the family's minimal
+    members ORed once.  ``related`` is its one-pair case, so R has one
+    definition.
     """
 
     def __init__(self, rows: Sequence[int], table: _Families):
@@ -277,13 +283,36 @@ class _BitsetModel:
 
     def related(self, f1: int, f2: int) -> bool:
         """For every entourage there are members a of f1 and b of f2 with
-        a x b inside it."""
-        small = 0
-        for a in self.minimal[f1]:
-            row = self.cover[a]
-            for b in self.minimal[f2]:
-                small |= row[b]
-        return small == self.every_entourage
+        a x b inside it: one entry of ``relation_rows``."""
+        return self.relation_rows([f1, f2])[0] >> 1 & 1 == 1
+
+    def relation_rows(self, families: Sequence[int]) -> list[int]:
+        """R between every two of ``families``, one int per family: bit j
+        of row i is set when for every entourage there are members a of
+        families[i] and b of families[j] with a x b inside it.
+
+        Row i ORs the cover rows of its family's minimal members a once,
+        into its reach (for each subset b, the entourages containing a x b
+        for some a), and reads the reach at each column family's minimal
+        members: one lookup at the first, ORed with the others.  A filter
+        has one minimal member, its core.  A family with no member is
+        related to nothing."""
+        every = self.every_entourage
+        columns = [self.minimal[g] for g in families]
+        firsts = [m[0] if m else 0 for m in columns]
+        others = [(j, b) for j, m in enumerate(columns) for b in m[1:]]
+        empty = sum(1 << j for j, m in enumerate(columns) if not m)
+        rows = []
+        for f in families:
+            members = self.minimal[f]
+            reach = self.cover[members[0]] if members else [0] * len(self.cover)
+            for a in members[1:]:
+                reach = list(map(operator.or_, reach, self.cover[a]))
+            small = [reach[b] for b in firsts]
+            for j, b in others:
+                small[j] |= reach[b]
+            rows.append(sum(1 << j for j, s in enumerate(small) if s == every) & ~empty)
+        return rows
 
 
 def _models(table: _Families) -> list[_BitsetModel]:
@@ -315,7 +344,15 @@ def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> M
     filters the laws quantify over.  A failed law and an intersection that
     breaks the filter axioms are both recorded as failures; the first eight
     are kept.  The intersection sweep depends on no uniformity, so its
-    count and failures come from ``table``, where it ran once."""
+    count and failures come from ``table``, where it ran once.
+
+    R and the Cauchy filters are int rows over the filter indices, and the
+    laws read their bits: the criterion compares each R row with the row
+    of filters that are Cauchy together with it and whose intersection is
+    Cauchy, and transitivity visits Cauchy i, then j in its row, then the
+    Cauchy k in j's row and not in i's.  The counts stay those of the
+    quantifiers (every pair, every triple), and the failures come in the
+    order the loop over every pair and triple would find them."""
     masks = table.masks
     nf = len(masks)
     failures = list(table.meet_failures)
@@ -341,14 +378,18 @@ def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> M
     bump("intersections_are_filters", table.meets_visited)
 
     # intersections of filters converging to x converge to x
-    points = range(len(bm.rows))
-    conv = [[bm.converges(f, x) for f in masks] for x in points]
-    for x in points:
-        pointing = [f for f, ok in zip(masks, conv[x]) if ok]
-        for pair in itertools.combinations(pointing, 2):
-            if not bm.converges(meet(pair), x):
-                fail(f"convergence lost at {x} for {label(pair[0])},{label(pair[1])}")
-            bump("convergent_intersections")
+    convergent = 0
+    for x in range(len(bm.rows)):
+        at_x = [i for i, f in enumerate(masks) if bm.converges(f, x)]
+        convergent |= sum(1 << i for i in at_x)
+        pointing = [masks[i] for i in at_x]
+        for f, g in itertools.combinations(pointing, 2):
+            pair = f & g
+            if table.axioms[pair]:
+                fail(f"intersection axioms: {table.axioms[pair]}")
+            if not bm.converges(pair, x):
+                fail(f"convergence lost at {x} for {label(f)},{label(g)}")
+        bump("convergent_intersections", len(pointing) * (len(pointing) - 1) // 2)
         if pointing:
             if not bm.converges(meet(pointing), x):
                 fail(f"convergence lost at {x} for the full convergent family")
@@ -356,33 +397,47 @@ def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> M
 
     # convergence implies Cauchy
     cauchy = [bm.cauchy(f) for f in masks]
-    for i, f in enumerate(masks):
-        if any(c[i] for c in conv) and not cauchy[i]:
-            fail(f"{label(f)} converges but is not Cauchy")
+    cauchy_set = sum(1 << i for i in range(nf) if cauchy[i])
+    for i in _bits(convergent & ~cauchy_set):
+        fail(f"{label(masks[i])} converges but is not Cauchy")
     bump("convergent_implies_cauchy", nf)
 
-    # R holds exactly when both filters and their intersection are Cauchy
-    r = [[bm.related(f, g) for g in masks] for f in masks]
-    for i, j in itertools.product(range(nf), repeat=2):
-        both = cauchy[i] and cauchy[j] and bm.cauchy(meet((masks[i], masks[j])))
-        if r[i][j] != both:
-            fail(f"R mismatch for {label(masks[i])},{label(masks[j])}: R={r[i][j]} cauchy-criterion={both}")
+    # R holds exactly when both filters and their intersection are Cauchy;
+    # the intersection is formed, and its axioms checked, only when both are
+    rows = bm.relation_rows(masks)
+    cauchy_of = _Memo(bm.cauchy)
+    cauchy_bits = _bits(cauchy_set)
+    for i, f in enumerate(masks):
+        both = broken = 0
+        if cauchy[i]:
+            both = sum(1 << j for j in cauchy_bits if cauchy_of[f & masks[j]])
+            broken = sum(1 << j for j in cauchy_bits if table.axioms[f & masks[j]])
+        mismatch = both ^ rows[i]
+        for j in _bits(broken | mismatch):
+            if broken >> j & 1:
+                fail(f"intersection axioms: {table.axioms[f & masks[j]]}")
+            if mismatch >> j & 1:
+                r, c = rows[i] >> j & 1 == 1, both >> j & 1 == 1
+                fail(f"R mismatch for {label(f)},{label(masks[j])}: R={r} cauchy-criterion={c}")
     bump("r_equivalence_criterion", nf * nf)
 
     # R is an equivalence on the Cauchy filters; transitivity compares rows:
     # for Cauchy i R j, every Cauchy k with j R k must have i R k
-    for i in range(nf):
-        if cauchy[i] and not r[i][i]:
+    for i in cauchy_bits:
+        if not rows[i] >> i & 1:
             fail(f"R not reflexive at {label(masks[i])}")
     bump("r_reflexive", nf)
-    for i, j in itertools.combinations(range(nf), 2):
-        if r[i][j] != r[j][i]:
-            fail(f"R not symmetric at {label(masks[i])},{label(masks[j])}")
+    # columns[j]: the i with i R j, so row i and column i agree when R is symmetric at i
+    columns = [0] * nf
+    for i, row in enumerate(rows):
+        for j in _bits(row):
+            columns[j] |= 1 << i
+    for i in range(nf):
+        for j in _bits((rows[i] ^ columns[i]) >> i + 1):
+            fail(f"R not symmetric at {label(masks[i])},{label(masks[i + 1 + j])}")
     bump("r_symmetric", nf * (nf - 1) // 2)
-    cauchy_set = sum(1 << i for i in range(nf) if cauchy[i])
-    rows = [sum(1 << j for j in range(nf) if r[i][j]) for i in range(nf)]
-    for i, j in itertools.product(range(nf), repeat=2):
-        if cauchy[i] and cauchy[j] and r[i][j]:
+    for i in cauchy_bits:
+        for j in _bits(cauchy_set & rows[i]):
             for k in _bits(cauchy_set & rows[j] & ~rows[i]):
                 fail(f"R not transitive at {label(masks[i])},{label(masks[j])},{label(masks[k])}")
     bump("r_transitive", nf**3)

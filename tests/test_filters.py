@@ -349,7 +349,26 @@ def test_a_non_transitive_minimum_is_reported_not_raised():
     bm = _BitsetModel([0b011, 0b111, 0b110], table)
     assert {entourage(bm, s) for s in range(bm.n_entourages)} == set(u.entourages)
     report = _check_model(3, 0, bm, table)
-    assert any(msg.startswith("R not transitive") for msg in report.failures)
+    assert report.failures == (
+        "^02 converges but is not Cauchy",
+        "^012 converges but is not Cauchy",
+        "R mismatch for ^1,^02: R=True cauchy-criterion=False",
+        "R mismatch for ^1,^012: R=True cauchy-criterion=False",
+        "R mismatch for ^02,^1: R=True cauchy-criterion=False",
+        "R mismatch for ^012,^1: R=True cauchy-criterion=False",
+        "R not transitive at ^0,^1,^2",
+        "R not transitive at ^0,^1,^12",
+    )
+    assert dict(report.checks) == {
+        "convergent_implies_cauchy": 7,
+        "convergent_intersections": 30,
+        "intersections_are_filters": 56,
+        "minimal_cauchy": 5,
+        "r_equivalence_criterion": 49,
+        "r_reflexive": 7,
+        "r_symmetric": 21,
+        "r_transitive": 343,
+    }
 
 
 def test_a_family_that_is_not_a_filter_is_reported_not_raised():
@@ -413,13 +432,18 @@ def minimal_by_search(f):
 
 def assert_minimal_members_suffice(bm, families):
     assert [bm.cauchy(f) for f in families] == [cauchy_over_every_member(bm, f) for f in families]
-    assert [[bm.related(f, g) for g in families] for f in families] == related_rows(bm, families)
+    expected = related_rows(bm, families)
+    rows = bm.relation_rows(families)
+    assert [[row >> j & 1 == 1 for j in range(len(families))] for row in rows] == expected
+    assert all(row >> len(families) == 0 for row in rows)
+    assert [[bm.related(f, g) for g in families] for f in families] == expected
 
 
 def test_minimal_members_decide_as_every_member_does_on_filters():
-    """``cauchy`` and ``related`` read the minimal members only; the walk
-    over every member is the reference, on every model up to size 5 and
-    every pair of filters.  A filter's one minimal member is its core."""
+    """``cauchy``, ``relation_rows`` and ``related`` read the minimal
+    members only; the walk over every member is the reference, on every
+    model up to size 5 and every pair of filters.  A filter's one minimal
+    member is its core."""
     for size in range(1, 6):
         table = _Families(size, _filters(size))
         assert all(table.minimal[f] == [table.core(f)] for f in table.masks)
@@ -428,7 +452,8 @@ def test_minimal_members_decide_as_every_member_does_on_filters():
 
 
 def test_minimal_members_decide_as_every_member_does_on_any_family():
-    """The argument uses no filter law, so it holds on any family: seeded
+    """The argument uses no filter law, so it holds on any family, and the
+    rows OR over every minimal member of a family on either side: seeded
     random families (most of them not up-sets), some without a set of
     fewer than two points (which alone would make them Cauchy), the empty
     family, families holding the empty set, and on the minimum entourage
@@ -448,6 +473,18 @@ def test_minimal_members_decide_as_every_member_does_on_any_family():
             models.append(_BitsetModel([0b011, 0b111, 0b110], table))
         for bm in models:
             assert_minimal_members_suffice(bm, families)
+
+
+def test_the_laws_read_r_off_rows_not_pair_by_pair(monkeypatch):
+    """R comes from one row per filter; ``related`` is left to the one
+    check that needs a family outside the filter list, the class
+    intersection, once per Cauchy filter."""
+    calls = []
+    related = _BitsetModel.related
+    monkeypatch.setattr(_BitsetModel, "related", lambda bm, f, g: calls.append((f, g)) or related(bm, f, g))
+    report = verify_filter_laws(5)
+    assert report.passed
+    assert 0 < len(calls) <= report.totals()["minimal_cauchy"]
 
 
 @pytest.mark.parametrize("k", [7, 8, 9, 10])

@@ -15,7 +15,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import BinOp, Call, Const, DomainError, Expr, Var, eval_columns, excerpt, substitute
+from .expr import BinOp, Call, Const, DomainError, Expr, Var, eval_columns, excerpt, substitute, sweep
 from .space import (
     DiffSpace,
     Generator,
@@ -171,17 +171,23 @@ def normalize(space: DiffSpace) -> tuple[NormalizedGenerator, ...]:
     """Scale every generator by its sampled sup so its range fits in
     [-1, 1]: one result per generator, in family order.
 
-    The carrier is sampled once, and the generators are checked in family
-    order, so the first failing one is the one reported.  A generator is
-    rejected when its sampled sup is zero (nothing to scale) or when |g|
-    diverges monotonically into an open boundary of the grid, which is
-    the sampled shadow of an unbounded generator.
+    One `sweep` evaluates the family over the carrier's samples, so a
+    node the generators share is walked once.  The generators are then
+    checked in family order, so the first failing one is the one
+    reported, a domain error located as `eval_columns` locates it.  A
+    generator is rejected when its sweep failed, when its sampled sup is
+    zero (nothing to scale) or when |g| diverges monotonically into an
+    open boundary of the grid, which is the sampled shadow of an
+    unbounded generator.
     """
     _, ambient = sample(space.carrier)
+    exprs = [g.expr for g in space.family.generators]
+    columns, failures = sweep(exprs, dict(zip(space.carrier.ambient, ambient.T)))
     out = []
-    for gen in space.family.generators:
-        name = gen.name
-        values = np.abs(eval_columns([gen.expr], space.carrier.ambient, ambient, [f"generator {name}"])[:, 0])
+    for name, expr, failure, column in zip(space.family.names, exprs, failures, columns.T):
+        if failure:
+            raise failure.at_row(f"generator {name}", ambient) from failure
+        values = np.abs(column)
         index = int(np.argmax(values))
         sup = float(values[index])
         if sup == 0.0:
@@ -196,7 +202,7 @@ def normalize(space: DiffSpace) -> tuple[NormalizedGenerator, ...]:
                 last = grid.shape[axis] - 1 if toward_end else 0
                 if is_open and multi[axis] == last and _monotone_divergent(line, toward_end):
                     raise ValueError(f"generator {name} diverges toward the {end} end of axis {axis}")
-        out.append(NormalizedGenerator(name, BinOp("/", gen.expr, Const(sup)), sup, index))
+        out.append(NormalizedGenerator(name, BinOp("/", expr, Const(sup)), sup, index))
     return tuple(out)
 
 

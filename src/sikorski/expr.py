@@ -5,11 +5,15 @@ set of unary primitives with field arithmetic and integer powers.  The
 module provides the tree type, a small recursive-descent parser, guarded
 evaluation (singular points raise, they never return NaN/inf), exact
 symbolic differentiation, substitution, and a printer whose output parses
-back to a structurally equal tree.  One walk evaluates every sweep: it
-takes its trees over whole sample arrays, walks a node they share once,
-and finds the first failing sample itself; `eval_columns`, `eval_array`,
-`eval_expr` and `eval_constant` call it.  The tests keep the recursive
-per-sample walker it replaced as their reference (``tests/expr_oracle.py``).
+back to a structurally equal tree.  One walk, `sweep`, evaluates every
+sweep: it takes its trees over whole sample arrays, walks a node they
+share once, and hands back each tree's first failing sample; each caller
+picks its own rule from those.  `eval_columns`, `eval_array`,
+`eval_expr` and `eval_constant` call it here, and so do
+`compactify.normalize`, which checks a family in family order, and
+`uniform.probe_points`, which keeps a probe's values before its first
+failure.  The tests keep the recursive per-sample walker it replaced as
+their reference (``tests/expr_oracle.py``).
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ __all__ = [
     "eval_constant",
     "eval_array",
     "eval_columns",
+    "sweep",
     "diff",
     "substitute",
     "variables",
@@ -69,6 +74,12 @@ class DomainError(ExprError):
         super().__init__(message)
         self.node = node
         self.index = index
+
+    def at_row(self, label: str, rows: np.ndarray) -> "DomainError":
+        """This error located in a sweep over the rows of `rows`: the same
+        node and `index`, its message prefixed as ``"{label} at {row}: ..."``
+        with the row at that index."""
+        return DomainError(f"{label} at {tuple(rows[self.index].tolist())}: {self}", self.node, self.index)
 
 
 @dataclass(frozen=True)
@@ -441,28 +452,48 @@ def _eval_node(node: Expr, env: Mapping[str, np.ndarray], failures: list, unread
     return value
 
 
-def _walk(roots: Sequence[Expr], env: Mapping[str, np.ndarray], out: np.ndarray) -> tuple[int, DomainError] | None:
-    """Write root k's value into ``out[..., k]``, one memo serving every
-    root, and return None or the root and the DomainError a per-sample
-    loop over the roots meets first: at the smallest sample where a guard
-    fires, the first to fire there in root order, then in evaluation
-    order (children left to right before their parent).  A shared node's
-    guards are noted under the first root to reach it, which fails
-    wherever a later reader would."""
-    shape = out.shape[:-1]
+def sweep(
+    roots: Sequence[Expr], env: Mapping[str, np.ndarray | float]
+) -> tuple[np.ndarray, list[DomainError | None]]:
+    """Evaluate every root over whole arrays of samples in one walk: the
+    values, root k's in ``values[..., k]``, and for each root None or the
+    DomainError a per-sample walk of that root alone meets first, with the
+    sample's flattened index as its `index`.
+
+    The arrays in `env` broadcast to the shape of each root's values;
+    samples are ordered as the flattened (row-major) values.  A root's
+    first failure is at the smallest sample where one of its guards
+    fires, and there the first guard in evaluation order (children left
+    to right before their parent).  The walk goes on past a guard that
+    fires, so every root gets its values, which hold at every sample
+    before its first failure.  An unbound variable fires at every sample.
+
+    One memo serves every root, so a node the roots share is walked once.
+    Its guards are noted under the first root to reach it, which fails
+    wherever a later root that reads it would.  So a root misses a
+    failure only after an earlier root has failed: the failures are
+    exact up to the first failing root in root order, which is all any
+    caller reads.
+    """
+    names = tuple(env)
+    columns = np.broadcast_arrays(*(np.asarray(env[name], dtype=float) for name in names))
+    bound, shape = dict(zip(names, columns)), columns[0].shape if columns else ()
+    values = np.empty(shape + (len(roots),))
     unread, memo, failures = _shared(*roots), {}, []
     with np.errstate(all="ignore"):
         for k, root in enumerate(roots):
             found: list = []
-            out[..., k] = _eval_node(root, env, found, unread, memo)
-            failures += [(k, np.broadcast_to(bad, shape), *rest) for bad, *rest in found]
-    index = min((int(np.argmax(mask)) for _, mask, *_ in failures if mask.any()), default=None)
-    if index is None:  # no guard fired, or one fired on zero samples
-        return None
-    k, _, node, message, arg = next(failure for failure in failures if failure[1].flat[index])
-    if arg is not None:
-        message += f" {float(np.broadcast_to(arg, shape).flat[index])!r}"
-    return k, DomainError(message, node, index)
+            values[..., k] = _eval_node(root, bound, found, unread, memo)
+            masks = [np.broadcast_to(bad, shape) for bad, *_ in found]
+            index = min((int(np.argmax(mask)) for mask in masks if mask.any()), default=None)
+            if index is None:  # no guard fired, or one fired on zero samples
+                failures.append(None)
+                continue
+            node, message, arg = next(rest for (_, *rest), mask in zip(found, masks) if mask.flat[index])
+            if arg is not None:
+                message += f" {float(np.broadcast_to(arg, shape).flat[index])!r}"
+            failures.append(DomainError(message, node, index))
+    return values, failures
 
 
 def eval_array(node: Expr, env: Mapping[str, np.ndarray | float]) -> np.ndarray:
@@ -480,19 +511,15 @@ def eval_array(node: Expr, env: Mapping[str, np.ndarray | float]) -> np.ndarray:
     passes on through the primitives other than tan; finite bindings
     never give a non-finite value.
 
-    The arrays in `env` broadcast to the shape of the result; samples are
-    ordered as the flattened (row-major) result.  The DomainError raised
-    is the first a per-sample loop meets (`_walk`), with its node, its
-    message, and the sample's flattened index as its `index`.  An unbound
-    variable fires at every sample.
+    `sweep` of the one tree: the arrays in `env` broadcast to the shape
+    of the result, and the DomainError raised is the tree's first failure
+    there, with its node, its message, and the sample's flattened index
+    as its `index`.
     """
-    names = tuple(env)
-    columns = np.broadcast_arrays(*(np.asarray(env[name], dtype=float) for name in names))
-    out = np.empty((columns[0].shape if columns else ()) + (1,))
-    failure = _walk([node], dict(zip(names, columns)), out)
+    values, (failure,) = sweep([node], env)
     if failure:
-        raise failure[1]
-    return out[..., 0]
+        raise failure
+    return values[..., 0]
 
 
 def eval_columns(
@@ -501,19 +528,19 @@ def eval_columns(
     """Evaluate every expression on every row of `rows`, whose columns bind
     `names`: one result column per expression, one row per sample.
 
-    The expressions are walked as `eval_array` walks one tree, so a node
-    they share is evaluated once.  The error raised is the first a
-    per-sample loop meets, at the smallest (sample index, column); its
-    message is prefixed with the column's label and the row, as
+    One `sweep` walks the expressions, so a node they share is evaluated
+    once.  The error raised is the first a per-sample loop over the
+    columns meets: of the columns' first failures, the one at the
+    smallest (sample index, column).  `DomainError.at_row` prefixes its
+    message with the column's label and the row, as
     ``"{label} at {row}: ..."``, and its `index` is the row's index.
     """
-    out = np.empty((rows.shape[0], len(exprs)))
-    failure = _walk(exprs, dict(zip(names, rows.T)), out)
-    if failure:
-        k, err = failure
-        row = tuple(rows[err.index].tolist())
-        raise DomainError(f"{labels[k]} at {row}: {err}", err.node, err.index) from err
-    return out
+    values, failures = sweep(exprs, dict(zip(names, rows.T)))
+    found = [(err.index, k) for k, err in enumerate(failures) if err]
+    if found:
+        _, k = min(found)
+        raise failures[k].at_row(labels[k], rows) from failures[k]
+    return values
 
 
 def eval_expr(node: Expr, env: Mapping[str, float]) -> float:

@@ -14,7 +14,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .expr import DomainError, Expr, eval_array, variables
+from .expr import DomainError, Expr, sweep, variables
 from .space import DiffSpace, chart_columns, embed, generator_columns
 
 __all__ = [
@@ -362,12 +362,8 @@ def probe_points(space: DiffSpace, probe: Probe, tail: int) -> tuple[np.ndarray,
     box = carrier.box[0]
     # each stage runs on the indices before the earliest failure so far, so
     # a later stage can only raise at a smaller index
-    failure = None
-    try:
-        values = eval_array(probe.expr, {"n": ns})
-    except DomainError as err:
-        failure = err
-        values = eval_array(probe.expr, {"n": ns[: err.index]})
+    values, (failure,) = sweep([probe.expr], {"n": ns})
+    values = values[: failure.index if failure else None, 0]
     outside = np.flatnonzero(~box.contains(values))
     if outside.size:
         k = int(outside[0])

@@ -170,7 +170,12 @@ def test_compactify_sweeps_the_carrier_once(tmp_path, monkeypatch):
 
 
 def test_compactify_reports_the_first_failing_generator(tmp_path):
-    """z fails normalization before r's domain error at x = 1/2 is met."""
+    """Generators are checked in family order, not in sample order: z
+    fails normalization before r's domain error at x = 1/2 is met, and
+    r's division by zero at x = 1 is reported before s's at x = 0, which
+    a plain sweep of the family would report.  So it is when r is the
+    base of a maximal family: r's guard is noted under r, not under the
+    monomials r^2 and r*s that read it."""
     spec = tmp_path / "order.spec"
     spec.write_text(
         "[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 3\n\n"
@@ -184,6 +189,19 @@ def test_compactify_reports_the_first_failing_generator(tmp_path):
         "sikorski compactify (compactify): invariant violated:"
         " generator z is identically zero on the samples\n"
     )
+    spec = tmp_path / "late.spec"
+    spec.write_text(
+        "[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = 3\n\n"
+        "[generators]\nr = 1/(x - 1)\ns = 1/x\n",
+        encoding="utf-8",
+    )
+    for family in ([], ["--family", "maximal:2"]):
+        rc, out, err = run_in_process(["compactify", str(spec), *family, "--out", str(tmp_path)])
+        assert (rc, out, err) == (
+            1,
+            "",
+            "sikorski compactify (compactify): invariant violated: generator r at (1.0,): division by zero\n",
+        )
 
 
 @pytest.mark.xfail(

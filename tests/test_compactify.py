@@ -7,6 +7,7 @@ import pytest
 import sikorski
 from sikorski import specfile
 from sikorski import compactify as compactify_module
+from sikorski import expr as expr_module
 from sikorski.compactify import (
     NormalizedGenerator,
     boundize,
@@ -14,6 +15,7 @@ from sikorski.compactify import (
     compactify,
     normalize,
 )
+from sikorski.completion import maximal_family
 from sikorski.expr import Call, DomainError, Var, diff, eval_expr, parse_expr
 from sikorski.space import (
     Carrier,
@@ -222,6 +224,19 @@ def test_normalize_matches_the_embedding_column_by_column():
             assert ng.argmax_index == int(np.argmax(column))
         checked += len(names)
     assert checked == 8
+
+
+def test_normalize_walks_a_node_the_generators_share_once(monkeypatch):
+    """The monomials of a maximal family hold its base generators' trees,
+    and one sweep of the family walks each tan of the spiral once."""
+    calls = []
+    tan = expr_module._PRIMITIVES["tan"]
+    monkeypatch.setitem(expr_module._PRIMITIVES, "tan", lambda arg: calls.append(arg) or tan(arg))
+    spiral = specfile.load_spec(str(Path(sikorski.__file__).parent / "specs" / "spiral.spec")).space
+    space = DiffSpace(spiral.carrier, maximal_family(spiral.with_generators(["a", "b"]).family, 2))
+    normalized = normalize(space)
+    assert [ng.name for ng in normalized] == ["a", "b", "a^2", "a*b", "b^2"]
+    assert len(calls) == 2
 
 
 def test_compactify_rechecks_the_unit_bound_on_the_samples(monkeypatch):

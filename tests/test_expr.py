@@ -29,6 +29,7 @@ from sikorski.expr import (
     eval_expr,
     parse_expr,
     substitute,
+    sweep,
     to_string,
     variables,
 )
@@ -429,23 +430,61 @@ def per_column_loop(exprs, names, rows, labels):
     return out
 
 
+def column_order_loop(exprs, names, rows, labels):
+    """The walker down each column in turn, up to the first column where
+    it raises: the values of the columns before that one, and None or the
+    column's first DomainError, prefixed as eval_columns prefixes it, with
+    the row's index."""
+    columns = []
+    for label, e in zip(labels, exprs):
+        column = []
+        for index, row in enumerate(rows.tolist()):
+            try:
+                column.append(eval_scalar(e, dict(zip(names, row))))
+            except DomainError as err:
+                return columns, DomainError(f"{label} at {tuple(row)}: {err}", err.node, index)
+        columns.append(column)
+    return columns, None
+
+
 @given(
     st.integers(0, 10**9),
     st.lists(st.one_of(st.floats(-3.0, 3.0), st.sampled_from([0.0, -0.0, 1.0, -1.0])), min_size=1, max_size=12),
 )
 # t vanishes at the first row: the power column meets the division first
 @example(3, [1.0, 0.0])
+# in reverse order the quotient fails at the second row, and the power
+# column after it fails at the first, where u vanishes
+@example(971456464, [1.0, 0.0])
 def test_eval_columns_over_shared_trees_matches_a_per_column_loop(seed, xs):
     """Columns built on the same node objects give the walker's values, or
     the failure the loop meets first: the same label, row, message, node
     and index.  The quotient's division guard is noted under the power
-    column, the first to reach it, and the column after reads it again."""
+    column, the first to reach it, and the column after reads it again.
+
+    `sweep` hands back each column's first failure, which is exact up to
+    the first failing column: that column's error, located by `at_row`,
+    is the one a column-order loop meets first, no column before it
+    fails, and their values are the walker's.  In reverse order the
+    quotient comes first and fails only where t vanishes, while the
+    power column after it also fails where u does, maybe at an earlier
+    row."""
     rng = random.Random(seed)
     t, u = random_expr(rng, ("x", "y"), 3), random_expr(rng, ("x", "y"), 3)
     q = BinOp("/", u, t)
     exprs = [t, BinOp("*", t, u), Pow(q, -2), q]
     labels = ["t", "t * u", "(u / t)^-2", "u / t"]
     rows = np.array([xs, xs[::-1]]).T
+    for order in (slice(None), slice(None, None, -1)):
+        columns, first = column_order_loop(exprs[order], ("x", "y"), rows, labels[order])
+        values, failures = sweep(exprs[order], dict(zip(("x", "y"), rows.T)))
+        k = len(columns)
+        assert failures[:k] == [None] * k
+        if first is not None:
+            got = failures[k].at_row(labels[order][k], rows)
+            assert (str(got), got.node, got.index) == (str(first), first.node, first.index)
+        for a, b in zip(values[:, :k].T.ravel().tolist(), [v for column in columns for v in column]):
+            assert math.isclose(a, b, rel_tol=1e-12, abs_tol=1e-12)
     expected = per_column_loop(exprs, ("x", "y"), rows, labels)
     if isinstance(expected, DomainError):
         with pytest.raises(DomainError) as err:

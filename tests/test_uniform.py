@@ -8,6 +8,7 @@ from hypothesis import example, given, strategies as st
 
 import probe_oracle
 import sikorski
+from sikorski import expr as expr_module
 from sikorski import uniform
 from sikorski.expr import DomainError, Var, parse_expr
 from sikorski.space import Carrier, DiffSpace, Generator, GeneratorFamily, Interval, embed
@@ -180,6 +181,18 @@ def test_probe_that_leaves_the_box_is_a_domain_error():
     probe = Probe("p", parse_expr("2000 * n", ["n"]), start=1, stop=10)
     with pytest.raises(DomainError, match="leaves the box"):
         probe_points(SLAB, probe, tail=5)
+
+
+def test_probe_points_walk_a_failing_probe_once(monkeypatch):
+    """The probe's first failure and its values before it come from one
+    sweep of the tail."""
+    calls = []
+    atan = expr_module._PRIMITIVES["atan"]
+    monkeypatch.setitem(expr_module._PRIMITIVES, "atan", lambda arg: calls.append(arg) or atan(arg))
+    with pytest.raises(DomainError, match=r"^division by zero$") as err:
+        probe_points(SLAB, Probe("p", parse_expr("atan(n) / (n - 8)", ["n"]), stop=10), tail=5)
+    assert err.value.index == 2
+    assert len(calls) == 1
 
 
 def test_probe_errors_follow_the_tail_order():

@@ -15,12 +15,15 @@ exactly the symmetric supersets of V0; so there is one model per set
 partition.  Each model is built straight from its partition as integer
 bitsets (see ``_BitsetModel``), in closed form: its 2^k entourages are
 never walked one by one.  What depends on the ground size alone (each
-family's members, minimal members and filter axioms, and the check that
-pair and triple intersections of filters are filters) is computed once per
-size, in a ``_Families`` table its models share.  The Cauchy property and
-R are read off the minimal members: a filter up(c) has just one, c, so
-the Cauchy property is one lookup per filter, and R is one integer row per
-filter, over the filter indices, on whose bits the R laws are checked.
+family's members, minimal members, core and filter axioms, the check that
+pair and triple intersections of filters are filters, and each pair meet:
+the index of the listed filter it equals and whether it breaks the filter
+axioms) is computed once per size, in a ``_Families`` table its models
+share.  The Cauchy property and R are read off the minimal members: a
+filter up(c) has just one, c, so the Cauchy property is one lookup per
+filter, and R is one integer row per filter, over the filter indices, on
+whose bits the R laws are checked.  A law about a pair meet reads the
+meet's bit in those rows by its index.
 
 ``tests/filter_oracle.py`` keeps the definitions written with Python sets
 (filters, uniformities, the catalog, convergence, Cauchy filters, R and
@@ -137,10 +140,16 @@ class _Memo(dict):
 class _Families:
     """What the laws need of the families on {0, .., n-1} that no
     uniformity changes, computed once per ground size and shared by its
-    models: a family's members, minimal members and filter axioms, a
-    filter's core and label, and the sweep that checks whether the pair
-    and triple intersections of ``masks`` are filters.  The sweep visits
-    every pair and triple, as each model's count of
+    models: a family's members, minimal members, core and filter axioms,
+    a filter's label, the index of each listed mask (``index``, the first
+    when a mask is listed twice), and the sweep over the pair and triple
+    intersections of ``masks``.
+
+    The sweep records each pair meet: ``meet_of[i][j]`` is the index of
+    the listed mask equal to ``masks[i] & masks[j]``, or None when none
+    is, and bit j of ``broken[i]`` is set when that meet breaks the filter
+    axioms.  It then checks whether the pair and triple intersections are
+    filters, visiting every pair and triple, as each model's count of
     ``intersections_are_filters`` records, and keeps the first eight
     failures it finds.
     """
@@ -152,17 +161,21 @@ class _Families:
         self.up = _up_sets(n)
         self.members = _Memo(_bits)
         self.minimal = _Memo(self._minimal)
+        self.core = _Memo(self._core)
         self.axioms = _Memo(self._axioms)
+        self.index: dict[int, int] = {}
+        for k, f in enumerate(masks):
+            self.index.setdefault(f, k)
         self._meet_sweep()
 
-    def core(self, f: int) -> int:
+    def _core(self, f: int) -> int:
         out = self.full
         for s in self.members[f]:
             out &= s
         return out
 
     def label(self, f: int) -> str:
-        return "^" + "".join(str(x) for x in _bits(self.core(f)))
+        return "^" + "".join(str(x) for x in _bits(self.core[f]))
 
     def _minimal(self, f: int) -> list[int]:
         """The members of f with no other member strictly inside them:
@@ -192,7 +205,11 @@ class _Families:
         return None
 
     def _meet_sweep(self) -> None:
-        """Intersections of filters are filters (pairs and triples)."""
+        """Index every pair meet; intersections of filters are filters
+        (pairs and triples)."""
+        masks, index, axioms = self.masks, self.index, self.axioms
+        self.meet_of = [[index.get(f & g) for g in masks] for f in masks]
+        self.broken = [sum(1 << j for j, g in enumerate(masks) if axioms[f & g]) for f in masks]
         meets = itertools.chain(
             (f & g for f, g in itertools.combinations(self.masks, 2)),
             (f & g & h for f, g, h in itertools.combinations(self.masks, 3)),
@@ -236,8 +253,7 @@ class _BitsetModel:
 
     R is computed a row at a time (``relation_rows``): one int per family
     over the family indices, from the cover rows of the family's minimal
-    members ORed once.  ``related`` is its one-pair case, so R has one
-    definition.
+    members ORed once.
     """
 
     def __init__(self, rows: Sequence[int], table: _Families):
@@ -280,11 +296,6 @@ class _BitsetModel:
         for m in self.minimal[f]:
             small |= self.cover[m][m]
         return small == self.every_entourage
-
-    def related(self, f1: int, f2: int) -> bool:
-        """For every entourage there are members a of f1 and b of f2 with
-        a x b inside it: one entry of ``relation_rows``."""
-        return self.relation_rows([f1, f2])[0] >> 1 & 1 == 1
 
     def relation_rows(self, families: Sequence[int]) -> list[int]:
         """R between every two of ``families``, one int per family: bit j
@@ -352,9 +363,19 @@ def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> M
     Cauchy, and transitivity visits Cauchy i, then j in its row, then the
     Cauchy k in j's row and not in i's.  The counts stay those of the
     quantifiers (every pair, every triple), and the failures come in the
-    order the loop over every pair and triple would find them."""
+    order the loop over every pair and triple would find them.
+
+    A pair meet, and the class intersection, is read by the index k of
+    the listed filter it equals: whether it converges at x is bit k of the
+    filters converging there, whether it is Cauchy is ``cauchy[k]``, R
+    between it and filter i is bit i of R row k, and whether it breaks the
+    filter axioms is a bit of ``table.broken``.  Each read is the
+    definition applied to a bit-equal family.  Only a meet that no listed
+    mask equals, which a table holding a family that is not a filter can
+    have, is formed and computed directly."""
     masks = table.masks
     nf = len(masks)
+    meet_of, broken, axioms = table.meet_of, table.broken, table.axioms
     failures = list(table.meet_failures)
     counts: dict[str, int] = {}
     label = table.label
@@ -369,7 +390,7 @@ def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> M
 
     def meet(families: Iterable[int]) -> int:
         out = reduce(operator.and_, families)
-        err = table.axioms[out]
+        err = axioms[out]
         if err:
             fail(f"intersection axioms: {err}")
         return out
@@ -381,17 +402,19 @@ def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> M
     convergent = 0
     for x in range(len(bm.rows)):
         at_x = [i for i, f in enumerate(masks) if bm.converges(f, x)]
-        convergent |= sum(1 << i for i in at_x)
-        pointing = [masks[i] for i in at_x]
-        for f, g in itertools.combinations(pointing, 2):
-            pair = f & g
-            if table.axioms[pair]:
-                fail(f"intersection axioms: {table.axioms[pair]}")
-            if not bm.converges(pair, x):
-                fail(f"convergence lost at {x} for {label(f)},{label(g)}")
-        bump("convergent_intersections", len(pointing) * (len(pointing) - 1) // 2)
-        if pointing:
-            if not bm.converges(meet(pointing), x):
+        at_x_set = sum(1 << i for i in at_x)
+        convergent |= at_x_set
+        for a, i in enumerate(at_x):
+            meets = meet_of[i]
+            for j in at_x[a + 1 :]:
+                if broken[i] >> j & 1:
+                    fail(f"intersection axioms: {axioms[masks[i] & masks[j]]}")
+                k = meets[j]
+                if not (at_x_set >> k & 1 if k is not None else bm.converges(masks[i] & masks[j], x)):
+                    fail(f"convergence lost at {x} for {label(masks[i])},{label(masks[j])}")
+        bump("convergent_intersections", len(at_x) * (len(at_x) - 1) // 2)
+        if at_x:
+            if not bm.converges(meet(masks[i] for i in at_x), x):
                 fail(f"convergence lost at {x} for the full convergent family")
             bump("convergent_intersections")
 
@@ -402,20 +425,22 @@ def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> M
         fail(f"{label(masks[i])} converges but is not Cauchy")
     bump("convergent_implies_cauchy", nf)
 
-    # R holds exactly when both filters and their intersection are Cauchy;
-    # the intersection is formed, and its axioms checked, only when both are
+    # R holds exactly when both filters and their intersection are Cauchy
     rows = bm.relation_rows(masks)
-    cauchy_of = _Memo(bm.cauchy)
     cauchy_bits = _bits(cauchy_set)
     for i, f in enumerate(masks):
-        both = broken = 0
+        both = bad = 0
         if cauchy[i]:
-            both = sum(1 << j for j in cauchy_bits if cauchy_of[f & masks[j]])
-            broken = sum(1 << j for j in cauchy_bits if table.axioms[f & masks[j]])
+            meets = meet_of[i]
+            for j in cauchy_bits:
+                k = meets[j]
+                if cauchy[k] if k is not None else bm.cauchy(f & masks[j]):
+                    both |= 1 << j
+            bad = broken[i] & cauchy_set
         mismatch = both ^ rows[i]
-        for j in _bits(broken | mismatch):
-            if broken >> j & 1:
-                fail(f"intersection axioms: {table.axioms[f & masks[j]]}")
+        for j in _bits(bad | mismatch):
+            if bad >> j & 1:
+                fail(f"intersection axioms: {axioms[f & masks[j]]}")
             if mismatch >> j & 1:
                 r, c = rows[i] >> j & 1 == 1, both >> j & 1 == 1
                 fail(f"R mismatch for {label(f)},{label(masks[j])}: R={r} cauchy-criterion={c}")
@@ -452,15 +477,16 @@ def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> M
             fail(f"R-class of {label(f)} is empty")
             continue
         minimal = meet(cls)
-        if not bm.cauchy(minimal):
+        k = table.index.get(minimal)
+        if not (cauchy[k] if k is not None else bm.cauchy(minimal)):
             fail(f"class intersection of {label(f)} is not Cauchy")
-        if not bm.related(minimal, f):
+        if not (rows[k] >> i if k is not None else bm.relation_rows([minimal, f])[0] >> 1) & 1:
             fail(f"class intersection of {label(f)} left its class")
         for g in cls:
             if minimal & ~g:
                 fail(f"class intersection of {label(f)} not below {label(g)}")
         # cross-check: the up-set of the union of class cores
-        union_core = reduce(operator.or_, (table.core(g) for g in cls))
+        union_core = reduce(operator.or_, (table.core[g] for g in cls))
         if minimal != table.up[union_core]:
             fail(f"class intersection of {label(f)} is not the up-set of the union of cores")
 

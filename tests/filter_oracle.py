@@ -18,7 +18,7 @@ the reference for the holding sets and balls that ``_BitsetModel`` builds
 in closed form.  ``cauchy_over_every_member`` and ``related_rows`` take
 the Cauchy property and R over every member of a family, in a bitset
 model's own encoding: the reference for ``_BitsetModel.cauchy`` and
-``_BitsetModel.related``, which read only the minimal members.
+``_BitsetModel.relation_rows``, which read only the minimal members.
 """
 
 from __future__ import annotations

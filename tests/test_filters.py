@@ -278,14 +278,15 @@ def test_bitset_verifier_matches_the_frozenset_oracle():
         masks = table.masks
         for index, (u, bm) in enumerate(zip(catalog(ground), _models(table), strict=True)):
             assert _check_model(size, index, bm, table) == check_model(size, index, u, fs)
-            for f, m in zip(fs, masks):
+            rows = bm.relation_rows(masks)
+            for i, (f, m) in enumerate(zip(fs, masks)):
                 assert bm.cauchy(m) == is_cauchy(f, u)
                 for x in ground:
                     assert bm.converges(m, x) == converges_to(f, x, u)
-                for g, mg in zip(fs, masks):
-                    assert bm.related(m, mg) == relation_R(f, g, u)
+                for j, g in enumerate(fs):
+                    assert (rows[i] >> j & 1 == 1) == relation_R(f, g, u)
                 if is_cauchy(f, u):
-                    cls = [mg for mg in masks if bm.cauchy(mg) and bm.related(mg, m)]
+                    cls = [mg for j, mg in enumerate(masks) if bm.cauchy(mg) and rows[j] >> i & 1]
                     assert mask_of(minimal_cauchy(f, u, fs).sets) == reduce(operator.and_, cls)
 
 
@@ -436,17 +437,31 @@ def assert_minimal_members_suffice(bm, families):
     rows = bm.relation_rows(families)
     assert [[row >> j & 1 == 1 for j in range(len(families))] for row in rows] == expected
     assert all(row >> len(families) == 0 for row in rows)
-    assert [[bm.related(f, g) for g in families] for f in families] == expected
+
+
+def random_families(rng, size):
+    """Families on {0, .., size-1} drawn from ``rng``: the empty family,
+    the family of the empty set, every subset, the empty set with the
+    ground set, and seeded random families (most of them not up-sets),
+    some without a set of fewer than two points, some holding the empty
+    set."""
+    full = (1 << size) - 1
+    every_subset = (1 << (1 << size)) - 1
+    large = sum(1 << s for s in range(1 << size) if len(_bits(s)) >= 2)
+    families = [0, 1, every_subset, 1 | 1 << full]
+    families += [rng.getrandbits(1 << size) for _ in range(8)]
+    families += [rng.getrandbits(1 << size) & large for _ in range(8)]
+    families += [rng.getrandbits(1 << size) | 1 for _ in range(4)]
+    return families
 
 
 def test_minimal_members_decide_as_every_member_does_on_filters():
-    """``cauchy``, ``relation_rows`` and ``related`` read the minimal
-    members only; the walk over every member is the reference, on every
+    """``cauchy`` and ``relation_rows`` read the minimal members only; the walk over every member is the reference, on every
     model up to size 5 and every pair of filters.  A filter's one minimal
     member is its core."""
     for size in range(1, 6):
         table = _Families(size, _filters(size))
-        assert all(table.minimal[f] == [table.core(f)] for f in table.masks)
+        assert all(table.minimal[f] == [table.core[f]] for f in table.masks)
         for bm in _models(table):
             assert_minimal_members_suffice(bm, table.masks)
 
@@ -461,12 +476,7 @@ def test_minimal_members_decide_as_every_member_does_on_any_family():
     rng = random.Random(24)
     for size in range(1, 6):
         table = _Families(size, _filters(size))
-        every_subset = (1 << (1 << size)) - 1
-        large = sum(1 << s for s in range(1 << size) if len(_bits(s)) >= 2)
-        families = [0, 1, every_subset, 1 | 1 << table.full]
-        families += [rng.getrandbits(1 << size) for _ in range(8)]
-        families += [rng.getrandbits(1 << size) & large for _ in range(8)]
-        families += [rng.getrandbits(1 << size) | 1 for _ in range(4)]
+        families = random_families(rng, size)
         assert [table.minimal[f] for f in families] == [minimal_by_search(f) for f in families]
         models = _models(table)
         if size == 3:
@@ -475,16 +485,116 @@ def test_minimal_members_decide_as_every_member_does_on_any_family():
             assert_minimal_members_suffice(bm, families)
 
 
+def count_calls(monkeypatch, *names):
+    """Count the calls of the named ``_BitsetModel`` methods."""
+    calls = dict.fromkeys(names, 0)
+
+    def counted(name, method):
+        def call(*args):
+            calls[name] += 1
+            return method(*args)
+
+        return call
+
+    for name in names:
+        monkeypatch.setattr(_BitsetModel, name, counted(name, getattr(_BitsetModel, name)))
+    return calls
+
+
 def test_the_laws_read_r_off_rows_not_pair_by_pair(monkeypatch):
-    """R comes from one row per filter; ``related`` is left to the one
-    check that needs a family outside the filter list, the class
-    intersection, once per Cauchy filter."""
-    calls = []
-    related = _BitsetModel.related
-    monkeypatch.setattr(_BitsetModel, "related", lambda bm, f, g: calls.append((f, g)) or related(bm, f, g))
+    """R is one ``relation_rows`` call per model, and the Cauchy property
+    one ``cauchy`` call per filter per model; every pair meet and class
+    intersection is read from those by its index in the filter list."""
+    calls = count_calls(monkeypatch, "relation_rows", "cauchy")
     report = verify_filter_laws(5)
     assert report.passed
-    assert 0 < len(calls) <= report.totals()["minimal_cauchy"]
+    assert len(report.models) == 75
+    assert sum(m.n_filters for m in report.models) == 1 + 6 + 35 + 225 + 1612
+    assert calls == {"relation_rows": 75, "cauchy": 1 + 6 + 35 + 225 + 1612}
+
+
+def test_a_meet_outside_the_list_is_computed_directly(monkeypatch):
+    """On a table holding a family that is not a filter, some meets equal
+    no listed mask, and the laws form and compute those directly; the
+    reports are those the verifier gave before it read meets by index."""
+    table = _Families(2, _filters(2) + [1 << 0b01])
+    assert table.meet_of[1][3] is None
+    calls = count_calls(monkeypatch, "relation_rows", "cauchy")
+    reports = [_check_model(2, index, bm, table) for index, bm in enumerate(_models(table))]
+    assert calls["relation_rows"] > len(reports)
+    assert calls["cauchy"] > len(reports) * len(table.masks)
+    axioms = ("intersection axioms: filter axioms violated: ground set missing",) * 8
+    counts = {
+        "convergent_implies_cauchy": 4,
+        "intersections_are_filters": 10,
+        "r_equivalence_criterion": 16,
+        "r_reflexive": 4,
+        "r_symmetric": 6,
+        "r_transitive": 64,
+    }
+    assert reports == [
+        filters.ModelReport(
+            2, 0, 1, 4, tuple(sorted({**counts, "convergent_intersections": 8, "minimal_cauchy": 4}.items())), axioms
+        ),
+        filters.ModelReport(
+            2, 1, 2, 4, tuple(sorted({**counts, "convergent_intersections": 2, "minimal_cauchy": 3}.items())), axioms
+        ),
+    ]
+
+
+@pytest.mark.parametrize("size", [3, 4])
+def test_a_partial_filter_list_matches_the_frozenset_oracle(size):
+    """Without the filters of two-point cores, the meet of two point
+    filters is listed nowhere, so every model takes the direct path for
+    it; the reference verifier, given the same filters, agrees."""
+    ground = tuple(range(size))
+    kept = [(m, f) for m, f in zip(_filters(size), enumerate_filters(ground)) if len(f.core) != 2]
+    table = _Families(size, [m for m, _ in kept])
+    assert any(k is None for row in table.meet_of for k in row)
+    for index, (u, bm) in enumerate(zip(catalog(ground), _models(table), strict=True)):
+        assert _check_model(size, index, bm, table) == check_model(size, index, u, [f for _, f in kept])
+
+
+def assert_meet_table_is_direct(table):
+    masks = table.masks
+    assert len(table.meet_of) == len(table.broken) == len(masks)
+    for i, f in enumerate(masks):
+        assert len(table.meet_of[i]) == len(masks)
+        for j, g in enumerate(masks):
+            k = table.meet_of[i][j]
+            if k is None:
+                assert f & g not in masks
+            else:
+                assert masks[k] == f & g
+            assert (table.broken[i] >> j & 1 == 1) == (table.axioms[f & g] is not None)
+        assert table.broken[i] >> len(masks) == 0
+
+
+def test_the_meet_table_matches_direct_recomputation():
+    """Each pair meet's index and axiom verdict, against the meet formed
+    and checked directly: on every filter table up to size 5, where every
+    meet is listed and none breaks the axioms, and with seeded random
+    families appended."""
+    rng = random.Random(24)
+    unlisted = []
+    for size in range(1, 6):
+        table = _Families(size, _filters(size))
+        assert_meet_table_is_direct(table)
+        assert all(k is not None for row in table.meet_of for k in row)
+        assert not any(table.broken)
+        mixed = _Families(size, _filters(size) + random_families(rng, size))
+        assert_meet_table_is_direct(mixed)
+        assert any(mixed.broken)
+        unlisted.append(sum(k is None for row in mixed.meet_of for k in row))
+    assert unlisted[0] == 0 and all(unlisted[1:])
+
+
+def test_each_core_is_computed_once_per_size(monkeypatch):
+    calls = []
+    core = _Families._core
+    monkeypatch.setattr(_Families, "_core", lambda table, f: calls.append((table.n, f)) or core(table, f))
+    verify_filter_laws(5)
+    assert len(calls) == len(set(calls)) == 1 + 3 + 7 + 15 + 31
 
 
 @pytest.mark.parametrize("k", [7, 8, 9, 10])

@@ -341,12 +341,11 @@ def cmd_boundize(args, spec) -> Iterator[None]:
     if count > MAX_DEPTH:
         raise UsageError(f"--gens: at most {MAX_DEPTH} generators, got {count}")
     gen_names = _declared_names(args.gens, "--gens", spec.space.family.names)
-    omega_vars = placeholders(len(gen_names))
     try:
-        omega = parse_expr(args.omega, allowed_vars=omega_vars)
+        omega = parse_expr(args.omega, allowed_vars=placeholders(len(gen_names)))
     except ExprError as err:
         raise UsageError(f"--omega: {err}") from err
-    fn = SmoothFunction(omega, omega_vars, tuple(gen_names))
+    fn = SmoothFunction(omega, tuple(gen_names))
     point = _parse_point(args.point, "--point", len(spec.space.carrier.ambient))
     yield
     bset = boundize(spec.space, fn, point)
@@ -382,7 +381,7 @@ def cmd_compare_uniform(args, spec) -> Iterator[None]:
         + [f"x_{p}" for p in params]
         + [f"y_{p}" for p in params],
         (
-            _Block((row.candidate_eps, "true" if row.refines else "false", row.target, row.violated, row.d_g,
+            _Block((row.candidate_eps, "true" if row.refines else "false", rep.target, row.violated, row.d_g,
                     *(row.witness_x or blank), *(row.witness_y or blank)))
             for row in rep.rows
         ),

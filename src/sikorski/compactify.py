@@ -23,7 +23,6 @@ from .space import (
     SmoothFunction,
     compose_ambient,
     eval_point,
-    placeholders,
     sample,
 )
 from .uniform import Probe
@@ -72,8 +71,7 @@ class BoundedGeneratorSet:
     mus: tuple[float, ...]
     eta: Expr  # in the ambient coordinates
     gammas: tuple[Expr, ...]  # in the ambient coordinates
-    omega1: Expr
-    omega1_vars: tuple[str, ...]
+    omega1: Expr  # in the placeholders u1 .. un, like the witness
     max_abs_gamma: tuple[float, ...]
     local_residual: float
     local_sample_count: int
@@ -94,20 +92,13 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
     labels = [f"generator {name}" for name in f.gen_names]
     center = eval_point(alpha_exprs, space.carrier.ambient, point, labels)
     n = len(alpha_exprs)
-    fresh = placeholders(n)
-    eta_fresh = bump(center, fresh)
-    eta = substitute(eta_fresh, dict(zip(fresh, alpha_exprs)))
+    us = f.omega_vars
+    eta = substitute(bump(center, us), dict(zip(us, alpha_exprs)))
     mus = tuple(max(abs(c + OUTER_HALF_WIDTH), abs(c - OUTER_HALF_WIDTH)) for c in center)
     gammas = tuple(
         BinOp("/", BinOp("*", a, eta), Const(mu)) for a, mu in zip(alpha_exprs, mus)
     )
-    omega1 = substitute(
-        f.omega,
-        {
-            old: BinOp("*", Const(mu), Var(new))
-            for old, new, mu in zip(f.omega_vars, fresh, mus)
-        },
-    )
+    omega1 = substitute(f.omega, {u: BinOp("*", Const(mu), Var(u)) for u, mu in zip(us, mus)})
 
     _, ambient = sample(space.carrier)
     labels = [f"bounded generator {name}" for name in f.gen_names]
@@ -118,7 +109,7 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
     local = (np.abs(alpha_vals - center) < INNER_HALF_WIDTH).all(axis=1)
     # the witness and its rescaled form, each composed down to the ambient
     # coordinates, on the samples inside the inner cube
-    checks = [compose_ambient(space, f), substitute(omega1, dict(zip(fresh, gammas)))]
+    checks = [compose_ambient(space, f), substitute(omega1, dict(zip(us, gammas)))]
     labels = [f"witness {excerpt(f.omega)}", f"rescaled witness {excerpt(omega1)}"]
     try:
         original, rebuilt = eval_columns(checks, space.carrier.ambient, ambient[local], labels).T
@@ -138,7 +129,6 @@ def boundize(space: DiffSpace, f: SmoothFunction, point: Sequence[float]) -> Bou
         eta,
         gammas,
         omega1,
-        fresh,
         tuple(max_abs),
         residual,
         int(local.sum()),

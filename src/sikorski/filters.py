@@ -350,7 +350,7 @@ def _filters(size: int) -> list[int]:
     return [_up_sets(size)[c] for c in cores]
 
 
-def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> ModelReport:
+def _check_model(index: int, bm: _BitsetModel, table: _Families) -> ModelReport:
     """Check every law on one model, visiting every pair and triple of
     filters the laws quantify over.  A failed law and an intersection that
     breaks the filter axioms are both recorded as failures; the first eight
@@ -491,7 +491,7 @@ def _check_model(size: int, index: int, bm: _BitsetModel, table: _Families) -> M
             fail(f"class intersection of {label(f)} is not the up-set of the union of cores")
 
     checks = tuple(sorted(counts.items()))
-    return ModelReport(size, index, bm.n_entourages, nf, checks, tuple(failures))
+    return ModelReport(table.n, index, bm.n_entourages, nf, checks, tuple(failures))
 
 
 def verify_filter_laws(max_size: int = 4) -> FilterLawReport:
@@ -504,5 +504,5 @@ def verify_filter_laws(max_size: int = 4) -> FilterLawReport:
     for size in range(1, max_size + 1):
         table = _Families(size, _filters(size))
         filter_counts.append((size, len(table.masks), 2**size - 1))
-        models.extend(_check_model(size, index, bm, table) for index, bm in enumerate(_models(table)))
+        models.extend(_check_model(index, bm, table) for index, bm in enumerate(_models(table)))
     return FilterLawReport(max_size, tuple(models), tuple(filter_counts))

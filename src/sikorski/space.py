@@ -111,10 +111,10 @@ class Carrier:
             for iv in self.box
         ]
 
-    def axis_samples(self) -> tuple[tuple[float, ...], ...]:
+    def axis_samples(self) -> tuple[np.ndarray, ...]:
         """Per-axis sample values: the uniform grid between the axis ends."""
         ends = zip(self._axis_ends(), self.counts)
-        return tuple(tuple(np.linspace(lo, hi, count).tolist()) for (lo, hi), count in ends)
+        return tuple(np.linspace(lo, hi, count) for (lo, hi), count in ends)
 
     def chart_point(self, values: Sequence[float]) -> tuple[float, ...]:
         return eval_point(self.chart, self.params, values, [f"chart component {name}" for name in self.ambient])
@@ -259,24 +259,26 @@ def placeholders(k: int) -> tuple[str, ...]:
 @dataclass(frozen=True)
 class SmoothFunction:
     """A structure member presented by witness: omega composed with named
-    generators.  `omega` is an expression in `omega_vars`, which pair up
-    positionally with `gen_names`."""
+    generators.  `omega` is an expression in `omega_vars`, the
+    `placeholders` ``u1 .. uk`` of the `k` entries of `gen_names`, in
+    order."""
 
     omega: Expr
-    omega_vars: tuple[str, ...]
     gen_names: tuple[str, ...]
 
     def __post_init__(self):
-        if len(self.omega_vars) != len(self.gen_names):
-            raise ValueError("omega variables and generator names must pair up")
         extra = variables(self.omega) - set(self.omega_vars)
         if extra:
             raise ValueError(f"omega uses undeclared variables {sorted(extra)}")
 
+    @property
+    def omega_vars(self) -> tuple[str, ...]:
+        return placeholders(len(self.gen_names))
+
     @classmethod
     def of_generator(cls, name: str) -> "SmoothFunction":
         (u,) = placeholders(1)
-        return cls(Var(u), (u,), (name,))
+        return cls(Var(u), (name,))
 
 
 def compose_ambient(space: DiffSpace, f: SmoothFunction) -> Expr:
@@ -320,7 +322,11 @@ class SmoothMapReport:
     tol: float
     residuals: tuple[tuple[str, float], ...]
     worst_point: tuple[float, ...] | None
-    smooth: bool
+
+    @property
+    def smooth(self) -> bool:
+        """Every residual is at most `tol`; a NaN residual is not."""
+        return all(r <= self.tol for _, r in self.residuals)
 
     def max_residual(self) -> float:
         return max((r for _, r in self.residuals), default=0.0)
@@ -345,4 +351,4 @@ def check_smooth_map(source: DiffSpace, witness: SmoothMapWitness, tol: float = 
     residual = np.abs(values[:, 0::2] - values[:, 1::2])
     i, _ = np.unravel_index(np.argmax(residual), residual.shape)
     rows = tuple(zip(target.family.names, residual.max(axis=0).tolist()))
-    return SmoothMapReport(tol, rows, tuple(ambient[i].tolist()), all(r <= tol for _, r in rows))
+    return SmoothMapReport(tol, rows, tuple(ambient[i].tolist()))

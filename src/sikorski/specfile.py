@@ -364,7 +364,7 @@ def _parse_map(
                     raise SpecError(path, lineno, f"witness for {name!r} references unknown generator {g!r}")
             omega_vars = placeholders(len(gen_names))
             omega = _located(path, lineno, column, f"witness for {name}", parse_expr, omega_text.strip(), omega_vars)
-            witnesses[name] = (lineno, SmoothFunction(omega, omega_vars, tuple(gen_names)))
+            witnesses[name] = (lineno, SmoothFunction(omega, tuple(gen_names)))
 
     if target_entry is None:
         raise SpecError(path, section.line, f"map {map_name!r} has no target line")

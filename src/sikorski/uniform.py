@@ -18,7 +18,6 @@ from .expr import DomainError, Expr, sweep, variables
 from .space import DiffSpace, chart_columns, embed, generator_columns
 
 __all__ = [
-    "Entourage",
     "Probe",
     "CauchyVerdict",
     "RefinementRow",
@@ -30,37 +29,24 @@ __all__ = [
 
 
 @dataclass(frozen=True)
-class Entourage:
-    """V(f1..fk, eps): the basic entourage carved out by finitely many
-    generators at width eps (strict inequality)."""
-
-    names: tuple[str, ...]
-    eps: float
-
-    def __post_init__(self):
-        if not self.names:
-            raise ValueError("an entourage needs at least one generator")
-        if not (self.eps > 0.0):
-            raise ValueError("entourage width must be positive")
-
-    def describe(self) -> str:
-        return f"V({','.join(self.names)};{self.eps!r})"
-
-
-@dataclass(frozen=True)
 class RefinementRow:
-    target: str
     candidate_eps: float
-    refines: bool
     # the witness samples' parameter values, as the refinement.csv header names them
     witness_x: tuple[float, ...] | None
     witness_y: tuple[float, ...] | None
     d_g: float | None
     violated: str | None
 
+    @property
+    def refines(self) -> bool:
+        """No sampled pair at this width violates the target."""
+        return self.witness_x is None
+
 
 @dataclass(frozen=True)
 class RefinementReport:
+    # the target entourage V(h1..hk;eps) every row is judged against
+    target: str
     sample_count: int
     rows: tuple[RefinementRow, ...]
     # sample pairs the scan compared, a row with itself not counted: each
@@ -79,9 +65,10 @@ def compare_uniformities(
     """Ask whether the G-uniformity refines the H-entourage of width
     `target_eps` at each candidate width in `eps_grid`.
 
-    Verdicts are relative to the sampled cloud: a witness is a genuine
-    counterexample pair, while "refines" says no sampled pair violates the
-    target.  The search is exhaustive over sampled pairs: every pair it
+    An empty G or H family and a non-positive width are refused before
+    sampling.  Verdicts are relative to the sampled cloud: a witness is a
+    genuine counterexample pair, while "refines" says no sampled pair
+    violates the target.  The search is exhaustive over sampled pairs: every pair it
     does not compute is excluded by an exact bound, which leaves each row
     runs of possible partners: a lead range when G has one coordinate, a
     3x3 neighbourhood of cells of side at least the width over its first
@@ -92,6 +79,8 @@ def compare_uniformities(
     h_names = tuple(h_names)
     if not g_names:
         raise ValueError("the G family needs at least one generator")
+    if not h_names:
+        raise ValueError("an entourage needs at least one generator")
     if not (target_eps > 0.0) or any(not (e > 0.0) for e in eps_grid):
         raise ValueError("entourage widths must be positive")
     all_names = g_names + tuple(n for n in h_names if n not in g_names)
@@ -99,7 +88,6 @@ def compare_uniformities(
     coords = cloud.coords
     g_idx = [all_names.index(n) for n in g_names]
     h_idx = [all_names.index(n) for n in h_names]
-    target = Entourage(h_names, target_eps)
 
     # fixed-radius near neighbours (Bentley, Stanat & Williams 1977).  Step
     # 1, one per G arity, sorts the rows so that a row's G-close partners lie
@@ -122,14 +110,15 @@ def compare_uniformities(
     rows = []
     for eps, (witness, _) in zip(map(float, eps_grid), found):
         if witness is None:
-            rows.append(RefinementRow(target.describe(), eps, True, None, None, None, None))
+            rows.append(RefinementRow(eps, None, None, None, None))
         else:
             i, j = witness
             d_g = float(max(abs(coords[i, k] - coords[j, k]) for k in g_idx))
             violated = next(n for n, k in zip(h_names, h_idx) if abs(coords[i, k] - coords[j, k]) >= target_eps)
             x, y = (tuple(cloud.params[k].tolist()) for k in (i, j))
-            rows.append(RefinementRow(target.describe(), eps, False, x, y, d_g, violated))
-    return RefinementReport(coords.shape[0], tuple(rows), sum(scanned for _, scanned in found))
+            rows.append(RefinementRow(eps, x, y, d_g, violated))
+    target = f"V({','.join(h_names)};{target_eps!r})"
+    return RefinementReport(target, coords.shape[0], tuple(rows), sum(scanned for _, scanned in found))
 
 
 def _upper_edges(lead: np.ndarray, eps: float) -> np.ndarray:

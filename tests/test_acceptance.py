@@ -100,7 +100,7 @@ def test_criterion_3_spiral_completion_and_projection():
 
 def test_criterion_4_bounded_replacement_scales():
     spec = load("real_line_atan.spec")
-    omega = SmoothFunction(Var("u1"), ("u1",), ("f",))
+    omega = SmoothFunction(Var("u1"), ("f",))
     for m, mu in ((-3.0, 5.0), (0.0, 2.0), (5.0, 7.0)):
         bset = boundize(spec.space, omega, (m,))
         assert bset.mus == (mu,)
@@ -146,7 +146,7 @@ def test_criterion_6_tangent_laws_randomized():
     gens = ("p", "q", "h")
 
     def random_fn(depth):
-        return SmoothFunction(random_expr(rng, uvars, depth), uvars, gens)
+        return SmoothFunction(random_expr(rng, uvars, depth), gens)
 
     def random_vector():
         point = (rng.uniform(-3.0, 3.0), rng.uniform(-3.0, 3.0))
@@ -177,9 +177,9 @@ def test_criterion_6_tangent_laws_randomized():
         target=_plane(),
         components=(parse_expr("x^2", ["x", "y"]), Var("y")),
         witnesses={
-            "p": SmoothFunction(parse_expr("u1^2", ["u1"]), ("u1",), ("p",)),
-            "q": SmoothFunction(Var("u1"), ("u1",), ("q",)),
-            "h": SmoothFunction(parse_expr("u1^2 * u2", ["u1", "u2"]), ("u1", "u2"), ("p", "q")),
+            "p": SmoothFunction(parse_expr("u1^2", ["u1"]), ("p",)),
+            "q": SmoothFunction(Var("u1"), ("q",)),
+            "h": SmoothFunction(parse_expr("u1^2 * u2", ["u1", "u2"]), ("p", "q")),
         },
     )
     chain_done = 0

@@ -277,7 +277,7 @@ def test_bitset_verifier_matches_the_frozenset_oracle():
         table = _Families(size, _filters(size))
         masks = table.masks
         for index, (u, bm) in enumerate(zip(catalog(ground), _models(table), strict=True)):
-            assert _check_model(size, index, bm, table) == check_model(size, index, u, fs)
+            assert _check_model(index, bm, table) == check_model(size, index, u, fs)
             rows = bm.relation_rows(masks)
             for i, (f, m) in enumerate(zip(fs, masks)):
                 assert bm.cauchy(m) == is_cauchy(f, u)
@@ -349,7 +349,7 @@ def test_a_non_transitive_minimum_is_reported_not_raised():
     table = _Families(3, _filters(3))
     bm = _BitsetModel([0b011, 0b111, 0b110], table)
     assert {entourage(bm, s) for s in range(bm.n_entourages)} == set(u.entourages)
-    report = _check_model(3, 0, bm, table)
+    report = _check_model(0, bm, table)
     assert report.failures == (
         "^02 converges but is not Cauchy",
         "^012 converges but is not Cauchy",
@@ -379,7 +379,7 @@ def test_a_family_that_is_not_a_filter_is_reported_not_raised():
     with pytest.raises(ValueError, match="ground set missing"):
         check_model(2, 0, u, fs)
     table = _Families(2, _filters(2) + [1 << 0b01])
-    report = _check_model(2, 0, _BitsetModel([0b01, 0b10], table), table)
+    report = _check_model(0, _BitsetModel([0b01, 0b10], table), table)
     assert "intersection axioms: filter axioms violated: ground set missing" in report.failures
 
 
@@ -387,7 +387,7 @@ def test_a_non_filter_meet_fails_every_model_of_its_size():
     """The intersection sweep runs once per ground size, and every model of
     that size records its failures first."""
     table = _Families(2, _filters(2) + [1 << 0b01])
-    reports = [_check_model(2, index, bm, table) for index, bm in enumerate(_models(table))]
+    reports = [_check_model(index, bm, table) for index, bm in enumerate(_models(table))]
     assert len(reports) == 2
     for report in reports:
         assert report.failures[0] == "intersection axioms: filter axioms violated: ground set missing"
@@ -520,7 +520,7 @@ def test_a_meet_outside_the_list_is_computed_directly(monkeypatch):
     table = _Families(2, _filters(2) + [1 << 0b01])
     assert table.meet_of[1][3] is None
     calls = count_calls(monkeypatch, "relation_rows", "cauchy")
-    reports = [_check_model(2, index, bm, table) for index, bm in enumerate(_models(table))]
+    reports = [_check_model(index, bm, table) for index, bm in enumerate(_models(table))]
     assert calls["relation_rows"] > len(reports)
     assert calls["cauchy"] > len(reports) * len(table.masks)
     axioms = ("intersection axioms: filter axioms violated: ground set missing",) * 8
@@ -552,7 +552,7 @@ def test_a_partial_filter_list_matches_the_frozenset_oracle(size):
     table = _Families(size, [m for m, _ in kept])
     assert any(k is None for row in table.meet_of for k in row)
     for index, (u, bm) in enumerate(zip(catalog(ground), _models(table), strict=True)):
-        assert _check_model(size, index, bm, table) == check_model(size, index, u, [f for _, f in kept])
+        assert _check_model(index, bm, table) == check_model(size, index, u, [f for _, f in kept])
 
 
 def assert_meet_table_is_direct(table):
@@ -606,7 +606,7 @@ def test_size_five_models_match_the_frozenset_oracle(k):
     index, bm = next((i, bm) for i, bm in enumerate(_models(table)) if bm.n_entourages == 1 << k)
     u = catalog(ground)[index]
     assert len(u.entourages) == 1 << k
-    assert _check_model(5, index, bm, table) == check_model(5, index, u, enumerate_filters(ground))
+    assert _check_model(index, bm, table) == check_model(5, index, u, enumerate_filters(ground))
 
 
 def test_the_summary_names_a_filter_count_mismatch():

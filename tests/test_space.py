@@ -12,6 +12,7 @@ from sikorski.space import (
     GeneratorFamily,
     Interval,
     SmoothFunction,
+    SmoothMapReport,
     SmoothMapWitness,
     check_smooth_map,
     embed,
@@ -52,7 +53,7 @@ def test_empty_interval_rejected():
 
 def test_open_ends_are_pulled_in_by_the_inset():
     s = line_space(0.0, math.pi / 2, 5, [("f", "x")], lo_open=True, hi_open=True, inset=0.01)
-    axis = s.carrier.axis_samples()[0]
+    axis = s.carrier.axis_samples()[0].tolist()
     assert len(axis) == 5
     assert axis[0] == 0.01
     assert axis[-1] == math.pi / 2 - 0.01
@@ -61,7 +62,7 @@ def test_open_ends_are_pulled_in_by_the_inset():
 
 def test_closed_ends_sample_the_endpoints():
     s = line_space(0.0, 1.0, 2, [("f", "x")])
-    assert s.carrier.axis_samples()[0] == (0.0, 1.0)
+    assert s.carrier.axis_samples()[0].tolist() == [0.0, 1.0]
 
 
 def test_chart_singularity_is_reported():
@@ -154,7 +155,7 @@ def test_smooth_map_sweep_errors_name_the_expression_and_the_sample():
     source = line_space(-1.0, 1.0, 5, [("f", "x")])
     target = line_space(-1.0, 1.0, 5, [("g", "x")])
     # the map component fails at the fourth sample, the witness at the second
-    pullback = SmoothFunction(parse_expr("1 / (u1 + 0.5)", ["u1"]), ("u1",), ("f",))
+    pullback = SmoothFunction(parse_expr("1 / (u1 + 0.5)", ["u1"]), ("f",))
     witness = SmoothMapWitness(target, (parse_expr("1 / (x - 0.5)", ["x"]),), {"g": pullback})
     with pytest.raises(DomainError) as err:
         check_smooth_map(source, witness)
@@ -192,20 +193,18 @@ def test_single_generator_embedding_is_its_graph():
 
 def test_eval_smooth_composes_omega_with_generator_values():
     s = line_space(-5.0, 5.0, 11, [("f", "x"), ("g", "x^2")])
-    square = SmoothFunction(parse_expr("u1^2", ["u1"]), ("u1",), ("f",))
+    square = SmoothFunction(parse_expr("u1^2", ["u1"]), ("f",))
     assert eval_smooth(s, square, (3.0,)) == 9.0
-    total = SmoothFunction(parse_expr("u1 + u2", ["u1", "u2"]), ("u1", "u2"), ("f", "g"))
+    total = SmoothFunction(parse_expr("u1 + u2", ["u1", "u2"]), ("f", "g"))
     assert eval_smooth(s, total, (2.0,)) == 6.0
-    bent = SmoothFunction(parse_expr("sin(u1)", ["u1"]), ("u1",), ("a",))
+    bent = SmoothFunction(parse_expr("sin(u1)", ["u1"]), ("a",))
     arc = line_space(-5.0, 5.0, 11, [("a", "atan(x)")])
     assert eval_smooth(arc, bent, (0.0,)) == 0.0
 
 
 def test_smooth_function_validates_its_witness():
-    with pytest.raises(ValueError, match="pair up"):
-        SmoothFunction(Var("u1"), ("u1", "u2"), ("f",))
     with pytest.raises(ValueError, match="undeclared"):
-        SmoothFunction(parse_expr("u1 + u2", ["u1", "u2"]), ("u1",), ("f",))
+        SmoothFunction(parse_expr("u1 + u2", ["u1", "u2"]), ("f",))
 
 
 def test_identity_map_witness_has_zero_residual():
@@ -226,7 +225,7 @@ def test_squaring_map_witness_has_zero_residual():
     w = SmoothMapWitness(
         target=target,
         components=(parse_expr("x^2", ["x"]),),
-        witnesses={"f": SmoothFunction(parse_expr("u1^2", ["u1"]), ("u1",), ("f",))},
+        witnesses={"f": SmoothFunction(parse_expr("u1^2", ["u1"]), ("f",))},
     )
     report = check_smooth_map(source, w, tol=0.0)
     assert report.smooth
@@ -240,11 +239,25 @@ def test_identity_is_not_a_function_of_the_square():
     w = SmoothMapWitness(
         target=target,
         components=(Var("x"),),
-        witnesses={"f": SmoothFunction(Var("u1"), ("u1",), ("g",))},
+        witnesses={"f": SmoothFunction(Var("u1"), ("g",))},
     )
     report = check_smooth_map(source, w, tol=1e-6)
     assert not report.smooth
     assert report.max_residual() >= 1.0
+
+
+@pytest.mark.parametrize(
+    "residuals, smooth",
+    [
+        ((0.0, 1e-6), True),
+        ((1e-6, 1.5e-6), False),
+        ((0.0, math.nan), False),
+        ((math.inf,), False),
+    ],
+)
+def test_smooth_means_every_residual_within_tol(residuals, smooth):
+    rows = tuple((f"g{i}", r) for i, r in enumerate(residuals))
+    assert SmoothMapReport(1e-6, rows, None).smooth is smooth
 
 
 def test_map_witness_requires_full_coverage():

@@ -62,7 +62,7 @@ LINE = line_space([("f", "x"), ("g", "x^2")])
 
 def test_directional_derivative_of_the_square():
     v = TangentVector((2.0,), (1.0,))
-    square = SmoothFunction(parse_expr("u1^2", ["u1"]), ("u1",), ("f",))
+    square = SmoothFunction(parse_expr("u1^2", ["u1"]), ("f",))
     assert apply(LINE, v, square) == 4.0
 
 
@@ -96,7 +96,7 @@ def test_differential_of_constants_and_coordinates():
     """df(v) is apply(space, v, f): zero on constants, and the coordinate
     reading of the vector on a generator."""
     v = TangentVector((1.0, 2.0), (3.0, 4.0))
-    const = SmoothFunction(parse_expr("2.5"), (), ())
+    const = SmoothFunction(parse_expr("2.5"), ())
     assert apply(PLANE, v, const) == 0.0
     assert apply(PLANE, v, SmoothFunction.of_generator("p")) == 3.0
     assert apply(PLANE, v, SmoothFunction.of_generator("q")) == 4.0
@@ -107,12 +107,12 @@ def test_product_rule_on_the_square():
     ident = SmoothFunction.of_generator("f")
     assert leibniz_check(LINE, v, ident, ident)[0] == 0.0
     # v(x * x) = 4 decomposes as 2 + 2
-    assert apply(LINE, v, SmoothFunction(parse_expr("u1 * u2", ["u1", "u2"]), ("u1", "u2"), ("f", "f"))) == 4.0
+    assert apply(LINE, v, SmoothFunction(parse_expr("u1 * u2", ["u1", "u2"]), ("f", "f"))) == 4.0
 
 
 def test_product_rule_with_a_constant_factor():
     v = TangentVector((1.5,), (1.0,))
-    const = SmoothFunction(parse_expr("3.0"), (), ())
+    const = SmoothFunction(parse_expr("3.0"), ())
     ident = SmoothFunction.of_generator("f")
     assert leibniz_check(LINE, v, const, ident)[0] == 0.0
 
@@ -121,8 +121,8 @@ def test_product_rule_residuals_stay_at_rounding_scale():
     rng = random.Random(20240817)
     checked = 0
     while checked < 60:
-        f = SmoothFunction(random_expr(rng, ("u1", "u2"), 3), ("u1", "u2"), ("p", "q"))
-        g = SmoothFunction(random_expr(rng, ("u1", "u2"), 3), ("u1", "u2"), ("p", "q"))
+        f = SmoothFunction(random_expr(rng, ("u1", "u2"), 3), ("p", "q"))
+        g = SmoothFunction(random_expr(rng, ("u1", "u2"), 3), ("p", "q"))
         v = TangentVector((rng.uniform(0.3, 0.7), rng.uniform(0.3, 0.7)), (rng.uniform(-2, 2), rng.uniform(-2, 2)))
         try:
             fm = eval_smooth(PLANE, f, v.point)
@@ -145,9 +145,9 @@ def square_first_map():
         target=target,
         components=(parse_expr("x^2", ["x", "y"]), Var("y")),
         witnesses={
-            "p": SmoothFunction(parse_expr("u1^2", ["u1"]), ("u1",), ("p",)),
-            "q": SmoothFunction(Var("u1"), ("u1",), ("q",)),
-            "h": SmoothFunction(parse_expr("u1^2 * u2", ["u1", "u2"]), ("u1", "u2"), ("p", "q")),
+            "p": SmoothFunction(parse_expr("u1^2", ["u1"]), ("p",)),
+            "q": SmoothFunction(Var("u1"), ("q",)),
+            "h": SmoothFunction(parse_expr("u1^2 * u2", ["u1", "u2"]), ("p", "q")),
         },
     )
 
@@ -175,8 +175,8 @@ def test_identity_and_constant_pushforwards():
         target=LINE,
         components=(parse_expr("2.0", ["x", "y"]),),
         witnesses={
-            "f": SmoothFunction(parse_expr("2 + 0 * u1", ["u1"]), ("u1",), ("p",)),
-            "g": SmoothFunction(parse_expr("4 + 0 * u1", ["u1"]), ("u1",), ("p",)),
+            "f": SmoothFunction(parse_expr("2 + 0 * u1", ["u1"]), ("p",)),
+            "g": SmoothFunction(parse_expr("4 + 0 * u1", ["u1"]), ("p",)),
         },
     )
     squashed = tangent_map(PLANE, frozen, v)
@@ -203,7 +203,7 @@ def test_chain_rule_on_the_first_projection():
 def test_chain_rule_degenerate_cases():
     w = square_first_map()
     v = TangentVector((3.0, 4.0), (1.0, 2.0))
-    const = SmoothFunction(parse_expr("7.0"), (), ())
+    const = SmoothFunction(parse_expr("7.0"), ())
     assert chain_rule_check(PLANE, w, v, const)[0] == 0.0
     ident = SmoothMapWitness(
         target=PLANE,

@@ -15,8 +15,8 @@ from sikorski.space import Carrier, DiffSpace, Generator, GeneratorFamily, Inter
 from sikorski.specfile import load_spec
 from sikorski.uniform import (
     CauchyVerdict,
-    Entourage,
     Probe,
+    RefinementRow,
     compare_uniformities,
     probe_cauchy,
     probe_points,
@@ -43,30 +43,32 @@ SLAB = line_space(-1100.0, 1100.0, 221, [("f", "x"), ("a", "atan(x)")])
 
 
 def test_entourage_validation():
-    with pytest.raises(ValueError, match="positive"):
-        Entourage(("f",), 0.0)
-    with pytest.raises(ValueError, match="at least one"):
-        Entourage((), 1.0)
+    """The target entourage needs a generator and a positive width; the
+    search refuses either before sampling."""
+    with mock.patch.object(uniform, "embed", side_effect=AssertionError("sampled")):
+        with pytest.raises(ValueError, match="^an entourage needs at least one generator$"):
+            compare_uniformities(PARABOLA, ["f"], [], [0.1])
+        for target_eps in (0.0, -1.0, math.nan):
+            with pytest.raises(ValueError, match="^entourage widths must be positive$"):
+                compare_uniformities(PARABOLA, ["f"], ["g"], [0.1], target_eps=target_eps)
 
 
 def test_entourage_membership_is_strict():
-    v = Entourage(("f",), 1.0)
-    assert entourage_contains(PARABOLA, v, (0.0,), (0.7,))
-    assert not entourage_contains(PARABOLA, v, (0.0,), (1.5,))
-    assert not entourage_contains(PARABOLA, v, (0.0,), (1.0,))
+    assert entourage_contains(PARABOLA, ["f"], 1.0, (0.0,), (0.7,))
+    assert not entourage_contains(PARABOLA, ["f"], 1.0, (0.0,), (1.5,))
+    assert not entourage_contains(PARABOLA, ["f"], 1.0, (0.0,), (1.0,))
 
 
 def test_every_listed_generator_must_agree():
-    v = Entourage(("f", "g"), 1.0)
-    assert not entourage_contains(PARABOLA, v, (10.0,), (10.05,))
+    assert not entourage_contains(PARABOLA, ["f", "g"], 1.0, (10.0,), (10.05,))
     assert pseudometric(PARABOLA, ["f", "g"], (10.0,), (10.05,)) == pytest.approx(1.0025, abs=1e-9)
 
 
 def test_entourage_is_symmetric_and_reflexive():
-    v = Entourage(("f", "g"), 0.5)
+    names = ["f", "g"]
     for x, y in [((0.0,), (0.2,)), ((3.0,), (3.4,)), ((1.0,), (1.0,))]:
-        assert entourage_contains(PARABOLA, v, x, y) == entourage_contains(PARABOLA, v, y, x)
-        assert entourage_contains(PARABOLA, v, x, x)
+        assert entourage_contains(PARABOLA, names, 0.5, x, y) == entourage_contains(PARABOLA, names, 0.5, y, x)
+        assert entourage_contains(PARABOLA, names, 0.5, x, x)
 
 
 def test_pseudometric_examples():
@@ -94,8 +96,8 @@ def test_coordinate_family_does_not_refine_the_square():
     from the origin; the scan surfaces a concrete sampled pair."""
     report = compare_uniformities(PARABOLA, ["f"], ["g"], [0.1], target_eps=1.0)
     assert report.sample_count == 401
+    assert report.target == "V(g;1.0)"
     row = report.rows[0]
-    assert row.target == "V(g;1.0)"
     assert not row.refines
     assert row.violated == "g"
     x, y = row.witness_x[0], row.witness_y[0]
@@ -124,6 +126,16 @@ def test_refinement_rows_carry_python_floats():
     for row in report.rows:
         assert type(row.candidate_eps) is float
         assert type(row.d_g) is float
+
+
+def test_a_row_refines_exactly_when_it_has_no_witness():
+    assert RefinementRow(0.1, None, None, None, None).refines
+    assert not RefinementRow(0.1, (0.0,), (0.5,), 0.5, "g").refines
+    report = compare_uniformities(PARABOLA, ["f"], ["g"], [1.0, 0.1, 0.01], target_eps=1.0)
+    assert [row.refines for row in report.rows] == [False, False, True]
+    for row in report.rows:
+        fields = (row.witness_x, row.witness_y, row.d_g, row.violated)
+        assert [v is None for v in fields] == [row.refines] * 4
 
 
 def test_finer_grids_find_witnesses_at_smaller_widths():
@@ -396,6 +408,37 @@ def test_scaled_parabola_never_reaches_the_sweep():
         (tuple(ambient[i]), tuple(ambient[j])) for i, j in expected
     ]
     assert report.pairs_examined < 10_000
+
+
+# lead values: multiples of 0.1 (whose gaps round), small integers (which
+# tie), and any finite float up to 1e16 in magnitude
+_lead_value = st.one_of(
+    st.integers(-40, 40).map(lambda k: k * 0.1),
+    st.integers(-3, 3).map(float),
+    st.floats(-1e16, 1e16, allow_nan=False),
+)
+
+
+@given(lead=st.lists(_lead_value, min_size=1, max_size=30).map(sorted), data=st.data())
+@example(lead=[0.0, 0.1, 0.2, 0.30000000000000004, 0.4], data=None)
+@example(lead=[1e16, 1e16, 1e16 + 2.0, 1e16 + 4.0], data=None)
+@example(lead=[-0.3, -0.3, -0.2, 0.0, 0.0, 0.1], data=None)
+def test_upper_edges_match_their_definition(lead, data):
+    """Each upper edge is one past the last j with fl(lead[j] - lead[r]) <
+    eps, and the lower edge `_lead_runs` takes from the upper edges of
+    -lead reversed is the first j with fl(lead[r] - lead[j]) < eps, at a
+    width that may equal a rounded gap exactly."""
+    gaps = sorted({b - a for a in lead for b in lead if b > a})
+    widths = [0.1, 0.2, 0.3, 1.0, 5e-324, *gaps]
+    if data is not None:
+        widths.append(data.draw(st.floats(min_value=0.0, max_value=1e17, exclude_min=True), label="eps"))
+    column = np.array(lead)
+    n = len(lead)
+    for eps in widths:
+        upper = [max(j for j in range(n) if lead[j] - lead[r] < eps) + 1 for r in range(n)]
+        lower = [min(j for j in range(n) if lead[r] - lead[j] < eps) for r in range(n)]
+        assert uniform._upper_edges(column, eps).tolist() == upper
+        assert (n - uniform._upper_edges(-column[::-1], eps)[::-1]).tolist() == lower
 
 
 def _brute_force_witness(space, g_names, h_names, eps, target_eps):

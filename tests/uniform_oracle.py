@@ -15,10 +15,11 @@ def _family_values(space, names, point):
     return [eval_scalar(space.family.get(n).expr, env) for n in names]
 
 
-def entourage_contains(space, v, x, y):
-    fx = _family_values(space, v.names, x)
-    fy = _family_values(space, v.names, y)
-    return all(abs(a - b) < v.eps for a, b in zip(fx, fy))
+def entourage_contains(space, names, eps, x, y):
+    """(x, y) lies in V(names; eps): every listed gap is below eps."""
+    fx = _family_values(space, names, x)
+    fy = _family_values(space, names, y)
+    return all(abs(a - b) < eps for a, b in zip(fx, fy))
 
 
 def pseudometric(space, names, x, y):

@@ -29,6 +29,15 @@ summary, then raises ``ValueError`` if an invariant failed.
 `_dispatch` loads a command's spec, runs the handler through its checks
 and then its work, and turns the outcome into that status and its one
 stderr line, for every direct command and every experiment of a ``run``.
+
+A process that imports this module keeps the memory it frees until it
+exits: `_keep_freed_memory` raises glibc's trim and mmap thresholds to
+256 MiB.  By default glibc hands a freed heap top back to the kernel
+after every 4,096-row CSV slice and every refinement width, and the next
+one faults the same pages in again: a cold ``grid`` benchmark pass
+(seed 5) took 7,379 minor page faults, and takes about 1,035 with the
+thresholds raised, at the same peak resident memory.  No output depends
+on it.
 """
 
 from __future__ import annotations
@@ -36,6 +45,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import ctypes
 import dataclasses
 import functools
 import io
@@ -70,6 +80,33 @@ IOTA_TOL = 1e-9
 _RESIDUAL_SCALE = 1e-12
 _FLOAT = "%.17g"  # every float the CLI prints, in artifacts and on stdout
 _UNSET = object()  # an option the command line did not give
+_HEAP_KEPT = 256 << 20  # bytes: glibc trims no free heap top and maps no block below this
+
+
+def _keep_freed_memory() -> None:
+    """Have glibc keep the memory this process frees until it exits.
+
+    By default glibc maps a block above its mmap threshold on its own and
+    unmaps it when freed, and trims a free heap top above its trim
+    threshold; both start at 128 KiB, and freeing a mapped block raises
+    them to its size and twice that, up to 32 MiB.  So every next
+    sample-sized temporary (a CSV slice, a refinement width's edges and
+    flags) faults its pages in anew.  Setting either of M_TRIM_THRESHOLD
+    (-1) or M_MMAP_THRESHOLD (-3) stops glibc adjusting the other, so both
+    are set.  Without a C library that has `mallopt` this does nothing; no
+    output depends on it."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError, TypeError):  # no C library, no mallopt, or no CDLL(None) (Windows)
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(-1, _HEAP_KEPT)  # M_TRIM_THRESHOLD
+    mallopt(-3, _HEAP_KEPT)  # M_MMAP_THRESHOLD
+
+
+_keep_freed_memory()  # once per process, with the import, not in each `main` call
+
 
 class UsageError(Exception):
     pass

@@ -205,7 +205,8 @@ def compactify(
     normalized = normalize(space)
     scaled = GeneratorFamily(tuple(Generator(ng.name, ng.expr) for ng in normalized))
     cs = complete(DiffSpace(space.carrier, scaled), probes, tol=tol, tail=tail)
-    over = np.argwhere(np.abs(cs.base.coords) > 1.0)
+    # boolean masks only: np.abs would allocate a float copy of the whole embedding
+    over = np.argwhere((cs.base.coords > 1.0) | (cs.base.coords < -1.0))
     if over.size:
         i, k = over[0]
         point, value = tuple(cs.base.ambient[i].tolist()), float(cs.base.coords[i, k])

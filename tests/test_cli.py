@@ -14,6 +14,7 @@ import dataclasses
 import inspect
 import io
 import math
+import os
 import random
 import re
 import shlex
@@ -835,6 +836,75 @@ def test_a_run_never_loads_openssl(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "False"
+
+
+def on_glibc():
+    try:
+        return sys.platform.startswith("linux") and os.confstr("CS_GNU_LIBC_VERSION") is not None
+    except (AttributeError, ValueError):  # no confstr, or no such name
+        return False
+
+
+# The stub, if any, replaces ctypes.CDLL before sikorski.cli is imported.
+# The last stdout line is the exit status, the minor page faults of the
+# `run` call and the peak resident set size.
+MEMORY_CHILD = """\
+import ctypes, resource, sys
+{stub}
+from sikorski import cli
+before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+rc = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])
+usage = resource.getrusage(resource.RUSAGE_SELF)
+print(rc, usage.ru_minflt - before, usage.ru_maxrss)
+"""
+
+
+def run_measured(spec, out, stub=""):
+    proc = subprocess.run(
+        [sys.executable, "-c", MEMORY_CHILD.format(stub=stub), str(spec), str(out)],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    *printed, last = proc.stdout.splitlines()
+    rc, faults, peak_kib = map(int, last.split())
+    return rc, printed, faults, peak_kib
+
+
+@pytest.fixture(scope="module")
+def spiral_kept(tmp_path_factory):
+    """The spiral spec at 10,000 samples, and its `run` in a fresh
+    interpreter that keeps the memory it frees.  At the bundled 2,000
+    samples the faults it saves are too few to tell apart."""
+    tmp = tmp_path_factory.mktemp("spiral_kept")
+    spec = tmp / "spiral.spec"
+    spec.write_text(
+        re.sub(r"^samples = \d+$", "samples = 10000", Path(SPIRAL).read_text(encoding="utf-8"), flags=re.M),
+        encoding="utf-8",
+    )
+    return spec, tmp / "out", run_measured(spec, tmp / "out")
+
+
+@pytest.mark.skipif(not on_glibc(), reason="mallopt and its thresholds are glibc's")
+@pytest.mark.parametrize(
+    "stub",
+    [
+        "def CDLL(*args, **kwargs):\n    raise OSError('no C library')\nctypes.CDLL = CDLL",
+        "ctypes.CDLL = lambda *args, **kwargs: object()",  # a C library without mallopt
+        "def CDLL(*args, **kwargs):\n    raise TypeError('no CDLL(None)')\nctypes.CDLL = CDLL",
+    ],
+    ids=["no-c-library", "no-mallopt", "no-cdll-none"],
+)
+def test_keeping_freed_memory_saves_faults_and_changes_no_output(tmp_path, spiral_kept, stub):
+    spec, kept_out, (kept_rc, kept_stdout, kept_faults, kept_peak) = spiral_kept
+    rc, stdout, faults, peak = run_measured(spec, tmp_path, stub)
+    assert (kept_rc, kept_stdout) == (rc, stdout)
+    assert rc == 0
+    written = sorted(p.name for p in kept_out.iterdir())
+    assert written == sorted(p.name for p in tmp_path.iterdir())
+    for name in written:
+        assert (kept_out / name).read_bytes() == (tmp_path / name).read_bytes(), name
+    assert abs(kept_peak - peak) <= 0.05 * peak
+    assert kept_faults <= faults / 2
 
 
 def test_an_iota_residual_above_tolerance_exits_one(tmp_path, monkeypatch):

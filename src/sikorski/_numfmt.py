@@ -13,10 +13,13 @@ by at most half an ulp.  D is that result truncated and then rounded
 half-up from its fraction.  Every value this cannot prove exact takes
 Python's own scalar conversion instead, ``%.16e``, which gives the same
 correctly rounded 17 digits and exponent as ``%.17g``: a fraction within
-half an ulp of .5 (``%`` rounds an exact decimal tie half-even), zero, a
-non-finite value (its text is taken whole), and |16 - k| > 27, which
-takes in the subnormals and the extremes.  Where long double is plain
-double, every value takes the scalar path.
+half an ulp of .5 (``%`` rounds an exact decimal tie half-even), zero,
+and |16 - k| > 27, which takes in the subnormals and the extremes.
+Where long double is plain double, every value takes the scalar path.
+
+Only finite values are formatted: `fields` raises `ValueError` on a NaN
+or an infinity.  Each of them fails |16 - k| <= 27, so the check reads
+only the values sent to the scalar path.
 
 The text is assembled eight bytes at a time, from D, k and the sign.  A
 table holds, for each %g layout (fixed notation with k in -4..16, or
@@ -59,10 +62,9 @@ _LEAD = 6  # the sign and the "0.000" before the first digit
 _WIDTH = _LEAD + 2 * _DIGITS + 8  # then the digits and their slots, then one word
 
 # %g writes exponents -4..16 in fixed notation, one layout each, then one
-# layout for exponent notation and a blank one for a non-finite value.
+# layout for exponent notation.
 _FIXED_LO, _FIXED_HI = -4, _DIGITS - 1
 _SCI = _FIXED_HI - _FIXED_LO + 1
-_BLANK = _SCI + 1
 
 
 def _layouts() -> np.ndarray:
@@ -72,10 +74,10 @@ def _layouts() -> np.ndarray:
     # the digits before the fraction: k + 1 in fixed notation, 1 in exponent notation
     firsts = [k + 1 for k in range(_FIXED_LO, _FIXED_HI + 1)] + [1]
     s = np.arange(1, _DIGITS + 1)
-    out = np.zeros((_BLANK + 1, _DIGITS, _WIDTH), dtype=np.uint8)
-    out[:_BLANK, :, 0] = ord("-")
+    out = np.zeros((len(firsts), _DIGITS, _WIDTH), dtype=np.uint8)
+    out[:, :, 0] = ord("-")
     kept = np.arange(_DIGITS) < np.maximum(s[:, None], np.array(firsts)[:, None, None])
-    out[:_BLANK, :, _LEAD : _WIDTH - 8 : 2] = kept * np.uint8(0xFF)
+    out[:, :, _LEAD : _WIDTH - 8 : 2] = kept * np.uint8(0xFF)
     for rows, first in zip(out, firsts):
         if first > 0:
             rows[s > first, _LEAD + 2 * first - 1] = ord(".")
@@ -155,33 +157,28 @@ def _words(d: np.ndarray) -> np.ndarray:
     return words
 
 
-def _scalar_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(D, k, text) of each value from Python's own ``%.16e``, which has
-    the correctly rounded digits of ``%.17g``: D and k of a finite value,
-    and the text of a non-finite one as a last word (0 where finite)."""
+def _scalar_digits(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(D, k) of each finite value from Python's own ``%.16e``, which has
+    the correctly rounded digits of ``%.17g``."""
     d = np.zeros(len(x), dtype=np.int64)
     k = np.zeros(len(x), dtype=np.int64)
-    text = np.zeros(len(x), dtype=np.uint64)
     for i, value in enumerate(x.tolist()):
         mantissa, _, exponent = ("%.16e" % value).partition("e")
-        if exponent:
-            d[i] = int(mantissa.replace(".", "").lstrip("-"))
-            k[i] = int(exponent)
-        else:
-            text[i] = np.frombuffer(mantissa.encode().ljust(8, b"\0"), dtype=np.uint64)[0]
-    return d, k, text
+        d[i] = int(mantissa.replace(".", "").lstrip("-"))
+        k[i] = int(exponent)
+    return d, k
 
 
 def _float_fields(x: np.ndarray) -> np.ndarray:
     d, k, exact = _float_digits(x)
     slow = np.flatnonzero(~exact)
-    d[slow], k[slow], text = _scalar_digits(x[slow])
+    rest = x[slow]
+    if not np.isfinite(rest).all():
+        raise ValueError("%.17g fields are made of finite values only")
+    d[slow], k[slow] = _scalar_digits(rest)
     fixed = (k >= _FIXED_LO) & (k <= _FIXED_HI)
     layout = np.where(fixed, k - _FIXED_LO, _SCI)
-    last = np.where(fixed, 0, _EXPONENTS[np.clip(k, _K_MIN, None) - _K_MIN])
-    nonfinite = slow[text != 0]
-    layout[nonfinite] = _BLANK
-    last[nonfinite] = text[text != 0]
+    last = np.where(fixed, 0, _EXPONENTS[k - _K_MIN])
     words = _words(d)
     # trailing zeros of D, from its last word back; its first word is 0..9
     z = np.take(_TRAILING, words[1:])
@@ -195,9 +192,10 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
 
 
 def fields(x: np.ndarray) -> np.ndarray:
-    """``'%.17g' % value`` for each float64 value of `x`, one row of
-    uint8 per value: the text's bytes with NUL bytes around and inside
-    them; a column that is NUL in every row is left out."""
+    """``'%.17g' % value`` for each finite float64 value of `x`, one row
+    of uint8 per value: the text's bytes with NUL bytes around and inside
+    them; a column that is NUL in every row is left out.  A NaN or an
+    infinity raises `ValueError`."""
     out = _float_fields(np.asarray(x, dtype=np.float64).ravel())
     used = np.array([np.bitwise_or.reduce(word) for word in out.view(np.uint64).T], dtype=np.uint64)
     return out[:, used.view(np.uint8) != 0]

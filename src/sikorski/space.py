@@ -97,6 +97,10 @@ class Carrier:
         for iv, (lo, hi) in zip(self.box, self._axis_ends()):
             if lo > hi:
                 raise ValueError(f"inset {self.inset} empties axis {iv}")
+            # a span float64 cannot hold, or a NaN inset, would sample NaN and inf
+            span = float(hi) - float(lo)
+            if not math.isfinite(span):
+                raise ValueError(f"axis {iv} with inset {self.inset} spans {span!r}, not a finite float64")
         scope = set(self.params)
         for name, comp in zip(self.ambient, self.chart):
             extra = variables(comp) - scope

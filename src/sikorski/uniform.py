@@ -314,6 +314,9 @@ class Probe:
         extra = variables(self.expr) - {"n"}
         if extra:
             raise ValueError(f"probe {self.name} may only use n, found {sorted(extra)}")
+        # n is bound as float64, which holds every integer only up to 2**53
+        if max(abs(self.start), abs(self.stop)) > 2**53:
+            raise ValueError(f"probe {self.name} has a schedule bound beyond 2**53, got {self.start} .. {self.stop}")
         if self.start > self.stop:
             raise ValueError(f"probe {self.name} has an empty schedule")
         # one index is a single point, which no tail can judge Cauchy

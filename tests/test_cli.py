@@ -39,7 +39,7 @@ SPIRAL = str(SPECS / "spiral.spec")
 
 def run_cli(*argv):
     return subprocess.run(
-        [sys.executable, "-m", "sikorski.cli", *argv],
+        [sys.executable, "-W", "error", "-m", "sikorski.cli", *argv],
         capture_output=True,
         text=True,
     )
@@ -1057,6 +1057,53 @@ def test_an_inset_that_empties_an_axis_exits_two(tmp_path):
     rc, _, err = run_in_process(["embed", str(spec), "--out", str(tmp_path)])
     assert rc == 2
     assert err == f"sikorski embed: {spec}:1: [space]: inset 5.0 empties axis (0.0, 1.0)\n"
+
+
+WIDE = "[space]\nparams = t\ndomain = [-1e308, 1e308]\nchart = x : t\nsamples = 5\n\n[generators]\nf = x\ng = atan(x)\n"
+
+
+@pytest.mark.parametrize(
+    "command",
+    [["embed"], ["complete"], ["compactify"], ["compare-uniform", "--g-family", "f", "--h-family", "g", "--eps-grid", "0.1"]],
+)
+def test_a_span_float64_cannot_hold_exits_two(tmp_path, command):
+    """linspace would sample nan and inf on it, under RuntimeWarnings:
+    the spec is refused before any sample is taken."""
+    spec = tmp_path / "wide.spec"
+    spec.write_text(WIDE)
+    proc = run_cli(command[0], str(spec), *command[1:], "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"sikorski {command[0]}: {spec}:1: [space]: axis [-1e+308, 1e+308] with inset 0.001 spans inf,"
+        " not a finite float64\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+HUGE = "[space]\nparams = t\ndomain = [0, 4e18]\nchart = x : t\nsamples = 5\n\n[generators]\ng = x\n\n[probes]\n"
+
+
+def test_a_probe_bound_beyond_2_53_exits_two(tmp_path):
+    """Beyond 2**53 the tail's float64 indices collapse, and the probe
+    read Cauchy where it escapes."""
+    spec = tmp_path / "huge.spec"
+    spec.write_text(HUGE + "small = n @ 1 .. 1000\nbig = n @ 1 .. 1152921504606846976\n")
+    proc = run_cli("complete", str(spec), "--out", str(tmp_path / "out"))
+    assert proc.returncode == 2
+    assert proc.stderr == (
+        f"sikorski complete: {spec}:12: probe big: probe big has a schedule bound beyond 2**53,"
+        " got 1 .. 1152921504606846976\n"
+    )
+    assert not (tmp_path / "out").exists()
+
+
+def test_a_probe_bound_of_2_53_keeps_its_indices_exact(tmp_path):
+    spec = tmp_path / "huge.spec"
+    spec.write_text(HUGE + "big = n @ 1 .. 9007199254740992\n")
+    rc, _, err = run_in_process(["complete", str(spec), "--out", str(tmp_path), "--label", "c"])
+    assert rc == 0, err
+    assert read_report(tmp_path / "c_report.txt")[0] == "probe big: escaping  oscillation[g=49]  limit -"
 
 
 def test_probes_on_a_two_parameter_carrier_exit_two(tmp_path):

@@ -60,6 +60,23 @@ def test_open_ends_are_pulled_in_by_the_inset():
     assert all(axis[i] < axis[i + 1] for i in range(4))
 
 
+def test_a_span_float64_cannot_hold_is_refused():
+    with pytest.raises(ValueError, match=r"axis \[-1e\+308, 1e\+308\] with inset 0.001 spans inf"):
+        line_space(-1e308, 1e308, 5, [("f", "x")])
+
+
+def test_a_nan_inset_on_an_open_axis_is_refused():
+    with pytest.raises(ValueError, match="with inset nan spans nan"):
+        line_space(0.0, 1.0, 4, [("f", "x")], hi_open=True, inset=float("nan"))
+
+
+def test_the_widest_finite_span_samples_finite_values():
+    axis = line_space(-8e307, 8e307, 5, [("f", "x")]).carrier.axis_samples()[0]
+    assert np.isfinite(axis).all()
+    assert axis[0] == -8e307 and axis[-1] == 8e307
+    assert (np.diff(axis) > 0).all()
+
+
 def test_closed_ends_sample_the_endpoints():
     s = line_space(0.0, 1.0, 2, [("f", "x")])
     assert s.carrier.axis_samples()[0].tolist() == [0.0, 1.0]

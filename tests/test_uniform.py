@@ -181,6 +181,18 @@ def test_probe_rejects_stray_variables_and_empty_schedules():
     assert Probe("p", Var("n"), start=5, stop=6).stop == 6
 
 
+@pytest.mark.parametrize("start, stop", [(1, 2**60), (1, 2**53 + 1), (-(2**53) - 1, 0)])
+def test_a_probe_bound_beyond_2_53_is_refused(start, stop):
+    """n is bound as float64, so beyond 2**53 the tail's indices collapse."""
+    with pytest.raises(ValueError, match=r"probe p has a schedule bound beyond 2\*\*53"):
+        Probe("p", Var("n"), start=start, stop=stop)
+
+
+def test_a_probe_bound_of_2_53_is_accepted():
+    probe = Probe("p", Var("n"), start=-(2**53), stop=2**53)
+    assert (probe.start, probe.stop) == (-(2**53), 2**53)
+
+
 def test_probe_points_walk_the_tail():
     probe = Probe("p", Var("n"), start=1, stop=1000)
     ns, values, ambient = probe_points(SLAB, probe, tail=50)

@@ -172,11 +172,21 @@ def _check_probe_flags(args) -> None:
         raise UsageError(f"--tail must be at least 2, got {args.tail}")
 
 
-def _select_probes(spec: specfile.SpecFile, flag: str | None) -> list[Probe]:
+def _select_probes(spec: specfile.SpecFile, flag: str | None, tail: int) -> list[Probe]:
+    """The probes `--probes` names (default: every probe of the spec); a
+    `--tail` longer than one's schedule, which would be judged over fewer
+    indices than it asks for, is refused."""
     if flag is None:
-        return list(spec.probes)
-    by_name = {p.name: p for p in spec.probes}
-    return [by_name[n] for n in _declared_names(flag, "--probes", by_name, "probe")]
+        probes = list(spec.probes)
+    else:
+        by_name = {p.name: p for p in spec.probes}
+        probes = [by_name[n] for n in _declared_names(flag, "--probes", by_name, "probe")]
+    for p in probes:
+        try:
+            p.check_tail(tail)
+        except ValueError as err:
+            raise UsageError(f"--tail: {err}") from None
+    return probes
 
 
 def _artifact(args, suffix: str) -> str:
@@ -335,7 +345,7 @@ def cmd_embed(args, spec) -> Iterator[None]:
 def cmd_complete(args, spec) -> Iterator[None]:
     _check_probe_flags(args)
     space = _resolve_family(spec.space, args.family)
-    probes = _select_probes(spec, args.probes)
+    probes = _select_probes(spec, args.probes, args.tail)
     sub = None
     if args.subfamily is not None:
         sub = space.with_generators(_declared_names(args.subfamily, "--subfamily", space.family.names))
@@ -363,7 +373,7 @@ def cmd_complete(args, spec) -> Iterator[None]:
 def cmd_compactify(args, spec) -> Iterator[None]:
     _check_probe_flags(args)
     space = _resolve_family(spec.space, args.family)
-    probes = _select_probes(spec, args.probes)
+    probes = _select_probes(spec, args.probes, args.tail)
     yield
     normalized, cs = compactify(space, probes, tol=args.tol, tail=args.tail)
     lines = [f"normalized {ng.name}: sup {_fmt(ng.sup)} at sample {ng.argmax_index}" for ng in normalized]

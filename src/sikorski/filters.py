@@ -14,16 +14,19 @@ contains V0, so V0 o V0 is inside W o W inside V0), and the uniformity is
 exactly the symmetric supersets of V0; so there is one model per set
 partition.  Each model is built straight from its partition as integer
 bitsets (see ``_BitsetModel``), in closed form: its 2^k entourages are
-never walked one by one.  What depends on the ground size alone (each
-family's members, minimal members, core and filter axioms, the check that
-pair and triple intersections of filters are filters, and each pair meet:
-the index of the listed filter it equals and whether it breaks the filter
-axioms) is computed once per size, in a ``_Families`` table its models
-share.  The Cauchy property and R are read off the minimal members: a
-filter up(c) has just one, c, so the Cauchy property is one lookup per
-filter, and R is one integer row per filter, over the filter indices, on
-whose bits the R laws are checked.  A law about a pair meet reads the
-meet's bit in those rows by its index.
+never walked one by one.  The partitions are sorted before any model is
+built, and each model is built when the sweep reaches it and dropped
+after its check, so only one model's tables are alive at a time.  What
+depends on the ground size alone (each family's members, minimal
+members, core and filter axioms, the check that pair and triple
+intersections of filters are filters, and each pair meet: the index of
+the listed filter it equals and whether it breaks the filter axioms) is
+computed once per size, in a ``_Families`` table its models share.  The
+Cauchy property and R are read off the minimal members: a filter up(c)
+has just one, c, so the Cauchy property is one lookup per filter, and R
+is one integer row per filter, over the filter indices, on whose bits
+the R laws are checked.  A law about a pair meet reads the meet's bit in
+those rows by its index.
 
 ``tests/filter_oracle.py`` keeps the definitions written with Python sets
 (filters, uniformities, the catalog, convergence, Cauchy filters, R and
@@ -326,21 +329,30 @@ class _BitsetModel:
         return rows
 
 
-def _models(table: _Families) -> list[_BitsetModel]:
+def _models(table: _Families) -> Iterator[_BitsetModel]:
     """Every uniformity on {0, .., n-1}, one per partition, ordered by
     entourage count and then by the sorted pairs of the minimum entourage
-    (the partition's relation, which tells the models apart)."""
+    (the partition's relation, which tells the models apart).
+
+    The partitions' rows are sorted first, and each model is built only
+    when the caller reaches it, so a caller that drops a model before
+    taking the next holds one model's tables at a time.  The sort key
+    needs no tables: V0 holds len(relation) ordered pairs, so
+    (size^2 - len(relation)) / 2 unordered pairs lie outside it, and the
+    model has 2 to that many entourages."""
     size = table.n
-    models = []
+    relations = []
     for blocks in partitions(range(size)):
         rows = [0] * size
         for block in blocks:
             mask = sum(1 << x for x in block)
             for x in block:
                 rows[x] = mask
-        models.append(_BitsetModel(rows, table))
-    models.sort(key=lambda m: (m.n_entourages, [(x, y) for x in range(size) for y in _bits(m.rows[x])]))
-    return models
+        relation = [(x, y) for x in range(size) for y in _bits(rows[x])]
+        relations.append((1 << (size * size - len(relation)) // 2, relation, rows))
+    relations.sort(key=lambda r: r[:2])
+    for _, _, rows in relations:
+        yield _BitsetModel(rows, table)
 
 
 def _filters(size: int) -> list[int]:
@@ -504,5 +516,6 @@ def verify_filter_laws(max_size: int = 4) -> FilterLawReport:
     for size in range(1, max_size + 1):
         table = _Families(size, _filters(size))
         filter_counts.append((size, len(table.masks), 2**size - 1))
+        # each model is built as the loop reaches it and dropped after its check
         models.extend(_check_model(index, bm, table) for index, bm in enumerate(_models(table)))
     return FilterLawReport(max_size, tuple(models), tuple(filter_counts))

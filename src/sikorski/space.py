@@ -92,6 +92,12 @@ class Carrier:
             raise ValueError("chart must provide one expression per ambient coordinate")
         if any(c < 1 for c in self.counts):
             raise ValueError("sample counts must be positive")
+        # numpy makes no array of more bytes than intp holds, and np.linspace
+        # takes its count as a float64, which rounds 2**60 - 64 up to 2**60;
+        # the first test keeps float() from overflowing
+        total, most = math.prod(self.counts), np.iinfo(np.intp).max
+        if total * 8 > most or float(total) * 8 > most:
+            raise ValueError(f"a grid of {total} float64 samples has more bytes than numpy can index")
         if self.inset < 0:
             raise ValueError("inset must be non-negative")
         for iv, (lo, hi) in zip(self.box, self._axis_ends()):

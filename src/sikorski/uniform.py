@@ -323,6 +323,12 @@ class Probe:
         if self.start == self.stop:
             raise ValueError(f"probe {self.name} needs at least two schedule indices, got {self.start} .. {self.stop}")
 
+    def check_tail(self, tail: int) -> None:
+        """Refuse a tail longer than the schedule, which would be judged
+        over fewer indices than it asks for."""
+        if tail > self.stop - self.start + 1:
+            raise ValueError(f"tail {tail} is longer than the schedule {self.start} .. {self.stop} of probe {self.name}")
+
 
 @dataclass(frozen=True)
 class CauchyVerdict:
@@ -337,7 +343,8 @@ class CauchyVerdict:
 
 def probe_points(space: DiffSpace, probe: Probe, tail: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Evaluate the last `tail` schedule indices: the indices n, the
-    parameter values, and the ambient matrix (one row per index).
+    parameter values, and the ambient matrix (one row per index).  A
+    tail longer than the schedule is refused.
 
     Only single-parameter carriers take probes; the index must land inside
     the parameter box, openness included.  A domain error carries the
@@ -350,7 +357,8 @@ def probe_points(space: DiffSpace, probe: Probe, tail: int) -> tuple[np.ndarray,
         raise ValueError("probes require a single-parameter carrier")
     if tail < 2:
         raise ValueError("tail must be at least 2")
-    ns = np.arange(max(probe.start, probe.stop - tail + 1), probe.stop + 1)
+    probe.check_tail(tail)
+    ns = np.arange(probe.stop - tail + 1, probe.stop + 1)
     box = carrier.box[0]
     # each stage runs on the indices before the earliest failure so far, so
     # a later stage can only raise at a smaller index

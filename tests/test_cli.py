@@ -512,6 +512,7 @@ BAD_FLAG_VALUES = [
     (["boundize", REAL_LINE, "--omega", "u1" + "+u1" * MAX_DEPTH, "--gens", "f", "--point", "0"], "--omega"),
     (["boundize", REAL_LINE, "--omega", "u1", "--gens", ",".join(f"g{i}" for i in range(1000)), "--point", "0"],
      "--gens"),
+    (["complete", SPIRAL, "--family", "a,b", "--tol", "1e-3", "--tail", "100000"], "--tail"),
 ]
 
 
@@ -544,6 +545,29 @@ def test_run_refuses_a_bad_flag_value_by_its_experiment_before_the_first_runs(tm
         2, "", f"sikorski run: experiment b: {err[len(prefix):]}"
     )
     assert not out_dir.exists()
+
+
+TAIL_CASES = [
+    (["complete", SPIRAL, "--family", "a,b", "--tol", "1e-3"], "1 .. 2000 of probe p0", 2000),
+    (["compactify", UNIT_INTERVAL], "1 .. 100 of probe plow", 100),
+    (["complete", REAL_LINE, "--family", "g", "--probes", "pminus"], "1 .. 1050 of probe pminus", 1050),
+]
+
+
+@pytest.mark.parametrize("argv, schedule, length", TAIL_CASES)
+def test_a_tail_longer_than_a_probe_schedule_is_refused(tmp_path, argv, schedule, length):
+    """A tail one index longer than a selected probe's schedule exits 2
+    with one line naming the probe and writes nothing; on spiral, `--tail
+    100000` once read every probe `escaping` and `complete over a,b: yes`.
+    A tail as long as the schedule runs."""
+    for tail in (length + 1, 100000):
+        rc, out, err = run_in_process([*argv, "--tail", str(tail), "--out", str(tmp_path / "refused")])
+        assert (rc, out) == (2, "")
+        assert err == f"sikorski {argv[0]}: --tail: tail {tail} is longer than the schedule {schedule}\n"
+    assert not (tmp_path / "refused").exists()
+    rc, _, err = run_in_process([*argv, "--tail", str(length), "--out", str(tmp_path / "ran")])
+    assert (rc, err) == (0, "")
+    assert (tmp_path / "ran" / f"{argv[0]}_points.csv").exists()
 
 
 def test_boundize_takes_at_most_max_depth_generators(tmp_path):
@@ -1245,6 +1269,24 @@ def test_a_sample_grid_too_large_to_allocate_exits_two(tmp_path):
     rc, out, err = run_in_process(["embed", str(spec), "--out", str(out_dir)])
     assert (rc, out) == (2, "")
     assert re.fullmatch(r"sikorski embed: Unable to allocate 7\.11 PiB [^\n]*\n", err)
+    assert not out_dir.exists()
+
+
+@pytest.mark.parametrize("samples", [2**62, 2**63 - 1, 2**63, 10**20])
+def test_a_sample_grid_numpy_cannot_index_exits_two_at_the_space_section(tmp_path, samples):
+    """Counts past what a float64 array can hold once exited 1 ("array is
+    too big", "Maximum allowed size exceeded") or in an IndexError
+    traceback from np.linspace; the carrier now refuses them before
+    anything is allocated, at the `[space]` line, on every command."""
+    spec = tmp_path / "huge.spec"
+    spec.write_text(f"[space]\nparams = t\ndomain = [0, 1]\nchart = x : t\nsamples = {samples}\n\n"
+                    "[generators]\nf = x\n")
+    out_dir = tmp_path / "out"
+    expected = f"{spec}:1: [space]: a grid of {samples} float64 samples has more bytes than numpy can index\n"
+    compare = ["compare-uniform", "--g-family", "f", "--h-family", "f", "--eps-grid", "0.1"]
+    for command in (["embed"], ["complete"], compare):
+        rc, out, err = run_in_process([command[0], str(spec), *command[1:], "--out", str(out_dir)])
+        assert (rc, out, err) == (2, "", f"sikorski {command[0]}: {expected}")
     assert not out_dir.exists()
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import operator
 import random
+import weakref
 from functools import reduce
 
 import pytest
@@ -295,7 +296,7 @@ def test_the_sweep_enumerates_the_catalog_and_every_filter(size):
     """Model i of the sweep holds exactly the entourages of the catalog's
     model i, and the sweep's filters are the enumerated filters, in order."""
     ground = tuple(range(size))
-    models = _models(_Families(size, _filters(size)))
+    models = list(_models(_Families(size, _filters(size))))
     us = catalog(ground)
     assert len(models) == len(us)
     for bm, u in zip(models, us):
@@ -412,6 +413,28 @@ def test_each_ground_size_builds_its_table_and_sweep_once(monkeypatch):
     assert calls == {"tables": 5, "sweeps": 5}
 
 
+def test_one_model_is_alive_at_each_check(monkeypatch):
+    """Each model is built as the sweep reaches it and dropped after its
+    check, so no check sees another model's tables alive."""
+    alive = weakref.WeakSet()
+    seen = []
+    init, check = _BitsetModel.__init__, _check_model
+
+    def tracked_init(self, *args):
+        init(self, *args)
+        alive.add(self)
+
+    def counted_check(index, bm, table):
+        seen.append((table.n, len(alive)))
+        return check(index, bm, table)
+
+    monkeypatch.setattr(_BitsetModel, "__init__", tracked_init)
+    monkeypatch.setattr(filters, "_check_model", counted_check)
+    assert len(verify_filter_laws(5).models) == 75
+    assert [n for n, _ in seen] == [1] + [2] * 2 + [3] * 5 + [4] * 15 + [5] * 52
+    assert {count for _, count in seen} == {1}
+
+
 def test_the_closed_forms_match_the_entourage_walk():
     """``held`` and ``balls`` are computed without the walk over every
     entourage; the walk is the reference, on every model up to size 5 and
@@ -478,7 +501,7 @@ def test_minimal_members_decide_as_every_member_does_on_any_family():
         table = _Families(size, _filters(size))
         families = random_families(rng, size)
         assert [table.minimal[f] for f in families] == [minimal_by_search(f) for f in families]
-        models = _models(table)
+        models = list(_models(table))
         if size == 3:
             models.append(_BitsetModel([0b011, 0b111, 0b110], table))
         for bm in models:

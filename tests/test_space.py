@@ -70,6 +70,23 @@ def test_a_nan_inset_on_an_open_axis_is_refused():
         line_space(0.0, 1.0, 4, [("f", "x")], hi_open=True, inset=float("nan"))
 
 
+@pytest.mark.parametrize(
+    "counts", [(2**62,), (2**63 - 1,), (2**63,), (10**20,), (2**60 - 64,), (2**30, 2**30), (10**400,)]
+)
+def test_a_grid_numpy_cannot_index_is_refused_before_sampling(counts):
+    """A grid of more float64 bytes than intp holds is refused when the
+    carrier is made; np.linspace rounds a count of 2**60 - 64 up to 2**60."""
+    params = tuple(f"t{i}" for i in range(len(counts)))
+    with pytest.raises(ValueError, match=rf"^a grid of {math.prod(counts)} float64 samples has more bytes"):
+        Carrier(params, (Interval(0.0, 1.0),) * len(counts), ("x",), (Var("t0"),), counts)
+
+
+def test_the_largest_grid_numpy_can_index_makes_a_carrier():
+    """Making a carrier allocates nothing; the grid is made when sampled."""
+    carrier = Carrier(("t",), (Interval(0.0, 1.0),), ("x",), (Var("t"),), (2**60 - 65,))
+    assert carrier.counts == (2**60 - 65,)
+
+
 def test_the_widest_finite_span_samples_finite_values():
     axis = line_space(-8e307, 8e307, 5, [("f", "x")]).carrier.axis_samples()[0]
     assert np.isfinite(axis).all()

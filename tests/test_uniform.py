@@ -201,6 +201,18 @@ def test_probe_points_walk_the_tail():
     assert (ns[-1], values[-1], tuple(ambient[-1].tolist())) == (1000, 1000.0, (1000.0,))
 
 
+def test_a_tail_longer_than_the_schedule_is_refused():
+    """A tail is judged over exactly the indices it asks for: one longer
+    than the schedule is refused, not cut to the schedule."""
+    probe = Probe("p", Var("n"), start=5, stop=14)
+    with pytest.raises(ValueError, match=r"^tail 11 is longer than the schedule 5 \.\. 14 of probe p$"):
+        probe_points(SLAB, probe, tail=11)
+    with pytest.raises(ValueError, match="longer than the schedule"):
+        probe_cauchy(SLAB, probe, tail=10**5)
+    ns, _, _ = probe_points(SLAB, probe, tail=10)
+    assert ns.tolist() == list(range(5, 15))
+
+
 def test_probe_that_leaves_the_box_is_a_domain_error():
     probe = Probe("p", parse_expr("2000 * n", ["n"]), start=1, stop=10)
     with pytest.raises(DomainError, match="leaves the box"):
@@ -610,6 +622,11 @@ def test_probe_cauchy_matches_the_per_index_loop(gens, text, schedule, tail, tol
     change, and on the message of the domain error they raise."""
     space = line_space(-1100.0, 1100.0, 5, gens)
     probe = Probe("p", parse_expr(text, ["n"]), start=schedule[0], stop=schedule[1])
+    if tail > probe.stop - probe.start + 1:
+        # refused before any index is evaluated; the whole schedule is the longest tail
+        with pytest.raises(ValueError, match="longer than the schedule"):
+            probe_cauchy(space, probe, tol=tol, tail=tail)
+        tail = probe.stop - probe.start + 1
     try:
         expected = probe_oracle.probe_cauchy(space, probe, tol, tail)
     except DomainError as err:

@@ -266,7 +266,7 @@ def _slice_bytes(constants: list[bytes], values: np.ndarray):
             field = _FIELDS[key] = _numfmt.fields(column)
         const = np.frombuffer(constant, dtype=np.uint8)
         pieces += [field, np.broadcast_to(const, (n, len(const)))]
-    rows = np.concatenate(pieces, axis=1)
+    rows = np.concatenate(pieces, axis=1).ravel()  # C-contiguous, so a view
     del pieces  # the fields, before the mask is made
     return rows[rows != 0]
 

@@ -74,6 +74,13 @@ def compare_uniformities(
     3x3 neighbourhood of cells of side at least the width over its first
     two coordinates when G has more.  The first witness in lexicographic
     sample order wins, which keeps reports reproducible.
+
+    The distinct widths are searched from the smallest to the largest.  A
+    pair within one width lies within every larger one, so a width's
+    first witness row (the witness's smaller sample index) bounds the
+    first witness row of every larger width, and each width searches only
+    the rows of sample index at most the last witness row found.  The
+    rows and `pairs_examined` are those of one search per listed width.
     """
     g_names = tuple(g_names)
     h_names = tuple(h_names)
@@ -102,13 +109,25 @@ def compare_uniformities(
     if len(g_idx) == 1:
         order = np.argsort(g_cols[0], kind="stable")
         cols = (order, [g_cols[0][order]], [col[order] for col in h_cols])
-        runs = (cols + _lead_runs(*cols, eps, target_eps) for eps in eps_grid)
+
+        def step1(eps, bound):
+            return cols + _lead_runs(*cols, eps, target_eps, bound)
+
     else:
-        runs = (_cell_runs(g_cols, h_cols, eps, target_eps) for eps in eps_grid)
-    found = [_scan(*run, eps, target_eps) for run, eps in zip(runs, eps_grid)]
+
+        def step1(eps, bound):
+            return _cell_runs(g_cols, h_cols, eps, target_eps, bound)
+
+    found = {}
+    bound = coords.shape[0] - 1  # the largest sample index a width's witness row can have
+    for eps in sorted(set(map(float, eps_grid))):
+        witness, _ = found[eps] = _scan(*step1(eps, bound), eps, target_eps)
+        if witness is not None:
+            bound = witness[0]
 
     rows = []
-    for eps, (witness, _) in zip(map(float, eps_grid), found):
+    for eps in map(float, eps_grid):
+        witness, _ = found[eps]
         if witness is None:
             rows.append(RefinementRow(eps, None, None, None, None))
         else:
@@ -118,71 +137,111 @@ def compare_uniformities(
             x, y = (tuple(cloud.params[k].tolist()) for k in (i, j))
             rows.append(RefinementRow(eps, x, y, d_g, violated))
     target = f"V({','.join(h_names)};{target_eps!r})"
-    return RefinementReport(target, coords.shape[0], tuple(rows), sum(scanned for _, scanned in found))
+    return RefinementReport(target, coords.shape[0], tuple(rows), sum(found[float(eps)][1] for eps in eps_grid))
 
 
-def _upper_edges(lead: np.ndarray, eps: float) -> np.ndarray:
-    """For each row r of the ascending `lead`, one past the last row j with
-    fl(lead[j] - lead[r]) < eps.  Rounding is monotone, so the test holds
-    on a prefix of the rows."""
+def _upper_edges(lead: np.ndarray, eps: float, rows: np.ndarray | None = None) -> np.ndarray:
+    """For each row r of `rows` (every row when None) of the ascending
+    `lead`, one past the last row j with fl(lead[j] - lead[r]) < eps.
+    Rounding is monotone, so the test holds on a prefix of the rows."""
     n_pts = lead.size
-    hi = np.searchsorted(lead, lead + eps, side="left")
-    # lead + eps is rounded, so the edge can sit a few values off: move it
-    # over a whole run of equal values per round, up and then down
-    rows = np.flatnonzero(hi < n_pts)
-    while rows.size:
-        rows = rows[lead[hi[rows]] - lead[rows] < eps]
-        hi[rows] = np.searchsorted(lead, lead[hi[rows]], side="right")
-        rows = rows[hi[rows] < n_pts]
-    rows = np.flatnonzero(lead[hi - 1] - lead >= eps)
-    while rows.size:
-        hi[rows] = np.searchsorted(lead, lead[hi[rows] - 1], side="left")
-        rows = rows[lead[hi[rows] - 1] - lead[rows] >= eps]
+    own = lead if rows is None else lead[rows]
+    hi = np.searchsorted(lead, own + eps, side="left")
+    # own + eps is rounded, so the edge can sit a few values off: move it
+    # over a whole run of equal values per round, up and then down (the
+    # clipped read of an edge at n_pts is dropped)
+    at = np.flatnonzero(lead.take(hi, mode="clip") - own < eps)
+    at = at[hi[at] < n_pts]
+    while at.size:
+        hi[at] = np.searchsorted(lead, lead[hi[at]], side="right")
+        at = at[hi[at] < n_pts]
+        at = at[lead[hi[at]] - own[at] < eps]
+    at = np.flatnonzero(lead[hi - 1] - own >= eps)
+    while at.size:
+        hi[at] = np.searchsorted(lead, lead[hi[at] - 1], side="left")
+        at = at[lead[hi[at] - 1] - own[at] >= eps]
     return hi
 
 
-def _flag_rows(lo: np.ndarray, length: np.ndarray, h_cols: list[np.ndarray], target_eps: float) -> np.ndarray:
-    """flag[r]: some row of the range lo[r] .. lo[r] + length[r] - 1 is at
-    least `target_eps` from row r in some H column.
+# a level of the sparse table is read this many candidates at a time, so
+# the reads' temporaries stay small however many rows there are
+_FLAG_CHUNK = 1 << 16
+
+
+def _flag_rows(
+    rows: np.ndarray | None, lo: np.ndarray, length: np.ndarray, h_cols: list[np.ndarray], target_eps: float
+) -> np.ndarray:
+    """flag[m]: some row of the range lo[m] .. lo[m] + length[m] - 1 is at
+    least `target_eps` in some H column from candidate m, which is row
+    rows[m] (row m when `rows` is None).  The candidates ascend, so the
+    starts and ends of their ranges do too.
 
     fl(h_j - h_r) is monotone in h_j, so the range maximum m gives
     fl(m - h_r) >= target exactly when some partner does; the minimum is
     the maximum of -h.  The maxima are a sparse table (Bender &
-    Farach-Colton 2000) built one doubling level at a time: at level k,
-    ext[i] = max(h[i:i + 2^k]), and the rows whose range length lies in
-    [2^k, 2^(k+1)) read it at both ends of their range.
+    Farach-Colton 2000) over the span of rows the ranges cover, built one
+    doubling level at a time: at level k, ext[i] = max(h[i:i + 2^k]) from
+    the span's first row, and the candidates whose range length lies in
+    [2^k, 2^(k+1)), grouped by level once, read it at both ends of their
+    range.
     """
     flag = np.zeros(lo.size, dtype=bool)
-    levels = int(length.max(initial=0)).bit_length()
+    if not lo.size:
+        return flag
+    start, stop = int(lo[0]), int(lo[-1] + length[-1])
+    # a length in [2^k, 2^(k+1)) has bit length k + 1; a range of length 1
+    # holds only its own row, so level 0 is not read
+    bits = np.frexp(length)[1]
+    groups = [np.flatnonzero(bits == k + 1) for k in range(1, int(bits.max()))]
+    del bits
+    groups = [(sel, sel if rows is None else rows[sel]) for sel in groups]
     for col in h_cols:
         for sign in (1.0, -1.0):
-            ext = sign * col
-            for k in range(1, levels):  # a range of length 1 holds only its own row
+            ext = sign * col[start:stop]
+            for k, (sel, at_rows) in enumerate(groups, 1):
                 half = 1 << (k - 1)
                 np.maximum(ext[:-half], ext[half:], out=ext[:-half])
-                rows = np.flatnonzero((length >> k) == 1)
-                own = sign * col[rows]
-                at = lo[rows]
-                hit = ext[at] - own >= target_eps
-                at += length[rows] - 2 * half
-                hit |= ext[at] - own >= target_eps
-                flag[rows] |= hit
+                for part in range(0, sel.size, _FLAG_CHUNK):
+                    some = sel[part : part + _FLAG_CHUNK]
+                    own = sign * col[at_rows[part : part + _FLAG_CHUNK]]
+                    at = lo[some] - start
+                    hit = ext[at] - own >= target_eps
+                    at += length[some] - 2 * half
+                    hit |= ext[at] - own >= target_eps
+                    flag[some] |= hit
     return flag
 
 
-def _lead_runs(order: np.ndarray, g_cols: list[np.ndarray], h_cols: list[np.ndarray], eps: float, target_eps: float):
+def _lead_runs(
+    order: np.ndarray,
+    g_cols: list[np.ndarray],
+    h_cols: list[np.ndarray],
+    eps: float,
+    target_eps: float,
+    bound: int,
+):
     """Step 1 at one width for a one-coordinate G, over rows sorted on it:
-    the first flagged row in sample order, with its lead range as its one
-    run.  The flag is exact here, so that row always has a witness."""
+    among the rows of sample index at most `bound`, the first flagged row
+    in sample order, with its lead range as its one run.  The flag is
+    exact here, so that row always has a witness."""
     lead = g_cols[0]
+    n_pts = lead.size
     # the rows j with |fl(lead[j] - lead[r])| < eps: fl(-a - -b) is
     # fl(b - a), so the lower edges are the upper edges of -lead reversed
-    lo = lead.size - _upper_edges(-lead[::-1], eps)[::-1]
-    length = _upper_edges(lead, eps)
+    if bound >= n_pts - 1:  # every row, read in place
+        rows = None
+        lo = n_pts - _upper_edges(-lead[::-1], eps)[::-1]
+    else:
+        rows = np.flatnonzero(order <= bound)
+        lo = n_pts - _upper_edges(-lead[::-1], eps, n_pts - 1 - rows)
+    length = _upper_edges(lead, eps, rows)
     length -= lo
-    flagged = np.flatnonzero(_flag_rows(lo, length, h_cols, target_eps))
-    rows = flagged[order[flagged].argmin(keepdims=True)] if flagged.size else flagged
-    return rows, lo[rows, None], length[rows, None]
+    flagged = np.flatnonzero(_flag_rows(rows, lo, length, h_cols, target_eps))
+    lo, length = lo[flagged], length[flagged]
+    if rows is not None:
+        flagged = rows[flagged]
+    first = order[flagged].argmin(keepdims=True) if flagged.size else flagged
+    return flagged[first], lo[first, None], length[first, None]
 
 
 def _cell_side(key_cols: list[np.ndarray], eps: float) -> float:
@@ -205,14 +264,14 @@ def _cell_side(key_cols: list[np.ndarray], eps: float) -> float:
     return max(eps + top * 2.0**-50, spread, 2.0**-960) * (1.0 + 2.0**-40)
 
 
-def _cell_runs(g_cols: list[np.ndarray], h_cols: list[np.ndarray], eps: float, target_eps: float):
+def _cell_runs(g_cols: list[np.ndarray], h_cols: list[np.ndarray], eps: float, target_eps: float, bound: int):
     """Step 1 at one width for a G family of several coordinates, given in
     sample order: the rows' order sorted on their cell over the first two,
-    the columns in that order, and the flagged rows in sample order with
-    the runs of their 3x3 cell neighbourhood (`_cell_side`).  Per-cell
-    maxima and minima of each H column decide, as in `_flag_rows`, which
-    of those cells can hold a witness partner; a cell that cannot gets
-    count 0."""
+    the columns in that order, and the flagged rows of sample index at
+    most `bound` in sample order with the runs of their 3x3 cell
+    neighbourhood (`_cell_side`).  Per-cell maxima and minima of each H
+    column decide, as in `_flag_rows`, which of those cells can hold a
+    witness partner; a cell that cannot gets count 0."""
     n_pts = g_cols[0].size
     side = _cell_side(g_cols[:2], eps)
     kx, ky = (np.floor(col / side).astype(np.int64) for col in g_cols[:2])
@@ -245,6 +304,7 @@ def _cell_runs(g_cols: list[np.ndarray], h_cols: list[np.ndarray], eps: float, t
     for own, ext in exts:
         flag |= ext[nbr].max(axis=0)[cell_of] - own >= target_eps
     rows = np.flatnonzero(flag)
+    rows = rows[order[rows] <= bound]
     rows = rows[np.argsort(order[rows])]
     around = nbr[:, cell_of[rows]].T  # one row of nine cells per flagged row
     # the cells that can hold a witness partner of the row, the only ones read

@@ -1,4 +1,6 @@
+import itertools
 import math
+import random
 from pathlib import Path
 from unittest import mock
 
@@ -7,6 +9,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import probe_oracle
+from exprgen import random_expr
 import sikorski
 from sikorski import expr as expr_module
 from sikorski import uniform
@@ -21,7 +24,7 @@ from sikorski.uniform import (
     probe_cauchy,
     probe_points,
 )
-from uniform_oracle import entourage_contains, pseudometric
+from uniform_oracle import entourage_contains, first_witness, pseudometric
 
 
 def line_space(lo, hi, count, gens, **kwargs):
@@ -451,18 +454,24 @@ def test_upper_edges_match_their_definition(lead, data):
     """Each upper edge is one past the last j with fl(lead[j] - lead[r]) <
     eps, and the lower edge `_lead_runs` takes from the upper edges of
     -lead reversed is the first j with fl(lead[r] - lead[j]) < eps, at a
-    width that may equal a rounded gap exactly."""
+    width that may equal a rounded gap exactly.  Asked for a subset of the
+    rows, in ascending order or mirrored, both give those rows' edges."""
     gaps = sorted({b - a for a in lead for b in lead if b > a})
     widths = [0.1, 0.2, 0.3, 1.0, 5e-324, *gaps]
+    n = len(lead)
+    some = list(range(0, n, 2))
     if data is not None:
         widths.append(data.draw(st.floats(min_value=0.0, max_value=1e17, exclude_min=True), label="eps"))
+        some = data.draw(st.lists(st.integers(0, n - 1), unique=True).map(sorted), label="rows")
     column = np.array(lead)
-    n = len(lead)
+    rows = np.array(some, dtype=np.intp)
     for eps in widths:
         upper = [max(j for j in range(n) if lead[j] - lead[r] < eps) + 1 for r in range(n)]
         lower = [min(j for j in range(n) if lead[r] - lead[j] < eps) for r in range(n)]
         assert uniform._upper_edges(column, eps).tolist() == upper
         assert (n - uniform._upper_edges(-column[::-1], eps)[::-1]).tolist() == lower
+        assert uniform._upper_edges(column, eps, rows).tolist() == [upper[r] for r in some]
+        assert (n - uniform._upper_edges(-column[::-1], eps, n - 1 - rows)).tolist() == [lower[r] for r in some]
 
 
 def _brute_force_witness(space, g_names, h_names, eps, target_eps):
@@ -591,6 +600,91 @@ def test_range_search_matches_all_pairs(s_count, t_count, exprs, g_names, h_name
             scanned += close
     if len(g_names) == 1:
         assert report.pairs_examined == scanned
+
+
+def _exprgen_case(rng, arity):
+    """Generators a, b, c drawn by `exprgen` on a line of 40 to 70 samples
+    of [-2, 2] (arity 1) or on a grid of up to 9 x 7 samples of that square
+    (arity 2), with G the first `arity` of them, H drawn among them, a
+    target drawn from the larger half of the H gaps of all pairs, and the
+    distinct G gaps of all pairs."""
+    if arity == 1:
+        carrier = line_space(-2.0, 2.0, rng.randint(40, 70), [("a", "x")], inset=0.0).carrier
+        g_names, h_names = ["a"], rng.choice([["c"], ["b", "c"], ["c", "a"]])
+    else:
+        carrier = Carrier(
+            params=("s", "t"),
+            box=(Interval(-2.0, 2.0), Interval(-2.0, 2.0)),
+            ambient=("x", "y"),
+            chart=(Var("s"), Var("t")),
+            counts=(rng.randint(5, 9), rng.randint(4, 7)),
+            inset=0.0,
+        )
+        g_names, h_names = ["a", "b"], rng.choice([["c"], ["c", "a"]])
+    family = GeneratorFamily(tuple(Generator(n, random_expr(rng, carrier.ambient, 3)) for n in "abc"))
+    space = DiffSpace(carrier, family)
+    rows = embed(space).coords.tolist()
+    g_idx, h_idx = (["abc".index(n) for n in names] for names in (g_names, h_names))
+    gaps = [[max(abs(x[k] - y[k]) for k in idx) for x, y in itertools.combinations(rows, 2)] for idx in (g_idx, h_idx)]
+    h_gaps = sorted(gaps[1])
+    target = h_gaps[rng.randrange(len(h_gaps) // 2, len(h_gaps))] or 1.0
+    return space, g_names, h_names, g_idx, h_idx, sorted(set(gaps[0])), target
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_a_shuffled_grid_matches_single_width_searches(arity):
+    """The widths of one call are searched smallest first, each bounded by
+    the last witness row.  On `exprgen` clouds, a grid in which witness-free
+    widths sit between widths with witnesses, shuffled and with repeats,
+    gives row for row what one call per width gives, and the summed
+    `pairs_examined`, and each witness is the first pair of a walk over
+    every pair."""
+    rng = random.Random(37 + arity)
+    mixed = 0
+    for _ in range(20):
+        space, g_names, h_names, g_idx, h_idx, g_gaps, target = _exprgen_case(rng, arity)
+        cloud = embed(space)
+        widths = {1e-9, 2.0 * g_gaps[-1] + 1.0, *rng.sample(g_gaps, min(5, len(g_gaps)))} - {0.0}
+        found = {eps: first_witness(cloud.coords, g_idx, h_idx, eps, target) for eps in widths}
+        held = [eps for eps in widths if found[eps] is not None]
+        free = [eps for eps in widths if found[eps] is None]
+        rng.shuffle(held)
+        rng.shuffle(free)
+        grid = [eps for pair in itertools.zip_longest(held, free) for eps in pair if eps is not None]
+        grid.insert(rng.randrange(len(grid) + 1), rng.choice(grid))
+        grid.append(grid[0])
+        mixed += len(held) >= 2 and bool(free)
+        report = compare_uniformities(space, g_names, h_names, grid, target)
+        singles = [compare_uniformities(space, g_names, h_names, [eps], target) for eps in grid]
+        assert report.rows == tuple(single.rows[0] for single in singles)
+        assert report.pairs_examined == sum(single.pairs_examined for single in singles)
+        for eps, row in zip(grid, report.rows):
+            pair = found[eps]
+            params = (None, None) if pair is None else tuple(tuple(cloud.params[k].tolist()) for k in pair)
+            assert (row.witness_x, row.witness_y) == params
+    assert mixed >= 5
+
+
+@pytest.mark.parametrize("arity", [1, 2])
+def test_the_first_witness_row_never_rises_with_the_width(arity):
+    """The bound the search carries from width to width: as the width
+    grows, a width past one with a witness has one too, and the first
+    witness's smaller sample index never rises, read off the rows of one
+    call over widths at and just above sampled G gaps."""
+    rng = random.Random(41 + arity)
+    for _ in range(12):
+        space, g_names, h_names, _, _, g_gaps, target = _exprgen_case(rng, arity)
+        picked = rng.sample(g_gaps, min(15, len(g_gaps)))
+        widths = sorted({w for gap in picked for w in (gap, math.nextafter(gap, math.inf))} - {0.0})
+        index = {tuple(row): k for k, row in enumerate(embed(space).params.tolist())}
+        report = compare_uniformities(space, g_names, h_names, widths[::-1], target)
+        last = None  # the first witness row at the smaller widths
+        for row in report.rows[::-1]:
+            if row.refines:
+                assert last is None
+            else:
+                assert last is None or index[row.witness_x] <= last
+                last = index[row.witness_x]
 
 
 _GENERATORS = [("f", "x"), ("a", "atan(x)"), ("s", "sin(x)"), ("q", "x^2/1000"), ("r", "1/x")]

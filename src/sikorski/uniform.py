@@ -9,6 +9,7 @@ Cauchy data that completion consumes.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,20 +109,13 @@ def compare_uniformities(
     h_cols = [coords[:, k] for k in h_idx]
     if len(g_idx) == 1:
         order = np.argsort(g_cols[0], kind="stable")
-        cols = (order, [g_cols[0][order]], [col[order] for col in h_cols])
-
-        def step1(eps, bound):
-            return cols + _lead_runs(*cols, eps, target_eps, bound)
-
+        step1 = functools.partial(_lead_runs, order, [g_cols[0][order]], [col[order] for col in h_cols])
     else:
-
-        def step1(eps, bound):
-            return _cell_runs(g_cols, h_cols, eps, target_eps, bound)
-
+        step1 = functools.partial(_cell_runs, g_cols, h_cols)
     found = {}
     bound = coords.shape[0] - 1  # the largest sample index a width's witness row can have
     for eps in sorted(set(map(float, eps_grid))):
-        witness, _ = found[eps] = _scan(*step1(eps, bound), eps, target_eps)
+        witness, _ = found[eps] = _scan(*step1(eps, target_eps, bound), eps, target_eps)
         if witness is not None:
             bound = witness[0]
 
@@ -171,19 +165,19 @@ _FLAG_CHUNK = 1 << 16
 def _flag_rows(
     rows: np.ndarray | None, lo: np.ndarray, length: np.ndarray, h_cols: list[np.ndarray], target_eps: float
 ) -> np.ndarray:
-    """flag[m]: some row of the range lo[m] .. lo[m] + length[m] - 1 is at
-    least `target_eps` in some H column from candidate m, which is row
-    rows[m] (row m when `rows` is None).  The candidates ascend, so the
+    """flag[c]: some row of the range lo[c] .. lo[c] + length[c] - 1 is at
+    least `target_eps` in some H column from candidate c, which is row
+    rows[c] (row c when `rows` is None).  The candidates ascend, so the
     starts and ends of their ranges do too.
 
     fl(h_j - h_r) is monotone in h_j, so the range maximum m gives
     fl(m - h_r) >= target exactly when some partner does; the minimum is
     the maximum of -h.  The maxima are a sparse table (Bender &
-    Farach-Colton 2000) over the span of rows the ranges cover, built one
-    doubling level at a time: at level k, ext[i] = max(h[i:i + 2^k]) from
-    the span's first row, and the candidates whose range length lies in
-    [2^k, 2^(k+1)), grouped by level once, read it at both ends of their
-    range.
+    Farach-Colton 2000) over only the span of rows the ranges cover, from
+    its first row s, built one doubling level at a time: at level k,
+    ext[i] = max(h[s + i : s + i + 2^k]), and the candidates whose range
+    length lies in [2^k, 2^(k+1)), grouped by level once, read it at both
+    ends of their range.
     """
     flag = np.zeros(lo.size, dtype=bool)
     if not lo.size:
@@ -221,9 +215,10 @@ def _lead_runs(
     bound: int,
 ):
     """Step 1 at one width for a one-coordinate G, over rows sorted on it:
-    among the rows of sample index at most `bound`, the first flagged row
-    in sample order, with its lead range as its one run.  The flag is
-    exact here, so that row always has a witness."""
+    the sorted order and columns, and among the rows of sample index at
+    most `bound`, the first flagged row in sample order, with its lead
+    range as its one run.  The flag is exact here, so that row always has
+    a witness."""
     lead = g_cols[0]
     n_pts = lead.size
     # the rows j with |fl(lead[j] - lead[r])| < eps: fl(-a - -b) is
@@ -241,7 +236,7 @@ def _lead_runs(
     if rows is not None:
         flagged = rows[flagged]
     first = order[flagged].argmin(keepdims=True) if flagged.size else flagged
-    return flagged[first], lo[first, None], length[first, None]
+    return order, g_cols, h_cols, flagged[first], lo[first, None], length[first, None]
 
 
 def _cell_side(key_cols: list[np.ndarray], eps: float) -> float:

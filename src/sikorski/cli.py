@@ -14,11 +14,12 @@ formatted a fixed-size slice of rows at a time by the byte kernel in
 `sikorski._numfmt`: whole columns become the exact bytes of ``%.17g``,
 and Python's scalar conversion runs only for the few values whose
 digits the kernel cannot prove exact.  Within one `main` call nothing
-is computed twice: `sikorski.space` memoizes each carrier's sweep and
-each family's embedding, the writer memoizes each column's fields on
-the column's bytes, and `main` empties all three when its command line
-ends, however it ends, so the experiments of a ``run`` share them and
-no invocation sees another's.  Output is
+is computed twice: `main` runs its command line in one
+`sikorski.space.memo_scope` block, within which each carrier's sweep,
+each family's embedding and, keyed on the column's bytes, each column's
+fields are made once.  The block ends with the command line, however it
+ends, so the experiments of a ``run`` share the memo and no invocation
+sees another's.  Output is
 deterministic: floats are printed with 17 significant digits, rows
 follow declaration or sample order, and nothing timestamps itself.
 Exit status is 0 on success, 1 when a library invariant fails, and 2
@@ -65,9 +66,10 @@ from .filters import _MAX_GROUND, verify_filter_laws
 from .space import (
     DiffSpace,
     SmoothFunction,
+    _memoized,
     check_smooth_map,
     embed,
-    forget_sweeps,
+    memo_scope,
     placeholders,
 )
 from .specfile import SpecError
@@ -211,10 +213,6 @@ class _Slot(str):
 _MARK = "\ue000"  # a private-use character: a slot's place, in no constant cell
 _FLOAT_SLOT = _Slot(_MARK)
 _SLICE_ROWS = 4096  # rows formatted per write, so a block is never one whole-file string
-# The fields of every column formatted so far in this `main` call, keyed on
-# the column's own bytes, so that a hit is a byte-equal column.  Not a
-# digest: hashlib loads OpenSSL, 3.35 MiB of resident memory.
-_FIELDS: dict[bytes, np.ndarray] = {}
 
 
 class _Block(NamedTuple):
@@ -252,7 +250,10 @@ def _row_pieces(cells: Sequence) -> list[bytes]:
 
 def _slice_bytes(constants: list[bytes], values: np.ndarray):
     """The rows of one slice of a block: each row's constant bytes with
-    its values' fields between them, and the fields' NUL padding dropped."""
+    its values' fields between them, and the fields' NUL padding dropped.
+    Within a `memo_scope` block each column's fields are made once, keyed
+    on the column's own bytes, so that a hit is a byte-equal column; not
+    on a digest, as hashlib loads OpenSSL, 3.35 MiB of resident memory."""
     n = len(values)
     if len(constants) == 1:
         return constants[0] * n
@@ -260,10 +261,7 @@ def _slice_bytes(constants: list[bytes], values: np.ndarray):
     first = np.frombuffer(constants[0], dtype=np.uint8)
     pieces = [np.broadcast_to(first, (n, len(first)))]
     for column, constant in zip(values.T, constants[1:]):
-        key = column.tobytes()
-        field = _FIELDS.get(key)
-        if field is None:
-            field = _FIELDS[key] = _numfmt.fields(column)
+        field = _memoized(column.tobytes(), functools.partial(_numfmt.fields, column))
         const = np.frombuffer(constant, dtype=np.uint8)
         pieces += [field, np.broadcast_to(const, (n, len(const)))]
     rows = np.concatenate(pieces, axis=1).ravel()  # C-contiguous, so a view
@@ -598,7 +596,7 @@ class _ArgumentParser(argparse.ArgumentParser):
         raise _BadArguments(self, message)
 
 
-@functools.lru_cache(maxsize=None)
+@functools.cache
 def _parser() -> argparse.ArgumentParser:
     """The argument parser, built on first use and shared by every
     ``main`` call in the process and by ``run``'s experiments.  A
@@ -684,11 +682,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except SystemExit as exit_:  # argparse has printed the help
         return exit_.code
-    try:
+    with memo_scope():  # one memo per command line
         return _dispatch(args)
-    finally:  # the memos serve one command line
-        forget_sweeps()
-        _FIELDS.clear()
 
 
 def _dispatch(args: argparse.Namespace, work: Iterator[None] | None = None) -> int:

@@ -10,11 +10,11 @@ evaluations: one matrix row per sample, row-major in parameter order.
 
 from __future__ import annotations
 
+import contextlib
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Iterator, Mapping, Sequence, TypeVar
 
 import numpy as np
 
@@ -36,7 +36,7 @@ __all__ = [
     "generator_columns",
     "sample",
     "embed",
-    "forget_sweeps",
+    "memo_scope",
     "eval_smooth",
     "compose_ambient",
     "check_smooth_map",
@@ -223,24 +223,20 @@ def sample(carrier: Carrier) -> tuple[np.ndarray, np.ndarray]:
     """Grid samples as a parameter matrix and an ambient matrix, one row
     per sample, row-major in parameter order (last axis fastest).
 
-    The matrices are read-only and memoized: a carrier equal to one
-    swept before gets the same matrices back, until `forget_sweeps`."""
-    return _sweep(carrier, repr(carrier))
+    The matrices are read-only.  Within a `memo_scope` block a carrier
+    equal to one swept before gets the same matrices back; outside one,
+    every call sweeps."""
+    return _memoized(repr(carrier), lambda: _sweep(carrier))
 
 
 def embed(space: DiffSpace) -> EmbeddedCloud:
-    """The generator embedding of the sampled carrier, memoized like
-    `sample`: a space equal to one embedded before gets the same cloud."""
-    return _embedding(space, repr(space))
+    """The generator embedding of the sampled carrier.  Within a
+    `memo_scope` block, like `sample`, a space equal to one embedded
+    before gets the same cloud back; outside one, every call embeds."""
+    return _memoized(repr(space), lambda: _embedding(space))
 
 
-# The memos key on the frozen value and on its repr: -0.0 == 0.0, but a
-# zero's sign shows in the samples and the artifacts, and only the repr
-# tells the two apart.  A DomainError is raised, never stored.  `cli.main`
-# empties both after every command line, so a memo lives for one
-# invocation; the bounds cap what a library caller keeps.
-@functools.lru_cache(maxsize=2)
-def _sweep(carrier: Carrier, exact: str) -> tuple[np.ndarray, np.ndarray]:
+def _sweep(carrier: Carrier) -> tuple[np.ndarray, np.ndarray]:
     axes = carrier.axis_samples()
     mesh = np.meshgrid(*axes, indexing="ij")
     params = np.stack([m.ravel() for m in mesh], axis=1)
@@ -249,16 +245,49 @@ def _sweep(carrier: Carrier, exact: str) -> tuple[np.ndarray, np.ndarray]:
     return params, ambient
 
 
-@functools.lru_cache(maxsize=4)
-def _embedding(space: DiffSpace, exact: str) -> EmbeddedCloud:
+def _embedding(space: DiffSpace) -> EmbeddedCloud:
     params, ambient = sample(space.carrier)
     return EmbeddedCloud(space.family.names, params, ambient, generator_columns(space, ambient))
 
 
-def forget_sweeps() -> None:
-    """Empty the memos of `sample` and `embed`."""
-    _sweep.cache_clear()
-    _embedding.cache_clear()
+# The memo of the open `memo_scope` block, None outside every block.  A
+# plain variable serves, as nothing in this package starts a thread.
+_memo: dict[Hashable, object] | None = None
+_T = TypeVar("_T")
+
+
+@contextlib.contextmanager
+def memo_scope() -> Iterator[None]:
+    """A block within which `sample`, `embed` and the CLI's CSV writer
+    compute nothing twice.  Its memo is emptied when the block ends,
+    however it ends, so nothing outlives it; a nested block has a memo
+    of its own and gives the outer one back on exit.  `cli.main` runs
+    each command line in one block, so the experiments of a ``run``
+    share it."""
+    global _memo
+    outer, _memo = _memo, {}
+    try:
+        yield
+    finally:
+        _memo = outer
+
+
+def _memoized(key: Hashable, make: Callable[[], _T]) -> _T:
+    """`make()`, or within a `memo_scope` block the value stored for `key`,
+    made and stored on the first call.  A raised error is never stored.
+
+    `sample` and `embed` key on the repr of the carrier or space, which
+    is exact for floats and, unlike ==, tells a -0.0 endpoint from 0.0,
+    whose sign shows in the samples and the artifacts; as no carrier
+    holds a NaN, equal reprs mean equal values.  A repr names its class,
+    and the CLI keys a column's fields on the column's bytes, so the keys
+    of different kinds never meet."""
+    memo = _memo
+    if memo is None:
+        return make()
+    if key not in memo:
+        memo[key] = make()
+    return memo[key]
 
 
 def placeholders(k: int) -> tuple[str, ...]:

@@ -134,27 +134,39 @@ def compare_uniformities(
     return RefinementReport(target, coords.shape[0], tuple(rows), sum(found[float(eps)][1] for eps in eps_grid))
 
 
-def _upper_edges(lead: np.ndarray, eps: float, rows: np.ndarray | None = None) -> np.ndarray:
-    """For each row r of `rows` (every row when None) of the ascending
-    `lead`, one past the last row j with fl(lead[j] - lead[r]) < eps.
-    Rounding is monotone, so the test holds on a prefix of the rows."""
+def _upper_edges(lead: np.ndarray, eps: float) -> np.ndarray:
+    """For each row r of the ascending `lead`, one past the last row j
+    with fl(lead[j] - lead[r]) < eps.  Rounding is monotone, so the test
+    holds on a prefix of the rows."""
     n_pts = lead.size
-    own = lead if rows is None else lead[rows]
-    hi = np.searchsorted(lead, own + eps, side="left")
-    # own + eps is rounded, so the edge can sit a few values off: move it
+    hi = np.searchsorted(lead, lead + eps, side="left")
+    # lead + eps is rounded, so the edge can sit a few values off: move it
     # over a whole run of equal values per round, up and then down (the
     # clipped read of an edge at n_pts is dropped)
-    at = np.flatnonzero(lead.take(hi, mode="clip") - own < eps)
+    at = np.flatnonzero(lead.take(hi, mode="clip") - lead < eps)
     at = at[hi[at] < n_pts]
     while at.size:
         hi[at] = np.searchsorted(lead, lead[hi[at]], side="right")
         at = at[hi[at] < n_pts]
-        at = at[lead[hi[at]] - own[at] < eps]
-    at = np.flatnonzero(lead[hi - 1] - own >= eps)
+        at = at[lead[hi[at]] - lead[at] < eps]
+    at = np.flatnonzero(lead[hi - 1] - lead >= eps)
     while at.size:
         hi[at] = np.searchsorted(lead, lead[hi[at] - 1], side="left")
-        at = at[lead[hi[at] - 1] - own[at] >= eps]
+        at = at[lead[hi[at] - 1] - lead[at] >= eps]
     return hi
+
+
+def _lead_ranges(lead: np.ndarray, eps: float) -> tuple[np.ndarray, np.ndarray]:
+    """For each row r of the ascending `lead`, the first row and the number
+    of rows j with |fl(lead[j] - lead[r])| < eps, which are consecutive.
+    The relation is symmetric, so the first is the number of rows whose
+    `_upper_edges` is at most r."""
+    n_pts = lead.size
+    length = _upper_edges(lead, eps)
+    lo = np.bincount(length, minlength=n_pts)[:n_pts]
+    np.cumsum(lo, out=lo)
+    length -= lo
+    return lo, length
 
 
 # a level of the sparse table is read this many candidates at a time, so
@@ -219,18 +231,11 @@ def _lead_runs(
     most `bound`, the first flagged row in sample order, with its lead
     range as its one run.  The flag is exact here, so that row always has
     a witness."""
-    lead = g_cols[0]
-    n_pts = lead.size
-    # the rows j with |fl(lead[j] - lead[r])| < eps: fl(-a - -b) is
-    # fl(b - a), so the lower edges are the upper edges of -lead reversed
-    if bound >= n_pts - 1:  # every row, read in place
-        rows = None
-        lo = n_pts - _upper_edges(-lead[::-1], eps)[::-1]
-    else:
+    lo, length = _lead_ranges(g_cols[0], eps)
+    rows = None  # every row, read in place
+    if bound < lo.size - 1:
         rows = np.flatnonzero(order <= bound)
-        lo = n_pts - _upper_edges(-lead[::-1], eps, n_pts - 1 - rows)
-    length = _upper_edges(lead, eps, rows)
-    length -= lo
+        lo, length = lo[rows], length[rows]
     flagged = np.flatnonzero(_flag_rows(rows, lo, length, h_cols, target_eps))
     lo, length = lo[flagged], length[flagged]
     if rows is not None:

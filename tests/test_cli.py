@@ -135,10 +135,7 @@ def test_compactify_compact_interval(tmp_path):
 def sweeps_and_embeddings(monkeypatch):
     """Lists that record the row count of each chart evaluation over a
     carrier's samples and the family of each generator evaluation over
-    them: the work `sample` and `embed` do when their memos miss.  The
-    memos start empty, because a library call made outside `main`, by an
-    earlier test, may have filled them."""
-    space_module.forget_sweeps()
+    them: the work `sample` and `embed` do when their memo misses."""
     sweeps, embeddings = [], []
     chart_columns, generator_columns = space_module.chart_columns, space_module.generator_columns
 
@@ -794,11 +791,8 @@ def run_in_process(argv):
 
 
 def memos_are_empty():
-    return (
-        space_module._sweep.cache_info().currsize == 0
-        and space_module._embedding.cache_info().currsize == 0
-        and cli._FIELDS == {}
-    )
+    """No memo block is open, so nothing is memoized."""
+    return space_module._memo is None
 
 
 def test_run_sweeps_its_carrier_once_and_embeds_each_family_once(tmp_path, monkeypatch):
@@ -834,7 +828,9 @@ def test_the_memos_are_emptied_when_main_returns_or_raises(tmp_path, monkeypatch
 
     def failing(cs_full, cs_sub):
         # by now the sweep, both embeddings and the points artifact are memoized
-        assert not memos_are_empty()
+        reprs = [key.split("(", 1)[0] for key in space_module._memo if isinstance(key, str)]
+        assert sorted(reprs) == ["Carrier", "DiffSpace", "DiffSpace"]
+        assert any(isinstance(key, bytes) for key in space_module._memo)
         raise error
 
     monkeypatch.setattr(cli, "iota", failing)

@@ -1,5 +1,7 @@
 import dataclasses
+import gc
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -17,7 +19,7 @@ from sikorski.space import (
     check_smooth_map,
     embed,
     eval_smooth,
-    forget_sweeps,
+    memo_scope,
     sample,
 )
 
@@ -141,8 +143,9 @@ def test_sweeps_report_the_first_offending_sample():
 
 
 def test_a_failing_sweep_raises_the_same_error_every_time():
-    """A DomainError is never memoized: the second sweep evaluates again
-    and raises the same message at the same sample."""
+    """A DomainError is never memoized: within one memo block the second
+    sweep evaluates again and raises the same message at the same
+    sample."""
     carrier = Carrier(
         params=("t",),
         box=(Interval(0.0, 2.0),),
@@ -151,38 +154,65 @@ def test_a_failing_sweep_raises_the_same_error_every_time():
         counts=(5,),
     )
     raised = []
-    for _ in range(2):
-        with pytest.raises(DomainError) as err:
-            sample(carrier)
-        raised.append((str(err.value), err.value.index))
+    with memo_scope():
+        for _ in range(2):
+            with pytest.raises(DomainError) as err:
+                sample(carrier)
+            raised.append((str(err.value), err.value.index))
     assert raised == [("chart component x at (1.0,): division by zero", 2)] * 2
 
 
 def test_sweeps_are_memoized_and_read_only():
+    """Within one memo block an equal carrier or space gets the same
+    read-only matrices; after it, new ones."""
     s = line_space(-1.0, 1.0, 5, [("f", "x"), ("g", "x^2")])
     twin = line_space(-1.0, 1.0, 5, [("f", "x"), ("g", "x^2")])
-    params, ambient = sample(s.carrier)
-    assert sample(twin.carrier)[0] is params  # an equal carrier, another object
-    cloud = embed(s)
-    assert embed(twin) is cloud
-    assert cloud.params is params and cloud.ambient is ambient
-    for matrix in (params, ambient, cloud.coords):
-        with pytest.raises(ValueError, match="read-only"):
-            matrix[0, 0] = 7.0
-    forget_sweeps()
-    assert sample(s.carrier)[0] is not params
+    with memo_scope():
+        params, ambient = sample(s.carrier)
+        assert sample(twin.carrier)[0] is params  # an equal carrier, another object
+        cloud = embed(s)
+        assert embed(twin) is cloud
+        assert cloud.params is params and cloud.ambient is ambient
+        for matrix in (params, ambient, cloud.coords):
+            with pytest.raises(ValueError, match="read-only"):
+                matrix[0, 0] = 7.0
+    # after the block, as outside every block, each call sweeps anew
+    assert sample(twin.carrier)[0] is not params
+    assert embed(twin) is not cloud and embed(twin) is not embed(twin)
     assert np.array_equal(sample(s.carrier)[0], params)
+
+
+def test_a_nested_block_neither_clears_nor_inherits_the_outer_one():
+    s = line_space(-1.0, 1.0, 5, [("f", "x")])
+    with memo_scope():
+        cloud = embed(s)
+        with memo_scope():
+            inner = embed(s)
+            assert inner is not cloud and embed(s) is inner
+        assert embed(s) is cloud
+
+
+def test_outside_a_block_nothing_keeps_an_embedding_alive():
+    """A library caller that drops an embedding frees it."""
+    s = line_space(-1.0, 1.0, 5, [("f", "x")])
+    cloud = embed(s)
+    dropped = weakref.ref(cloud)
+    del cloud
+    gc.collect()
+    assert dropped() is None
 
 
 def test_a_negative_zero_endpoint_is_not_served_the_positive_sweep():
     """-0.0 == 0.0, so the two carriers are equal, but the last sample
-    keeps the endpoint's sign and each carrier gets its own."""
+    keeps the endpoint's sign and each carrier gets its own, within one
+    memo block too."""
     positive = line_space(-1.0, 0.0, 3, [("f", "x")])
     negative = line_space(-1.0, -0.0, 3, [("f", "x")])
     assert positive == negative
-    for space, sign in ((positive, 1.0), (negative, -1.0)):
-        assert math.copysign(1.0, sample(space.carrier)[0][-1, 0]) == sign
-        assert math.copysign(1.0, embed(space).coords[-1, 0]) == sign
+    with memo_scope():
+        for space, sign in ((positive, 1.0), (negative, -1.0)):
+            assert math.copysign(1.0, sample(space.carrier)[0][-1, 0]) == sign
+            assert math.copysign(1.0, embed(space).coords[-1, 0]) == sign
 
 
 def test_smooth_map_sweep_errors_name_the_expression_and_the_sample():

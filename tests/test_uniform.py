@@ -452,26 +452,22 @@ _lead_value = st.one_of(
 @example(lead=[-0.3, -0.3, -0.2, 0.0, 0.0, 0.1], data=None)
 def test_upper_edges_match_their_definition(lead, data):
     """Each upper edge is one past the last j with fl(lead[j] - lead[r]) <
-    eps, and the lower edge `_lead_runs` takes from the upper edges of
-    -lead reversed is the first j with fl(lead[r] - lead[j]) < eps, at a
-    width that may equal a rounded gap exactly.  Asked for a subset of the
-    rows, in ascending order or mirrored, both give those rows' edges."""
+    eps, and each lead range, which `_lead_ranges` counts off the upper
+    edges, starts at the first j with fl(lead[r] - lead[j]) < eps and ends
+    at the upper edge, at a width that may equal a rounded gap exactly."""
     gaps = sorted({b - a for a in lead for b in lead if b > a})
     widths = [0.1, 0.2, 0.3, 1.0, 5e-324, *gaps]
     n = len(lead)
-    some = list(range(0, n, 2))
     if data is not None:
         widths.append(data.draw(st.floats(min_value=0.0, max_value=1e17, exclude_min=True), label="eps"))
-        some = data.draw(st.lists(st.integers(0, n - 1), unique=True).map(sorted), label="rows")
     column = np.array(lead)
-    rows = np.array(some, dtype=np.intp)
     for eps in widths:
         upper = [max(j for j in range(n) if lead[j] - lead[r] < eps) + 1 for r in range(n)]
         lower = [min(j for j in range(n) if lead[r] - lead[j] < eps) for r in range(n)]
         assert uniform._upper_edges(column, eps).tolist() == upper
-        assert (n - uniform._upper_edges(-column[::-1], eps)[::-1]).tolist() == lower
-        assert uniform._upper_edges(column, eps, rows).tolist() == [upper[r] for r in some]
-        assert (n - uniform._upper_edges(-column[::-1], eps, n - 1 - rows)).tolist() == [lower[r] for r in some]
+        lo, length = uniform._lead_ranges(column, eps)
+        assert lo.tolist() == lower
+        assert (lo + length).tolist() == upper
 
 
 def _brute_force_witness(space, g_names, h_names, eps, target_eps):

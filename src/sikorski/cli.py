@@ -31,9 +31,11 @@ summary, then raises ``ValueError`` if an invariant failed.
 and then its work, and turns the outcome into that status and its one
 stderr line, for every direct command and every experiment of a ``run``.
 
-A process that imports this module keeps the memory it frees until it
-exits: `_keep_freed_memory` raises glibc's trim and mmap thresholds to
-256 MiB.  By default glibc hands a freed heap top back to the kernel
+A process that calls `main` keeps the memory it frees until it exits:
+the first call runs `_keep_freed_memory`, which raises glibc's trim and
+mmap thresholds to 256 MiB; importing this module changes no malloc
+setting, so a library caller that only imports it keeps glibc's
+defaults.  By default glibc hands a freed heap top back to the kernel
 after every 4,096-row CSV slice and every refinement width, and the next
 one faults the same pages in again: a cold ``grid`` benchmark pass
 (seed 5) took 7,379 minor page faults, and takes about 1,035 with the
@@ -85,6 +87,7 @@ _UNSET = object()  # an option the command line did not give
 _HEAP_KEPT = 256 << 20  # bytes: glibc trims no free heap top and maps no block below this
 
 
+@functools.cache  # once per process, at the first `main` call
 def _keep_freed_memory() -> None:
     """Have glibc keep the memory this process frees until it exits.
 
@@ -105,9 +108,6 @@ def _keep_freed_memory() -> None:
     mallopt.restype = ctypes.c_int
     mallopt(-1, _HEAP_KEPT)  # M_TRIM_THRESHOLD
     mallopt(-3, _HEAP_KEPT)  # M_MMAP_THRESHOLD
-
-
-_keep_freed_memory()  # once per process, with the import, not in each `main` call
 
 
 class UsageError(Exception):
@@ -682,6 +682,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except SystemExit as exit_:  # argparse has printed the help
         return exit_.code
+    _keep_freed_memory()
     with memo_scope():  # one memo per command line
         return _dispatch(args)
 

@@ -17,16 +17,15 @@ bitsets (see ``_BitsetModel``), in closed form: its 2^k entourages are
 never walked one by one.  The partitions are sorted before any model is
 built, and each model is built when the sweep reaches it and dropped
 after its check, so only one model's tables are alive at a time.  What
-depends on the ground size alone (each family's members, minimal
-members, core and filter axioms, the check that pair and triple
-intersections of filters are filters, and each pair meet: the index of
-the listed filter it equals and whether it breaks the filter axioms) is
+depends on the ground size alone (the filters, listed by their cores,
+their filter axioms, the check that pair and triple intersections of
+filters are filters, and the index of each pair meet in the list) is
 computed once per size, in a ``_Families`` table its models share.  The
-Cauchy property and R are read off the minimal members: a filter up(c)
-has just one, c, so the Cauchy property is one lookup per filter, and R
-is one integer row per filter, over the filter indices, on whose bits
-the R laws are checked.  A law about a pair meet reads the meet's bit in
-those rows by its index.
+list is closed under meets, as up(a) & up(b) = up(a | b), so every law
+about a meet reads it by its index.  The Cauchy property and R are read
+off the cores: up(c) has the one minimal member c, so the Cauchy
+property is one lookup per filter, and R is one integer row per filter,
+over the filter indices, on whose bits the R laws are checked.
 
 ``tests/filter_oracle.py`` keeps the definitions written with Python sets
 (filters, uniformities, the catalog, convergence, Cauchy filters, R and
@@ -128,66 +127,34 @@ def _up_sets(n: int) -> tuple[int, ...]:
     return tuple(sum(1 << t for t in subsets if t & s == s) for s in subsets)
 
 
-class _Memo(dict):
-    """A table that evaluates its function once per key."""
-
-    def __init__(self, fn):
-        super().__init__()
-        self.fn = fn
-
-    def __missing__(self, key):
-        value = self[key] = self.fn(key)
-        return value
-
-
 class _Families:
-    """What the laws need of the families on {0, .., n-1} that no
+    """The filters on {0, .., n-1} and what the laws need of them that no
     uniformity changes, computed once per ground size and shared by its
-    models: a family's members, minimal members, core and filter axioms,
-    a filter's label, the index of each listed mask (``index``, the first
-    when a mask is listed twice), and the sweep over the pair and triple
-    intersections of ``masks``.
+    models.  ``cores`` lists every nonempty subset by (size, subset), and
+    ``masks`` their up-sets, which are every filter; ``index`` maps each
+    filter to its place in the list, ``axioms`` each filter to the first
+    filter axiom it breaks, or None.
 
     The sweep records each pair meet: ``meet_of[i][j]`` is the index of
-    the listed mask equal to ``masks[i] & masks[j]``, or None when none
-    is, and bit j of ``broken[i]`` is set when that meet breaks the filter
-    axioms.  It then checks whether the pair and triple intersections are
-    filters, visiting every pair and triple, as each model's count of
+    ``masks[i] & masks[j]``, the up-set of the union of the two cores.  It
+    then checks whether the pair and triple intersections are filters,
+    visiting every pair and triple, as each model's count of
     ``intersections_are_filters`` records, and keeps the first eight
     failures it finds.
     """
 
-    def __init__(self, n: int, masks: list[int]):
+    def __init__(self, n: int):
         self.n = n
-        self.masks = masks
         self.full = (1 << n) - 1
         self.up = _up_sets(n)
-        self.members = _Memo(_bits)
-        self.minimal = _Memo(self._minimal)
-        self.core = _Memo(self._core)
-        self.axioms = _Memo(self._axioms)
-        self.index: dict[int, int] = {}
-        for k, f in enumerate(masks):
-            self.index.setdefault(f, k)
+        self.cores = sorted(range(1, 1 << n), key=lambda c: (len(_bits(c)), _bits(c)))
+        self.masks = [self.up[c] for c in self.cores]
+        self.index = {f: k for k, f in enumerate(self.masks)}
+        self.axioms = {f: self._axioms(f) for f in self.masks}
         self._meet_sweep()
 
-    def _core(self, f: int) -> int:
-        out = self.full
-        for s in self.members[f]:
-            out &= s
-        return out
-
-    def label(self, f: int) -> str:
-        return "^" + "".join(str(x) for x in _bits(self.core[f]))
-
-    def _minimal(self, f: int) -> list[int]:
-        """The members of f with no other member strictly inside them:
-        those outside the union of the members' strict up-sets.  A filter
-        up(c) has the one minimal member c."""
-        above = 0
-        for s in self.members[f]:
-            above |= self.up[s] ^ (1 << s)
-        return _bits(f & ~above)
+    def label(self, k: int) -> str:
+        return "^" + "".join(str(x) for x in _bits(self.cores[k]))
 
     def _axioms(self, f: int) -> str | None:
         """The first filter axiom the family breaks, worded as the
@@ -196,7 +163,7 @@ class _Families:
             return "filter axioms violated: ground set missing"
         if f & 1:
             return "filter axioms violated: empty set present"
-        members = self.members[f]
+        members = _bits(f)
         for a in members:
             for b in members:
                 if not f >> (a & b) & 1:
@@ -210,12 +177,11 @@ class _Families:
     def _meet_sweep(self) -> None:
         """Index every pair meet; intersections of filters are filters
         (pairs and triples)."""
-        masks, index, axioms = self.masks, self.index, self.axioms
-        self.meet_of = [[index.get(f & g) for g in masks] for f in masks]
-        self.broken = [sum(1 << j for j, g in enumerate(masks) if axioms[f & g]) for f in masks]
+        masks, index = self.masks, self.index
+        self.meet_of = [[index[f & g] for g in masks] for f in masks]
         meets = itertools.chain(
-            (f & g for f, g in itertools.combinations(self.masks, 2)),
-            (f & g & h for f, g, h in itertools.combinations(self.masks, 3)),
+            (f & g for f, g in itertools.combinations(masks, 2)),
+            (f & g & h for f, g, h in itertools.combinations(masks, 3)),
         )
         self.meets_visited = 0
         self.meet_failures: list[str] = []
@@ -248,22 +214,20 @@ class _BitsetModel:
     holding that pair; ``balls[x]`` is the family of entourage balls
     around x.  The predicates keep their quantifiers: "for every entourage
     there is a member (pair) small of that order" is the union of the
-    members' cover sets compared with the set of all entourages.  That
-    union is taken over the minimal members alone, which the ground size's
-    ``_Families`` keeps: ``cover[a][b]`` can only shrink as a or b grows,
-    so the cover set of any members lies inside that of minimal members
-    below them.  This holds for any family, filter or not.
+    members' cover sets compared with the set of all entourages.  A filter
+    up(c) is read at its core c alone: ``cover[a][b]`` can only shrink as
+    a or b grows, so the cover set of any members lies inside that of the
+    cores below them, and the union is ``cover[c][c]`` (or ``cover[a][b]``
+    for two filters).
 
-    R is computed a row at a time (``relation_rows``): one int per family
-    over the family indices, from the cover rows of the family's minimal
-    members ORed once.
+    R is computed a row at a time (``relation_rows``): one int per filter
+    over the filter indices, read off the cover row of the filter's core.
     """
 
     def __init__(self, rows: Sequence[int], table: _Families):
         n = len(rows)
         full = table.full
         self.rows = tuple(rows)
-        self.minimal = table.minimal
         self.pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if not rows[a] >> b & 1]
         self.n_entourages = 1 << len(self.pairs)
         self.every_entourage = every = (1 << self.n_entourages) - 1
@@ -293,39 +257,22 @@ class _BitsetModel:
         """Every entourage ball around x is a member."""
         return self.balls[x] & ~f == 0
 
-    def cauchy(self, f: int) -> bool:
-        """For every entourage some member m has m x m inside it."""
-        small = 0
-        for m in self.minimal[f]:
-            small |= self.cover[m][m]
-        return small == self.every_entourage
+    def cauchy(self, c: int) -> bool:
+        """For every entourage the filter up(c) has a member m with m x m
+        inside it: c x c is."""
+        return self.cover[c][c] == self.every_entourage
 
-    def relation_rows(self, families: Sequence[int]) -> list[int]:
-        """R between every two of ``families``, one int per family: bit j
-        of row i is set when for every entourage there are members a of
-        families[i] and b of families[j] with a x b inside it.
-
-        Row i ORs the cover rows of its family's minimal members a once,
-        into its reach (for each subset b, the entourages containing a x b
-        for some a), and reads the reach at each column family's minimal
-        members: one lookup at the first, ORed with the others.  A filter
-        has one minimal member, its core.  A family with no member is
-        related to nothing."""
+    def relation_rows(self, cores: Sequence[int]) -> list[int]:
+        """R between every two of the filters up(c) for c in ``cores``, one
+        int per filter: bit j of row i is set when for every entourage
+        there are members a of up(cores[i]) and b of up(cores[j]) with
+        a x b inside it, that is when cores[i] x cores[j] is inside every
+        entourage."""
         every = self.every_entourage
-        columns = [self.minimal[g] for g in families]
-        firsts = [m[0] if m else 0 for m in columns]
-        others = [(j, b) for j, m in enumerate(columns) for b in m[1:]]
-        empty = sum(1 << j for j, m in enumerate(columns) if not m)
         rows = []
-        for f in families:
-            members = self.minimal[f]
-            reach = self.cover[members[0]] if members else [0] * len(self.cover)
-            for a in members[1:]:
-                reach = list(map(operator.or_, reach, self.cover[a]))
-            small = [reach[b] for b in firsts]
-            for j, b in others:
-                small[j] |= reach[b]
-            rows.append(sum(1 << j for j, s in enumerate(small) if s == every) & ~empty)
+        for a in cores:
+            reach = self.cover[a]
+            rows.append(sum(1 << j for j, b in enumerate(cores) if reach[b] == every))
         return rows
 
 
@@ -355,13 +302,6 @@ def _models(table: _Families) -> Iterator[_BitsetModel]:
         yield _BitsetModel(rows, table)
 
 
-def _filters(size: int) -> list[int]:
-    """Every filter on {0, .., size-1}: the up-set of each nonempty core,
-    ordered by (core size, core)."""
-    cores = sorted(range(1, 1 << size), key=lambda c: (len(_bits(c)), _bits(c)))
-    return [_up_sets(size)[c] for c in cores]
-
-
 def _check_model(index: int, bm: _BitsetModel, table: _Families) -> ModelReport:
     """Check every law on one model, visiting every pair and triple of
     filters the laws quantify over.  A failed law and an intersection that
@@ -377,20 +317,16 @@ def _check_model(index: int, bm: _BitsetModel, table: _Families) -> ModelReport:
     quantifiers (every pair, every triple), and the failures come in the
     order the loop over every pair and triple would find them.
 
-    A pair meet, and the class intersection, is read by the index k of
-    the listed filter it equals: whether it converges at x is bit k of the
-    filters converging there, whether it is Cauchy is ``cauchy[k]``, R
-    between it and filter i is bit i of R row k, and whether it breaks the
-    filter axioms is a bit of ``table.broken``.  Each read is the
-    definition applied to a bit-equal family.  Only a meet that no listed
-    mask equals, which a table holding a family that is not a filter can
-    have, is formed and computed directly."""
-    masks = table.masks
+    A pair meet, and the class intersection, is read by its index k in
+    the filter list: whether it converges at x is bit k of the filters
+    converging there, whether it is Cauchy is ``cauchy[k]``, and R between
+    it and filter i is bit i of R row k.  Each read is the definition
+    applied to a bit-equal filter."""
+    masks, cores = table.masks, table.cores
     nf = len(masks)
-    meet_of, broken, axioms = table.meet_of, table.broken, table.axioms
+    meet_of, axioms, label = table.meet_of, table.axioms, table.label
     failures = list(table.meet_failures)
     counts: dict[str, int] = {}
-    label = table.label
 
     def bump(name: str, n: int = 1) -> None:
         if n:
@@ -419,11 +355,8 @@ def _check_model(index: int, bm: _BitsetModel, table: _Families) -> ModelReport:
         for a, i in enumerate(at_x):
             meets = meet_of[i]
             for j in at_x[a + 1 :]:
-                if broken[i] >> j & 1:
-                    fail(f"intersection axioms: {axioms[masks[i] & masks[j]]}")
-                k = meets[j]
-                if not (at_x_set >> k & 1 if k is not None else bm.converges(masks[i] & masks[j], x)):
-                    fail(f"convergence lost at {x} for {label(masks[i])},{label(masks[j])}")
+                if not at_x_set >> meets[j] & 1:
+                    fail(f"convergence lost at {x} for {label(i)},{label(j)}")
         bump("convergent_intersections", len(at_x) * (len(at_x) - 1) // 2)
         if at_x:
             if not bm.converges(meet(masks[i] for i in at_x), x):
@@ -431,38 +364,31 @@ def _check_model(index: int, bm: _BitsetModel, table: _Families) -> ModelReport:
             bump("convergent_intersections")
 
     # convergence implies Cauchy
-    cauchy = [bm.cauchy(f) for f in masks]
+    cauchy = [bm.cauchy(c) for c in cores]
     cauchy_set = sum(1 << i for i in range(nf) if cauchy[i])
     for i in _bits(convergent & ~cauchy_set):
-        fail(f"{label(masks[i])} converges but is not Cauchy")
+        fail(f"{label(i)} converges but is not Cauchy")
     bump("convergent_implies_cauchy", nf)
 
     # R holds exactly when both filters and their intersection are Cauchy
-    rows = bm.relation_rows(masks)
+    rows = bm.relation_rows(cores)
     cauchy_bits = _bits(cauchy_set)
-    for i, f in enumerate(masks):
-        both = bad = 0
+    for i in range(nf):
+        both = 0
         if cauchy[i]:
             meets = meet_of[i]
-            for j in cauchy_bits:
-                k = meets[j]
-                if cauchy[k] if k is not None else bm.cauchy(f & masks[j]):
-                    both |= 1 << j
-            bad = broken[i] & cauchy_set
+            both = sum(1 << j for j in cauchy_bits if cauchy[meets[j]])
         mismatch = both ^ rows[i]
-        for j in _bits(bad | mismatch):
-            if bad >> j & 1:
-                fail(f"intersection axioms: {axioms[f & masks[j]]}")
-            if mismatch >> j & 1:
-                r, c = rows[i] >> j & 1 == 1, both >> j & 1 == 1
-                fail(f"R mismatch for {label(f)},{label(masks[j])}: R={r} cauchy-criterion={c}")
+        for j in _bits(mismatch):
+            r, c = rows[i] >> j & 1 == 1, both >> j & 1 == 1
+            fail(f"R mismatch for {label(i)},{label(j)}: R={r} cauchy-criterion={c}")
     bump("r_equivalence_criterion", nf * nf)
 
     # R is an equivalence on the Cauchy filters; transitivity compares rows:
     # for Cauchy i R j, every Cauchy k with j R k must have i R k
     for i in cauchy_bits:
         if not rows[i] >> i & 1:
-            fail(f"R not reflexive at {label(masks[i])}")
+            fail(f"R not reflexive at {label(i)}")
     bump("r_reflexive", nf)
     # columns[j]: the i with i R j, so row i and column i agree when R is symmetric at i
     columns = [0] * nf
@@ -471,36 +397,33 @@ def _check_model(index: int, bm: _BitsetModel, table: _Families) -> ModelReport:
             columns[j] |= 1 << i
     for i in range(nf):
         for j in _bits((rows[i] ^ columns[i]) >> i + 1):
-            fail(f"R not symmetric at {label(masks[i])},{label(masks[i + 1 + j])}")
+            fail(f"R not symmetric at {label(i)},{label(i + 1 + j)}")
     bump("r_symmetric", nf * (nf - 1) // 2)
     for i in cauchy_bits:
         for j in _bits(cauchy_set & rows[i]):
             for k in _bits(cauchy_set & rows[j] & ~rows[i]):
-                fail(f"R not transitive at {label(masks[i])},{label(masks[j])},{label(masks[k])}")
+                fail(f"R not transitive at {label(i)},{label(j)},{label(k)}")
     bump("r_transitive", nf**3)
 
     # the class intersection is a minimal equivalent Cauchy filter
-    for i, f in enumerate(masks):
-        if not cauchy[i]:
-            continue
+    for i in cauchy_bits:
         bump("minimal_cauchy")
-        cls = [masks[j] for j in _bits(cauchy_set & rows[i])]
+        cls = _bits(cauchy_set & rows[i])
         if not cls:
-            fail(f"R-class of {label(f)} is empty")
+            fail(f"R-class of {label(i)} is empty")
             continue
-        minimal = meet(cls)
-        k = table.index.get(minimal)
-        if not (cauchy[k] if k is not None else bm.cauchy(minimal)):
-            fail(f"class intersection of {label(f)} is not Cauchy")
-        if not (rows[k] >> i if k is not None else bm.relation_rows([minimal, f])[0] >> 1) & 1:
-            fail(f"class intersection of {label(f)} left its class")
-        for g in cls:
-            if minimal & ~g:
-                fail(f"class intersection of {label(f)} not below {label(g)}")
+        minimal = meet(masks[j] for j in cls)
+        k = table.index[minimal]
+        if not cauchy[k]:
+            fail(f"class intersection of {label(i)} is not Cauchy")
+        if not rows[k] >> i & 1:
+            fail(f"class intersection of {label(i)} left its class")
+        for j in cls:
+            if minimal & ~masks[j]:
+                fail(f"class intersection of {label(i)} not below {label(j)}")
         # cross-check: the up-set of the union of class cores
-        union_core = reduce(operator.or_, (table.core[g] for g in cls))
-        if minimal != table.up[union_core]:
-            fail(f"class intersection of {label(f)} is not the up-set of the union of cores")
+        if minimal != table.up[reduce(operator.or_, (cores[j] for j in cls))]:
+            fail(f"class intersection of {label(i)} is not the up-set of the union of cores")
 
     checks = tuple(sorted(counts.items()))
     return ModelReport(table.n, index, bm.n_entourages, nf, checks, tuple(failures))
@@ -514,7 +437,7 @@ def verify_filter_laws(max_size: int = 4) -> FilterLawReport:
     filter_counts = []
     models = []
     for size in range(1, max_size + 1):
-        table = _Families(size, _filters(size))
+        table = _Families(size)
         filter_counts.append((size, len(table.masks), 2**size - 1))
         # each model is built as the loop reaches it and dropped after its check
         models.extend(_check_model(index, bm, table) for index, bm in enumerate(_models(table)))

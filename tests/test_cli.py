@@ -927,6 +927,30 @@ def test_keeping_freed_memory_saves_faults_and_changes_no_output(tmp_path, spira
     assert kept_faults <= faults / 2
 
 
+def test_only_the_first_main_call_sets_malloc_thresholds(tmp_path):
+    """Importing the CLI module calls no `mallopt`, so a library caller
+    keeps glibc's defaults; the first `main` call sets both thresholds, and
+    a second sets nothing more.  A recording C library stands in for
+    glibc, in a fresh interpreter."""
+    code = (
+        "import ctypes\n"
+        "calls = []\n"
+        "class CDLL:\n"
+        "    def __init__(self, *args, **kwargs):\n"
+        "        self.mallopt = lambda *args: calls.append(args)\n"
+        "ctypes.CDLL = CDLL\n"
+        "from sikorski import cli\n"
+        "print(calls)\n"
+        "for _ in range(2):\n"
+        f"    assert cli.main(['verify-filters', '--max-size', '1', '--out', {str(tmp_path)!r}]) == 0\n"
+        "print(calls)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    lines = proc.stdout.splitlines()
+    assert (lines[0], lines[-1]) == ("[]", "[(-1, 268435456), (-3, 268435456)]")
+
+
 def test_an_iota_residual_above_tolerance_exits_one(tmp_path, monkeypatch):
     iota = cli.iota
 

@@ -1,7 +1,8 @@
 """Exact ``%.17g`` text of whole float64 arrays, as byte fields.
 
-`fields(x)` returns one fixed-width row of bytes per value: the text
-Python's ``'%.17g' % value`` gives, with NUL bytes around and inside it.
+`fields(x)` returns one fixed-width row of bytes per value, the rows in
+C order: the text Python's ``'%.17g' % value`` gives, with NUL bytes
+around and inside it.
 Dropping every NUL of a row gives the text exactly.  An integer below
 2**53 is written as ``%d`` writes it: fixed notation, no point.
 
@@ -192,10 +193,10 @@ def _float_fields(x: np.ndarray) -> np.ndarray:
 
 
 def fields(x: np.ndarray) -> np.ndarray:
-    """``'%.17g' % value`` for each finite float64 value of `x`, one row
-    of uint8 per value: the text's bytes with NUL bytes around and inside
-    them; a column that is NUL in every row is left out.  A NaN or an
-    infinity raises `ValueError`."""
+    """``'%.17g' % value`` for each finite float64 value of `x`, one
+    C-ordered row of uint8 per value: the text's bytes with NUL bytes
+    around and inside them; a column that is NUL in every row is left
+    out.  A NaN or an infinity raises `ValueError`."""
     out = _float_fields(np.asarray(x, dtype=np.float64).ravel())
-    used = np.array([np.bitwise_or.reduce(word) for word in out.view(np.uint64).T], dtype=np.uint64)
-    return out[:, used.view(np.uint8) != 0]
+    used = np.bitwise_or.reduce(out.view(np.uint64), axis=0)
+    return np.compress(used.view(np.uint8) != 0, out, axis=1)

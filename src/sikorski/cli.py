@@ -5,15 +5,17 @@ artifacts plus a short text report under ``--out``; ``run`` loads its
 spec once for all its experiments and checks every one of them, its
 command, flag names and flag values, before the first one runs.  Every CSV
 artifact goes through one writer, `_write_csv`, which owns the float
-format and the quoting.  Handlers hand it blocks of rows: a block's
-row is written once by `csv.writer`, with a private-use mark (U+E000)
-where each number goes, and that text split at the marks gives the
-constant bytes of every row; constant cells may hold neither NUL nor
-the mark.  The block's numbers come as one matrix, which is
-formatted a fixed-size slice of rows at a time by the byte kernel in
-`sikorski._numfmt`: whole columns become the exact bytes of ``%.17g``,
-and Python's scalar conversion runs only for the few values whose
-digits the kernel cannot prove exact.  Within one `main` call nothing
+format and the quoting.  Handlers hand it rows of cells.  A cell that
+changes from row to row is a `_Column`: a float64 column the handler
+already holds, after a constant prefix if need be, and a row with
+columns stands for one CSV row per value.  Such a row is written once
+by `csv.writer`, with a private-use mark (U+E000) where each column's
+numbers go, and that text split at the marks gives the constant bytes
+of every CSV row; no cell's own text may hold NUL or the mark.  The
+columns are formatted a fixed-size slice at a time by the byte kernel
+in `sikorski._numfmt`: whole columns become the exact bytes of
+``%.17g``, and Python's scalar conversion runs only for the few values
+whose digits the kernel cannot prove exact.  Within one `main` call nothing
 is computed twice: `main` runs its command line in one
 `sikorski.space.memo_scope` block, within which each carrier's sweep,
 each family's embedding and, keyed on the column's bytes, each column's
@@ -203,35 +205,27 @@ def _map(spec: specfile.SpecFile, name: str) -> specfile.LoadedMap:
     return spec.maps[name]
 
 
-class _Slot(str):
-    """A block cell that differs from row to row: `_MARK`, with constant
-    text around it if need be, where the ``%.17g`` text of the next column
-    of the block's values goes.  An integer below 2**53 is written as
-    ``%d`` writes it."""
+_MARK = "\ue000"  # a private-use character: a column's place in a row, in no cell's own text
+_SLICE_ROWS = 4096  # values formatted per write, so a column is never one whole-file string
 
 
-_MARK = "\ue000"  # a private-use character: a slot's place, in no constant cell
-_FLOAT_SLOT = _Slot(_MARK)
-_SLICE_ROWS = 4096  # rows formatted per write, so a block is never one whole-file string
+class _Column(NamedTuple):
+    """A CSV cell that changes from row to row: `prefix`, then the
+    ``%.17g`` text of the row's value in `values`, a float64 column.  An
+    integer below 2**53 is written as ``%d`` writes it."""
 
-
-class _Block(NamedTuple):
-    """Rows of a CSV artifact that share their constant cells.
-
-    `cells` is the row: each `_Slot` takes the next column of `values`,
-    every other cell is written the same in every row.  `values` is a
-    float64 matrix with one row per CSV row; the default is one row with
-    no slots."""
-
-    cells: Sequence
-    values: np.ndarray = np.empty((1, 0))
+    values: np.ndarray
+    prefix: str = ""
 
 
 def _cell_text(cell) -> str:
-    """A constant cell's text: None is an empty cell, a float has 17
-    significant digits, anything else is what `csv.writer` makes of it.
-    NUL is the fields' padding and `_MARK` a slot's place, so neither may
-    stand in a constant cell."""
+    """A cell's text for `csv.writer`: a column is its prefix and `_MARK`,
+    None is an empty cell, a float has 17 significant digits, anything
+    else is what `csv.writer` makes of it.  NUL is the fields' padding
+    and `_MARK` a column's place, so neither may stand in a cell's own
+    text, a column's prefix included."""
+    if isinstance(cell, _Column):
+        return _cell_text(cell.prefix) + _MARK
     if cell is None:
         return ""
     text = _fmt(cell) if isinstance(cell, float) else str(cell)
@@ -240,49 +234,55 @@ def _cell_text(cell) -> str:
     return text
 
 
-def _row_pieces(cells: Sequence) -> list[bytes]:
-    """A row as the constant bytes before, between and after its slots:
-    the row written by `csv.writer`, split at each slot's mark."""
+def _row_pieces(row: Sequence) -> list[bytes]:
+    """A row as the constant bytes before, between and after its columns:
+    the row written by `csv.writer`, split at each column's mark."""
     buf = io.StringIO()
-    csv.writer(buf, lineterminator="\n").writerow(c if isinstance(c, _Slot) else _cell_text(c) for c in cells)
+    csv.writer(buf, lineterminator="\n").writerow(map(_cell_text, row))
     return [piece.encode() for piece in buf.getvalue().split(_MARK)]
 
 
-def _slice_bytes(constants: list[bytes], values: np.ndarray):
-    """The rows of one slice of a block: each row's constant bytes with
-    its values' fields between them, and the fields' NUL padding dropped.
-    Within a `memo_scope` block each column's fields are made once, keyed
-    on the column's own bytes, so that a hit is a byte-equal column; not
-    on a digest, as hashlib loads OpenSSL, 3.35 MiB of resident memory."""
-    n = len(values)
-    if len(constants) == 1:
-        return constants[0] * n
-    from . import _numfmt  # its tables are built for the first block with slots, not at import
+def _slice_bytes(constants: list[bytes], columns: Sequence[np.ndarray]):
+    """The CSV rows of one slice of a row's columns, all of one length:
+    each row's constant bytes with its values' fields between them, and
+    the fields' NUL padding dropped; a row without columns is its one
+    constant piece.  Within a `memo_scope` block each column's fields
+    are made once, keyed on the column's own bytes, so that a hit is a
+    byte-equal column; not on a digest, as hashlib loads OpenSSL, 3.35
+    MiB of resident memory."""
+    if not columns:
+        return constants[0]
+    from . import _numfmt  # its tables are built for the first row with columns, not at import
+    n = len(columns[0])
     first = np.frombuffer(constants[0], dtype=np.uint8)
     pieces = [np.broadcast_to(first, (n, len(first)))]
-    for column, constant in zip(values.T, constants[1:]):
+    for column, constant in zip(columns, constants[1:]):
         field = _memoized(column.tobytes(), functools.partial(_numfmt.fields, column))
         const = np.frombuffer(constant, dtype=np.uint8)
         pieces += [field, np.broadcast_to(const, (n, len(const)))]
-    rows = np.concatenate(pieces, axis=1).ravel()  # C-contiguous, so a view
+    rows = np.concatenate(pieces, axis=1).ravel()  # C-ordered, as the fields are, so a view
     del pieces  # the fields, before the mask is made
     return rows[rows != 0]
 
 
-def _write_csv(path: str, header: Sequence[str], blocks: Iterable[_Block]) -> None:
-    """Write one CSV artifact: the header, then each block's rows.
+def _write_csv(path: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+    """Write one CSV artifact: the header, then each row's CSV rows.
 
-    A block's row is quoted once, exactly as `csv.writer` quotes it, and
-    split into the constant bytes between its slots.  Its values are then
-    written `_SLICE_ROWS` rows at a time, which keeps memory flat however
-    many rows the block has: `_numfmt.fields` gives each value's text in a
-    NUL-padded field, the constants and fields of every row are laid side
-    by side, and one boolean compaction drops the padding."""
+    A row is a sequence of cells.  A row without a `_Column` is one CSV
+    row; a row with columns, which share one length, is one CSV row per
+    value, none if they are empty.  The row is quoted once, exactly as
+    `csv.writer` quotes it, and split into the constant bytes between its
+    columns.  The columns are then written `_SLICE_ROWS` values at a
+    time, which keeps memory flat however long they are:
+    `_numfmt.fields` gives each value's text in a NUL-padded field, the
+    constants and fields of every CSV row are laid side by side, and one
+    boolean compaction drops the padding."""
     with open(path, "wb") as fh:
-        for cells, values in itertools.chain([_Block(header)], blocks):
-            constants = _row_pieces(cells)
-            for start in range(0, len(values), _SLICE_ROWS):
-                fh.write(_slice_bytes(constants, values[start : start + _SLICE_ROWS]))
+        for row in itertools.chain([header], rows):
+            constants = _row_pieces(row)
+            columns = [cell.values for cell in row if isinstance(cell, _Column)]
+            for start in range(0, len(columns[0]) if columns else 1, _SLICE_ROWS):
+                fh.write(_slice_bytes(constants, [c[start : start + _SLICE_ROWS] for c in columns]))
 
 
 def _write_report(path: str, lines: Sequence[str]) -> None:
@@ -291,8 +291,8 @@ def _write_report(path: str, lines: Sequence[str]) -> None:
 
 
 def _write_points(path: str, cs: CompletedSpace) -> None:
-    base = _Block(("base", "", *[_FLOAT_SLOT] * len(cs.names)), cs.base.coords)
-    adjoined = (_Block(("adjoined", a.probe, *a.coords)) for a in cs.adjoined)
+    base = ("base", "", *map(_Column, cs.base.coords.T))
+    adjoined = (("adjoined", a.probe, *a.coords) for a in cs.adjoined)
     _write_csv(path, ["point_kind", "probe_name", *cs.names], itertools.chain([base], adjoined))
 
 
@@ -321,10 +321,9 @@ def _completeness_line(cs: CompletedSpace) -> str:
 
 
 def _write_iota(path: str, rep: IotaReport) -> None:
-    label = _Slot("base:" + _MARK)  # base point i lands on base point i
-    index = np.arange(len(rep.base), dtype=float)[:, None]
-    base = _Block((label, label, *[_FLOAT_SLOT] * len(rep.sub_names)), np.hstack([index, index, rep.base]))
-    entries = (_Block((e.source, e.target, *e.coords)) for e in rep.entries)
+    label = _Column(np.arange(len(rep.base), dtype=float), "base:")  # base point i lands on base point i
+    base = (label, label, *map(_Column, rep.base.T))
+    entries = ((e.source, e.target, *e.coords) for e in rep.entries)
     _write_csv(path, ["source", "target", *rep.sub_names], itertools.chain([base], entries))
 
 
@@ -334,9 +333,8 @@ def cmd_embed(args, spec) -> Iterator[None]:
     cloud = embed(space)
     path = _artifact(args, "points.csv")
     header = ["point_index", *space.carrier.params, *cloud.names]
-    index = np.arange(len(cloud.coords), dtype=float)[:, None]
-    values = np.hstack([index, cloud.params, cloud.coords])
-    _write_csv(path, header, [_Block((_FLOAT_SLOT,) * values.shape[1], values)])
+    index = _Column(np.arange(len(cloud.coords), dtype=float))
+    _write_csv(path, header, [(index, *map(_Column, cloud.params.T), *map(_Column, cloud.coords.T))])
     print(f"embed: {len(cloud.coords)} points, {len(cloud.names)} coordinates -> {path}")
 
 
@@ -399,7 +397,7 @@ def cmd_boundize(args, spec) -> Iterator[None]:
     _write_csv(
         path,
         ["generator", "mu", "max_abs_gamma", "local_residual"],
-        (_Block((name, mu, mg, bset.local_residual)) for name, mu, mg in columns),
+        ((name, mu, mg, bset.local_residual) for name, mu, mg in columns),
     )
     print(
         f"boundize: {len(bset.gen_names)} generator(s) at {args.point},"
@@ -426,8 +424,8 @@ def cmd_compare_uniform(args, spec) -> Iterator[None]:
         + [f"x_{p}" for p in params]
         + [f"y_{p}" for p in params],
         (
-            _Block((row.candidate_eps, "true" if row.refines else "false", rep.target, row.violated, row.d_g,
-                    *(row.witness_x or blank), *(row.witness_y or blank)))
+            (row.candidate_eps, "true" if row.refines else "false", rep.target, row.violated, row.d_g,
+             *(row.witness_x or blank), *(row.witness_y or blank))
             for row in rep.rows
         ),
     )
@@ -476,7 +474,7 @@ def cmd_tangent(args, spec) -> Iterator[None]:
             if not residual <= _RESIDUAL_SCALE * scale:
                 failures.append(f"chain rule residual {_fmt(residual)} for {gen_name}")
 
-    _write_csv(_artifact(args, "tangent.csv"), ["kind", "name", "value"], map(_Block, rows))
+    _write_csv(_artifact(args, "tangent.csv"), ["kind", "name", "value"], rows)
     for kind, name, value in rows:
         print(f"{kind} {name} = {_fmt(value)}")
     if failures:
@@ -489,7 +487,7 @@ def cmd_check_map(args, spec) -> Iterator[None]:
     loaded = _map(spec, args.map)
     yield
     rep = check_smooth_map(spec.space, loaded.witness, tol=args.tol)
-    _write_csv(_artifact(args, "map.csv"), ["generator", "max_residual"], map(_Block, rep.residuals))
+    _write_csv(_artifact(args, "map.csv"), ["generator", "max_residual"], rep.residuals)
     worst = "-" if rep.worst_point is None else "(" + ", ".join(_fmt(c) for c in rep.worst_point) + ")"
     _write_report(
         _artifact(args, "report.txt"),
@@ -513,8 +511,8 @@ def cmd_verify_filters(args, spec) -> Iterator[None]:
         _artifact(args, "models.csv"),
         ["ground_size", "model_index", "entourages", "filters", "checks", "failures"],
         (
-            _Block((m.ground_size, m.model_index, m.n_entourages, m.n_filters,
-                    sum(count for _, count in m.checks), len(m.failures)))
+            (m.ground_size, m.model_index, m.n_entourages, m.n_filters,
+             sum(count for _, count in m.checks), len(m.failures))
             for m in rep.models
         ),
     )

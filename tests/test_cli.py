@@ -510,6 +510,7 @@ BAD_FLAG_VALUES = [
     (["boundize", REAL_LINE, "--omega", "u1", "--gens", ",".join(f"g{i}" for i in range(1000)), "--point", "0"],
      "--gens"),
     (["complete", SPIRAL, "--family", "a,b", "--tol", "1e-3", "--tail", "100000"], "--tail"),
+    (["complete", REAL_LINE, "--family", "maximal:x"], "--family"),
 ]
 
 

@@ -1,8 +1,9 @@
-"""The block CSV writer, `sikorski.cli._write_csv`, against the
-row-at-a-time reference in ``tests/csv_oracle.py``: the same rows must
-give the same bytes, for generated blocks and for the three artifacts
-whose size grows with the sample count.  Every number in every artifact
-of the bundled specs' experiments must be in the reference's form."""
+"""The CSV writer, `sikorski.cli._write_csv`, against the row-at-a-time
+reference in ``tests/csv_oracle.py``: the same rows must give the same
+bytes, for generated rows of cells and for the three artifacts whose
+size grows with the sample count.  A row with `_Column` cells stands for
+a block of CSV rows, one per value.  Every number in every artifact of
+the bundled specs' experiments must be in the reference's form."""
 
 import csv
 import math
@@ -19,84 +20,103 @@ from hypothesis import example, given, settings, strategies as st
 
 import csv_oracle
 import sikorski
-from sikorski import cli
+from sikorski import _numfmt, cli
 from sikorski.completion import complete, iota
 from sikorski.space import embed
 from sikorski.specfile import load_spec
 
 SPECS = Path(sikorski.__file__).parent / "specs"
-LABEL = cli._Slot("base:" + cli._MARK)
-QUOTED = cli._Slot('a,"' + cli._MARK + '\n')  # csv.writer must quote it around its mark
-SLOTS = (cli._FLOAT_SLOT, LABEL, QUOTED)
+# an index column's prefix, and one csv.writer must quote around its mark
+PREFIXES = ("", "base:", 'a,"\n')
 
-# a slot's value is finite: `_numfmt` refuses NaN and inf, and no sample or
+# a column's value is finite: `_numfmt` refuses NaN and inf, and no sample or
 # guarded sweep makes one; a constant cell goes through `cli._fmt`, which
 # writes them
 FLOATS = st.one_of(st.sampled_from([-0.0, 5e-324, 1e308]), st.floats(allow_nan=False, allow_infinity=False))
 CONSTANT_FLOATS = st.one_of(st.sampled_from([math.nan, math.inf, -math.inf]), st.floats())
 TEXT = st.text(st.sampled_from([",", '"', "\r", "\n", "%", " ", "a", "é"]), max_size=5)
 CONSTANT = st.one_of(TEXT, st.none(), st.integers(), CONSTANT_FLOATS, CONSTANT_FLOATS.map(np.float64))
+COLUMN = st.sampled_from(PREFIXES).map(lambda prefix: cli._Column(None, prefix))  # values drawn in `rows`
 HEADER = st.lists(TEXT, max_size=3)
 
 
-def slot_value(slot):
-    return FLOATS if slot is cli._FLOAT_SLOT else st.integers(0, 2**53).map(float)
+def column_values(prefix):
+    return FLOATS if prefix == "" else st.integers(0, 2**53).map(float)
 
 
 @st.composite
-def blocks(draw):
-    """A block as the writer takes it: cells with slots among the
-    constants, and one column of values per slot."""
-    cells = draw(st.lists(st.one_of(CONSTANT, st.sampled_from(SLOTS)), max_size=5))
-    rows = draw(st.sampled_from([0, 1, 2, 7]))
-    slots = [c for c in cells if isinstance(c, cli._Slot)]
-    columns = [draw(st.lists(slot_value(s), min_size=rows, max_size=rows)) for s in slots]
-    return cells, np.array(columns, dtype=float).T.reshape(rows, len(slots))
+def rows(draw):
+    """A row as the writer takes it: constant cells and `_Column` cells,
+    the columns all of one length."""
+    cells = draw(st.lists(st.one_of(CONSTANT, COLUMN), max_size=5))
+    n = draw(st.sampled_from([0, 1, 2, 7]))
+    return [
+        c._replace(values=np.array(draw(st.lists(column_values(c.prefix), min_size=n, max_size=n)), dtype=float))
+        if isinstance(c, cli._Column)
+        else c
+        for c in cells
+    ]
 
 
-def oracle_rows(cells, values):
-    """The rows of a block, one list of cells each, as the reference takes them."""
-    for row in values.tolist():
-        it = iter(row)
-        yield [
-            (next(it) if c is cli._FLOAT_SLOT else c.replace(cli._MARK, "%.17g" % next(it)))
-            if isinstance(c, cli._Slot)
-            else c
-            for c in cells
-        ]
+def oracle_rows(row):
+    """The CSV rows of a row, one list of cells each, as the reference takes them."""
+    columns = [c.values.tolist() for c in row if isinstance(c, cli._Column)]
+    for values in zip(*columns) if columns else [()]:
+        it = iter(values)
+        yield [c.prefix + "%.17g" % next(it) if isinstance(c, cli._Column) else c for c in row]
 
 
-def assert_same_bytes(header, block_list):
+def assert_same_bytes(header, row_list):
     with tempfile.TemporaryDirectory() as tmp:
         got, want = os.path.join(tmp, "got.csv"), os.path.join(tmp, "want.csv")
-        cli._write_csv(got, header, [cli._Block(cells, values) for cells, values in block_list])
-        csv_oracle.write_csv(want, header, [row for block in block_list for row in oracle_rows(*block)])
+        cli._write_csv(got, header, row_list)
+        csv_oracle.write_csv(want, header, [out for row in row_list for out in oracle_rows(row)])
         assert Path(got).read_bytes() == Path(want).read_bytes()
 
 
 @settings(max_examples=300, deadline=None)
-@given(HEADER, st.lists(blocks(), max_size=4), st.sampled_from([1, 2, 3]))
-@example([""], [([None], np.empty((1, 0))), ([""], np.empty((2, 0)))], 1)  # a lone empty cell is quoted
-@example(["a"], [([cli._FLOAT_SLOT], np.empty((0, 1)))], 1)  # a block with no rows
-def test_block_writer_matches_the_row_writer(header, block_list, slice_rows):
-    with mock.patch.object(cli, "_SLICE_ROWS", slice_rows):  # every block of 2 or more rows spans slices
-        assert_same_bytes(header, block_list)
+@given(HEADER, st.lists(rows(), max_size=4), st.sampled_from([1, 2, 3]))
+@example([""], [[None], [""]], 1)  # a lone empty cell is quoted
+@example(["a"], [[cli._Column(np.empty(0))]], 1)  # a column with no values writes nothing
+def test_block_writer_matches_the_row_writer(header, row_list, slice_rows):
+    with mock.patch.object(cli, "_SLICE_ROWS", slice_rows):  # every column of 2 or more values spans slices
+        assert_same_bytes(header, row_list)
 
 
-@pytest.mark.parametrize("cell", ["x\0", "\0", "a" + cli._MARK, cli._MARK])
+REFUSED = ["x\0", "\0", "a" + cli._MARK, cli._MARK]
+
+
+@pytest.mark.parametrize("cell", REFUSED)
 @pytest.mark.parametrize("in_header", [True, False])
 def test_a_constant_cell_holding_nul_or_the_mark_is_refused(tmp_path, cell, in_header):
-    """NUL is the fields' padding and the mark a slot's place, so a
+    """NUL is the fields' padding and the mark a column's place, so a
     constant cell holding either would be written wrong."""
-    header, row = ([cell], [cli._FLOAT_SLOT]) if in_header else (["x"], [cell, cli._FLOAT_SLOT])
+    column = cli._Column(np.array([1.5]))
+    header, row = ([cell], [column]) if in_header else (["x"], [cell, column])
     with pytest.raises(ValueError, match="cannot hold NUL or U\\+E000"):
-        cli._write_csv(str(tmp_path / "t.csv"), header, [cli._Block(row, np.array([[1.5]]))])
+        cli._write_csv(str(tmp_path / "t.csv"), header, [row])
+
+
+@pytest.mark.parametrize("prefix", REFUSED)
+def test_a_column_prefix_holding_nul_or_the_mark_is_refused(tmp_path, prefix):
+    """A column's prefix is constant text in every one of its CSV rows."""
+    with pytest.raises(ValueError, match="cannot hold NUL or U\\+E000"):
+        cli._write_csv(str(tmp_path / "t.csv"), ["x"], [[cli._Column(np.array([1.5]), prefix)]])
 
 
 def test_a_block_spans_full_size_slices():
-    rows = 2 * cli._SLICE_ROWS + 3
-    values = np.column_stack([np.arange(rows), np.linspace(-1.0, 1.0, rows) ** 3])
-    assert_same_bytes(["i", "x"], [((cli._FLOAT_SLOT, "x,y", cli._FLOAT_SLOT), values)])
+    n = 2 * cli._SLICE_ROWS + 3
+    columns = [cli._Column(np.arange(n, dtype=float)), cli._Column(np.linspace(-1.0, 1.0, n) ** 3)]
+    assert_same_bytes(["i", "x"], [(columns[0], "x,y", columns[1])])
+
+
+@pytest.mark.parametrize("values", [[], [1.5], [0.0, -2.5e-300, 1e22, 5e-324, 123456789.0]])
+def test_the_kernel_gives_c_ordered_rows(values):
+    """The writer lays the fields beside the constant bytes and ravels the
+    result; rows in C order make that ravel a view, not a copy."""
+    out = _numfmt.fields(np.array(values, dtype=float))
+    assert out.flags.c_contiguous
+    assert [bytes(row).replace(b"\0", b"").decode() for row in out] == ["%.17g" % v for v in values]
 
 
 def run_main(*argv):
@@ -116,8 +136,8 @@ print("sikorski._numfmt" in sys.modules)
     [(["verify-filters", "--max-size", "2"], False), (["embed", str(SPECS / "real_line_atan.spec")], True)],
 )
 def test_the_kernel_is_imported_by_the_first_block_with_slots(tmp_path, argv, loaded):
-    """In a fresh interpreter: a command whose artifacts have no slots
-    never builds the kernel's tables."""
+    """In a fresh interpreter: a command whose artifacts have no row with
+    columns never builds the kernel's tables."""
     proc = subprocess.run(
         [sys.executable, "-c", KERNEL_LOADED, *argv, "--out", str(tmp_path)], capture_output=True, text=True
     )

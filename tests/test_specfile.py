@@ -119,6 +119,7 @@ def test_expression_errors_name_the_column(tmp_path):
         ("domain = [0, 1]", "domain = [0, sqrt(]",
          "3: domain endpoint: unexpected end of input (offset 5), column 19"),
         ("domain = [0, 1]", "domain = [sqrt(0, 1]", "3: domain endpoint: expected ')' (offset 6), column 17"),
+        ("domain = [0, 1]", "domain = [0, 1e308*10]", "3: domain endpoint: non-finite value from 1e+308 * 10.0"),
         ("samples = 11", "samples = 11\ninset = 1e999", "6: inset: number 1e999 is not finite (offset 0), column 9"),
         ("f = x", "f = x\n\n[bounded]\nf = x", "11: bound for f: unknown variable 'x' (offset 0), column 5"),
     ],
@@ -266,6 +267,14 @@ def test_domain_endpoints_take_expressions(tmp_path):
     box = spec.space.carrier.box[0]
     assert box.hi == math.pi / 2
     assert box.lo_open and box.hi_open
+
+
+def test_a_parenthesized_endpoint_closes_its_own_parenthesis(tmp_path):
+    """The ")" of "(1)" closes the endpoint's parenthesis, not the interval."""
+    spec = load_spec(write_spec(tmp_path, MINIMAL.replace("domain = [0, 1]", "domain = (0, (1))")))
+    plain = load_spec(write_spec(tmp_path, MINIMAL.replace("domain = [0, 1]", "domain = (0, 1)"), "plain.spec"))
+    assert spec.space.carrier == plain.space.carrier
+    assert embed(spec.space).params.tolist() == embed(plain.space).params.tolist()
 
 
 def test_duplicate_generator_rejected(tmp_path):

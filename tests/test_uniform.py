@@ -216,6 +216,18 @@ def test_a_tail_longer_than_the_schedule_is_refused():
     assert ns.tolist() == list(range(5, 15))
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda probe: probe_points(SLAB, probe, tail=1), "tail must be at least 2"),
+        (lambda probe: probe_cauchy(SLAB, probe, tol=0.0), "tol must be positive"),
+    ],
+)
+def test_a_tail_below_two_or_a_tol_not_positive_is_refused(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call(Probe("p", Var("n"), start=1, stop=1000))
+
+
 def test_probe_that_leaves_the_box_is_a_domain_error():
     probe = Probe("p", parse_expr("2000 * n", ["n"]), start=1, stop=10)
     with pytest.raises(DomainError, match="leaves the box"):

@@ -17,15 +17,21 @@ bitsets (see ``_BitsetModel``), in closed form: its 2^k entourages are
 never walked one by one.  The partitions are sorted before any model is
 built, and each model is built when the sweep reaches it and dropped
 after its check, so only one model's tables are alive at a time.  What
-depends on the ground size alone (the filters, listed by their cores,
-their filter axioms, the check that pair and triple intersections of
-filters are filters, and the index of each pair meet in the list) is
-computed once per size, in a ``_Families`` table its models share.  The
-list is closed under meets, as up(a) & up(b) = up(a | b), so every law
-about a meet reads it by its index.  The Cauchy property and R are read
-off the cores: up(c) has the one minimal member c, so the Cauchy
-property is one lookup per filter, and R is one integer row per filter,
-over the filter indices, on whose bits the R laws are checked.
+depends on the ground size alone (the points of each subset, the
+filters, listed by their cores, their filter axioms, the check that pair
+and triple intersections of filters are filters, and the index of each
+pair meet in the list) is computed once per size, in a ``_Families``
+table its models share.  The list is closed under meets, as
+up(a) & up(b) = up(a | b), so every law about a meet reads it by its
+index.  The Cauchy property and R are read off the cores: up(c) has
+the one minimal member c, so up(c) is Cauchy when c x c lies inside
+every entourage, and up(c) R up(d) when c x d does.  Each model keeps
+only per-point cover rows, the entourages containing {x} x b for each
+point x and subset b, and reads "c x d lies inside every entourage" as
+"for every x in c, {x} x d does": the same two universal quantifiers,
+swapped.  R is one integer row per filter, over the filter indices, the
+AND over the points of its core of one such row per point; the R laws
+are checked on its bits.
 
 ``tests/filter_oracle.py`` keeps the definitions written with Python sets
 (filters, uniformities, the catalog, convergence, Cauchy filters, R and
@@ -130,7 +136,8 @@ def _up_sets(n: int) -> tuple[int, ...]:
 class _Families:
     """The filters on {0, .., n-1} and what the laws need of them that no
     uniformity changes, computed once per ground size and shared by its
-    models.  ``cores`` lists every nonempty subset by (size, subset), and
+    models.  ``points[s]`` lists the points of subset s, lowest first.
+    ``cores`` lists every nonempty subset by (size, subset), and
     ``masks`` their up-sets, which are every filter; ``index`` maps each
     filter to its place in the list, ``axioms`` each filter to the first
     filter axiom it breaks, or None.
@@ -147,14 +154,15 @@ class _Families:
         self.n = n
         self.full = (1 << n) - 1
         self.up = _up_sets(n)
-        self.cores = sorted(range(1, 1 << n), key=lambda c: (len(_bits(c)), _bits(c)))
+        self.points = [_bits(s) for s in range(1 << n)]
+        self.cores = sorted(range(1, 1 << n), key=lambda c: (len(self.points[c]), self.points[c]))
         self.masks = [self.up[c] for c in self.cores]
         self.index = {f: k for k, f in enumerate(self.masks)}
         self.axioms = {f: self._axioms(f) for f in self.masks}
         self._meet_sweep()
 
     def label(self, k: int) -> str:
-        return "^" + "".join(str(x) for x in _bits(self.cores[k]))
+        return "^" + "".join(str(x) for x in self.points[self.cores[k]])
 
     def _axioms(self, f: int) -> str | None:
         """The first filter axiom the family breaks, worded as the
@@ -209,25 +217,30 @@ class _BitsetModel:
     ``f & ~g == 0``.  A set of entourages is an int over their numbers: a
     pair of V0 is held by every entourage, and p_t by the entourages whose
     number has bit t set (``held[t]``, a run of 2^t ones in every 2^(t+1)
-    positions).  ``cover[a][b]`` is the set of entourages containing
-    a x b, the intersection over the pairs of a x b of the entourages
-    holding that pair; ``balls[x]`` is the family of entourage balls
-    around x.  The predicates keep their quantifiers: "for every entourage
-    there is a member (pair) small of that order" is the union of the
-    members' cover sets compared with the set of all entourages.  A filter
-    up(c) is read at its core c alone: ``cover[a][b]`` can only shrink as
-    a or b grows, so the cover set of any members lies inside that of the
-    cores below them, and the union is ``cover[c][c]`` (or ``cover[a][b]``
-    for two filters).
+    positions).  ``row_cover[x][b]`` is the set of entourages containing
+    {x} x b, the intersection over the points y of b of the entourages
+    holding (x, y); ``balls[x]`` is the family of entourage balls around
+    x.  The predicates keep their quantifiers: "for every entourage there
+    is a member (pair) small of that order".  The set of entourages
+    containing a x b can only shrink as a or b grows, so a filter up(c) is
+    read at its core c alone: up(c) is Cauchy when c x c lies inside every
+    entourage (R: c x d for two filters).  That set is the intersection of
+    ``row_cover[x][b]`` over the points x of a, so "for every entourage,
+    for every x in a" is read as "for every x in a, for every entourage":
+    ``row_cover[x][b]`` is compared with the set of all entourages, point
+    by point, over the table's ``points[a]``, and no table indexed by two
+    subsets is built.
 
     R is computed a row at a time (``relation_rows``): one int per filter
-    over the filter indices, read off the cover row of the filter's core.
+    over the filter indices, the AND over the points of the filter's core
+    of each point's row.
     """
 
     def __init__(self, rows: Sequence[int], table: _Families):
         n = len(rows)
         full = table.full
         self.rows = tuple(rows)
+        self.points = table.points
         self.pairs = [(a, b) for a, b in itertools.combinations(range(n), 2) if not rows[a] >> b & 1]
         self.n_entourages = 1 << len(self.pairs)
         self.every_entourage = every = (1 << self.n_entourages) - 1
@@ -239,19 +252,14 @@ class _BitsetModel:
         holding = [every if rows[i] >> j & 1 else 0 for i in range(n) for j in range(n)]
         for (a, b), h in zip(self.pairs, self.held):
             holding[a * n + b] = holding[b * n + a] = h
-        # row_cover[i][b]: entourages containing {i} x b
-        row_cover = []
-        for i in range(n):
+        # row_cover[x][b]: entourages containing {x} x b
+        self.row_cover = []
+        for x in range(n):
             row = [every] * (full + 1)
             for b in range(1, full + 1):
                 low = b & -b
-                row[b] = row[b ^ low] & holding[i * n + low.bit_length() - 1]
-            row_cover.append(row)
-        cover = [[every] * (full + 1)]
-        for a in range(1, full + 1):
-            low = a & -a
-            cover.append([c & r for c, r in zip(cover[a ^ low], row_cover[low.bit_length() - 1])])
-        self.cover = cover
+                row[b] = row[b ^ low] & holding[x * n + low.bit_length() - 1]
+            self.row_cover.append(row)
 
     def converges(self, f: int, x: int) -> bool:
         """Every entourage ball around x is a member."""
@@ -259,21 +267,22 @@ class _BitsetModel:
 
     def cauchy(self, c: int) -> bool:
         """For every entourage the filter up(c) has a member m with m x m
-        inside it: c x c is."""
-        return self.cover[c][c] == self.every_entourage
+        inside it: c x c is, so for every x in c, {x} x c is inside every
+        entourage."""
+        every, row_cover = self.every_entourage, self.row_cover
+        return all(row_cover[x][c] == every for x in self.points[c])
 
     def relation_rows(self, cores: Sequence[int]) -> list[int]:
         """R between every two of the filters up(c) for c in ``cores``, one
         int per filter: bit j of row i is set when for every entourage
         there are members a of up(cores[i]) and b of up(cores[j]) with
         a x b inside it, that is when cores[i] x cores[j] is inside every
-        entourage."""
+        entourage, so when {x} x cores[j] is for every x in cores[i].
+        ``near[x]`` holds the j with {x} x cores[j] inside every entourage,
+        and row i is the AND of ``near`` over the points of cores[i]."""
         every = self.every_entourage
-        rows = []
-        for a in cores:
-            reach = self.cover[a]
-            rows.append(sum(1 << j for j, b in enumerate(cores) if reach[b] == every))
-        return rows
+        near = [sum(1 << j for j, b in enumerate(cores) if row[b] == every) for row in self.row_cover]
+        return [reduce(operator.and_, [near[x] for x in self.points[a]]) for a in cores]
 
 
 def _models(table: _Families) -> Iterator[_BitsetModel]:
@@ -438,7 +447,9 @@ def verify_filter_laws(max_size: int = 4) -> FilterLawReport:
     models = []
     for size in range(1, max_size + 1):
         table = _Families(size)
-        filter_counts.append((size, len(table.masks), 2**size - 1))
+        # a listed family counts as a filter when it keeps every filter axiom
+        found = sum(table.axioms[f] is None for f in table.masks)
+        filter_counts.append((size, found, 2**size - 1))
         # each model is built as the loop reaches it and dropped after its check
         models.extend(_check_model(index, bm, table) for index, bm in enumerate(_models(table)))
     return FilterLawReport(max_size, tuple(models), tuple(filter_counts))

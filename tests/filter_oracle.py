@@ -15,17 +15,21 @@ as failures instead.
 
 ``entourage_walk`` visits a bitset model's 2^k entourages one at a time:
 the reference for the holding sets and balls that ``_BitsetModel`` builds
-in closed form.  ``cauchy_over_every_member`` and ``related_rows`` take
-the Cauchy property and R over every member of a family, in a bitset
-model's own encoding: the reference for ``_BitsetModel.cauchy`` and
-``_BitsetModel.relation_rows``, which read only a filter's core.
+in closed form.  ``containment_sets`` gives, for every two subsets a and
+b, the entourages of a bitset model containing a x b, built pair by pair
+from the model's V0 rows and holding sets; it reads nothing of the model's
+cover rows.  ``cauchy_over_every_member`` and ``related_rows`` take the
+Cauchy property and R over every member of a family on those sets: the
+reference for ``_BitsetModel.cauchy`` and ``_BitsetModel.relation_rows``,
+which read only a filter's core, point by point.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, reduce
 from typing import Hashable, Iterable, Iterator, Sequence
 
 from sikorski.filters import _MAX_GROUND, ModelReport, _bits, partitions
@@ -423,27 +427,47 @@ def entourage_walk(rows: Sequence[int]) -> tuple[list[int], list[int]]:
 # The all-members walk
 
 
-def cauchy_over_every_member(bm, f: int) -> bool:
-    """For every entourage of the bitset model ``bm`` some member m of the
-    family f has m x m inside it, with every member tried."""
+def containment_sets(bm) -> list[list[int]]:
+    """For every two subsets a and b of the bitset model ``bm``'s ground
+    set, the entourages containing a x b: the intersection, over the pairs
+    of a x b, of the entourages holding that pair.  A pair of V0 (read
+    from ``bm.rows``) is held by every entourage, and the pair p_t of
+    ``bm.pairs`` by ``bm.held[t]``.  ``cover[0][0]``, for the empty
+    product, is every entourage."""
+    n = len(bm.rows)
+    every = (1 << bm.n_entourages) - 1
+    holding = {(x, y): every for x in range(n) for y in range(n) if bm.rows[x] >> y & 1}
+    for (a, b), h in zip(bm.pairs, bm.held):
+        holding[a, b] = holding[b, a] = h
+    return [
+        [reduce(operator.and_, (holding[x, y] for x in _bits(a) for y in _bits(b)), every) for b in range(1 << n)]
+        for a in range(1 << n)
+    ]
+
+
+def cauchy_over_every_member(cover: list[list[int]], f: int) -> bool:
+    """For every entourage some member m of the family f has m x m inside
+    it, with every member tried; ``cover`` is a model's
+    ``containment_sets``."""
     small = 0
     for m in _bits(f):
-        small |= bm.cover[m][m]
-    return small == bm.every_entourage
+        small |= cover[m][m]
+    return small == cover[0][0]
 
 
-def related_rows(bm, families: Sequence[int]) -> list[list[bool]]:
-    """R between every two of the families on the bitset model ``bm``:
-    row i, column j holds when for every entourage some member a of
-    families[i] and some member b of families[j] have a x b inside it,
-    with every pair of members tried.  Each column family's reach table
-    (for each subset a, the entourages containing a x b for some member b)
-    is built once and read by every row."""
+def related_rows(cover: list[list[int]], families: Sequence[int]) -> list[list[bool]]:
+    """R between every two of the families, on the model whose
+    ``containment_sets`` are ``cover``: row i, column j holds when for
+    every entourage some member a of families[i] and some member b of
+    families[j] have a x b inside it, with every pair of members tried.
+    Each column family's reach table (for each subset a, the entourages
+    containing a x b for some member b) is built once and read by every
+    row."""
     reaches = []
     for f in families:
-        reach = [0] * len(bm.cover)
+        reach = [0] * len(cover)
         for b in _bits(f):
-            reach = [r | row[b] for r, row in zip(reach, bm.cover)]
+            reach = [r | row[b] for r, row in zip(reach, cover)]
         reaches.append(reach)
     rows = []
     for f in families:
@@ -453,6 +477,6 @@ def related_rows(bm, families: Sequence[int]) -> list[list[bool]]:
             small = 0
             for a in members:
                 small |= reach[a]
-            row.append(small == bm.every_entourage)
+            row.append(small == cover[0][0])
         rows.append(row)
     return rows

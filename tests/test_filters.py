@@ -17,6 +17,7 @@ from filter_oracle import (
     catalog,
     cauchy_over_every_member,
     check_model,
+    containment_sets,
     converges_to,
     entourage_walk,
     enumerate_filters,
@@ -451,18 +452,49 @@ def test_the_closed_forms_match_the_entourage_walk():
     assert (bm.held, bm.balls) == entourage_walk(bm.rows)
 
 
+# Minimum entourages that are not equivalence relations: the path
+# 0~1~2, and the star 0~1, 0~2, on which a check that read only the
+# lowest point of a core would call {0, 1, 2} Cauchy.
+NON_EQUIVALENCE_MINIMA = ([0b011, 0b111, 0b110], [0b111, 0b011, 0b101])
+
+
+def test_the_oracle_containment_sets_match_the_decoded_entourages():
+    """``containment_sets``, built pair by pair from V0 and the holding
+    sets, against the entourages decoded one at a time as the walk
+    numbers them, on every model up to size 4 and on minimum entourages
+    that are not equivalence relations."""
+    models = [bm for size in range(1, 5) for bm in _models(_Families(size))]
+    models += [_BitsetModel(rows, _Families(3)) for rows in NON_EQUIVALENCE_MINIMA]
+    for bm in models:
+        n = len(bm.rows)
+        subsets = [_bits(s) for s in range(1 << n)]
+        decoded = [entourage(bm, s) for s in range(bm.n_entourages)]
+        expected = []
+        for a in subsets:
+            products = [set(itertools.product(a, b)) for b in subsets]
+            expected.append([sum(1 << s for s, e in enumerate(decoded) if p <= e) for p in products])
+        assert containment_sets(bm) == expected
+
+
 def test_minimal_members_decide_as_every_member_does_on_filters():
     """``cauchy`` and ``relation_rows`` read a filter's core, its one
-    minimal member; the walk over every member is the reference, on every
-    model up to size 5 and every pair of filters."""
-    for size in range(1, 6):
-        table = _Families(size)
+    minimal member, point by point off the per-point cover rows; the walk
+    over every member, on the oracle's own containment sets, is the
+    reference, on every model up to size 5 and every pair of filters, and
+    on minimum entourages that are not equivalence relations, so the swap
+    of quantifiers does not lean on V0 being one."""
+    models = [(table, bm) for table in map(_Families, range(1, 6)) for bm in _models(table)]
+    table = _Families(3)
+    models += [(table, _BitsetModel(rows, table)) for rows in NON_EQUIVALENCE_MINIMA]
+    for table, bm in models:
         masks, cores = table.masks, table.cores
-        for bm in _models(table):
-            assert [bm.cauchy(c) for c in cores] == [cauchy_over_every_member(bm, f) for f in masks]
-            rows = bm.relation_rows(cores)
-            assert [[row >> j & 1 == 1 for j in range(len(masks))] for row in rows] == related_rows(bm, masks)
-            assert all(row >> len(masks) == 0 for row in rows)
+        cover = containment_sets(bm)
+        assert not hasattr(bm, "cover")
+        assert bm.row_cover == [cover[1 << x] for x in range(len(bm.rows))]
+        assert [bm.cauchy(c) for c in cores] == [cauchy_over_every_member(cover, f) for f in masks]
+        rows = bm.relation_rows(cores)
+        assert [[row >> j & 1 == 1 for j in range(len(masks))] for row in rows] == related_rows(cover, masks)
+        assert all(row >> len(masks) == 0 for row in rows)
 
 
 def count_calls(monkeypatch, *names):
@@ -515,6 +547,27 @@ def test_size_five_models_match_the_frozenset_oracle(k):
     u = catalog(ground)[index]
     assert len(u.entourages) == 1 << k
     assert _check_model(index, bm, table) == check_model(5, index, u, enumerate_filters(ground))
+
+
+def test_a_listed_family_that_breaks_an_axiom_is_not_counted(monkeypatch, tmp_path, capsys):
+    """The filter count counts the listed families that keep every filter
+    axiom, so one that breaks an axiom shows as a count mismatch."""
+    axioms = _Families._axioms
+    broken = mask_of([{0}, {0, 1}])  # up({0}) on two points
+
+    def break_one(self, f):
+        if self.n == 2 and f == broken:
+            return "filter axioms violated: broken for the test"
+        return axioms(self, f)
+
+    monkeypatch.setattr(_Families, "_axioms", break_one)
+    report = verify_filter_laws(2)
+    assert report.filter_counts == ((1, 1, 1), (2, 2, 3))
+    assert "  size 2: 2 filters (expected 3), MISMATCH" in report.summary_text().splitlines()
+    assert report.first_counterexample == "size 2: 2 filters, expected 3"
+    assert not report.passed
+    assert cli.main(["verify-filters", "--max-size", "2", "--out", str(tmp_path)]) == 1
+    assert "  size 2: 2 filters (expected 3), MISMATCH" in capsys.readouterr().out.splitlines()
 
 
 def test_the_summary_names_a_filter_count_mismatch():

@@ -121,7 +121,12 @@ def iota(cs_full: CompletedSpace, cs_sub: CompletedSpace) -> IotaReport:
     completion over a subfamily: identity on base points, coordinate
     projection on adjoined points.
 
-    The report records where each point lands, the worst disagreement
+    Each adjoined point lands on one row of the subfamily completion, in
+    the `all_coords` layout: its own probe's row when the subfamily
+    adjoined that probe, else the first row within DEDUP_TOL of its
+    projection (a sample, or an earlier probe's point).  That row names
+    the target, measures the residual and marks the point covered.  The
+    report records where each point lands, the worst disagreement
     between the projected extension values and the subfamily's own
     extension, and which subfamily completion points the map misses.
     """
@@ -136,35 +141,27 @@ def iota(cs_full: CompletedSpace, cs_sub: CompletedSpace) -> IotaReport:
     base = cs_full.base.coords[:, projection]
     gaps = np.max(np.abs(base - cs_sub.base.coords), axis=0, initial=0.0).tolist()
     residual = dict(zip(sub_names, gaps))
-    entries: list[IotaEntry] = []
-    covered: set[str] = set()
-    sub_by_probe = {a.probe: a for a in cs_sub.adjoined}
     sub_rows = cs_sub.all_coords()
     n_base = len(cs_sub.base.coords)
+    own_row = {a.probe: i for i, a in enumerate(cs_sub.adjoined, n_base)}
+    entries: list[IotaEntry] = []
+    covered: set[int] = set()
     for adj in cs_full.adjoined:
         projected = tuple(adj.coords[k] for k in projection)
-        if adj.probe in sub_by_probe:
-            target_label, target_coords = f"adjoined:{adj.probe}", sub_by_probe[adj.probe].coords
-        else:
+        i = own_row.get(adj.probe)
+        if i is None:
             # the probe's limit was realized in the subfamily completion by
             # an embedded sample (or an earlier probe); the first one wins
             hits = np.flatnonzero(_near(sub_rows, projected))
             if not hits.size:
-                raise ValueError(
-                    f"no target for probe {adj.probe}: run both completions with the same probes"
-                )
+                raise ValueError(f"no target for probe {adj.probe}: run both completions with the same probes")
             i = int(hits[0])
-            if i < n_base:
-                target_label, target_coords = f"base:{i}", tuple(sub_rows[i].tolist())
-            else:
-                target = cs_sub.adjoined[i - n_base]
-                target_label, target_coords = f"adjoined:{target.probe}", target.coords
-        if target_label.startswith("adjoined:"):
-            covered.add(target_label.split(":", 1)[1])
-        for n, a, b in zip(sub_names, projected, target_coords):
+        covered.add(i)
+        for n, a, b in zip(sub_names, projected, sub_rows[i].tolist()):
             residual[n] = max(residual[n], abs(a - b))
-        entries.append(IotaEntry(f"adjoined:{adj.probe}", target_label, projected))
-    uncovered = tuple(a.probe for a in cs_sub.adjoined if a.probe not in covered)
+        target = f"base:{i}" if i < n_base else f"adjoined:{cs_sub.adjoined[i - n_base].probe}"
+        entries.append(IotaEntry(f"adjoined:{adj.probe}", target, projected))
+    uncovered = tuple(a.probe for i, a in enumerate(cs_sub.adjoined, n_base) if i not in covered)
     residuals = tuple((n, residual[n]) for n in sub_names)
     return IotaReport(sub_names, base, tuple(entries), residuals, uncovered)
 

@@ -22,6 +22,7 @@ import math
 import operator
 import re
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -185,10 +186,12 @@ _BINARY_OPS = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": ope
 # ---------------------------------------------------------------------------
 # Tokenizer / parser
 #
-# expr   := ["-"] term (("+" | "-") term)*        (leading sign sugar)
-# term   := factor (("*" | "/") factor)*
+# expr   := term (("+" | "-") term)*           (level 0 of _LEVELS)
+# term   := factor (("*" | "/") factor)*       (level 1)
 # factor := "-" factor | base ("^" integer)?
 # base   := number | ident | ident "(" expr ")" | "(" expr ")"
+
+_LEVELS = ("+-", "*/")  # the binary operators, loosest first
 
 _TOKEN_RE = re.compile(
     r"\s*(?:(?P<num>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)"
@@ -262,27 +265,19 @@ class _Parser:
             raise ParseError(f"trailing input {value!r}", offset)
         return e
 
-    def expr(self) -> tuple[Expr, int]:
-        node, depth = self.term()
+    def expr(self, level: int = 0) -> tuple[Expr, int]:
+        """Operands joined left to right by the operators of `_LEVELS[level]`:
+        the next level's chains, or factors at the last level.  A `partial`
+        reaches the next level without a Python frame of its own."""
+        operand = partial(self.expr, level + 1) if level + 1 < len(_LEVELS) else self.factor
+        node, depth = operand()
         while True:
             kind, value, offset = self.peek()
-            if kind == "sym" and value in "+-":
-                self.advance()
-                right, right_depth = self.term()
-                node, depth = BinOp(value, node, right), self.nested(max(depth, right_depth), offset)
-            else:
+            if kind != "sym" or value not in _LEVELS[level]:
                 return node, depth
-
-    def term(self) -> tuple[Expr, int]:
-        node, depth = self.factor()
-        while True:
-            kind, value, offset = self.peek()
-            if kind == "sym" and value in "*/":
-                self.advance()
-                right, right_depth = self.factor()
-                node, depth = BinOp(value, node, right), self.nested(max(depth, right_depth), offset)
-            else:
-                return node, depth
+            self.advance()
+            right, right_depth = operand()
+            node, depth = BinOp(value, node, right), self.nested(max(depth, right_depth), offset)
 
     def factor(self) -> tuple[Expr, int]:
         kind, value, offset = self.peek()
@@ -606,8 +601,6 @@ def _mul(a: Expr, b: Expr) -> Expr:
 def _div(a: Expr, b: Expr) -> Expr:
     if a == _ZERO:
         return _ZERO
-    if b == _ONE:
-        return a
     return BinOp("/", a, b)
 
 

@@ -67,14 +67,20 @@ def compare_uniformities(
     `target_eps` at each candidate width in `eps_grid`.
 
     An empty G or H family and a non-positive width are refused before
-    sampling.  Verdicts are relative to the sampled cloud: a witness is a
-    genuine counterexample pair, while "refines" says no sampled pair
-    violates the target.  The search is exhaustive over sampled pairs: every pair it
-    does not compute is excluded by an exact bound, which leaves each row
-    runs of possible partners: a lead range when G has one coordinate, a
-    3x3 neighbourhood of cells of side at least the width over its first
-    two coordinates when G has more.  The first witness in lexicographic
-    sample order wins, which keeps reports reproducible.
+    sampling.  Verdicts are relative to the sampled cloud and to float
+    arithmetic.  A witness is a sampled pair whose generator values, as
+    computed and subtracted in floats, differ by less than the width in
+    every G coordinate and by at least the target width in some H
+    coordinate; exact arithmetic on the same samples need not agree (the
+    parabola's width-0.01 pair has y^2 - x^2 = 0.9999999999998012 < 1
+    exactly).  "refines" says no sampled pair violates the target in
+    those float differences.  The search is exhaustive over sampled
+    pairs: every pair it does not compute is excluded by an exact bound,
+    which leaves each row runs of possible partners: a lead range when G
+    has one coordinate, a 3x3 neighbourhood of cells of side at least the
+    width over its first two coordinates when G has more.  The first
+    witness in lexicographic sample order wins, which keeps reports
+    reproducible.
 
     The distinct widths are searched from the smallest to the largest.  A
     pair within one width lies within every larger one, so a width's

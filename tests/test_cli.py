@@ -859,6 +859,44 @@ def test_a_run_never_loads_openssl(tmp_path):
     assert proc.stdout.splitlines()[-1] == "False"
 
 
+def dispatched_cpu_features():
+    """The CPU features above its baseline that numpy dispatches to and
+    finds on this CPU; none where numpy does not list them."""
+    try:
+        from numpy._core import _multiarray_umath as umath
+    except ImportError:
+        return []
+    found = getattr(umath, "__cpu_features__", {})
+    return [name for name in getattr(umath, "__cpu_dispatch__", ()) if found.get(name)]
+
+
+@pytest.mark.skipif(not dispatched_cpu_features(), reason="numpy dispatches to no feature above its baseline here")
+def test_run_reports_do_not_depend_on_the_cpu_features_numpy_dispatches_to(tmp_path):
+    """`run` on each bundled spec in a fresh interpreter, as is and with
+    `NPY_DISABLE_CPU_FEATURES` naming every feature above numpy's baseline
+    that it dispatches to here: exit status, stdout, stderr and every
+    report match.  The CSVs are not compared, since they still depend on
+    the CPU: on an AVX-512 host, `np.tan` rounds 8 of the spiral's 2,000
+    samples differently from the baseline code, and the spiral's CSVs
+    show it in the last digit."""
+    plain = {k: v for k, v in os.environ.items() if k != "NPY_DISABLE_CPU_FEATURES"}
+    disabled = {**plain, "NPY_DISABLE_CPU_FEATURES": " ".join(dispatched_cpu_features())}
+    outcomes = []
+    for mode, env in [("as_is", plain), ("baseline", disabled)]:
+        seen = {}
+        for spec in sorted(SPECS.glob("*.spec")):
+            out = tmp_path / mode / spec.stem
+            proc = subprocess.run(
+                [sys.executable, "-m", "sikorski.cli", "run", str(spec), "--out", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            reports = {p.name: p.read_bytes() for p in sorted(out.glob("*_report.txt"))}
+            seen[spec.name] = (proc.returncode, proc.stdout.replace(str(out), "OUT"), proc.stderr.replace(str(out), "OUT"), reports)
+        outcomes.append(seen)
+    assert len(outcomes[0]) == 5 and any(reports for *_, reports in outcomes[0].values())
+    assert outcomes[0] == outcomes[1]
+
+
 def on_glibc():
     try:
         return sys.platform.startswith("linux") and os.confstr("CS_GNU_LIBC_VERSION") is not None
@@ -868,15 +906,19 @@ def on_glibc():
 
 # The stub, if any, replaces ctypes.CDLL before sikorski.cli is imported.
 # The last stdout line is the exit status, the minor page faults of the
-# `run` call and the peak resident set size.
+# `run` call and the child's own peak resident set size in KiB: `VmHWM`,
+# not `ru_maxrss`, which Linux starts at the mark of the process image the
+# child replaced at exec, here the whole pytest process's.
 MEMORY_CHILD = """\
 import ctypes, resource, sys
 {stub}
 from sikorski import cli
 before = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
 rc = cli.main(['run', sys.argv[1], '--out', sys.argv[2]])
-usage = resource.getrusage(resource.RUSAGE_SELF)
-print(rc, usage.ru_minflt - before, usage.ru_maxrss)
+faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt - before
+with open('/proc/self/status') as status:
+    peak = next(int(line.split()[1]) for line in status if line.startswith('VmHWM:'))
+print(rc, faults, peak)
 """
 
 
@@ -988,6 +1030,17 @@ def test_failed_tangent_residuals_share_one_line(tmp_path, monkeypatch):
     assert [row for row in rows if row[0] == "leibniz"] == [
         ["leibniz", "f*f", "1"], ["leibniz", "f*g", "1"], ["leibniz", "g*g", "1"],
     ]
+    monkeypatch.setattr(tangent, "chain_rule_check", lambda source, witness, v, beta: (1.0, 1.0))
+    rc, out, err = run_in_process([
+        "tangent", REAL_LINE, "--point", "1", "--vector", "1", "--functions", "f", "--map", "squash",
+        "--out", str(tmp_path),
+    ])
+    assert rc == 1
+    assert err == (
+        "sikorski tangent (tangent): invariant violated: leibniz residual 1 for f*f;"
+        " chain rule residual 1 for g\n"
+    )
+    assert "chain squash:g = 1" in out.splitlines()
 
 
 def test_a_filter_counterexample_exits_one(tmp_path, monkeypatch):

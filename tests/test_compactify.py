@@ -18,28 +18,14 @@ from sikorski.compactify import (
 from sikorski.completion import maximal_family
 from sikorski.expr import Call, DomainError, Var, diff, eval_expr, parse_expr
 from sikorski.space import (
-    Carrier,
     DiffSpace,
     Generator,
     GeneratorFamily,
-    Interval,
     SmoothFunction,
     embed,
 )
 from sikorski.uniform import Probe
-
-
-def line_space(lo, hi, count, gens, lo_open=False, hi_open=False, inset=1e-3):
-    carrier = Carrier(
-        params=("t",),
-        box=(Interval(lo, hi, lo_open, hi_open),),
-        ambient=("x",),
-        chart=(Var("t"),),
-        counts=(count,),
-        inset=inset,
-    )
-    family = GeneratorFamily(tuple(Generator(n, parse_expr(e, ["x"])) for n, e in gens))
-    return DiffSpace(carrier, family)
+from spaces import line_space
 
 
 def test_splice_values_on_and_off_the_cubes():

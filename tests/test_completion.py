@@ -6,21 +6,9 @@ import pytest
 from sikorski.cli import _completeness_line
 from sikorski.completion import DEDUP_TOL, complete, iota, maximal_family
 from sikorski.expr import Var, parse_expr
-from sikorski.space import Carrier, DiffSpace, Generator, GeneratorFamily, Interval
+from sikorski.space import Generator, GeneratorFamily
 from sikorski.uniform import Probe
-
-
-def line_space(lo, hi, count, gens, lo_open=False, hi_open=False, inset=1e-3):
-    carrier = Carrier(
-        params=("t",),
-        box=(Interval(lo, hi, lo_open, hi_open),),
-        ambient=("x",),
-        chart=(Var("t"),),
-        counts=(count,),
-        inset=inset,
-    )
-    family = GeneratorFamily(tuple(Generator(n, parse_expr(e, ["x"])) for n, e in gens))
-    return DiffSpace(carrier, family)
+from spaces import line_space
 
 
 SLAB = line_space(-1100.0, 1100.0, 2201, [("f", "x"), ("g", "atan(x)")])
@@ -129,6 +117,18 @@ def test_iota_sends_a_limit_realized_by_an_earlier_probe_to_that_point():
     assert [(e.source, e.target) for e in rep.entries] == [("adjoined:p", "adjoined:p"), ("adjoined:q", "adjoined:p")]
     assert rep.max_residual() < 1e-17
     assert rep.uncovered == ()
+
+
+def test_iota_refuses_a_limit_with_no_target():
+    """Over f alone, without the probe, no point lies near the projection
+    of p's adjoined point: the completions were run with different probes."""
+    space = line_space(0.0, 1.0, 101, [("f", "x*(1-x)"), ("g", "x")], lo_open=True, hi_open=True)
+    p = Probe("p", parse_expr("1/n", ["n"]), 1, 1000)
+    cs_full = complete(space, [p], tol=1e-3)
+    cs_sub = complete(space.with_generators(["f"]), [], tol=1e-3)
+    assert [a.probe for a in cs_full.adjoined] == ["p"]
+    with pytest.raises(ValueError, match="^no target for probe p: run both completions with the same probes$"):
+        iota(cs_full, cs_sub)
 
 
 def test_iota_requires_one_sample_cloud():

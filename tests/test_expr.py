@@ -41,6 +41,7 @@ from exprgen import random_expr
 def test_parse_builds_the_expected_tree():
     e = parse_expr("x1 * cos(tan(x1))", ["x1"])
     assert e == BinOp("*", Var("x1"), Call("cos", Call("tan", Var("x1"))))
+    assert parse_expr("x ", ["x"]) == Var("x")  # trailing blanks end the input
 
 
 def test_parse_call_chain():
@@ -194,11 +195,14 @@ def test_diff_square():
     """d(x^2)/dx at 3 is exactly 6."""
     d = diff(parse_expr("x^2", ["x"]), "x")
     assert eval_expr(d, {"x": 3.0}) == 6.0
+    assert diff(parse_expr("x^0", ["x"]), "x") == Const(0.0)
+    assert diff(parse_expr("x^1", ["x"]), "x") == Const(1.0)
 
 
 def test_diff_atan():
     d = diff(Call("atan", Var("x")), "x")
     assert eval_expr(d, {"x": 1.0}) == 0.5
+    assert eval_expr(diff(Call("sqrt", Var("x")), "x"), {"x": 4.0}) == 0.25
 
 
 def test_diff_matches_central_difference():

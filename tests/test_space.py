@@ -9,9 +9,6 @@ import pytest
 from sikorski.expr import DomainError, Var, parse_expr
 from sikorski.space import (
     Carrier,
-    DiffSpace,
-    Generator,
-    GeneratorFamily,
     Interval,
     SmoothFunction,
     SmoothMapReport,
@@ -22,19 +19,7 @@ from sikorski.space import (
     memo_scope,
     sample,
 )
-
-
-def line_space(lo, hi, count, gens, lo_open=False, hi_open=False, inset=1e-3):
-    carrier = Carrier(
-        params=("t",),
-        box=(Interval(lo, hi, lo_open, hi_open),),
-        ambient=("x",),
-        chart=(Var("t"),),
-        counts=(count,),
-        inset=inset,
-    )
-    family = GeneratorFamily(tuple(Generator(n, parse_expr(e, ["x"])) for n, e in gens))
-    return DiffSpace(carrier, family)
+from spaces import line_space
 
 
 def test_interval_membership_respects_openness():

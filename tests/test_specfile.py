@@ -202,6 +202,8 @@ MAP = "f = x\n\n[map m]\ntarget = target.spec\n"
         # the rest of [space] and [generators]
         ("[space]", "[space]\nname = 2d", "2: space name '2d' is not an identifier"),
         ("params = t", "params = 2t", "2: parameter name '2t' is not an identifier"),
+        ("params = t\ndomain = [0, 1]\nchart = x : t", "params = s, s\ndomain = [0, 1] x [0, 1]\nchart = x : s",
+         "1: [space]: duplicate parameter names"),
         ("chart = x : t", "chart = 2x : t", "4: ambient name '2x' is not an identifier"),
         ("chart = x : t", "chart = ,", "4: chart declares no ambient coordinates"),
         ("samples = 11", "samples = 11, 12", "5: samples has 2 count(s) for 1 parameter(s)"),

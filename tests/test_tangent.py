@@ -24,6 +24,7 @@ from sikorski.tangent import (
 )
 
 from exprgen import finite_small, random_expr
+from spaces import line_space
 
 
 def plane_space():
@@ -44,20 +45,8 @@ def plane_space():
     return DiffSpace(carrier, family)
 
 
-def line_space(gens):
-    carrier = Carrier(
-        params=("t",),
-        box=(Interval(-5.0, 5.0),),
-        ambient=("x",),
-        chart=(Var("t"),),
-        counts=(11,),
-    )
-    family = GeneratorFamily(tuple(Generator(n, parse_expr(e, ["x"])) for n, e in gens))
-    return DiffSpace(carrier, family)
-
-
 PLANE = plane_space()
-LINE = line_space([("f", "x"), ("g", "x^2")])
+LINE = line_space(-5.0, 5.0, 11, [("f", "x"), ("g", "x^2")])
 
 
 def test_directional_derivative_of_the_square():
@@ -88,6 +77,8 @@ def test_mixed_direction_on_the_product():
 def test_vector_dimension_is_checked():
     with pytest.raises(ValueError, match="different ambient"):
         apply(PLANE, TangentVector((1.0,), (1.0,)), SmoothFunction.of_generator("p"))
+    with pytest.raises(ValueError, match="different ambient"):
+        tangent_map(PLANE, square_first_map(), TangentVector((1.0,), (1.0,)))
     with pytest.raises(ValueError, match="coefficients must match"):
         TangentVector((1.0, 2.0), (1.0,))
 

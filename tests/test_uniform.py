@@ -24,20 +24,8 @@ from sikorski.uniform import (
     probe_cauchy,
     probe_points,
 )
+from spaces import line_space
 from uniform_oracle import entourage_contains, first_witness, pseudometric
-
-
-def line_space(lo, hi, count, gens, **kwargs):
-    carrier = Carrier(
-        params=("t",),
-        box=(Interval(lo, hi, kwargs.get("lo_open", False), kwargs.get("hi_open", False)),),
-        ambient=("x",),
-        chart=(Var("t"),),
-        counts=(count,),
-        inset=kwargs.get("inset", 1e-3),
-    )
-    family = GeneratorFamily(tuple(Generator(n, parse_expr(e, ["x"])) for n, e in gens))
-    return DiffSpace(carrier, family)
 
 
 SPECS = Path(sikorski.__file__).parent / "specs"
@@ -51,6 +39,8 @@ def test_entourage_validation():
     with mock.patch.object(uniform, "embed", side_effect=AssertionError("sampled")):
         with pytest.raises(ValueError, match="^an entourage needs at least one generator$"):
             compare_uniformities(PARABOLA, ["f"], [], [0.1])
+        with pytest.raises(ValueError, match="^the G family needs at least one generator$"):
+            compare_uniformities(PARABOLA, [], ["g"], [0.1])
         for target_eps in (0.0, -1.0, math.nan):
             with pytest.raises(ValueError, match="^entourage widths must be positive$"):
                 compare_uniformities(PARABOLA, ["f"], ["g"], [0.1], target_eps=target_eps)
